@@ -24,7 +24,7 @@ from .clustering import (
     sample_voting_records,
     top_stakeholders,
 )
-from .gangs import GangError, run_pipeline
+from .gangs import GangError, NetworkBuilder, run_pipeline
 from .metrics import (
     MetricsError,
     monthly_production,
@@ -37,11 +37,11 @@ from .metrics import (
 )
 from .model import ActionKind, LedgerError, ParseError, load_headers, load_trace
 from .motifs import (
-    build_vote_events,
     detect_eight,
     detect_linear,
     detect_triangular,
     motif_series,
+    record_vote_events,
 )
 from .replay import ReplayError, replay, replay_with_snapshots
 from .scoring import instance_score, pairwise_score
@@ -105,11 +105,30 @@ def _load_trace_or_die(trace_path: str):
         _fail(EXIT_DATA, f"unreadable trace: {exc}")
 
 
-def _replay_or_die(trace):
+def _replay_or_die(trace, observers=(), cadence=None):
+    """The command's one fold of the trace: (state, rejected), plus the
+    snapshots at the cadence's sample times when a cadence is given."""
     try:
-        return replay(trace)
+        if cadence is None:
+            return replay(trace, observers)
+        return replay_with_snapshots(trace, _snapshot_times(trace, cadence),
+                                     observers)
     except (ReplayError, LedgerError) as exc:
         _fail(EXIT_DATA, f"unreplayable trace: {exc}")
+
+
+def _end_time(trace) -> float:
+    return trace[-1].timestamp if trace else 0.0
+
+
+def _read_json_or_die(path) -> dict:
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        _fail(EXIT_DATA, f"unreadable {path}: {exc}")
+    if not isinstance(payload, dict):
+        _fail(EXIT_DATA, f"unreadable {path}: not a JSON object")
+    return payload
 
 
 def _snapshot_times(trace, cadence: str) -> list[int]:
@@ -188,11 +207,8 @@ def _metric_params(entropy_n: str, top_stake_pct: float, cadence: str) -> dict:
             "snapshot_cadence": cadence}
 
 
-def _run_metrics(trace, headers, out_dir: Path, manifest: dict,
-                 entropy_n: str, top_stake_pct: float, cadence: str) -> dict:
-    times = _snapshot_times(trace, cadence)
-    _, _, snapshots = replay_with_snapshots(trace, times)
-
+def _run_metrics(snapshots, headers, out_dir: Path, manifest: dict,
+                 entropy_n: str, top_stake_pct: float) -> dict:
     ns: list[int | None] = []
     for token in entropy_n.split(","):
         token = token.strip()
@@ -254,7 +270,7 @@ def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
             snapshot_cadence) -> None:
     """Decentralization metrics: entropy, turnover, distributions, shares."""
     trace = _load_trace_or_die(trace_path)
-    _replay_or_die(trace)
+    _, _, snapshots = _replay_or_die(trace, cadence=snapshot_cadence)
     try:
         headers = load_headers(headers_path)
     except ParseError as exc:
@@ -262,15 +278,12 @@ def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
     out_dir = _out_dir(out)
     manifest = _manifest("metrics", {"trace": trace_path, "headers": headers_path},
                          _metric_params(entropy_n, top_stake_pct, snapshot_cadence))
-    _run_metrics(trace, headers, out_dir, manifest, entropy_n, top_stake_pct,
-                 snapshot_cadence)
+    _run_metrics(snapshots, headers, out_dir, manifest, entropy_n, top_stake_pct)
     click.echo(f"metrics written to {out_dir}")
 
 
-def _run_cluster(trace, out_dir: Path, manifest: dict, theta: float,
-                 top_stake_pct: float, cadence: str) -> dict:
-    times = _snapshot_times(trace, cadence)
-    _, _, snapshots = replay_with_snapshots(trace, times)
+def _run_cluster(trace, snapshots, out_dir: Path, manifest: dict, theta: float,
+                 top_stake_pct: float) -> dict:
     if not snapshots:
         _fail(EXIT_DATA, "no snapshots; trace too short for the cadence")
     voters = top_stakeholders(snapshots[-1], top_stake_pct)
@@ -314,20 +327,18 @@ def cluster(trace_path, out, theta, top_stake_pct, snapshot_cadence) -> None:
     if not 0 < theta <= 1:
         _fail(EXIT_USAGE, "theta out of range (0, 1]")
     trace = _load_trace_or_die(trace_path)
-    _replay_or_die(trace)
+    _, _, snapshots = _replay_or_die(trace, cadence=snapshot_cadence)
     out_dir = _out_dir(out)
     manifest = _manifest("cluster", {"trace": trace_path},
                          {"theta": theta, "top_stake_pct": top_stake_pct,
                           "snapshot_cadence": snapshot_cadence})
-    _run_cluster(trace, out_dir, manifest, theta, top_stake_pct, snapshot_cadence)
+    _run_cluster(trace, snapshots, out_dir, manifest, theta, top_stake_pct)
     click.echo(f"clusters written to {out_dir}")
 
 
-def _run_motifs(trace, out_dir: Path, manifest: dict, window_days: float) -> dict:
+def _run_motifs(events, candidates: set[str], out_dir: Path, manifest: dict,
+                window_days: float) -> dict:
     window = int(window_days * 86_400)
-    events = build_vote_events(trace)
-    state, _ = replay(trace)
-    candidates = set(state.candidates)
     instances = (detect_linear(events, window, candidates)
                  + detect_triangular(events, window, candidates)
                  + detect_eight(events, window, candidates))
@@ -365,18 +376,19 @@ def motifs(trace_path, out, window_days) -> None:
     if window_days <= 0:
         _fail(EXIT_USAGE, "window-days must be positive")
     trace = _load_trace_or_die(trace_path)
-    _replay_or_die(trace)
+    events: list = []
+    state, _ = _replay_or_die(trace, [record_vote_events(events)])
     out_dir = _out_dir(out)
     manifest = _manifest("motifs", {"trace": trace_path},
                          {"window_days": window_days})
-    _run_motifs(trace, out_dir, manifest, window_days)
+    _run_motifs(events, set(state.candidates), out_dir, manifest, window_days)
     click.echo(f"motifs written to {out_dir}")
 
 
-def _run_gangs(trace, out_dir: Path, manifest: dict, outlier_pct: float,
+def _run_gangs(graph, out_dir: Path, manifest: dict, outlier_pct: float,
                seed: int) -> dict:
     try:
-        report = run_pipeline(trace, outlier_pct=outlier_pct, seed=seed)
+        report = run_pipeline(graph, outlier_pct=outlier_pct, seed=seed)
     except GangError as exc:
         _fail(EXIT_DATA, f"gang detection failed: {exc}")
     payload = {
@@ -404,11 +416,13 @@ def gangs(trace_path, out, outlier_pct, seed) -> None:
     if not 0 < outlier_pct <= 1:
         _fail(EXIT_USAGE, "outlier-pct out of range (0, 1]")
     trace = _load_trace_or_die(trace_path)
-    _replay_or_die(trace)
+    network = NetworkBuilder()
+    _replay_or_die(trace, [network])
+    graph = network.finish(_end_time(trace))
     out_dir = _out_dir(out)
     manifest = _manifest("gangs", {"trace": trace_path},
                          {"outlier_pct": outlier_pct, "seed": seed})
-    _run_gangs(trace, out_dir, manifest, outlier_pct, seed)
+    _run_gangs(graph, out_dir, manifest, outlier_pct, seed)
     click.echo(f"gang report written to {out_dir}")
 
 
@@ -429,7 +443,11 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     if not 0 < theta <= 1:
         _fail(EXIT_USAGE, "theta out of range (0, 1]")
     trace = _load_trace_or_die(trace_path)
-    _replay_or_die(trace)
+    events: list = []
+    network = NetworkBuilder()
+    _, _, snapshots = _replay_or_die(
+        trace, [record_vote_events(events), network], snapshot_cadence)
+    graph = network.finish(_end_time(trace))
     try:
         headers = load_headers(headers_path)
     except ParseError as exc:
@@ -441,12 +459,14 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
               "snapshot_cadence": snapshot_cadence}
     manifest = _manifest("all", {"trace": trace_path, "headers": headers_path},
                          params)
-    _run_metrics(trace, headers, out_dir, manifest, entropy_n, top_stake_pct,
-                 snapshot_cadence)
-    cluster_payload = _run_cluster(trace, out_dir, manifest, theta,
-                                   top_stake_pct, snapshot_cadence)
-    motif_result = _run_motifs(trace, out_dir, manifest, window_days)
-    gang_payload = _run_gangs(trace, out_dir, manifest, outlier_pct, seed)
+    _run_metrics(snapshots, headers, out_dir, manifest, entropy_n, top_stake_pct)
+    cluster_payload = _run_cluster(trace, snapshots, out_dir, manifest, theta,
+                                   top_stake_pct)
+    del snapshots  # the fold's products are large; free each once it is used
+    motif_result = _run_motifs(events, graph.candidates, out_dir, manifest,
+                               window_days)
+    del events
+    gang_payload = _run_gangs(graph, out_dir, manifest, outlier_pct, seed)
 
     cluster_members = {m for c in cluster_payload["clusters"] for m in c["members"]}
     motif_members = {p for inst in motif_result["instances"]
@@ -477,14 +497,14 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
 def score(report_dir, truth_path, out) -> None:
     """Score detection reports in REPORT_DIR against a truth file."""
     report_dir = Path(report_dir)
-    truth = json.loads(Path(truth_path).read_text(encoding="utf-8"))
+    truth = _read_json_or_die(truth_path)
     truth_digest = truth.get("manifest", {}).get("digests", {}).get("trace")
 
     def load_report(name: str) -> dict | None:
         path = report_dir / name
         if not path.exists():
             return None
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = _read_json_or_die(path)
         digest = payload.get("manifest", {}).get("digests", {}).get("trace")
         if truth_digest and digest and digest != truth_digest:
             _fail(EXIT_USAGE,
@@ -494,10 +514,14 @@ def score(report_dir, truth_path, out) -> None:
     clusters = load_report("clusters.json")
     gangs_report = load_report("gangs.json")
     motif_lines = []
-    if (report_dir / "motifs.jsonl").exists():
+    motif_path = report_dir / "motifs.jsonl"
+    if motif_path.exists():
         load_report("motifs.json")
-        motif_lines = [json.loads(l) for l in
-                       (report_dir / "motifs.jsonl").read_text().splitlines() if l]
+        try:
+            motif_lines = [json.loads(l) for l in
+                           motif_path.read_text(encoding="utf-8").splitlines() if l]
+        except ValueError as exc:
+            _fail(EXIT_DATA, f"unreadable {motif_path}: {exc}")
 
     results: dict[str, dict] = {}
     by_kind: dict[str, list[dict]] = {}

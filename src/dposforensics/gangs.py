@@ -15,14 +15,14 @@ import networkx as nx
 import numpy as np
 
 from .model import Action, ActionKind, compute_vote_index, compute_vote_weight
-from .replay import VotingState, _Rejection, _check_sorted
+from .replay import VotingState, replay
 
 
 class GangError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeStats:
     """Aggregate of one directed voting relation src -> dst."""
 
@@ -45,14 +45,6 @@ class VotingGraph:
     edges: dict[tuple[str, str], EdgeStats] = field(default_factory=dict)
     candidates: set[str] = field(default_factory=set)
 
-    @property
-    def nodes(self) -> set[str]:
-        names = set()
-        for src, dst in self.edges:
-            names.add(src)
-            names.add(dst)
-        return names
-
     def undirected_simple(self) -> nx.Graph:
         g = nx.Graph()
         for src, dst in sorted(self.edges):
@@ -60,24 +52,24 @@ class VotingGraph:
         return g
 
 
-@dataclass
+@dataclass(slots=True)
 class _OpenEdge:
     seg_start: float
     weight: float
 
 
-class _NetworkBuilder:
-    """Tracks, per directed pair, the intervals each vote was in force and the
-    weight over those intervals, while folding the trace through a state."""
+class NetworkBuilder:
+    """Replay observer that tracks, per directed pair, the intervals each vote
+    was in force and the weight over those intervals, and the registered
+    candidates."""
 
     def __init__(self) -> None:
-        self.state = VotingState()
         self.graph = VotingGraph()
         self.open: dict[str, dict[str, _OpenEdge]] = {}
 
-    def _desired(self, src: str) -> tuple[set[str], float]:
+    @staticmethod
+    def _desired(state: VotingState, src: str) -> tuple[set[str], float]:
         """Current effective targets of src and its per-target weight."""
-        state = self.state
         acct = state.accounts.get(src)
         if acct is None:
             return set(), 0.0
@@ -105,13 +97,14 @@ class _NetworkBuilder:
         stats.duration += t - edge.seg_start
         stats.weight_integral += edge.weight * (t - edge.seg_start)
 
-    def _reconcile(self, src: str, t: float, replaced: bool) -> None:
+    def _reconcile(self, state: VotingState, src: str, t: float,
+                   replaced: bool) -> None:
         """Bring src's open edges in line with its current effective votes.
 
         replaced=True marks a fresh vote placement: continuing targets count
         as a new placement too.
         """
-        desired, weight = self._desired(src)
+        desired, weight = self._desired(state, src)
         open_edges = self.open.setdefault(src, {})
         for dst in sorted(set(open_edges) - desired):
             self._close(src, dst, t)
@@ -132,8 +125,8 @@ class _NetworkBuilder:
                     edge.seg_start = t
                     edge.weight = weight
 
-    def _affected(self, action: Action) -> tuple[list[str], bool]:
-        state = self.state
+    @staticmethod
+    def _affected(action: Action, state: VotingState) -> tuple[list[str], bool]:
         actor = action.actor
         if action.kind in (ActionKind.DELEGATE_BW, ActionKind.UNDELEGATE_BW):
             return [actor], False
@@ -144,32 +137,28 @@ class _NetworkBuilder:
             return affected, not action.payload["proxy"]
         return [], False
 
-    def feed(self, action: Action) -> None:
-        try:
-            self.state.apply(action)
-        except _Rejection:
-            return
-        affected, replaced = self._affected(action)
+    def __call__(self, action: Action, state: VotingState) -> None:
+        if action.kind is ActionKind.REG_PRODUCER:
+            self.graph.candidates.add(action.actor)
+        affected, replaced = self._affected(action, state)
         for src in affected:
-            self._reconcile(src, action.timestamp, replaced)
+            self._reconcile(state, src, action.timestamp, replaced)
 
     def finish(self, end_time: float) -> VotingGraph:
         for src in sorted(self.open):
             for dst in sorted(self.open[src]):
                 self._close(src, dst, end_time)
-        self.graph.candidates = set(self.state.candidates)
+        self.open.clear()  # the emptied per-source tables keep their memory
         return self.graph
 
 
 def build_voting_network(trace: Sequence[Action],
                          end_time: Optional[float] = None) -> VotingGraph:
     """Aggregate the trace into a directed voting graph with per-edge
-    placement count, in-force duration, and time-averaged weight."""
-    trace = list(trace)
-    _check_sorted(trace)
-    builder = _NetworkBuilder()
-    for action in trace:
-        builder.feed(action)
+    placement count, in-force duration, and time-averaged weight; end_time
+    (default: the last action's timestamp) closes the votes still in force."""
+    builder = NetworkBuilder()
+    replay(trace, [builder])
     if end_time is None:
         end_time = trace[-1].timestamp if trace else 0.0
     return builder.finish(end_time)
@@ -330,10 +319,9 @@ def detect_gangs(weighted: nx.Graph, seed: int = 0) -> GangReport:
                       pruned=pruned)
 
 
-def run_pipeline(trace: Sequence[Action], outlier_pct: float = 0.10,
+def run_pipeline(graph: VotingGraph, outlier_pct: float = 0.10,
                  seed: int = 0) -> GangReport:
-    """Full three-step pipeline from a raw trace to a gang report."""
-    graph = build_voting_network(trace)
+    """Full three-step pipeline from a voting network to a gang report."""
     features = egonet_features(graph)
     fit = fit_edpl(features)
     scores = outlierness(features, fit)

@@ -54,7 +54,7 @@ def validate_name(name: Any, field_name: str = "name") -> str:
     return name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """One typed ledger event. Ordered by (block, seq) within a trace."""
 
@@ -69,7 +69,7 @@ class Action:
         return (self.block, self.seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     height: int
     producer: str
@@ -202,12 +202,23 @@ def parse_header(line: str) -> BlockHeader:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "line") from None
+    if not isinstance(record, dict):
+        raise ParseError("header line must be a JSON object", "line")
     for key in ("height", "producer", "timestamp"):
         if key not in record:
             raise ParseError(f"missing header field '{key}'", key)
     validate_name(record["producer"], "producer")
-    return BlockHeader(height=int(record["height"]), producer=record["producer"],
-                       timestamp=float(record["timestamp"]))
+    return BlockHeader(height=_header_number(record, "height", int),
+                       producer=record["producer"],
+                       timestamp=_header_number(record, "timestamp", float))
+
+
+def _header_number(record: dict, key: str, kind: type):
+    try:
+        return kind(record[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"header field '{key}' must be numeric, got "
+                         f"{record[key]!r}", key) from None
 
 
 def serialize_header(header: BlockHeader) -> str:

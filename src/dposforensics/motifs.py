@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .model import Action, ActionKind
 from .metrics import utc_month
-from .replay import VotingState, _Rejection, _check_sorted
+from .replay import Observer, VotingState, replay
 
 DEFAULT_WINDOW = 7 * 86_400
 
@@ -22,7 +22,7 @@ TRIANGULAR = "triangular"
 EIGHT = "eight"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoteEvent:
     src: str
     dst: str
@@ -41,44 +41,41 @@ class MotifInstance:
         return min(e.timestamp for e in self.witnesses)
 
 
+def record_vote_events(events: list[VoteEvent]) -> Observer:
+    """Replay observer that appends the events of each applied voteproducer
+    action to `events`. A direct vote leaves the voter's own delegators and
+    proxy flag as they were, so reading them after the action is exact."""
+    def observe(action: Action, state: VotingState) -> None:
+        if action.kind is not ActionKind.VOTE_PRODUCER or action.payload["proxy"]:
+            return
+        actor = action.actor
+        delegators: list[str] = []
+        if state.accounts[actor].is_proxy:
+            delegators = sorted(state.delegators.get(actor, ()))
+        for cand in action.payload["producers"]:
+            events.append(VoteEvent(actor, cand, None, action.timestamp))
+            for delegator in delegators:
+                events.append(VoteEvent(delegator, cand, actor, action.timestamp))
+
+    return observe
+
+
 def build_vote_events(trace: Sequence[Action]) -> list[VoteEvent]:
     """Replay the trace and flatten applied voteproducer actions to events."""
-    _check_sorted(list(trace))
-    state = VotingState()
     events: list[VoteEvent] = []
-    for action in trace:
-        if action.kind is ActionKind.VOTE_PRODUCER and not action.payload["proxy"]:
-            delegators = sorted(state.delegators.get(action.actor, ()))
-            is_proxy = (action.actor in state.accounts
-                        and state.accounts[action.actor].is_proxy)
-            try:
-                state.apply(action)
-            except _Rejection:
-                continue
-            for cand in action.payload["producers"]:
-                events.append(VoteEvent(action.actor, cand, None, action.timestamp))
-                if is_proxy:
-                    for delegator in delegators:
-                        events.append(VoteEvent(delegator, cand, action.actor,
-                                                action.timestamp))
-        else:
-            try:
-                state.apply(action)
-            except _Rejection:
-                continue
+    replay(trace, [record_vote_events(events)])
     return events
 
 
 def _index_events(events: Sequence[VoteEvent]):
-    direct: dict[tuple[str, str], list[int]] = {}
+    """(src, dst) -> [(timestamp, proxy)] for direct and for proxied events."""
+    direct: dict[tuple[str, str], list[tuple[int, None]]] = {}
     proxied: dict[tuple[str, str], list[tuple[int, str]]] = {}
     for e in events:
         if e.src == e.dst:
             continue  # self-votes carry no mutual-voting signal
-        if e.via_proxy is None:
-            direct.setdefault((e.src, e.dst), []).append(e.timestamp)
-        else:
-            proxied.setdefault((e.src, e.dst), []).append((e.timestamp, e.via_proxy))
+        index = direct if e.via_proxy is None else proxied
+        index.setdefault((e.src, e.dst), []).append((e.timestamp, e.via_proxy))
     return direct, proxied
 
 
@@ -89,26 +86,36 @@ def _restrict(events: Sequence[VoteEvent],
     return [e for e in events if e.src in candidates and e.dst in candidates]
 
 
+def _pair_join(shape: str, forward: dict, backward: dict, window: int,
+               ordered: bool, distinct_proxies: bool = False) -> list[MotifInstance]:
+    """Join a -> b events of `forward` with b -> a events of `backward` that
+    lie within the window; one instance per (participants, UTC month of the
+    earlier event), keeping the earliest. Participants are role-ordered
+    (a, proxy of a -> b, b, proxy of b -> a), direct legs contributing no
+    proxy. `ordered` keeps only a < b, for shapes symmetric in a and b."""
+    found: dict[tuple, MotifInstance] = {}
+    for (a, b) in sorted(forward):
+        if (ordered and a >= b) or (b, a) not in backward:
+            continue
+        for t1, p1 in forward[(a, b)]:
+            for t2, p2 in backward[(b, a)]:
+                if abs(t1 - t2) > window or (distinct_proxies and p1 == p2):
+                    continue
+                participants = tuple(x for x in (a, p1, b, p2) if x is not None)
+                key = participants + (utc_month(min(t1, t2)),)
+                inst = MotifInstance(shape, participants, (
+                    VoteEvent(a, b, p1, t1), VoteEvent(b, a, p2, t2)))
+                if key not in found or inst.window_start < found[key].window_start:
+                    found[key] = inst
+    return [found[k] for k in sorted(found)]
+
+
 def detect_linear(events: Sequence[VoteEvent], window: int = DEFAULT_WINDOW,
                   candidates: Optional[set[str]] = None) -> list[MotifInstance]:
     """Pairs voting for each other directly within the window; one instance
     per (pair, UTC month of the earlier event)."""
     direct, _ = _index_events(_restrict(events, candidates))
-    found: dict[tuple, MotifInstance] = {}
-    for (a, b) in sorted(direct):
-        if a >= b or (b, a) not in direct:
-            continue
-        for t1 in direct[(a, b)]:
-            for t2 in direct[(b, a)]:
-                if abs(t1 - t2) > window:
-                    continue
-                start = min(t1, t2)
-                key = (a, b, utc_month(start))
-                inst = MotifInstance(LINEAR, (a, b), (
-                    VoteEvent(a, b, None, t1), VoteEvent(b, a, None, t2)))
-                if key not in found or inst.window_start < found[key].window_start:
-                    found[key] = inst
-    return [found[k] for k in sorted(found)]
+    return _pair_join(LINEAR, direct, direct, window, ordered=True)
 
 
 def detect_triangular(events: Sequence[VoteEvent], window: int = DEFAULT_WINDOW,
@@ -116,21 +123,7 @@ def detect_triangular(events: Sequence[VoteEvent], window: int = DEFAULT_WINDOW,
     """Triples (a, p, b): a votes b through proxy p and b votes a directly,
     both within the window. Participants are role-ordered (a, p, b)."""
     direct, proxied = _index_events(_restrict(events, candidates))
-    found: dict[tuple, MotifInstance] = {}
-    for (a, b) in sorted(proxied):
-        if (b, a) not in direct:
-            continue
-        for t1, p in proxied[(a, b)]:
-            for t2 in direct[(b, a)]:
-                if abs(t1 - t2) > window:
-                    continue
-                start = min(t1, t2)
-                key = (a, p, b, utc_month(start))
-                inst = MotifInstance(TRIANGULAR, (a, p, b), (
-                    VoteEvent(a, b, p, t1), VoteEvent(b, a, None, t2)))
-                if key not in found or inst.window_start < found[key].window_start:
-                    found[key] = inst
-    return [found[k] for k in sorted(found)]
+    return _pair_join(TRIANGULAR, proxied, direct, window, ordered=False)
 
 
 def detect_eight(events: Sequence[VoteEvent], window: int = DEFAULT_WINDOW,
@@ -140,23 +133,8 @@ def detect_eight(events: Sequence[VoteEvent], window: int = DEFAULT_WINDOW,
     p2, within the window. The same proxy account may fill both slots unless
     distinct_proxies is set. Canonical orientation puts min(a, b) first."""
     _, proxied = _index_events(_restrict(events, candidates))
-    found: dict[tuple, MotifInstance] = {}
-    for (a, b) in sorted(proxied):
-        if a >= b or (b, a) not in proxied:
-            continue
-        for t1, p1 in proxied[(a, b)]:
-            for t2, p2 in proxied[(b, a)]:
-                if abs(t1 - t2) > window:
-                    continue
-                if distinct_proxies and p1 == p2:
-                    continue
-                start = min(t1, t2)
-                key = (a, p1, b, p2, utc_month(start))
-                inst = MotifInstance(EIGHT, (a, p1, b, p2), (
-                    VoteEvent(a, b, p1, t1), VoteEvent(b, a, p2, t2)))
-                if key not in found or inst.window_start < found[key].window_start:
-                    found[key] = inst
-    return [found[k] for k in sorted(found)]
+    return _pair_join(EIGHT, proxied, proxied, window, ordered=True,
+                      distinct_proxies=distinct_proxies)
 
 
 def verify_instance(instance: MotifInstance, window: int = DEFAULT_WINDOW) -> bool:

@@ -8,8 +8,9 @@ A voter voting for k candidates contributes its full weight to each of them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from itertools import pairwise
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .model import (
     Action,
@@ -24,7 +25,7 @@ class ReplayError(LedgerError):
     """Fatal replay failure (unsorted trace, pre-state violation)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class AccountRecord:
     stake: int = 0
     last_vote_time: Optional[int] = None
@@ -34,7 +35,7 @@ class AccountRecord:
     creator: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoterEntry:
     """Per-voter slice of a snapshot, proxy indirection already resolved."""
 
@@ -51,22 +52,6 @@ class VotingSnapshot:
     taken_at: int
     per_voter: dict[str, VoterEntry]
     per_candidate: dict[str, float]
-
-    def to_json(self) -> str:
-        voters = {
-            name: {
-                "effective": sorted(entry.effective),
-                "stake": entry.stake,
-                "is_proxy": entry.is_proxy,
-                "proxied_stake": entry.proxied_stake,
-                "weight": entry.weight,
-                "via_proxy": entry.via_proxy,
-            }
-            for name, entry in sorted(self.per_voter.items())
-        }
-        return json.dumps({"taken_at": self.taken_at, "per_voter": voters,
-                           "per_candidate": dict(sorted(self.per_candidate.items()))},
-                          sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -138,10 +123,7 @@ class VotingState:
         if action.block < self.as_of[0]:
             raise ReplayError(
                 f"action block {action.block} precedes state height {self.as_of[0]}")
-        try:
-            self._dispatch(action)
-        except _Rejection:
-            raise
+        self._dispatch(action)
         self.as_of = (action.block, action.timestamp)
         return self
 
@@ -252,6 +234,9 @@ class VotingState:
 
     def snapshot(self, taken_at: int) -> VotingSnapshot:
         per_voter: dict[str, VoterEntry] = {}
+        # Voters sharing a votes tuple (every delegator of one proxy) share
+        # one frozenset.
+        shared: dict[tuple[str, ...], frozenset[str]] = {}
         for name in sorted(self.accounts):
             acct = self.accounts[name]
             if not (acct.votes or acct.proxy is not None or acct.is_proxy):
@@ -263,12 +248,13 @@ class VotingState:
                 via_proxy = True
                 proxy_acct = self.accounts.get(acct.proxy)
                 if proxy_acct is not None and proxy_acct.is_proxy:
-                    effective = frozenset(proxy_acct.votes)
+                    effective = shared.setdefault(proxy_acct.votes,
+                                                  frozenset(proxy_acct.votes))
                     if proxy_acct.last_vote_time is not None:
                         weight = compute_vote_weight(
                             acct.stake, compute_vote_index(proxy_acct.last_vote_time))
             else:
-                effective = frozenset(acct.votes)
+                effective = shared.setdefault(acct.votes, frozenset(acct.votes))
                 if acct.votes and acct.last_vote_time is not None:
                     weight = compute_vote_weight(
                         acct.stake, compute_vote_index(acct.last_vote_time))
@@ -306,46 +292,66 @@ class VotingState:
         }, sort_keys=True, separators=(",", ":"))
 
 
-def _check_sorted(trace: list[Action]) -> None:
-    for prev, cur in zip(trace, trace[1:]):
+Observer = Callable[[Action, VotingState], None]
+
+
+def _check_sorted(trace: Sequence[Action]) -> None:
+    for prev, cur in pairwise(trace):
         if cur.order_key() < prev.order_key():
             raise ReplayError(
                 f"trace not sorted: action (block={cur.block}, seq={cur.seq}) "
                 f"after (block={prev.block}, seq={prev.seq})")
 
 
-def replay(trace: list[Action]) -> tuple[VotingState, list[RejectedAction]]:
-    """Left-fold a sorted trace; rejected actions are logged, not fatal."""
-    _check_sorted(trace)
-    state = VotingState()
-    rejected: list[RejectedAction] = []
-    for action in trace:
-        try:
-            state.apply(action)
-        except _Rejection as exc:
-            rejected.append(RejectedAction(action, exc.reason))
-    return state, rejected
+def _fold(trace: Sequence[Action], observers: Sequence[Observer],
+          sample_times: Iterable[float],
+          sample: Optional[Callable[[VotingState, float], Any]],
+          ) -> tuple[VotingState, list[RejectedAction], list]:
+    """The one fold of a trace in the package.
 
-
-def replay_with_snapshots(
-    trace: list[Action], sample_times: Iterable[int]
-) -> tuple[VotingState, list[RejectedAction], list[VotingSnapshot]]:
-    """Replay, emitting a snapshot at each sample time (state as of that instant)."""
+    Each observer is called as observer(action, state) after every applied
+    action; rejected actions are logged instead. At each sample time t,
+    sample(state, t) (default VotingState.snapshot) sees the state after every
+    action stamped at or before t.
+    """
     _check_sorted(trace)
     times = sorted(sample_times)
     state = VotingState()
     rejected: list[RejectedAction] = []
-    snapshots: list[VotingSnapshot] = []
+    samples: list = []
+    if sample is None:
+        sample = VotingState.snapshot
     idx = 0
     for action in trace:
         while idx < len(times) and action.timestamp > times[idx]:
-            snapshots.append(state.snapshot(times[idx]))
+            samples.append(sample(state, times[idx]))
             idx += 1
         try:
             state.apply(action)
         except _Rejection as exc:
             rejected.append(RejectedAction(action, exc.reason))
+            continue
+        for observe in observers:
+            observe(action, state)
     while idx < len(times):
-        snapshots.append(state.snapshot(times[idx]))
+        samples.append(sample(state, times[idx]))
         idx += 1
-    return state, rejected, snapshots
+    return state, rejected, samples
+
+
+def replay(trace: Sequence[Action], observers: Sequence[Observer] = (),
+           ) -> tuple[VotingState, list[RejectedAction]]:
+    """Left-fold a sorted trace; rejected actions are logged, not fatal.
+    Observers see each applied action with the state after it."""
+    state, rejected, _ = _fold(trace, observers, (), None)
+    return state, rejected
+
+
+def replay_with_snapshots(
+    trace: Sequence[Action], sample_times: Iterable[float],
+    observers: Sequence[Observer] = (),
+    sample: Optional[Callable[[VotingState, float], Any]] = None,
+) -> tuple[VotingState, list[RejectedAction], list]:
+    """Replay, emitting a snapshot at each sample time (state as of that
+    instant); `sample` replaces VotingState.snapshot as what is taken."""
+    return _fold(trace, observers, sample_times, sample)

@@ -10,11 +10,10 @@ does not perturb the background.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (
     Action,
@@ -23,6 +22,7 @@ from .model import (
     MAX_VOTES,
     make_action,
 )
+from .replay import replay_with_snapshots
 
 SIMILAR_CLUSTER = "similar_cluster"
 LINEAR_GANG = "linear_gang"
@@ -523,29 +523,17 @@ def _headers_for_trace(trace: Sequence[Action], config: GenConfig,
                        rng: random.Random, t_end: int) -> list[BlockHeader]:
     """Sampled rounds across the duration, electing top-21 from the replayed
     state at each round start."""
-    from .replay import VotingState, _Rejection
-
     interval = 86_400.0 / config.rounds_per_day
     n_rounds = int(config.duration_days * config.rounds_per_day)
-    state = VotingState()
-    idx = 0
-    rounds = []
-    round_times = []
-    for r in range(n_rounds):
-        round_ts = config.start_time + r * interval
-        while idx < len(trace) and trace[idx].timestamp <= round_ts:
-            try:
-                state.apply(trace[idx])
-            except _Rejection:
-                pass
-            idx += 1
-        if len(state.candidates) < PRODUCERS_PER_ROUND:
-            continue  # pre-registration warm-up rounds produce nothing
-        rounds.append(state.top_producers(PRODUCERS_PER_ROUND))
-        round_times.append(round_ts)
+    round_times = [config.start_time + r * interval for r in range(n_rounds)]
+    _, _, rounds = replay_with_snapshots(
+        trace, round_times,
+        sample=lambda state, _: state.top_producers(PRODUCERS_PER_ROUND))
     headers = []
     height = 1
     for round_ts, producers in zip(round_times, rounds):
+        if len(producers) < PRODUCERS_PER_ROUND:
+            continue  # pre-registration warm-up rounds produce nothing
         headers.extend(generate_block_schedule(
             [producers], round_ts, skip_rate=config.block_skip_rate, rng=rng,
             start_height=height))

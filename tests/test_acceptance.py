@@ -273,7 +273,7 @@ def test_09_planted_gang_recovery():
             plants=[PlantSpec(kind="near_clique", size=8),
                     PlantSpec(kind="near_clique", size=12)])
         trace, _, truth = generate_ledger(config)
-        report = run_pipeline(trace, outlier_pct=0.10, seed=0)
+        report = run_pipeline(build_voting_network(trace), outlier_pct=0.10, seed=0)
         truth_groups = [p["members"] for p in truth["plants"]]
         detected = [sorted(c) for c in report.communities]
         score = pairwise_score(truth_groups, detected)

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from dposforensics.cli import main
+from dposforensics.model import load_trace
+from dposforensics.replay import VotingState
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -200,3 +203,83 @@ class TestAllAndScore:
             "score", str(report_dir), str(tmp_path / "truth.json")])
         assert result.exit_code == 2
         assert "different trace" in result.output
+
+
+    def test_all_reports_match_single_commands(self, ledger_dir, report_dir,
+                                               tmp_path):
+        trace, headers = str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl")
+        pct = ["--top-stake-pct", "0.5"]
+        for args in (["metrics", trace, headers, *pct], ["cluster", trace, *pct],
+                     ["motifs", trace], ["gangs", trace]):
+            result = CliRunner().invoke(main, [*args, "-o", str(tmp_path)])
+            assert result.exit_code == 0, result.output
+        names = {p.name for p in tmp_path.iterdir()}
+        assert names == {p.name for p in report_dir.iterdir()} - {"summary.json",
+                                                                  "score.json"}
+        for name in sorted(names):
+            single, combined = tmp_path / name, report_dir / name
+            if single.suffix == ".json":
+                single_payload = json.loads(single.read_text())
+                combined_payload = json.loads(combined.read_text())
+                del single_payload["manifest"], combined_payload["manifest"]
+                assert single_payload == combined_payload, name
+            else:
+                assert single.read_bytes() == combined.read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["replay", "metrics", "cluster", "motifs",
+                                     "gangs", "all", "generate"])
+def test_each_command_folds_the_trace_once(command, ledger_dir, tmp_path,
+                                           monkeypatch):
+    applied = []
+    apply = VotingState.apply
+
+    def counted_apply(self, action):
+        applied.append(action)
+        return apply(self, action)
+
+    monkeypatch.setattr(VotingState, "apply", counted_apply)
+    trace, headers = str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl")
+    args = {"metrics": ["metrics", trace, headers],
+            "all": ["all", trace, headers, "--top-stake-pct", "0.5"],
+            "generate": ["generate", "-c", str(ledger_dir / "config.json")],
+            }.get(command, [command, trace])
+    result = CliRunner().invoke(main, [*args, "-o", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert len(applied) == len(load_trace(trace))
+
+
+BAD_INPUTS = {
+    "header_height": ("headers.jsonl",
+                      '{"height": "x", "producer": "bpa", "timestamp": 1}', "line 1"),
+    "header_not_object": ("headers.jsonl", "5", "line 1"),
+    "header_timestamp": ("headers.jsonl",
+                         '{"height": 1, "producer": "bpa", "timestamp": "y"}', "line 1"),
+    "truth": ("truth.json", "not json", "truth.json"),
+    "clusters": ("clusters.json", "{", "clusters.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_3_without_traceback(case, ledger_dir, report_dir,
+                                             tmp_path):
+    name, text, named = BAD_INPUTS[case]
+    if name == "headers.jsonl":
+        (tmp_path / name).write_text(text + "\n")
+        args = ["metrics", str(ledger_dir / "trace.jsonl"), str(tmp_path / name),
+                "-o", str(tmp_path / "out")]
+    else:
+        reports = tmp_path / "reports"
+        shutil.copytree(report_dir, reports)
+        truth = ledger_dir / "truth.json"
+        if name == "truth.json":
+            truth = tmp_path / name
+            truth.write_text(text)
+        else:
+            (reports / name).write_text(text)
+        args = ["score", str(reports), str(truth)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert named in result.output

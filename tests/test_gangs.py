@@ -295,13 +295,13 @@ class TestPipeline:
 
     def test_run_pipeline_on_trace(self):
         trace = random_trace(8, n_actions=2000, n_accounts=80, n_candidates=25)
-        report = run_pipeline(trace, outlier_pct=0.2, seed=0)
+        report = run_pipeline(build_voting_network(trace), outlier_pct=0.2, seed=0)
         assert report.fit is not None
         for c in report.communities:
             assert len(c) >= 2
 
     def test_no_above_line_nodes_gives_empty_report(self):
         trace = random_trace(8, n_actions=2000, n_accounts=80, n_candidates=25)
-        report = run_pipeline(trace, outlier_pct=0.2, seed=0)
+        report = run_pipeline(build_voting_network(trace), outlier_pct=0.2, seed=0)
         if not report.anomalies:
             assert report.communities == [] and report.modularity == 0.0
