@@ -117,6 +117,12 @@ def _replay_or_die(trace, observers=(), cadence=None):
         _fail(EXIT_DATA, f"unreplayable trace: {exc}")
 
 
+def _need_snapshots(snapshots) -> None:
+    """Clustering needs a sample time; checked before any report is written."""
+    if not snapshots:
+        _fail(EXIT_DATA, "no snapshots; trace too short for the cadence")
+
+
 def _end_time(trace) -> float:
     return trace[-1].timestamp if trace else 0.0
 
@@ -284,8 +290,6 @@ def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
 
 def _run_cluster(trace, snapshots, out_dir: Path, manifest: dict, theta: float,
                  top_stake_pct: float) -> dict:
-    if not snapshots:
-        _fail(EXIT_DATA, "no snapshots; trace too short for the cadence")
     voters = top_stakeholders(snapshots[-1], top_stake_pct)
     records = sample_voting_records(snapshots, voters)
     clusters = cluster_voters(voters, records, theta)
@@ -328,6 +332,7 @@ def cluster(trace_path, out, theta, top_stake_pct, snapshot_cadence) -> None:
         _fail(EXIT_USAGE, "theta out of range (0, 1]")
     trace = _load_trace_or_die(trace_path)
     _, _, snapshots = _replay_or_die(trace, cadence=snapshot_cadence)
+    _need_snapshots(snapshots)
     out_dir = _out_dir(out)
     manifest = _manifest("cluster", {"trace": trace_path},
                          {"theta": theta, "top_stake_pct": top_stake_pct,
@@ -447,6 +452,7 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     network = NetworkBuilder()
     _, _, snapshots = _replay_or_die(
         trace, [record_vote_events(events), network], snapshot_cadence)
+    _need_snapshots(snapshots)
     graph = network.finish(_end_time(trace))
     try:
         headers = load_headers(headers_path)
@@ -490,6 +496,39 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     click.echo(f"full report written to {out_dir}")
 
 
+# The field of each scored plant kind that lists its planted accounts: one
+# group of names, or one name tuple per planted motif instance.
+PLANT_GROUPS = {"similar_cluster": "members", "near_clique": "members",
+                "linear_gang": "pairs", "triangular_gang": "triples",
+                "eight_gang": "quads"}
+
+
+def _plants_or_die(truth: dict, truth_path: str) -> dict[str, list[dict]]:
+    """The truth file's plants by kind; exit 3 naming the file when a plant
+    has no kind or a scored plant lacks its list of account names."""
+    def names(value) -> bool:
+        return isinstance(value, list) and all(isinstance(n, str) for n in value)
+
+    plants = truth.get("plants", [])
+    if not isinstance(plants, list):
+        _fail(EXIT_DATA, f"malformed {truth_path}: 'plants' is not a list")
+    by_kind: dict[str, list[dict]] = {}
+    for i, plant in enumerate(plants):
+        if not isinstance(plant, dict) or not isinstance(plant.get("kind"), str):
+            _fail(EXIT_DATA, f"malformed {truth_path}: plant {i} has no 'kind'")
+        kind = plant["kind"]
+        field = PLANT_GROUPS.get(kind)
+        if field is None:  # not scored
+            continue
+        groups = plant.get(field)
+        if not (names(groups) if field == "members" else
+                isinstance(groups, list) and all(map(names, groups))):
+            _fail(EXIT_DATA, f"malformed {truth_path}: {kind} plant {i} needs "
+                             f"'{field}' as a list of account names")
+        by_kind.setdefault(kind, []).append(plant)
+    return by_kind
+
+
 @main.command()
 @click.argument("report_dir", type=click.Path(exists=True, file_okay=False))
 @click.argument("truth_path", type=click.Path(exists=True, dir_okay=False))
@@ -498,6 +537,7 @@ def score(report_dir, truth_path, out) -> None:
     """Score detection reports in REPORT_DIR against a truth file."""
     report_dir = Path(report_dir)
     truth = _read_json_or_die(truth_path)
+    by_kind = _plants_or_die(truth, truth_path)
     truth_digest = truth.get("manifest", {}).get("digests", {}).get("trace")
 
     def load_report(name: str) -> dict | None:
@@ -524,10 +564,6 @@ def score(report_dir, truth_path, out) -> None:
             _fail(EXIT_DATA, f"unreadable {motif_path}: {exc}")
 
     results: dict[str, dict] = {}
-    by_kind: dict[str, list[dict]] = {}
-    for plant in truth.get("plants", []):
-        by_kind.setdefault(plant["kind"], []).append(plant)
-
     if "similar_cluster" in by_kind and clusters is not None:
         truth_groups = [p["members"] for p in by_kind["similar_cluster"]]
         detected = [c["members"] for c in clusters["clusters"]]
@@ -539,13 +575,13 @@ def score(report_dir, truth_path, out) -> None:
         s = pairwise_score(truth_groups, gangs_report["communities"])
         results["near_clique"] = {"precision": s.precision, "recall": s.recall,
                                   "f1": s.f1}
-    motif_truth_keys = {"linear_gang": ("pairs", "linear"),
-                        "triangular_gang": ("triples", "triangular"),
-                        "eight_gang": ("quads", "eight")}
-    for kind, (field, shape) in motif_truth_keys.items():
+    motif_shapes = {"linear_gang": "linear", "triangular_gang": "triangular",
+                    "eight_gang": "eight"}
+    for kind, shape in motif_shapes.items():
         if kind not in by_kind or not motif_lines:
             continue
-        truth_instances = [inst for p in by_kind[kind] for inst in p[field]]
+        truth_instances = [inst for p in by_kind[kind]
+                           for inst in p[PLANT_GROUPS[kind]]]
         detected = [m["participants"] for m in motif_lines if m["shape"] == shape]
         s = instance_score(truth_instances, detected)
         results[kind] = {"precision": s.precision, "recall": s.recall, "f1": s.f1}

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .replay import VotingSnapshot
 
@@ -67,39 +69,46 @@ def record_similarity(a: VotingRecord, b: VotingRecord) -> float:
     return total / counted if counted else 0.0
 
 
-class _NeighborIndex:
-    """Lazy theta-neighbor lookup with an inverted candidate index so voters
-    sharing no candidate at any time are never compared."""
+def similarity_blocks(names: Sequence[str], records: Mapping[str, VotingRecord],
+                      block: int = 64) -> Iterator[tuple[int, np.ndarray]]:
+    """record_similarity of every pair of names, as (first row, rows) blocks
+    of the names x names matrix.
 
-    def __init__(self, records: Mapping[str, VotingRecord], theta: float):
-        self.records = records
-        self.theta = theta
-        self._cache: dict[str, list[str]] = {}
-        self._by_candidate: dict[tuple[int, str], set[str]] = {}
-        self._active: dict[str, bool] = {}
-        for name, record in records.items():
-            active = False
-            for t, s in enumerate(record.sets):
-                for cand in s:
-                    self._by_candidate.setdefault((t, cand), set()).add(name)
-                active = active or bool(s)
-            self._active[name] = active
-
-    def neighbors(self, name: str) -> list[str]:
-        cached = self._cache.get(name)
-        if cached is not None:
-            return cached
-        record = self.records[name]
-        candidates: set[str] = set()
-        for t, s in enumerate(record.sets):
-            for cand in s:
-                candidates |= self._by_candidate[(t, cand)]
-        candidates.discard(name)
-        result = sorted(
-            other for other in candidates
-            if record_similarity(record, self.records[other]) >= self.theta)
-        self._cache[name] = result
-        return result
+    One candidate x voter 0/1 matrix per sample time gives each pair's
+    intersection by a matrix product and its union from the set sizes. The
+    per-time ratios are summed over the times in order and divided by the
+    count of times with a nonempty union: the same float operations as
+    record_similarity, so each value is bit-equal to it. Row blocks keep the
+    working set at block x names floats.
+    """
+    lengths = {len(records[name].sets) for name in names}
+    if len(lengths) > 1:
+        raise ClusteringError(
+            f"record lengths differ: {min(lengths)} vs {max(lengths)}")
+    columns = {c: j for j, c in enumerate(sorted(
+        {c for name in names for s in records[name].sets for c in s}))}
+    matrices = []
+    for t in range(max(lengths, default=0)):
+        ones = np.zeros((len(columns), len(names)), dtype=np.int32)
+        for row, name in enumerate(names):
+            ones[[columns[c] for c in records[name].sets[t]], row] = 1
+        matrices.append((ones, ones.sum(axis=0)))
+    for lo in range(0, len(names), block):
+        hi = min(lo + block, len(names))
+        total = np.zeros((hi - lo, len(names)))
+        counted = np.zeros((hi - lo, len(names)), dtype=np.int64)
+        for ones, sizes in matrices:
+            # einsum's own integer loops, not BLAS: BLAS's work buffers
+            # would raise the command's peak memory
+            inter = np.einsum("ki,kj->ij", ones[:, lo:hi], ones)
+            union = sizes[lo:hi, None] + sizes[None, :] - inter
+            nonempty = union > 0
+            # adding 0.0 where the union is empty leaves the sum unchanged
+            total += np.divide(inter, union, out=np.zeros(inter.shape),
+                               where=nonempty)
+            counted += nonempty
+        yield lo, np.divide(total, counted, out=np.zeros_like(total),
+                            where=counted > 0)
 
 
 def cluster_voters(voters: Sequence[str], records: Mapping[str, VotingRecord],
@@ -113,16 +122,20 @@ def cluster_voters(voters: Sequence[str], records: Mapping[str, VotingRecord],
     missing = [v for v in voters if v not in records]
     if missing:
         raise ClusteringError(f"no record for voter '{missing[0]}'")
-    voter_set = set(voters)
-    index = _NeighborIndex({v: records[v] for v in voters}, theta)
+    names = sorted(set(voters))
+    neighbors: dict[str, list[str]] = {}
+    for lo, rows in similarity_blocks(names, records):
+        for i, row in enumerate(rows, lo):
+            neighbors[names[i]] = [names[j] for j in np.flatnonzero(row >= theta)
+                                   if j != i]
     visited: set[str] = set()
     clusters: list[VoterCluster] = []
-    for center in sorted(voter_set):
+    for center in names:
         if center in visited:
             continue
         visited.add(center)
         members = {center}
-        frontier = deque(n for n in index.neighbors(center) if n in voter_set)
+        frontier = deque(neighbors[center])
         queued = set(frontier)
         while frontier:
             voter = frontier.popleft()
@@ -130,8 +143,8 @@ def cluster_voters(voters: Sequence[str], records: Mapping[str, VotingRecord],
                 continue
             visited.add(voter)
             members.add(voter)
-            for neighbor in index.neighbors(voter):
-                if neighbor in voter_set and neighbor not in queued:
+            for neighbor in neighbors[voter]:
+                if neighbor not in queued:
                     frontier.append(neighbor)
                     queued.add(neighbor)
         if len(members) > 1:

@@ -45,11 +45,14 @@ class VotingGraph:
     edges: dict[tuple[str, str], EdgeStats] = field(default_factory=dict)
     candidates: set[str] = field(default_factory=set)
 
-    def undirected_simple(self) -> nx.Graph:
-        g = nx.Graph()
-        for src, dst in sorted(self.edges):
-            g.add_edge(src, dst)
-        return g
+    def adjacency(self) -> dict[str, set[str]]:
+        """Undirected neighbour sets: each directed pair links its two ends,
+        and a self-loop puts a node among its own neighbours."""
+        adj: dict[str, set[str]] = {}
+        for src, dst in self.edges:
+            adj.setdefault(src, set()).add(dst)
+            adj.setdefault(dst, set()).add(src)
+        return adj
 
 
 @dataclass(slots=True)
@@ -183,20 +186,32 @@ class EdplFit:
 def egonet_features(graph: VotingGraph,
                     scope: Optional[Sequence[str]] = None) -> list[EgonetFeature]:
     """Neighbor and egonet-edge counts on the undirected simple view; scope
-    defaults to the candidate nodes present in the graph."""
-    g = graph.undirected_simple()
+    defaults to the candidate nodes present in the graph.
+
+    E_i is the ego's spokes plus the edges among its neighbours (OddBall's
+    N_i + triangles(i)); the latter show up twice in the summed overlaps of
+    the neighbours' adjacency sets. A self-loop counts once, as in networkx,
+    which also lists a looped ego among its own neighbours.
+    """
+    adj = graph.adjacency()
+    looped = {node for node, nbrs in adj.items() if node in nbrs}
     if scope is None:
-        scope = sorted(graph.candidates & set(g.nodes))
+        scope = graph.candidates & adj.keys()
     features = []
     for node in sorted(scope):
-        if node not in g:
-            continue
-        nbrs = set(g.neighbors(node))
+        nbrs = adj.get(node)
         if not nbrs:
             continue
-        ego = g.subgraph(nbrs | {node})
-        features.append(EgonetFeature(node=node, neighbors=len(nbrs),
-                                      edges=ego.number_of_edges()))
+        ego_loop = node in looped
+        spokes = len(nbrs) - ego_loop
+        overlaps = sum(len(adj[u] & nbrs) for u in nbrs if u != node)
+        # besides each neighbour-neighbour edge twice, the overlaps hold a
+        # looped neighbour once and a looped ego once per spoke
+        nbr_loops = len(looped & nbrs) - ego_loop if looped else 0
+        among = (overlaps - nbr_loops - ego_loop * spokes) // 2
+        features.append(EgonetFeature(
+            node=node, neighbors=len(nbrs),
+            edges=spokes + among + nbr_loops + ego_loop))
     return features
 
 
@@ -253,13 +268,12 @@ def reconstruct_weighted_network(graph: VotingGraph,
     """
     if not anomalies:
         raise GangError("nothing to reconstruct: empty anomaly set")
-    g = graph.undirected_simple()
+    adj = graph.adjacency()
     kept: set[str] = set()
     for node in anomalies:
-        if node not in g:
-            continue
-        kept.add(node)
-        kept |= set(g.neighbors(node))
+        if node in adj:
+            kept.add(node)
+            kept |= adj[node]
     kept &= graph.candidates
 
     out_f: dict[str, float] = {}
@@ -298,6 +312,32 @@ class GangReport:
     anomalies: list[str] = field(default_factory=list)
 
 
+def _modularity(weighted: nx.Graph, partition: Sequence[set[str]]) -> float:
+    """Weighted modularity at resolution 1, by networkx's formula, with every
+    sum an fsum: exact before its one rounding, so Q does not depend on the
+    order in which the communities' sets hand out their (hashed) members."""
+    def weight(data: dict) -> float:
+        return data.get("weight", 1)
+
+    degree = {}
+    for node, nbrs in weighted.adj.items():
+        weights = [weight(d) for d in nbrs.values()]
+        if node in nbrs:  # a self-loop adds its weight to the degree twice
+            weights.append(weight(nbrs[node]))
+        degree[node] = math.fsum(weights)
+    deg_sum = math.fsum(degree.values())
+    m = deg_sum / 2
+    norm = 1 / deg_sum ** 2
+    terms = []
+    for community in partition:
+        inside = math.fsum(weight(d) for u in community
+                           for v, d in weighted.adj[u].items()
+                           if v in community and u <= v)
+        degrees = math.fsum(degree[u] for u in community)
+        terms.append(inside / m - degrees * degrees * norm)
+    return math.fsum(terms)
+
+
 def detect_gangs(weighted: nx.Graph, seed: int = 0) -> GangReport:
     """Weighted Louvain communities, then drop single-edge members and emit
     communities keeping at least two members."""
@@ -305,7 +345,7 @@ def detect_gangs(weighted: nx.Graph, seed: int = 0) -> GangReport:
         raise GangError("empty reconstructed network")
     partition = nx.community.louvain_communities(
         weighted, weight="weight", resolution=1.0, seed=seed)
-    modularity = nx.community.modularity(weighted, partition, weight="weight") \
+    modularity = _modularity(weighted, partition) \
         if weighted.number_of_edges() else 0.0
     pruned = sorted(n for n in weighted.nodes if weighted.degree(n) == 1)
     pruned_set = set(pruned)

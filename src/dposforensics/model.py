@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from enum import Enum
 from typing import Any
 
@@ -17,6 +18,10 @@ BASE_UNITS_PER_TOKEN = 10_000
 SECONDS_PER_DAY = 86_400
 # Unix timestamp of 2000-01-01T00:00:00Z, the epoch of the vote index.
 VOTE_INDEX_EPOCH = 946_684_800
+# Header times the metrics can turn into UTC dates (whole seconds; NaN and
+# infinities fall outside too).
+HEADER_TIME_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+HEADER_TIME_MAX = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
 
 
 class LedgerError(Exception):
@@ -208,9 +213,13 @@ def parse_header(line: str) -> BlockHeader:
         if key not in record:
             raise ParseError(f"missing header field '{key}'", key)
     validate_name(record["producer"], "producer")
-    return BlockHeader(height=_header_number(record, "height", int),
-                       producer=record["producer"],
-                       timestamp=_header_number(record, "timestamp", float))
+    height = _header_number(record, "height", int)
+    timestamp = _header_number(record, "timestamp", float)
+    if not HEADER_TIME_MIN <= timestamp <= HEADER_TIME_MAX:
+        raise ParseError(f"header field 'timestamp' must fall in the UTC years "
+                         f"1 to 9999, got {record['timestamp']!r}", "timestamp")
+    return BlockHeader(height=height, producer=record["producer"],
+                       timestamp=timestamp)
 
 
 def _header_number(record: dict, key: str, kind: type):

@@ -112,11 +112,22 @@ def motif_key_set(instances):
     return {(i.shape, i.participants, utc_month(i.window_start)) for i in instances}
 
 
+def undirected_view(graph) -> nx.Graph:
+    """A voting graph's edge table as an undirected networkx graph; reciprocal
+    pairs collapse to one edge and self-loops stay."""
+    g = nx.Graph()
+    g.add_edges_from(graph.edges)
+    return g
+
+
 def brute_egonet(g: nx.Graph, node):
+    """(N, E) of node's egonet: a self-loop makes a node its own neighbour,
+    and each self-loop inside the egonet counts as one edge."""
     nbrs = set(g.neighbors(node))
     members = nbrs | {node}
     edges = sum(1 for a, b in combinations(sorted(members), 2) if g.has_edge(a, b))
-    return len(nbrs), edges
+    loops = sum(1 for m in members if g.has_edge(m, m))
+    return len(nbrs), edges + loops
 
 
 def hill_alpha(values) -> float:

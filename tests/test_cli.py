@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import dposforensics
 from dposforensics.cli import main
 from dposforensics.model import load_trace
 from dposforensics.replay import VotingState
@@ -255,7 +259,13 @@ BAD_INPUTS = {
     "header_not_object": ("headers.jsonl", "5", "line 1"),
     "header_timestamp": ("headers.jsonl",
                          '{"height": 1, "producer": "bpa", "timestamp": "y"}', "line 1"),
+    "header_timestamp_range": ("headers.jsonl",
+                               '{"height": 1, "producer": "bpa", "timestamp": 1e999}',
+                               "line 1"),
     "truth": ("truth.json", "not json", "truth.json"),
+    "truth_plant_kind": ("truth.json", '{"plants": [{"members": []}]}', "truth.json"),
+    "truth_plant_members": ("truth.json", '{"plants": [{"kind": "near_clique"}]}',
+                            "truth.json"),
     "clusters": ("clusters.json", "{", "clusters.json"),
 }
 
@@ -283,3 +293,32 @@ def test_bad_input_exits_3_without_traceback(case, ledger_dir, report_dir,
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert named in result.output
+
+
+@pytest.mark.parametrize("command", ["all", "cluster"])
+def test_empty_trace_writes_no_reports(command, ledger_dir, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")
+    out = tmp_path / "out"
+    args = [command, str(trace)]
+    if command == "all":
+        args.append(str(ledger_dir / "headers.jsonl"))
+    result = CliRunner().invoke(main, [*args, "-o", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "no snapshots" in result.output
+    assert not out.exists()
+
+
+def test_gang_report_independent_of_hash_seed(ledger_dir, tmp_path):
+    src = str(Path(dposforensics.__file__).parents[1])
+    reports = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "dposforensics.cli", "gangs",
+                        str(ledger_dir / "trace.jsonl"), "-o", str(out)],
+                       env=env, check=True, capture_output=True)
+        reports.append((out / "gangs.json").read_bytes())
+    assert reports[0] == reports[1]

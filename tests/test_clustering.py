@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dposforensics.clustering import (
     ClusteringError,
@@ -10,6 +11,7 @@ from dposforensics.clustering import (
     creator_concordance,
     record_similarity,
     sample_voting_records,
+    similarity_blocks,
     top_stakeholders,
 )
 from dposforensics.replay import replay, replay_with_snapshots
@@ -22,6 +24,23 @@ EOS = 10_000
 
 def rec(voter, *sets):
     return VotingRecord(voter, tuple(frozenset(s) for s in sets))
+
+
+candidate_sets = st.frozensets(st.sampled_from(["c0", "c1", "c2", "c3"]))
+
+
+@st.composite
+def record_tables(draw):
+    """Sorted voters and their records over a few candidates. Shared profiles
+    give equal records; all-empty records are voters with no activity."""
+    n_times = draw(st.integers(0, 4))
+    record = st.tuples(*[candidate_sets] * n_times)
+    profiles = draw(st.lists(record, min_size=1, max_size=3))
+    inactive = (frozenset(),) * n_times
+    voters = [f"v{i:02d}" for i in range(draw(st.integers(0, 12)))]
+    records = {v: VotingRecord(v, draw(st.one_of(
+        st.sampled_from(profiles), record, st.just(inactive)))) for v in voters}
+    return voters, records
 
 
 class TestSimilarity:
@@ -153,6 +172,36 @@ class TestClusterVoters:
             for m in cluster.members:
                 assert any(record_similarity(records[m], records[o]) >= theta
                            for o in cluster.members if o != m)
+
+    def test_record_lengths_differ(self):
+        records = {"a": rec("a", {"x"}), "b": rec("b", {"x"}, {"x"})}
+        with pytest.raises(ClusteringError, match="lengths differ"):
+            cluster_voters(["a", "b"], records, 0.9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_component_oracle_on_random_records(self, data):
+        voters, records = data.draw(record_tables())
+        sims = {record_similarity(records[a], records[b])
+                for a in voters for b in voters if a < b} - {0.0}
+        # thresholds equal to a pair's similarity put that pair exactly at theta
+        theta = data.draw(st.sampled_from(sorted(sims) + [0.5, 0.9, 1.0]))
+        detected = {c.members for c in cluster_voters(voters, records, theta)}
+        assert detected == component_clusters(voters, records, theta)
+
+
+class TestSimilarityMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(table=record_tables(), block=st.integers(1, 5))
+    def test_equals_record_similarity(self, table, block):
+        voters, records = table
+        rows = {}
+        for lo, sims in similarity_blocks(voters, records, block):
+            rows.update(enumerate(sims, lo))
+        assert sorted(rows) == list(range(len(voters)))
+        for i, a in enumerate(voters):
+            for j, b in enumerate(voters):
+                assert rows[i][j] == record_similarity(records[a], records[b])
 
 
 class TestSampling:

@@ -3,6 +3,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dposforensics.gangs import (
     EdgeStats,
@@ -21,7 +22,7 @@ from dposforensics.gangs import (
 from dposforensics.model import compute_vote_index, compute_vote_weight
 
 from conftest import T0, DAY, TraceBuilder, random_trace
-from oracles import brute_egonet, brute_intensity
+from oracles import brute_egonet, brute_intensity, undirected_view
 
 EOS = 10_000
 
@@ -120,6 +121,24 @@ def star_clique_graph(n_stars=60, star_size=6, clique_size=8):
     return graph, clique
 
 
+NODES = [f"n{i}" for i in range(7)]
+node_names = st.sampled_from(NODES)
+
+
+@st.composite
+def edge_tables(draw):
+    """Voting graphs on a few names: any directed pairs, some mirrored into
+    reciprocal pairs, self-loops included, and any candidate set."""
+    pairs = draw(st.lists(st.tuples(node_names, node_names, st.booleans()),
+                          max_size=30))
+    graph = VotingGraph(candidates=draw(st.sets(node_names)))
+    for a, b, mirrored in pairs:
+        graph.edges[(a, b)] = EdgeStats(placements=1)
+        if mirrored:
+            graph.edges[(b, a)] = EdgeStats(placements=1)
+    return graph
+
+
 class TestEgonets:
     def test_star_center(self):
         graph, _ = star_clique_graph(n_stars=1, clique_size=0)
@@ -141,9 +160,28 @@ class TestEgonets:
         for a, b in g.edges:
             graph.edges[(f"n{a:02d}", f"n{b:02d}")] = EdgeStats(placements=1)
         graph.candidates = {f"n{i:02d}" for i in range(40)}
-        simple = graph.undirected_simple()
+        simple = undirected_view(graph)
         for f in egonet_features(graph):
             assert (f.neighbors, f.edges) == brute_egonet(simple, f.node)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=edge_tables(), every_node=st.booleans())
+    def test_matches_bruteforce_on_random_edge_tables(self, graph, every_node):
+        view = undirected_view(graph)
+        scope = NODES if every_node else None
+        feats = egonet_features(graph, scope)
+        assert [f.node for f in feats] == sorted(
+            set(scope or graph.candidates) & set(view.nodes))
+        for f in feats:
+            assert (f.neighbors, f.edges) == brute_egonet(view, f.node)
+
+    def test_self_loop_counts_as_networkx_does(self):
+        graph = VotingGraph(candidates={"a"})
+        for pair in (("a", "a"), ("a", "b"), ("b", "b"), ("b", "c")):
+            graph.edges[pair] = EdgeStats(placements=1)
+        (feat,) = egonet_features(graph)
+        # the ego is its own neighbour; the egonet {a, b} has a-b and two loops
+        assert (feat.neighbors, feat.edges) == (2, 3)
 
     def test_directed_pair_collapses_to_one_edge(self):
         graph = VotingGraph()
@@ -243,6 +281,17 @@ class TestReconstruction:
         # voters are not candidates and never enter the reconstruction
         assert set(weighted.nodes) == set(clique)
 
+    @settings(max_examples=200, deadline=None)
+    @given(graph=edge_tables(), anomalies=st.lists(node_names, min_size=1, max_size=3))
+    def test_kept_nodes_match_networkx_egonets(self, graph, anomalies):
+        view = undirected_view(graph)
+        expected = set()
+        for node in anomalies:
+            if node in view:
+                expected |= {node, *view.neighbors(node)}
+        weighted = reconstruct_weighted_network(graph, anomalies)
+        assert set(weighted.nodes) == expected & graph.candidates
+
     def test_empty_anomalies_error(self):
         graph, _ = star_clique_graph()
         with pytest.raises(GangError, match="empty anomaly set"):
@@ -272,6 +321,21 @@ class TestCommunities:
         assert frozenset(left) in report.communities
         assert frozenset(right) in report.communities
         assert report.modularity > 0.3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_modularity_matches_networkx(self, seed):
+        rng = random.Random(seed)
+        g = nx.relabel_nodes(nx.gnp_random_graph(40, 0.15, seed=seed),
+                             lambda i: f"n{i:02d}")
+        if seed % 2:
+            g.add_edge("n00", "n00")
+        for a, b in g.edges:
+            g[a][b]["weight"] = rng.random() * rng.choice([1e-3, 1.0, 1e3])
+        report = detect_gangs(g, seed=seed)
+        partition = nx.community.louvain_communities(
+            g, weight="weight", resolution=1.0, seed=seed)
+        expected = nx.community.modularity(g, partition, weight="weight")
+        assert abs(report.modularity - expected) <= 1e-12
 
     def test_deterministic_given_seed(self):
         g = nx.gnp_random_graph(60, 0.1, seed=2)

@@ -12,6 +12,7 @@ from dposforensics.model import (
     compute_vote_weight,
     make_action,
     parse_action,
+    parse_header,
     serialize_action,
     validate_name,
 )
@@ -162,3 +163,18 @@ class TestParseAction:
                                  rng.randrange(0, 10**6), rng.randrange(0, 10**6),
                                  payload)
             assert parse_action(serialize_action(action)) == action
+
+
+class TestParseHeader:
+    @pytest.mark.parametrize("timestamp", ["1e999", "-1e999", "NaN", "1e15",
+                                           "-1e12", "253402300800"])
+    def test_timestamp_outside_utc_dates_rejected(self, timestamp):
+        line = f'{{"height": 1, "producer": "bpa", "timestamp": {timestamp}}}'
+        with pytest.raises(ParseError, match="timestamp"):
+            parse_header(line)
+
+    @pytest.mark.parametrize("timestamp", [-62135596800, 0, 1_600_000_000.5,
+                                           253402300799])
+    def test_timestamp_inside_utc_dates_kept(self, timestamp):
+        line = json.dumps({"height": 1, "producer": "bpa", "timestamp": timestamp})
+        assert parse_header(line).timestamp == timestamp
