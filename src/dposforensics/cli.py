@@ -85,17 +85,25 @@ def _out_dir(out: str | None) -> Path:
     return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    return buf.getvalue()
+
+
+def _write_reports(out: str | None, reports: dict[str, str]) -> Path:
+    """Write a command's reports (file name -> text) once all are made, so a
+    run that fails leaves none of them."""
+    out_dir = _out_dir(out)
+    for name, text in reports.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    return out_dir
 
 
 def _load_trace_or_die(trace_path: str):
@@ -183,7 +191,7 @@ def generate(config_path: str, out: str | None) -> None:
                                       "headers": str(headers_path)},
                          {"seed": config.seed})
     truth["manifest"] = manifest
-    _write_json(out_dir / "truth.json", truth)
+    (out_dir / "truth.json").write_text(_json_text(truth), encoding="utf-8")
     click.echo(f"wrote {trace_path}, {headers_path}, {out_dir / 'truth.json'}")
 
 
@@ -194,7 +202,6 @@ def replay_cmd(trace_path: str, out: str | None) -> None:
     """Replay a trace and write the canonical final state."""
     trace = _load_trace_or_die(trace_path)
     state, rejected = _replay_or_die(trace)
-    out_dir = _out_dir(out)
     canonical = state.canonical_json()
     payload = {
         "manifest": _manifest("replay", {"trace": trace_path}, {}),
@@ -204,7 +211,7 @@ def replay_cmd(trace_path: str, out: str | None) -> None:
                       "reason": r.reason} for r in rejected],
         "events": state.log,
     }
-    _write_json(out_dir / "state.json", payload)
+    _write_reports(out, {"state.json": _json_text(payload)})
     click.echo(f"replayed {len(trace)} actions, {len(rejected)} rejected")
 
 
@@ -213,7 +220,7 @@ def _metric_params(entropy_n: str, top_stake_pct: float, cadence: str) -> dict:
             "snapshot_cadence": cadence}
 
 
-def _run_metrics(snapshots, headers, out_dir: Path, manifest: dict,
+def _run_metrics(snapshots, headers, reports: dict[str, str], manifest: dict,
                  entropy_n: str, top_stake_pct: float) -> dict:
     ns: list[int | None] = []
     for token in entropy_n.split(","):
@@ -230,29 +237,29 @@ def _run_metrics(snapshots, headers, out_dir: Path, manifest: dict,
                 row.append("")
         rows.append(row)
     labels = ["all" if n is None else str(n) for n in ns]
-    _write_csv(out_dir / "entropy.csv",
-               ["month", "blocks"] + [f"entropy_n_{l}" for l in labels], rows)
+    reports["entropy.csv"] = _csv_text(
+        ["month", "blocks"] + [f"entropy_n_{l}" for l in labels], rows)
 
     turnover = producer_turnover(headers)
-    _write_csv(out_dir / "turnover.csv", ["month", "distinct", "cumulative"],
-               [[f"{m[0]:04d}-{m[1]:02d}", turnover.monthly_counts[m], c]
-                for m, c in turnover.cumulative_counts])
-    _write_csv(out_dir / "active_days.csv", ["producer", "days"],
-               [[p, d] for p, d in turnover.active_days.items()])
+    reports["turnover.csv"] = _csv_text(["month", "distinct", "cumulative"], [
+        [f"{m[0]:04d}-{m[1]:02d}", turnover.monthly_counts[m], c]
+        for m, c in turnover.cumulative_counts])
+    reports["active_days.csv"] = _csv_text(
+        ["producer", "days"], [[p, d] for p, d in turnover.active_days.items()])
 
     share = proxy_share_series(snapshots)
-    _write_csv(out_dir / "proxy_share.csv",
-               ["timestamp", "count_share", "stake_share", "weight_share"],
-               [[pt.timestamp, f"{pt.share:.9f}", f"{s.share:.9f}", f"{w.share:.9f}"]
-                for pt, s, w in zip(share["count"], share["stake"], share["weight"])])
+    reports["proxy_share.csv"] = _csv_text(
+        ["timestamp", "count_share", "stake_share", "weight_share"],
+        [[pt.timestamp, f"{pt.share:.9f}", f"{s.share:.9f}", f"{w.share:.9f}"]
+         for pt, s, w in zip(share["count"], share["stake"], share["weight"])])
 
     summary: dict = {"manifest": manifest}
     if snapshots:
         final = snapshots[-1]
         dist = stake_distribution(final, accumulate_proxies=True)
-        _write_csv(out_dir / "stake_distribution.csv",
-                   ["rank", "account", "stake"],
-                   [[i + 1, name, stake] for i, (name, stake) in enumerate(dist)])
+        reports["stake_distribution.csv"] = _csv_text(
+            ["rank", "account", "stake"],
+            [[i + 1, name, stake] for i, (name, stake) in enumerate(dist)])
         if dist:
             summary["top_share"] = top_share(dist, top_stake_pct)
             summary["top_share_pct"] = top_stake_pct
@@ -261,7 +268,7 @@ def _run_metrics(snapshots, headers, out_dir: Path, manifest: dict,
             summary["stake_powerlaw"] = {"alpha": alpha, "r_squared": r2}
         except MetricsError as exc:
             summary["stake_powerlaw"] = {"error": str(exc)}
-    _write_json(out_dir / "metrics.json", summary)
+    reports["metrics.json"] = _json_text(summary)
     return summary
 
 
@@ -281,15 +288,16 @@ def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
         headers = load_headers(headers_path)
     except ParseError as exc:
         _fail(EXIT_DATA, f"unreadable headers: {exc}")
-    out_dir = _out_dir(out)
     manifest = _manifest("metrics", {"trace": trace_path, "headers": headers_path},
                          _metric_params(entropy_n, top_stake_pct, snapshot_cadence))
-    _run_metrics(snapshots, headers, out_dir, manifest, entropy_n, top_stake_pct)
+    reports: dict[str, str] = {}
+    _run_metrics(snapshots, headers, reports, manifest, entropy_n, top_stake_pct)
+    out_dir = _write_reports(out, reports)
     click.echo(f"metrics written to {out_dir}")
 
 
-def _run_cluster(trace, snapshots, out_dir: Path, manifest: dict, theta: float,
-                 top_stake_pct: float) -> dict:
+def _run_cluster(trace, snapshots, reports: dict[str, str], manifest: dict,
+                 theta: float, top_stake_pct: float) -> dict:
     voters = top_stakeholders(snapshots[-1], top_stake_pct)
     records = sample_voting_records(snapshots, voters)
     clusters = cluster_voters(voters, records, theta)
@@ -313,10 +321,9 @@ def _run_cluster(trace, snapshots, out_dir: Path, manifest: dict, theta: float,
         })
         rows.append([i, cluster.seed, len(members), f"{mean_sim:.6f}",
                      entry.single_creator, " ".join(members)])
-    _write_json(out_dir / "clusters.json", payload)
-    _write_csv(out_dir / "clusters.csv",
-               ["id", "seed", "size", "mean_similarity", "single_creator", "members"],
-               rows)
+    reports["clusters.json"] = _json_text(payload)
+    reports["clusters.csv"] = _csv_text(
+        ["id", "seed", "size", "mean_similarity", "single_creator", "members"], rows)
     return payload
 
 
@@ -333,15 +340,16 @@ def cluster(trace_path, out, theta, top_stake_pct, snapshot_cadence) -> None:
     trace = _load_trace_or_die(trace_path)
     _, _, snapshots = _replay_or_die(trace, cadence=snapshot_cadence)
     _need_snapshots(snapshots)
-    out_dir = _out_dir(out)
     manifest = _manifest("cluster", {"trace": trace_path},
                          {"theta": theta, "top_stake_pct": top_stake_pct,
                           "snapshot_cadence": snapshot_cadence})
-    _run_cluster(trace, snapshots, out_dir, manifest, theta, top_stake_pct)
+    reports: dict[str, str] = {}
+    _run_cluster(trace, snapshots, reports, manifest, theta, top_stake_pct)
+    out_dir = _write_reports(out, reports)
     click.echo(f"clusters written to {out_dir}")
 
 
-def _run_motifs(events, candidates: set[str], out_dir: Path, manifest: dict,
+def _run_motifs(events, candidates, reports: dict[str, str], manifest: dict,
                 window_days: float) -> dict:
     window = int(window_days * 86_400)
     instances = (detect_linear(events, window, candidates)
@@ -356,19 +364,18 @@ def _run_motifs(events, candidates: set[str], out_dir: Path, manifest: dict,
             "witnesses": [{"src": e.src, "dst": e.dst, "via_proxy": e.via_proxy,
                            "timestamp": e.timestamp} for e in inst.witnesses],
         }, sort_keys=True))
-    (out_dir / "motifs.jsonl").write_text("".join(l + "\n" for l in lines),
-                                          encoding="utf-8")
+    reports["motifs.jsonl"] = "".join(l + "\n" for l in lines)
     series = motif_series(instances)
     months = sorted({m for counts in series.values() for m in counts})
-    _write_csv(out_dir / "motif_series.csv",
-               ["month", "linear", "triangular", "eight"],
-               [[f"{m[0]:04d}-{m[1]:02d}",
-                 series["linear"].get(m, 0),
-                 series["triangular"].get(m, 0),
-                 series["eight"].get(m, 0)] for m in months])
+    reports["motif_series.csv"] = _csv_text(
+        ["month", "linear", "triangular", "eight"],
+        [[f"{m[0]:04d}-{m[1]:02d}",
+          series["linear"].get(m, 0),
+          series["triangular"].get(m, 0),
+          series["eight"].get(m, 0)] for m in months])
     summary = {"manifest": manifest,
                "counts": {shape: sum(c.values()) for shape, c in series.items()}}
-    _write_json(out_dir / "motifs.json", summary)
+    reports["motifs.json"] = _json_text(summary)
     return {"instances": instances, "summary": summary}
 
 
@@ -383,14 +390,15 @@ def motifs(trace_path, out, window_days) -> None:
     trace = _load_trace_or_die(trace_path)
     events: list = []
     state, _ = _replay_or_die(trace, [record_vote_events(events)])
-    out_dir = _out_dir(out)
     manifest = _manifest("motifs", {"trace": trace_path},
                          {"window_days": window_days})
-    _run_motifs(events, set(state.candidates), out_dir, manifest, window_days)
+    reports: dict[str, str] = {}
+    _run_motifs(events, set(state.tallies), reports, manifest, window_days)
+    out_dir = _write_reports(out, reports)
     click.echo(f"motifs written to {out_dir}")
 
 
-def _run_gangs(graph, out_dir: Path, manifest: dict, outlier_pct: float,
+def _run_gangs(graph, reports: dict[str, str], manifest: dict, outlier_pct: float,
                seed: int) -> dict:
     try:
         report = run_pipeline(graph, outlier_pct=outlier_pct, seed=seed)
@@ -405,9 +413,9 @@ def _run_gangs(graph, out_dir: Path, manifest: dict, outlier_pct: float,
         "pruned": report.pruned,
         "communities": [sorted(c) for c in report.communities],
     }
-    _write_json(out_dir / "gangs.json", payload)
-    _write_csv(out_dir / "gang_scores.csv", ["account", "score"],
-               [[k, f"{v:.9f}"] for k, v in sorted(report.scores.items())])
+    reports["gangs.json"] = _json_text(payload)
+    reports["gang_scores.csv"] = _csv_text(
+        ["account", "score"], [[k, f"{v:.9f}"] for k, v in sorted(report.scores.items())])
     return payload
 
 
@@ -424,10 +432,11 @@ def gangs(trace_path, out, outlier_pct, seed) -> None:
     network = NetworkBuilder()
     _replay_or_die(trace, [network])
     graph = network.finish(_end_time(trace))
-    out_dir = _out_dir(out)
     manifest = _manifest("gangs", {"trace": trace_path},
                          {"outlier_pct": outlier_pct, "seed": seed})
-    _run_gangs(graph, out_dir, manifest, outlier_pct, seed)
+    reports: dict[str, str] = {}
+    _run_gangs(graph, reports, manifest, outlier_pct, seed)
+    out_dir = _write_reports(out, reports)
     click.echo(f"gang report written to {out_dir}")
 
 
@@ -458,21 +467,21 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
         headers = load_headers(headers_path)
     except ParseError as exc:
         _fail(EXIT_DATA, f"unreadable headers: {exc}")
-    out_dir = _out_dir(out)
     params = {"theta": theta, "window_days": window_days,
               "top_stake_pct": top_stake_pct, "outlier_pct": outlier_pct,
               "entropy_n": entropy_n, "seed": seed,
               "snapshot_cadence": snapshot_cadence}
     manifest = _manifest("all", {"trace": trace_path, "headers": headers_path},
                          params)
-    _run_metrics(snapshots, headers, out_dir, manifest, entropy_n, top_stake_pct)
-    cluster_payload = _run_cluster(trace, snapshots, out_dir, manifest, theta,
+    reports: dict[str, str] = {}  # written once gang detection has succeeded
+    _run_metrics(snapshots, headers, reports, manifest, entropy_n, top_stake_pct)
+    cluster_payload = _run_cluster(trace, snapshots, reports, manifest, theta,
                                    top_stake_pct)
     del snapshots  # the fold's products are large; free each once it is used
-    motif_result = _run_motifs(events, graph.candidates, out_dir, manifest,
+    motif_result = _run_motifs(events, graph.candidates, reports, manifest,
                                window_days)
     del events
-    gang_payload = _run_gangs(graph, out_dir, manifest, outlier_pct, seed)
+    gang_payload = _run_gangs(graph, reports, manifest, outlier_pct, seed)
 
     cluster_members = {m for c in cluster_payload["clusters"] for m in c["members"]}
     motif_members = {p for inst in motif_result["instances"]
@@ -492,7 +501,8 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
             "all_three": len(cluster_members & motif_members & gang_members),
         },
     }
-    _write_json(out_dir / "summary.json", summary)
+    reports["summary.json"] = _json_text(summary)
+    out_dir = _write_reports(out, reports)
     click.echo(f"full report written to {out_dir}")
 
 
@@ -588,8 +598,7 @@ def score(report_dir, truth_path, out) -> None:
 
     payload = {"manifest": _manifest("score", {"truth": truth_path}, {}),
                "scores": results}
-    out_dir = _out_dir(out or str(report_dir))
-    _write_json(out_dir / "score.json", payload)
+    _write_reports(out or str(report_dir), {"score.json": _json_text(payload)})
     for kind, s in sorted(results.items()):
         click.echo(f"{kind}: P={s['precision']:.3f} R={s['recall']:.3f} "
                    f"F1={s['f1']:.3f}")

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 import networkx as nx
 import numpy as np
 
-from .model import Action, ActionKind, compute_vote_index, compute_vote_weight
+from .model import Action, ActionKind
 from .replay import VotingState, replay
 
 
@@ -70,27 +70,6 @@ class NetworkBuilder:
         self.graph = VotingGraph()
         self.open: dict[str, dict[str, _OpenEdge]] = {}
 
-    @staticmethod
-    def _desired(state: VotingState, src: str) -> tuple[set[str], float]:
-        """Current effective targets of src and its per-target weight."""
-        acct = state.accounts.get(src)
-        if acct is None:
-            return set(), 0.0
-        if acct.proxy is not None:
-            proxy = state.accounts.get(acct.proxy)
-            if proxy is None or not proxy.is_proxy or proxy.last_vote_time is None:
-                return set(), 0.0
-            targets = {c for c in proxy.votes if c != src}
-            weight = compute_vote_weight(
-                acct.stake, compute_vote_index(proxy.last_vote_time))
-            return targets, weight
-        if not acct.votes or acct.last_vote_time is None:
-            return set(), 0.0
-        targets = {c for c in acct.votes if c != src}
-        weight = compute_vote_weight(
-            acct.stake, compute_vote_index(acct.last_vote_time))
-        return targets, weight
-
     def _stats(self, src: str, dst: str) -> EdgeStats:
         return self.graph.edges.setdefault((src, dst), EdgeStats())
 
@@ -107,7 +86,8 @@ class NetworkBuilder:
         replaced=True marks a fresh vote placement: continuing targets count
         as a new placement too.
         """
-        desired, weight = self._desired(state, src)
+        votes, weight = state.backing(src)
+        desired = {c for c in votes if c != src}  # a self-vote is no edge
         open_edges = self.open.setdefault(src, {})
         for dst in sorted(set(open_edges) - desired):
             self._close(src, dst, t)

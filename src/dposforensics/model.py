@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 NAME_ALPHABET = frozenset("abcdefghijklmnopqrstuvwxyz12345.")
 MAX_VOTES = 30
@@ -18,10 +18,10 @@ BASE_UNITS_PER_TOKEN = 10_000
 SECONDS_PER_DAY = 86_400
 # Unix timestamp of 2000-01-01T00:00:00Z, the epoch of the vote index.
 VOTE_INDEX_EPOCH = 946_684_800
-# Header times the metrics can turn into UTC dates (whole seconds; NaN and
-# infinities fall outside too).
-HEADER_TIME_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
-HEADER_TIME_MAX = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
+# Action and header times the metrics can turn into UTC dates (whole seconds;
+# NaN and infinities fall outside too).
+TIME_MIN = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+TIME_MAX = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
 
 
 class LedgerError(Exception):
@@ -81,12 +81,18 @@ class BlockHeader:
     timestamp: float
 
 
+def vote_week(t_vote: int, t_init: int = VOTE_INDEX_EPOCH,
+              t_day: int = SECONDS_PER_DAY) -> int:
+    """Whole weeks from the index epoch to t_vote; the vote index is week / 52."""
+    if t_vote < t_init:
+        raise LedgerError(f"vote timestamp {t_vote} predates the index epoch {t_init}")
+    return math.floor((t_vote - t_init) / (7 * t_day))
+
+
 def compute_vote_index(t_vote: int, t_init: int = VOTE_INDEX_EPOCH,
                        t_day: int = SECONDS_PER_DAY) -> float:
     """Weekly-bucketed vote age: floor(weeks since epoch) / 52."""
-    if t_vote < t_init:
-        raise LedgerError(f"vote timestamp {t_vote} predates the index epoch {t_init}")
-    return math.floor((t_vote - t_init) / (7 * t_day)) / 52.0
+    return vote_week(t_vote, t_init, t_day) / 52.0
 
 
 def compute_vote_weight(stake: int, index: float) -> float:
@@ -166,6 +172,8 @@ def make_action(kind: ActionKind | str, actor: str, timestamp: int, block: int,
     validate_name(actor, "actor")
     if not isinstance(timestamp, (int, float)):
         raise ParseError("timestamp must be numeric", "timestamp")
+    _require(TIME_MIN <= timestamp <= TIME_MAX,
+             f"timestamp must fall in the UTC years 1 to 9999, got {timestamp!r}", "timestamp")
     if not isinstance(block, int) or block < 0:
         raise ParseError("block must be a non-negative integer", "block")
     if not isinstance(seq, int):
@@ -215,7 +223,7 @@ def parse_header(line: str) -> BlockHeader:
     validate_name(record["producer"], "producer")
     height = _header_number(record, "height", int)
     timestamp = _header_number(record, "timestamp", float)
-    if not HEADER_TIME_MIN <= timestamp <= HEADER_TIME_MAX:
+    if not TIME_MIN <= timestamp <= TIME_MAX:
         raise ParseError(f"header field 'timestamp' must fall in the UTC years "
                          f"1 to 9999, got {record['timestamp']!r}", "timestamp")
     return BlockHeader(height=height, producer=record["producer"],
@@ -236,29 +244,24 @@ def serialize_header(header: BlockHeader) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
-def load_trace(path: str) -> list[Action]:
-    actions = []
+def _load_lines(path: str, parse: Callable[[str], Any]) -> list:
+    """parse() of each non-blank line; a ParseError names its line number."""
+    items = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                actions.append(parse_action(line))
+                items.append(parse(line))
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}", exc.field) from None
-    return actions
+    return items
+
+
+def load_trace(path: str) -> list[Action]:
+    return _load_lines(path, parse_action)
 
 
 def load_headers(path: str) -> list[BlockHeader]:
-    headers = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                headers.append(parse_header(line))
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}", exc.field) from None
-    return headers
+    return _load_lines(path, parse_header)

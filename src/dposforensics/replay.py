@@ -1,13 +1,14 @@
 """Deterministic replay of an action trace into a time-evolving voting state.
 
-The state keeps candidate received weights incrementally in sync: every
-account (or proxy pool) has an "applied" contribution recorded against the
-candidate table, and any action that can change a contribution refreshes it.
-A voter voting for k candidates contributes its full weight to each of them.
+Every direct voter (a registered proxy pooling its delegators' stake) has its
+stake tallied as an exact integer per candidate it votes for and per vote
+week, withdrawn before an action changes it and added back after. Candidate
+weights are summed from the tallies when read.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -18,6 +19,7 @@ from .model import (
     LedgerError,
     compute_vote_index,
     compute_vote_weight,
+    vote_week,
 )
 
 
@@ -33,6 +35,7 @@ class AccountRecord:
     proxy: Optional[str] = None
     is_proxy: bool = False
     creator: Optional[str] = None
+    proxied_stake: int = 0  # summed stake of the accounts whose proxy this is
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,43 +74,66 @@ class VotingState:
 
     def __init__(self) -> None:
         self.accounts: dict[str, AccountRecord] = {}
-        self.candidates: dict[str, float] = {}
         self.delegators: dict[str, set[str]] = {}
         self.as_of: tuple[int, int] = (0, 0)  # (block_height, timestamp)
         self.log: list[str] = []
-        # name -> (weight, votes) currently added into self.candidates
-        self._applied: dict[str, tuple[float, tuple[str, ...]]] = {}
+        # registered candidate -> vote week -> stake its voting units give it
+        self.tallies: dict[str, dict[int, int]] = {}
+        self._weights: dict[str, float] = {}
+        self._stale: set[str] = set()  # candidates whose weight is out of date
 
-    # -- contribution bookkeeping -------------------------------------------
+    # -- the voting-power rule -----------------------------------------------
 
-    def unit_weight(self, name: str) -> float:
-        """Current contribution weight of a voting unit (direct voter or proxy pool)."""
-        acct = self.accounts[name]
-        if acct.last_vote_time is None:
-            return 0.0
-        index = compute_vote_index(acct.last_vote_time)
-        weight = compute_vote_weight(acct.stake, index)
-        if acct.is_proxy:
-            for delegator in self.delegators.get(name, ()):
-                weight += compute_vote_weight(self.accounts[delegator].stake, index)
-        return weight
+    def backing(self, name: str) -> tuple[tuple[str, ...], float]:
+        """(votes, weight): the candidates name's stake is counted for, and
+        the vote weight of that stake alone. A direct voter backs its own
+        votes at the index of its last vote; a delegator backs its registered
+        proxy's votes, possibly none, at the index of the proxy's last vote.
+        Any other account backs nothing: ((), 0.0)."""
+        acct = voter = self.accounts[name]
+        if acct.proxy is not None:
+            voter = self.accounts[acct.proxy]
+            if not voter.is_proxy or voter.last_vote_time is None:
+                return (), 0.0
+        elif not acct.votes:
+            return (), 0.0
+        return voter.votes, compute_vote_weight(
+            acct.stake, compute_vote_index(voter.last_vote_time))
 
-    def _refresh(self, name: str) -> None:
+    def _tally(self, name: str, sign: int) -> None:
+        """Add (sign 1) or withdraw (sign -1) the stake of name's voting unit,
+        if it is one, for each candidate it votes for."""
         acct = self.accounts.get(name)
-        old_weight, old_votes = self._applied.get(name, (0.0, ()))
-        for cand in old_votes:
-            self.candidates[cand] -= old_weight
-        new_votes: tuple[str, ...] = ()
-        new_weight = 0.0
-        if acct is not None and acct.proxy is None and acct.votes:
-            new_votes = acct.votes
-            new_weight = self.unit_weight(name)
-        for cand in new_votes:
-            self.candidates[cand] += new_weight
-        if new_votes:
-            self._applied[name] = (new_weight, new_votes)
-        else:
-            self._applied.pop(name, None)
+        if acct is None or acct.proxy is not None or not acct.votes:
+            return
+        week = vote_week(acct.last_vote_time)
+        stake = acct.stake + (acct.proxied_stake if acct.is_proxy else 0)
+        for cand in acct.votes:
+            weeks = self.tallies[cand]
+            weeks[week] = weeks.get(week, 0) + sign * stake
+            if not weeks[week]:
+                del weeks[week]
+            self._stale.add(cand)
+
+    @property
+    def candidates(self) -> dict[str, float]:
+        """Received weight per registered candidate: the fsum over its vote
+        weeks of stake * 2^(week/52)."""
+        self._settle()
+        return self._weights
+
+    def _settle(self) -> None:
+        """Sum the weights of the candidates whose tallies changed since the
+        last read; an overflow raises LedgerError."""
+        for cand in self._stale:
+            try:
+                self._weights[cand] = math.fsum(
+                    compute_vote_weight(stake, week / 52)
+                    for week, stake in self.tallies[cand].items())
+            except OverflowError:
+                raise LedgerError(
+                    f"vote weight overflow for candidate '{cand}'") from None
+        self._stale.clear()
 
     def _ensure_account(self, name: str) -> AccountRecord:
         # Unknown actors (genesis accounts) are materialized with no creator.
@@ -146,9 +172,7 @@ class VotingState:
         self.accounts[created] = AccountRecord(creator=action.actor)
 
     def _apply_delegatebw(self, action: Action) -> None:
-        acct = self._ensure_account(action.actor)
-        acct.stake += action.payload["amount"]
-        self._refresh_stake_dependents(action.actor)
+        self._restake(action.actor, action.payload["amount"])
 
     def _apply_undelegatebw(self, action: Action) -> None:
         acct = self._ensure_account(action.actor)
@@ -156,19 +180,21 @@ class VotingState:
         if amount > acct.stake:
             raise _Rejection(
                 f"undelegate {amount} exceeds staked {acct.stake} of '{action.actor}'")
-        acct.stake -= amount
-        self._refresh_stake_dependents(action.actor)
+        self._restake(action.actor, -amount)
 
-    def _refresh_stake_dependents(self, name: str) -> None:
-        acct = self.accounts[name]
+    def _restake(self, name: str, delta: int) -> None:
+        acct = self._ensure_account(name)
+        unit = name if acct.proxy is None else acct.proxy
+        self._tally(unit, -1)
+        acct.stake += delta
         if acct.proxy is not None:
-            self._refresh(acct.proxy)
-        else:
-            self._refresh(name)
+            self.accounts[acct.proxy].proxied_stake += delta
+        self._tally(unit, 1)
 
     def _apply_regproducer(self, action: Action) -> None:
         self._ensure_account(action.actor)
-        self.candidates.setdefault(action.actor, 0.0)
+        self.tallies.setdefault(action.actor, {})
+        self._weights.setdefault(action.actor, 0.0)
 
     def _apply_regproxy(self, action: Action) -> None:
         acct = self._ensure_account(action.actor)
@@ -180,13 +206,15 @@ class VotingState:
                 f"proxy '{action.actor}' deregistered at {action.timestamp} with "
                 f"{len(self.delegators[action.actor])} delegators; pooled "
                 "contributions suspended until re-registration")
+        self._tally(action.actor, -1)
         acct.is_proxy = isproxy
-        self._refresh(action.actor)
+        self._tally(action.actor, 1)
 
     def _apply_voteproducer(self, action: Action) -> None:
         acct = self._ensure_account(action.actor)
-        proxy = action.payload["proxy"]
-        if proxy:
+        proxy = action.payload["proxy"] or None
+        producers: tuple[str, ...] = ()
+        if proxy is not None:
             if proxy == action.actor:
                 raise _Rejection("account cannot delegate to itself")
             if acct.is_proxy:
@@ -194,31 +222,25 @@ class VotingState:
             target = self.accounts.get(proxy)
             if target is None or not target.is_proxy:
                 raise _Rejection(f"'{proxy}' is not a registered proxy")
-            old_proxy = acct.proxy
-            if old_proxy is not None:
-                self.delegators[old_proxy].discard(action.actor)
-            acct.votes = ()
-            acct.proxy = proxy
-            acct.last_vote_time = action.timestamp
+        else:
+            producers = tuple(action.payload["producers"])
+            unknown = [p for p in producers if p not in self.tallies]
+            if unknown:
+                raise _Rejection(f"vote for unregistered candidate '{unknown[0]}'")
+        units = dict.fromkeys((action.actor, acct.proxy, proxy))  # None is no unit
+        for unit in units:
+            self._tally(unit, -1)
+        if acct.proxy is not None:
+            self.delegators[acct.proxy].discard(action.actor)
+            self.accounts[acct.proxy].proxied_stake -= acct.stake
+        if proxy is not None:
             self.delegators.setdefault(proxy, set()).add(action.actor)
-            self._refresh(action.actor)
-            if old_proxy is not None and old_proxy != proxy:
-                self._refresh(old_proxy)
-            self._refresh(proxy)
-            return
-        producers = tuple(action.payload["producers"])
-        unknown = [p for p in producers if p not in self.candidates]
-        if unknown:
-            raise _Rejection(f"vote for unregistered candidate '{unknown[0]}'")
-        old_proxy = acct.proxy
-        if old_proxy is not None:
-            self.delegators[old_proxy].discard(action.actor)
-            acct.proxy = None
+            self.accounts[proxy].proxied_stake += acct.stake
+        acct.proxy = proxy
         acct.votes = producers
         acct.last_vote_time = action.timestamp
-        self._refresh(action.actor)
-        if old_proxy is not None:
-            self._refresh(old_proxy)
+        for unit in units:
+            self._tally(unit, 1)
 
     # -- queries -------------------------------------------------------------
 
@@ -229,9 +251,6 @@ class VotingState:
         ranked = sorted(self.candidates.items(), key=lambda kv: (-kv[1], kv[0]))
         return [name for name, _ in ranked[:n]]
 
-    def proxied_stake(self, name: str) -> int:
-        return sum(self.accounts[d].stake for d in self.delegators.get(name, ()))
-
     def snapshot(self, taken_at: int) -> VotingSnapshot:
         per_voter: dict[str, VoterEntry] = {}
         # Voters sharing a votes tuple (every delegator of one proxy) share
@@ -241,30 +260,14 @@ class VotingState:
             acct = self.accounts[name]
             if not (acct.votes or acct.proxy is not None or acct.is_proxy):
                 continue
-            effective: frozenset[str] = frozenset()
-            weight = 0.0
-            via_proxy = False
-            if acct.proxy is not None:
-                via_proxy = True
-                proxy_acct = self.accounts.get(acct.proxy)
-                if proxy_acct is not None and proxy_acct.is_proxy:
-                    effective = shared.setdefault(proxy_acct.votes,
-                                                  frozenset(proxy_acct.votes))
-                    if proxy_acct.last_vote_time is not None:
-                        weight = compute_vote_weight(
-                            acct.stake, compute_vote_index(proxy_acct.last_vote_time))
-            else:
-                effective = shared.setdefault(acct.votes, frozenset(acct.votes))
-                if acct.votes and acct.last_vote_time is not None:
-                    weight = compute_vote_weight(
-                        acct.stake, compute_vote_index(acct.last_vote_time))
+            votes, weight = self.backing(name)
             per_voter[name] = VoterEntry(
-                effective=effective,
+                effective=shared.setdefault(votes, frozenset(votes)),
                 stake=acct.stake,
                 is_proxy=acct.is_proxy,
-                proxied_stake=self.proxied_stake(name),
+                proxied_stake=acct.proxied_stake,
                 weight=weight,
-                via_proxy=via_proxy,
+                via_proxy=acct.proxy is not None,
             )
         return VotingSnapshot(
             taken_at=taken_at,
@@ -288,7 +291,7 @@ class VotingState:
         return json.dumps({
             "as_of": list(self.as_of),
             "accounts": accounts,
-            "candidates": {k: round(v, 6) for k, v in sorted(self.candidates.items())},
+            "candidates": self.candidates,
         }, sort_keys=True, separators=(",", ":"))
 
 
@@ -336,6 +339,7 @@ def _fold(trace: Sequence[Action], observers: Sequence[Observer],
     while idx < len(times):
         samples.append(sample(state, times[idx]))
         idx += 1
+    state._settle()  # a weight overflow fails the fold, not a later read
     return state, rejected, samples
 
 

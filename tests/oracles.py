@@ -11,26 +11,33 @@ from itertools import combinations
 
 import networkx as nx
 
-from dposforensics.model import compute_vote_index, compute_vote_weight
+from dposforensics.model import SECONDS_PER_DAY, VOTE_INDEX_EPOCH, compute_vote_weight
 from dposforensics.clustering import record_similarity
 from dposforensics.motifs import EIGHT, LINEAR, TRIANGULAR
 
 
 def recompute_candidate_weights(state) -> dict[str, float]:
-    """Re-derive every candidate's received weight from account records only."""
-    totals = {c: 0.0 for c in state.candidates}
+    """Re-derive every candidate's received weight from account records only.
+
+    Each direct voter gives its stake, plus the stakes of the accounts whose
+    proxy it is while it is a registered proxy, to each candidate it votes
+    for, in the bucket of whole weeks from the index epoch to its last vote.
+    A candidate's weight is the fsum over its weeks of stake * 2^(week/52).
+    """
+    received = {c: {} for c in state.candidates}
     for name, acct in state.accounts.items():
-        if acct.proxy is not None or not acct.votes or acct.last_vote_time is None:
+        if acct.proxy is not None or not acct.votes:
             continue
-        index = compute_vote_index(acct.last_vote_time)
-        weight = compute_vote_weight(acct.stake, index)
+        stake = acct.stake
         if acct.is_proxy:
-            for other_name, other in state.accounts.items():
-                if other.proxy == name:
-                    weight += compute_vote_weight(other.stake, index)
+            stake += sum(other.stake for other in state.accounts.values()
+                         if other.proxy == name)
+        week = (acct.last_vote_time - VOTE_INDEX_EPOCH) // (7 * SECONDS_PER_DAY)
         for cand in acct.votes:
-            totals[cand] += weight
-    return totals
+            received[cand][week] = received[cand].get(week, 0) + stake
+    return {cand: math.fsum(compute_vote_weight(stake, week / 52)
+                            for week, stake in weeks.items())
+            for cand, weeks in received.items()}
 
 
 def component_clusters(voters, records, theta):

@@ -11,8 +11,10 @@ from click.testing import CliRunner
 
 import dposforensics
 from dposforensics.cli import main
-from dposforensics.model import load_trace
+from dposforensics.model import load_trace, serialize_action
 from dposforensics.replay import VotingState
+
+from conftest import T0, DAY, TraceBuilder
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -253,7 +255,31 @@ def test_each_command_folds_the_trace_once(command, ledger_dir, tmp_path,
     assert len(applied) == len(load_trace(trace))
 
 
+def _action_line(kind: str, actor: str, timestamp: str, payload: str) -> str:
+    return (f'{{"kind": "{kind}", "actor": "{actor}", "timestamp": {timestamp}, '
+            f'"block": 1, "seq": 0, "payload": {payload}}}')
+
+
+def _overflowing_trace(stake: int, vote_time: int) -> str:
+    """A voter whose weight stake * 2^index is beyond the largest double."""
+    return "\n".join([
+        _action_line("regproducer", "bpa", str(T0), "{}"),
+        _action_line("delegatebw", "alice", str(T0), f'{{"amount": {stake}}}'),
+        _action_line("voteproducer", "alice", str(vote_time),
+                     '{"proxy": "", "producers": ["bpa"]}')])
+
+
 BAD_INPUTS = {
+    "trace_timestamp_nan": ("trace.jsonl",
+                            _action_line("regproducer", "bpa", "NaN", "{}"), "line 1"),
+    "trace_timestamp_range": ("trace.jsonl",
+                              _action_line("regproducer", "bpa", "1e999", "{}"),
+                              "line 1"),
+    "trace_stake_overflow": ("trace.jsonl", _overflowing_trace(10**400, T0),
+                             "vote weight overflow"),
+    # A vote in the year 3237: its index passes 1024, and 2^1024 overflows.
+    "trace_index_overflow": ("trace.jsonl", _overflowing_trace(1, 40_000_000_000),
+                             "vote weight overflow"),
     "header_height": ("headers.jsonl",
                       '{"height": "x", "producer": "bpa", "timestamp": 1}', "line 1"),
     "header_not_object": ("headers.jsonl", "5", "line 1"),
@@ -274,7 +300,10 @@ BAD_INPUTS = {
 def test_bad_input_exits_3_without_traceback(case, ledger_dir, report_dir,
                                              tmp_path):
     name, text, named = BAD_INPUTS[case]
-    if name == "headers.jsonl":
+    if name == "trace.jsonl":
+        (tmp_path / name).write_text(text + "\n")
+        args = ["replay", str(tmp_path / name), "-o", str(tmp_path / "out")]
+    elif name == "headers.jsonl":
         (tmp_path / name).write_text(text + "\n")
         args = ["metrics", str(ledger_dir / "trace.jsonl"), str(tmp_path / name),
                 "-o", str(tmp_path / "out")]
@@ -309,7 +338,10 @@ def test_empty_trace_writes_no_reports(command, ledger_dir, tmp_path):
     assert not out.exists()
 
 
-def test_gang_report_independent_of_hash_seed(ledger_dir, tmp_path):
+def _report_under_hash_seeds(command: str, trace: Path, report: str,
+                             tmp_path: Path) -> list[bytes]:
+    """`dposf COMMAND TRACE` run in a subprocess under PYTHONHASHSEED 0 and 1;
+    the bytes of REPORT from each run."""
     src = str(Path(dposforensics.__file__).parents[1])
     reports = []
     for hash_seed in ("0", "1"):
@@ -317,8 +349,44 @@ def test_gang_report_independent_of_hash_seed(ledger_dir, tmp_path):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed,
                "PYTHONPATH": os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-m", "dposforensics.cli", "gangs",
-                        str(ledger_dir / "trace.jsonl"), "-o", str(out)],
+        subprocess.run([sys.executable, "-m", "dposforensics.cli", command,
+                        str(trace), "-o", str(out)],
                        env=env, check=True, capture_output=True)
-        reports.append((out / "gangs.json").read_bytes())
+        reports.append((out / report).read_bytes())
+    return reports
+
+
+def test_gang_report_independent_of_hash_seed(ledger_dir, tmp_path):
+    reports = _report_under_hash_seeds("gangs", ledger_dir / "trace.jsonl",
+                                       "gangs.json", tmp_path)
     assert reports[0] == reports[1]
+
+
+def test_state_independent_of_hash_seed(tmp_path):
+    """A proxy pools dozens of delegators of mixed stakes; the candidate
+    weights in state.json must not depend on the order of any set."""
+    b = TraceBuilder().regproducer("bpa").regproducer("bpb")
+    b.newaccount("genesis", "pool").regproxy("pool")
+    b.vote("pool", ["bpa", "bpb"], ts=T0 + 3 * DAY)
+    for i in range(48):
+        name = f"d{chr(97 + i // 26)}{chr(97 + i % 26)}"
+        b.newaccount("genesis", name)
+        b.delegate(name, (i * 7_919 % 1_009 + 1) * 10**9 + i * 37)
+        b.vote_proxy(name, "pool")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(serialize_action(a) + "\n" for a in b.build()))
+    reports = _report_under_hash_seeds("replay", trace, "state.json", tmp_path)
+    assert reports[0] == reports[1]
+
+
+def test_all_leaves_no_reports_when_gang_detection_fails(ledger_dir, tmp_path):
+    lines = (ledger_dir / "trace.jsonl").read_text().splitlines()[:200]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "all", str(trace), str(ledger_dir / "headers.jsonl"), "-o", str(out),
+        "--snapshot-cadence", "1"])
+    assert result.exit_code == 3, result.output
+    assert "gang detection failed" in result.output
+    assert not out.exists()

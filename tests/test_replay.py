@@ -1,6 +1,7 @@
 import copy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dposforensics.model import compute_vote_index, compute_vote_weight
 from dposforensics.replay import ReplayError, replay, replay_with_snapshots
@@ -102,6 +103,21 @@ class TestApply:
         assert state.candidates["bp.a"] == pytest.approx(
             compute_vote_weight(100 * EOS, index))
 
+    def test_candidate_left_by_every_voter_reads_zero(self):
+        b = TraceBuilder().regproducer("bpa").regproducer("bpb")
+        voters = [f"voter{chr(97 + i)}" for i in range(25)]
+        for i, name in enumerate(voters):
+            b.newaccount("genesis", name)
+            b.delegate(name, (i * 7_919 % 1_000 + 1) * 1_000 * EOS + i)
+            b.vote(name, ["bpa"], ts=T0 + i * 9 * DAY)
+        for i, name in enumerate(voters):
+            b.delegate(name, (i * 104_729 % 997 + 1) * EOS)
+            b.vote(name, ["bpb"], ts=T0 + (300 + i * 5) * DAY)
+        state, rejected = replay(b.build())
+        assert not rejected
+        assert state.candidates["bpa"] == 0.0
+        assert state.candidates == recompute_candidate_weights(state)
+
     def test_proxy_deregistration_suspends_pool(self):
         b = base_trace()
         b.vote("proxyone", ["bp.a"], ts=T0 + 100)
@@ -146,6 +162,21 @@ class TestReplay:
     def test_conservation_random_traces(self, seed):
         state, _ = replay(random_trace(seed, n_actions=400))
         weights_close(state.candidates, recompute_candidate_weights(state))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_actions=st.integers(0, 400))
+    def test_weights_equal_oracle_exactly(self, seed, n_actions):
+        state, _ = replay(random_trace(seed, n_actions=n_actions))
+        assert state.candidates == recompute_candidate_weights(state)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_actions=st.integers(0, 400))
+    def test_pooled_stake_is_delegators_stake(self, seed, n_actions):
+        state, _ = replay(random_trace(seed, n_actions=n_actions))
+        for name, acct in state.accounts.items():
+            assert acct.proxied_stake == sum(
+                other.stake for other in state.accounts.values()
+                if other.proxy == name), name
 
     def test_idempotent_revote(self):
         b = base_trace()
