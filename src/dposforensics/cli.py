@@ -41,7 +41,7 @@ from .motifs import (
     detect_linear,
     detect_triangular,
     motif_series,
-    record_vote_events,
+    VoteRecorder,
 )
 from .replay import ReplayError, replay, replay_with_snapshots
 from .scoring import instance_score, pairwise_score
@@ -388,12 +388,14 @@ def motifs(trace_path, out, window_days) -> None:
     if window_days <= 0:
         _fail(EXIT_USAGE, "window-days must be positive")
     trace = _load_trace_or_die(trace_path)
-    events: list = []
-    state, _ = _replay_or_die(trace, [record_vote_events(events)])
+    votes = VoteRecorder()
+    state, _ = _replay_or_die(trace, [votes])
     manifest = _manifest("motifs", {"trace": trace_path},
                          {"window_days": window_days})
     reports: dict[str, str] = {}
-    _run_motifs(events, set(state.tallies), reports, manifest, window_days)
+    candidates = set(state.tallies)
+    _run_motifs(votes.events(candidates), candidates, reports, manifest,
+                window_days)
     out_dir = _write_reports(out, reports)
     click.echo(f"motifs written to {out_dir}")
 
@@ -457,10 +459,9 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     if not 0 < theta <= 1:
         _fail(EXIT_USAGE, "theta out of range (0, 1]")
     trace = _load_trace_or_die(trace_path)
-    events: list = []
+    votes = VoteRecorder()
     network = NetworkBuilder()
-    _, _, snapshots = _replay_or_die(
-        trace, [record_vote_events(events), network], snapshot_cadence)
+    _, _, snapshots = _replay_or_die(trace, [votes, network], snapshot_cadence)
     _need_snapshots(snapshots)
     graph = network.finish(_end_time(trace))
     try:
@@ -478,9 +479,9 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     cluster_payload = _run_cluster(trace, snapshots, reports, manifest, theta,
                                    top_stake_pct)
     del snapshots  # the fold's products are large; free each once it is used
-    motif_result = _run_motifs(events, graph.candidates, reports, manifest,
-                               window_days)
-    del events
+    motif_result = _run_motifs(votes.events(graph.candidates), graph.candidates,
+                               reports, manifest, window_days)
+    del votes
     gang_payload = _run_gangs(graph, reports, manifest, outlier_pct, seed)
 
     cluster_members = {m for c in cluster_payload["clusters"] for m in c["members"]}
@@ -539,6 +540,16 @@ def _plants_or_die(truth: dict, truth_path: str) -> dict[str, list[dict]]:
     return by_kind
 
 
+def _trace_digest_or_die(payload: dict, path) -> str | None:
+    """The trace digest in a file's manifest, if it names one; exit 3 naming
+    the file when its manifest or the manifest's digests are not objects."""
+    manifest = payload.get("manifest", {})
+    digests = manifest.get("digests", {}) if isinstance(manifest, dict) else None
+    if not isinstance(digests, dict):
+        _fail(EXIT_DATA, f"malformed {path}: 'manifest' needs a 'digests' object")
+    return digests.get("trace")
+
+
 @main.command()
 @click.argument("report_dir", type=click.Path(exists=True, file_okay=False))
 @click.argument("truth_path", type=click.Path(exists=True, dir_okay=False))
@@ -548,14 +559,14 @@ def score(report_dir, truth_path, out) -> None:
     report_dir = Path(report_dir)
     truth = _read_json_or_die(truth_path)
     by_kind = _plants_or_die(truth, truth_path)
-    truth_digest = truth.get("manifest", {}).get("digests", {}).get("trace")
+    truth_digest = _trace_digest_or_die(truth, truth_path)
 
     def load_report(name: str) -> dict | None:
         path = report_dir / name
         if not path.exists():
             return None
         payload = _read_json_or_die(path)
-        digest = payload.get("manifest", {}).get("digests", {}).get("trace")
+        digest = _trace_digest_or_die(payload, path)
         if truth_digest and digest and digest != truth_digest:
             _fail(EXIT_USAGE,
                   f"{name} was produced from a different trace than the truth file")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 import networkx as nx
@@ -45,20 +46,24 @@ class VotingGraph:
     edges: dict[tuple[str, str], EdgeStats] = field(default_factory=dict)
     candidates: set[str] = field(default_factory=set)
 
-    def adjacency(self) -> dict[str, set[str]]:
-        """Undirected neighbour sets: each directed pair links its two ends,
-        and a self-loop puts a node among its own neighbours."""
-        adj: dict[str, set[str]] = {}
-        for src, dst in self.edges:
-            adj.setdefault(src, set()).add(dst)
-            adj.setdefault(dst, set()).add(src)
-        return adj
-
 
 @dataclass(slots=True)
-class _OpenEdge:
-    seg_start: float
+class _Source:
+    """The votes of one source in force: each open edge's aggregate and the
+    start of the segment it is integrating. Every open edge carries the
+    source's own weight at its last reconcile; `votes` are what it backed
+    then."""
+
+    votes: tuple[str, ...]
     weight: float
+    edges: dict[str, EdgeStats] = field(default_factory=dict)
+    starts: dict[str, float] = field(default_factory=dict)
+
+
+def _accrue(stats: EdgeStats, weight: float, span: float) -> None:
+    """Add a segment of `span` seconds in force at `weight` to an edge."""
+    stats.duration += span
+    stats.weight_integral += weight * span
 
 
 class NetworkBuilder:
@@ -68,45 +73,51 @@ class NetworkBuilder:
 
     def __init__(self) -> None:
         self.graph = VotingGraph()
-        self.open: dict[str, dict[str, _OpenEdge]] = {}
-
-    def _stats(self, src: str, dst: str) -> EdgeStats:
-        return self.graph.edges.setdefault((src, dst), EdgeStats())
-
-    def _close(self, src: str, dst: str, t: float) -> None:
-        edge = self.open[src].pop(dst)
-        stats = self._stats(src, dst)
-        stats.duration += t - edge.seg_start
-        stats.weight_integral += edge.weight * (t - edge.seg_start)
+        self.open: dict[str, _Source] = {}
 
     def _reconcile(self, state: VotingState, src: str, t: float,
                    replaced: bool) -> None:
         """Bring src's open edges in line with its current effective votes.
 
         replaced=True marks a fresh vote placement: continuing targets count
-        as a new placement too.
+        as a new placement too. An edge's segment ends when it closes or when
+        the source's weight changes.
         """
         votes, weight = state.backing(src)
-        desired = {c for c in votes if c != src}  # a self-vote is no edge
-        open_edges = self.open.setdefault(src, {})
-        for dst in sorted(set(open_edges) - desired):
-            self._close(src, dst, t)
-        for dst in sorted(desired):
-            edge = open_edges.get(dst)
-            stats = self._stats(src, dst)
-            if edge is None:
-                open_edges[dst] = _OpenEdge(seg_start=t, weight=weight)
-                stats.placements += 1
-                stats.last_weight = weight
-            else:
+        source = self.open.get(src)
+        if source is None:
+            if not votes:
+                return
+            source = self.open[src] = _Source((), weight)
+        edges, starts, old = source.edges, source.starts, source.weight
+        opened: list[str] = []
+        if votes != source.votes:
+            desired = set(votes)
+            desired.discard(src)  # a self-vote is no edge
+            for dst in edges.keys() - desired:
+                _accrue(edges.pop(dst), old, t - starts.pop(dst))
+            opened = sorted(desired - edges.keys())
+        reweigh = weight != old
+        if replaced or reweigh:
+            for dst, stats in edges.items():
                 if replaced:
                     stats.placements += 1
                     stats.last_weight = weight
-                if edge.weight != weight:
-                    stats.duration += t - edge.seg_start
-                    stats.weight_integral += edge.weight * (t - edge.seg_start)
-                    edge.seg_start = t
-                    edge.weight = weight
+                if reweigh:
+                    _accrue(stats, old, t - starts[dst])
+                    starts[dst] = t
+        for dst in opened:  # an edge enters graph.edges at its first placement
+            stats = self.graph.edges.get((src, dst))
+            if stats is None:
+                stats = self.graph.edges[(src, dst)] = EdgeStats()
+            edges[dst] = stats
+            starts[dst] = t
+            stats.placements += 1
+            stats.last_weight = weight
+        if edges:
+            source.votes, source.weight = votes, weight
+        else:
+            del self.open[src]
 
     @staticmethod
     def _affected(action: Action, state: VotingState) -> tuple[list[str], bool]:
@@ -128,10 +139,10 @@ class NetworkBuilder:
             self._reconcile(state, src, action.timestamp, replaced)
 
     def finish(self, end_time: float) -> VotingGraph:
-        for src in sorted(self.open):
-            for dst in sorted(self.open[src]):
-                self._close(src, dst, end_time)
-        self.open.clear()  # the emptied per-source tables keep their memory
+        for source in self.open.values():
+            for dst, stats in source.edges.items():
+                _accrue(stats, source.weight, end_time - source.starts[dst])
+        self.open.clear()
         return self.graph
 
 
@@ -163,35 +174,81 @@ class EdplFit:
         return self.coefficient * neighbors ** self.alpha
 
 
-def egonet_features(graph: VotingGraph,
-                    scope: Optional[Sequence[str]] = None) -> list[EgonetFeature]:
+@dataclass(frozen=True)
+class NodeIndex:
+    """Integer view of a voting graph: nodes numbered in name order, the two
+    ends of every edge in edge-table order, and each node's undirected
+    neighbours as sorted, deduplicated CSR rows, where a self-loop makes a
+    node its own neighbour."""
+
+    names: list[str]
+    ids: dict[str, int]
+    src: np.ndarray
+    dst: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def of(cls, graph: VotingGraph) -> "NodeIndex":
+        srcs = [s for s, _ in graph.edges]
+        dsts = [d for _, d in graph.edges]
+        names = sorted(set(srcs).union(dsts))
+        ids = {name: i for i, name in enumerate(names)}
+        src = np.fromiter(map(ids.__getitem__, srcs), np.int64, len(srcs))
+        dst = np.fromiter(map(ids.__getitem__, dsts), np.int64, len(dsts))
+        n = len(names)
+        keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))
+        first = np.ones(len(keys), bool)
+        first[1:] = keys[1:] != keys[:-1]
+        rows, indices = np.divmod(keys[first], max(n, 1))
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(names, ids, src, dst, indptr, indices)
+
+    def neighbors(self, node: int) -> np.ndarray:
+        return self.indices[self.indptr[node]:self.indptr[node + 1]]
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The neighbours of every node in `nodes`, concatenated."""
+        starts = self.indptr[nodes]
+        lengths = self.indptr[nodes + 1] - starts
+        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        return self.indices[shift + np.arange(len(shift))]
+
+
+def egonet_features(graph: VotingGraph, scope: Optional[Sequence[str]] = None,
+                    *, index: Optional[NodeIndex] = None) -> list[EgonetFeature]:
     """Neighbor and egonet-edge counts on the undirected simple view; scope
-    defaults to the candidate nodes present in the graph.
+    defaults to the candidate nodes present in the graph. `index` is the
+    graph's NodeIndex when the caller has already built it.
 
     E_i is the ego's spokes plus the edges among its neighbours (OddBall's
     N_i + triangles(i)); the latter show up twice in the summed overlaps of
-    the neighbours' adjacency sets. A self-loop counts once, as in networkx,
-    which also lists a looped ego among its own neighbours.
+    the neighbours' rows with the neighbour set, and a looped neighbour once.
+    A self-loop counts once, as in networkx, which also lists a looped ego
+    among its own neighbours.
     """
-    adj = graph.adjacency()
-    looped = {node for node, nbrs in adj.items() if node in nbrs}
+    if index is None:
+        index = NodeIndex.of(graph)
+    looped = np.zeros(len(index.names), bool)
+    looped[index.src[index.src == index.dst]] = True
     if scope is None:
-        scope = graph.candidates & adj.keys()
+        scope = graph.candidates & index.ids.keys()
+    member = np.zeros(len(index.names), bool)
     features = []
     for node in sorted(scope):
-        nbrs = adj.get(node)
-        if not nbrs:
+        ego = index.ids.get(node)
+        if ego is None:
             continue
-        ego_loop = node in looped
-        spokes = len(nbrs) - ego_loop
-        overlaps = sum(len(adj[u] & nbrs) for u in nbrs if u != node)
-        # besides each neighbour-neighbour edge twice, the overlaps hold a
-        # looped neighbour once and a looped ego once per spoke
-        nbr_loops = len(looped & nbrs) - ego_loop if looped else 0
-        among = (overlaps - nbr_loops - ego_loop * spokes) // 2
+        nbrs = index.neighbors(ego)
+        others = nbrs[nbrs != ego]
+        member[others] = True
+        overlaps = int(np.count_nonzero(member[index.rows(others)]))
+        member[others] = False
+        nbr_loops = int(np.count_nonzero(looped[others]))
         features.append(EgonetFeature(
             node=node, neighbors=len(nbrs),
-            edges=spokes + among + nbr_loops + ego_loop))
+            edges=len(others) + (overlaps + nbr_loops) // 2 + int(looped[ego])))
     return features
 
 
@@ -237,10 +294,11 @@ def select_anomalies(features: Sequence[EgonetFeature], fit: EdplFit,
     return above[:k]
 
 
-def reconstruct_weighted_network(graph: VotingGraph,
-                                 anomalies: Sequence[str]) -> nx.Graph:
+def reconstruct_weighted_network(graph: VotingGraph, anomalies: Sequence[str],
+                                 *, index: Optional[NodeIndex] = None) -> nx.Graph:
     """Undirected network over candidate nodes inside the anomalies' egonets,
-    weighted by the symmetrized voting intensity.
+    weighted by the symmetrized voting intensity. `index` is the graph's
+    NodeIndex when the caller has already built it.
 
     Intensity i->j averages three shares computed on the FULL directed graph:
     i's placement count toward j over i's total placements, and j's received
@@ -248,37 +306,50 @@ def reconstruct_weighted_network(graph: VotingGraph,
     """
     if not anomalies:
         raise GangError("nothing to reconstruct: empty anomaly set")
-    adj = graph.adjacency()
+    if index is None:
+        index = NodeIndex.of(graph)
     kept: set[str] = set()
     for node in anomalies:
-        if node in adj:
+        ego = index.ids.get(node)
+        if ego is not None:
             kept.add(node)
-            kept |= adj[node]
+            kept.update(index.names[i] for i in index.neighbors(ego).tolist())
     kept &= graph.candidates
 
-    out_f: dict[str, float] = {}
-    in_t: dict[str, float] = {}
-    in_p: dict[str, float] = {}
-    for (src, dst), stats in graph.edges.items():
-        out_f[src] = out_f.get(src, 0.0) + stats.placements
-        in_t[dst] = in_t.get(dst, 0.0) + stats.duration
-        in_p[dst] = in_p.get(dst, 0.0) + stats.avg_weight
+    # Only the kept nodes' totals are read: sum them over the edges touching
+    # a kept node, each total in edge-table order as one += per edge.
+    n = len(index.names)
+    in_kept = np.zeros(n, bool)
+    in_kept[[index.ids[node] for node in kept]] = True
+    touching = np.flatnonzero(in_kept[index.src] | in_kept[index.dst])
+    edge_stats = list(graph.edges.values())
+    stats = [edge_stats[i] for i in touching.tolist()]
+    placements = np.fromiter(map(attrgetter("placements"), stats), float, len(stats))
+    duration = np.fromiter(map(attrgetter("duration"), stats), float, len(stats))
+    avg_weight = np.fromiter(map(attrgetter("avg_weight"), stats), float, len(stats))
+    src, dst = index.src[touching], index.dst[touching]
+    out_f = np.bincount(src, placements, n).tolist()
+    in_t = np.bincount(dst, duration, n).tolist()
+    in_p = np.bincount(dst, avg_weight, n).tolist()
 
-    def intensity(src: str, dst: str) -> float:
-        stats = graph.edges.get((src, dst))
+    def intensity(a: int, b: int) -> float:
+        stats = graph.edges.get((index.names[a], index.names[b]))
         if stats is None:
             return 0.0
-        f_share = stats.placements / out_f[src] if out_f[src] > 0 else 0.0
-        t_share = stats.duration / in_t[dst] if in_t[dst] > 0 else 0.0
-        p_share = stats.avg_weight / in_p[dst] if in_p[dst] > 0 else 0.0
+        f_share = stats.placements / out_f[a] if out_f[a] > 0 else 0.0
+        t_share = stats.duration / in_t[b] if in_t[b] > 0 else 0.0
+        p_share = stats.avg_weight / in_p[b] if in_p[b] > 0 else 0.0
         return (f_share + t_share + p_share) / 3.0
 
     h = nx.Graph()
     h.add_nodes_from(sorted(kept))
-    pairs = {tuple(sorted((s, d))) for (s, d) in graph.edges
-             if s in kept and d in kept}
-    for a, b in sorted(pairs):
-        h.add_edge(a, b, weight=intensity(a, b) + intensity(b, a))
+    inside = in_kept[src] & in_kept[dst]
+    lo = np.minimum(src[inside], dst[inside])
+    hi = np.maximum(src[inside], dst[inside])
+    for pair in np.unique(lo * n + hi).tolist():  # ids follow name order
+        a, b = divmod(pair, n)
+        h.add_edge(index.names[a], index.names[b],
+                   weight=intensity(a, b) + intensity(b, a))
     return h
 
 
@@ -342,14 +413,15 @@ def detect_gangs(weighted: nx.Graph, seed: int = 0) -> GangReport:
 def run_pipeline(graph: VotingGraph, outlier_pct: float = 0.10,
                  seed: int = 0) -> GangReport:
     """Full three-step pipeline from a voting network to a gang report."""
-    features = egonet_features(graph)
+    index = NodeIndex.of(graph)
+    features = egonet_features(graph, index=index)
     fit = fit_edpl(features)
     scores = outlierness(features, fit)
     anomalies = select_anomalies(features, fit, scores, pct=outlier_pct)
     if not anomalies:
         return GangReport(communities=[], modularity=0.0, pruned=[], fit=fit,
                           scores=scores, anomalies=[])
-    weighted = reconstruct_weighted_network(graph, anomalies)
+    weighted = reconstruct_weighted_network(graph, anomalies, index=index)
     report = detect_gangs(weighted, seed=seed)
     return GangReport(communities=report.communities, modularity=report.modularity,
                       pruned=report.pruned, fit=fit, scores=scores,

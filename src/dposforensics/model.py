@@ -115,6 +115,11 @@ def compute_vote_weight(stake: int, index: float) -> float:
     return weight
 
 
+def _is_number(value: Any, kinds) -> bool:
+    """isinstance(value, kinds), except that a bool is no number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _require(condition: bool, message: str, field_name: str) -> None:
     if not condition:
         raise ParseError(message, field_name)
@@ -131,7 +136,7 @@ def _validate_payload(kind: ActionKind, actor: str, payload: Any) -> dict:
         return {"created": created, "creator": creator}
     if kind in (ActionKind.DELEGATE_BW, ActionKind.UNDELEGATE_BW):
         amount = payload.get("amount")
-        _require(isinstance(amount, int) and not isinstance(amount, bool),
+        _require(_is_number(amount, int),
                  "amount must be an integer of base units", "payload.amount")
         _require(amount >= 0, "amount must be non-negative", "payload.amount")
         return {"amount": amount}
@@ -170,13 +175,13 @@ def make_action(kind: ActionKind | str, actor: str, timestamp: int, block: int,
     except ValueError:
         raise ParseError(f"unknown action kind '{kind}'", "kind") from None
     validate_name(actor, "actor")
-    if not isinstance(timestamp, (int, float)):
+    if not _is_number(timestamp, (int, float)):
         raise ParseError("timestamp must be numeric", "timestamp")
     _require(TIME_MIN <= timestamp <= TIME_MAX,
              f"timestamp must fall in the UTC years 1 to 9999, got {timestamp!r}", "timestamp")
-    if not isinstance(block, int) or block < 0:
+    if not _is_number(block, int) or block < 0:
         raise ParseError("block must be a non-negative integer", "block")
-    if not isinstance(seq, int):
+    if not _is_number(seq, int):
         raise ParseError("seq must be an integer", "seq")
     payload = _validate_payload(kind, actor, payload or {})
     return Action(kind=kind, actor=actor, timestamp=int(timestamp), block=block,
@@ -231,11 +236,13 @@ def parse_header(line: str) -> BlockHeader:
 
 
 def _header_number(record: dict, key: str, kind: type):
+    value = record[key]
     try:
-        return kind(record[key])
+        if not isinstance(value, bool):
+            return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"header field '{key}' must be numeric, got "
-                         f"{record[key]!r}", key) from None
+        pass
+    raise ParseError(f"header field '{key}' must be numeric, got {value!r}", key)
 
 
 def serialize_header(header: BlockHeader) -> str:

@@ -3,7 +3,9 @@ patterns within a sliding time window, with monthly occurrence series.
 
 Vote events are the flattened voteproducer actions: a direct vote yields one
 event per chosen candidate, and a proxy's vote additionally yields one event
-per currently delegating account with the proxy recorded on the event.
+per currently delegating account with the proxy recorded on the event. The
+replay keeps one record per vote and flattens on demand, to the events
+between candidates when that is all the detectors read.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Optional, Sequence
 
 from .model import Action, ActionKind
 from .metrics import utc_month
-from .replay import Observer, VotingState, replay
+from .replay import VotingState, replay
 
 DEFAULT_WINDOW = 7 * 86_400
 
@@ -41,30 +43,52 @@ class MotifInstance:
         return min(e.timestamp for e in self.witnesses)
 
 
-def record_vote_events(events: list[VoteEvent]) -> Observer:
-    """Replay observer that appends the events of each applied voteproducer
-    action to `events`. A direct vote leaves the voter's own delegators and
-    proxy flag as they were, so reading them after the action is exact."""
-    def observe(action: Action, state: VotingState) -> None:
+class VoteRecorder:
+    """Replay observer that keeps one record per applied direct vote: the
+    voter, its candidates, the time, and the voter's delegators (sorted) if
+    it is a registered proxy. A direct vote leaves the voter's own delegators
+    and proxy flag as they were, so reading them after the action is exact.
+    """
+
+    def __init__(self) -> None:
+        self.records: list[tuple[str, Sequence[str], int, tuple[str, ...]]] = []
+
+    def __call__(self, action: Action, state: VotingState) -> None:
         if action.kind is not ActionKind.VOTE_PRODUCER or action.payload["proxy"]:
             return
         actor = action.actor
-        delegators: list[str] = []
+        delegators: tuple[str, ...] = ()
         if state.accounts[actor].is_proxy:
-            delegators = sorted(state.delegators.get(actor, ()))
-        for cand in action.payload["producers"]:
-            events.append(VoteEvent(actor, cand, None, action.timestamp))
-            for delegator in delegators:
-                events.append(VoteEvent(delegator, cand, actor, action.timestamp))
+            delegators = tuple(sorted(state.delegators.get(actor, ())))
+        self.records.append(
+            (actor, action.payload["producers"], action.timestamp, delegators))
 
-    return observe
+    def events(self, candidates: Optional[set[str]] = None) -> list[VoteEvent]:
+        """The records flattened in vote order: per chosen candidate, the
+        voter's own event, then one per delegator via the voter. With
+        `candidates`, only the events between two candidates."""
+        events = []
+        for actor, producers, timestamp, delegators in self.records:
+            own = True
+            if candidates is not None:
+                own = actor in candidates
+                delegators = tuple(d for d in delegators if d in candidates)
+                if not (own or delegators):
+                    continue
+                producers = [c for c in producers if c in candidates]
+            for cand in producers:
+                if own:
+                    events.append(VoteEvent(actor, cand, None, timestamp))
+                for delegator in delegators:
+                    events.append(VoteEvent(delegator, cand, actor, timestamp))
+        return events
 
 
 def build_vote_events(trace: Sequence[Action]) -> list[VoteEvent]:
     """Replay the trace and flatten applied voteproducer actions to events."""
-    events: list[VoteEvent] = []
-    replay(trace, [record_vote_events(events)])
-    return events
+    recorder = VoteRecorder()
+    replay(trace, [recorder])
+    return recorder.events()
 
 
 def _index_events(events: Sequence[VoteEvent]):

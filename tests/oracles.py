@@ -11,9 +11,16 @@ from itertools import combinations
 
 import networkx as nx
 
-from dposforensics.model import SECONDS_PER_DAY, VOTE_INDEX_EPOCH, compute_vote_weight
+from dposforensics.model import (
+    SECONDS_PER_DAY,
+    VOTE_INDEX_EPOCH,
+    ActionKind,
+    compute_vote_weight,
+)
 from dposforensics.clustering import record_similarity
+from dposforensics.gangs import EdgeStats
 from dposforensics.motifs import EIGHT, LINEAR, TRIANGULAR
+from dposforensics.replay import replay
 
 
 def recompute_candidate_weights(state) -> dict[str, float]:
@@ -143,6 +150,65 @@ def hill_alpha(values) -> float:
     x_min = values[0]
     n = len(values)
     return 1.0 + n / sum(math.log(v / x_min) for v in values)
+
+
+def brute_voting_network(trace, end_time) -> dict[tuple[str, str], EdgeStats]:
+    """Every (src, dst) voting edge re-derived from the account table.
+
+    After each applied action, every account's backing is read afresh. An
+    edge is in force while src backs dst (dst != src); a change of src's
+    weight ends a segment and starts another. A placement is counted when an
+    edge comes into force, and when a direct vote by src, or by src's proxy,
+    places it again. Edges are listed in the order they first come into
+    force; within one action the actor's edges come first, then the others
+    in (src, dst) order. Each edge's integral is the fsum of its segments;
+    the votes in force at end_time are closed there.
+    """
+    edges: dict[tuple[str, str], EdgeStats] = {}
+    segments: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    in_force: dict[tuple[str, str], tuple[float, float]] = {}  # (start, weight)
+
+    def end_segment(key, t):
+        start, weight = in_force[key]
+        segments[key].append((t - start, weight))
+
+    def observe(action, state):
+        t = action.timestamp
+        replacer = (action.actor if action.kind is ActionKind.VOTE_PRODUCER
+                    and not action.payload["proxy"] else None)
+        backed = {}
+        for name in state.accounts:
+            votes, weight = state.backing(name)
+            for dst in votes:
+                if dst != name:
+                    backed[(name, dst)] = weight
+        for key in [k for k in in_force if k not in backed]:
+            end_segment(key, t)
+            del in_force[key]
+        for key in sorted(backed, key=lambda k: (k[0] != action.actor, k)):
+            weight = backed[key]
+            if key in in_force:
+                if in_force[key][1] != weight:
+                    end_segment(key, t)
+                    in_force[key] = (t, weight)
+                placed = replacer is not None and replacer in (
+                    key[0], state.accounts[key[0]].proxy)
+            else:
+                edges.setdefault(key, EdgeStats())
+                segments.setdefault(key, [])
+                in_force[key] = (t, weight)
+                placed = True
+            if placed:
+                edges[key].placements += 1
+                edges[key].last_weight = weight
+
+    replay(trace, [observe])
+    for key in in_force:
+        end_segment(key, end_time)
+    for key, stats in edges.items():
+        stats.duration = sum(span for span, _ in segments[key])
+        stats.weight_integral = math.fsum(span * w for span, w in segments[key])
+    return edges
 
 
 def brute_intensity(graph, src, dst) -> float:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import dposforensics
 from dposforensics.cli import main
@@ -280,8 +282,23 @@ BAD_INPUTS = {
     # A vote in the year 3237: its index passes 1024, and 2^1024 overflows.
     "trace_index_overflow": ("trace.jsonl", _overflowing_trace(1, 40_000_000_000),
                              "vote weight overflow"),
+    "trace_timestamp_bool": ("trace.jsonl",
+                             _action_line("regproducer", "bpa", "true", "{}"),
+                             "line 1"),
+    "trace_block_bool": ("trace.jsonl",
+                         _action_line("regproducer", "bpa", str(T0), "{}").replace(
+                             '"block": 1', '"block": true'), "line 1"),
+    "trace_seq_bool": ("trace.jsonl",
+                       _action_line("regproducer", "bpa", str(T0), "{}").replace(
+                           '"seq": 0', '"seq": false'), "line 1"),
     "header_height": ("headers.jsonl",
                       '{"height": "x", "producer": "bpa", "timestamp": 1}', "line 1"),
+    "header_height_bool": ("headers.jsonl",
+                           '{"height": true, "producer": "bpa", "timestamp": 1}',
+                           "line 1"),
+    "header_timestamp_bool": ("headers.jsonl",
+                              '{"height": 1, "producer": "bpa", "timestamp": true}',
+                              "line 1"),
     "header_not_object": ("headers.jsonl", "5", "line 1"),
     "header_timestamp": ("headers.jsonl",
                          '{"height": 1, "producer": "bpa", "timestamp": "y"}', "line 1"),
@@ -390,3 +407,97 @@ def test_all_leaves_no_reports_when_gang_detection_fails(ledger_dir, tmp_path):
     assert result.exit_code == 3, result.output
     assert "gang detection failed" in result.output
     assert not out.exists()
+
+
+def _fuzz_trace() -> list[dict]:
+    """A short valid trace with every action kind, as JSON records."""
+    b = TraceBuilder().regproducer("bpa").regproducer("bpb")
+    b.newaccount("genesis", "pool").regproxy("pool").vote("pool", ["bpa"])
+    b.newaccount("genesis", "alice").delegate("alice", 5 * 10_000)
+    b.vote_proxy("alice", "pool").undelegate("alice", 10_000)
+    b.vote("alice", ["bpa", "bpb"])
+    return [json.loads(serialize_action(a)) for a in b.build()]
+
+
+FUZZ_TRACE = _fuzz_trace()
+FUZZ_HEADERS = [{"height": h, "producer": ("bpa", "bpb")[h % 2],
+                 "timestamp": T0 + h * DAY / 2} for h in range(1, 6)]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([0, -1, 10**400, 2**63])
+    | st.integers(-2**40, 2**40) | st.floats() | st.text(max_size=14),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def one_field_changed(draw, value):
+    """A deep copy of value with one field replaced by any JSON value, or
+    deleted if it is a dict entry. The field is found by descending from the
+    top one level at a time, so a top-level field is hit as often as one deep
+    inside a long list."""
+    value = copy.deepcopy(value)
+    parent, key = None, None
+    node = value
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or draw(st.booleans())):
+        parent = node
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        node = parent[key]
+    if isinstance(parent, dict) and draw(st.integers(0, 4)) == 0:
+        del parent[key]
+    else:
+        parent[key] = draw(json_values)
+    return value
+
+
+def _assert_clean_exit(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3), (result.exit_code, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+def _jsonl(records) -> str:
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "trace.jsonl").write_text(_jsonl(FUZZ_TRACE))
+    (path / "headers.jsonl").write_text(_jsonl(FUZZ_HEADERS))
+    return path
+
+
+FUZZ = settings(max_examples=80, derandomize=True, deadline=None)
+
+
+@FUZZ
+@given(records=one_field_changed(FUZZ_TRACE))
+def test_fuzzed_trace_line_replays_or_exits_cleanly(records, fuzz_dir):
+    trace = fuzz_dir / "fuzzed_trace.jsonl"
+    trace.write_text(_jsonl(records))
+    _assert_clean_exit(["replay", str(trace), "-o", str(fuzz_dir / "out")])
+
+
+@FUZZ
+@given(records=one_field_changed(FUZZ_HEADERS))
+def test_fuzzed_header_line_gives_metrics_or_exits_cleanly(records, fuzz_dir):
+    headers = fuzz_dir / "fuzzed_headers.jsonl"
+    headers.write_text(_jsonl(records))
+    _assert_clean_exit(["metrics", str(fuzz_dir / "trace.jsonl"), str(headers),
+                        "-o", str(fuzz_dir / "out")])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_truth_scores_or_exits_cleanly(data, ledger_dir, report_dir,
+                                              fuzz_dir):
+    truth = json.loads((ledger_dir / "truth.json").read_text())
+    path = fuzz_dir / "truth.json"
+    path.write_text(json.dumps(data.draw(one_field_changed(truth))))
+    _assert_clean_exit(["score", str(report_dir), str(path),
+                        "-o", str(fuzz_dir / "out")])

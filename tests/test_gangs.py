@@ -20,9 +20,15 @@ from dposforensics.gangs import (
     select_anomalies,
 )
 from dposforensics.model import compute_vote_index, compute_vote_weight
+from dposforensics.synth import GenConfig, PlantSpec, generate_ledger
 
 from conftest import T0, DAY, TraceBuilder, random_trace
-from oracles import brute_egonet, brute_intensity, undirected_view
+from oracles import (
+    brute_egonet,
+    brute_intensity,
+    brute_voting_network,
+    undirected_view,
+)
 
 EOS = 10_000
 
@@ -99,6 +105,23 @@ class TestEdgeStats:
         b.vote("bp.a", ["bp.a"], ts=T0 + 100)
         graph = build_voting_network(b.build())
         assert ("bp.a", "bp.a") not in graph.edges
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_actions=st.integers(0, 250),
+           extra_days=st.integers(0, 30))
+    def test_matches_oracle_on_random_traces(self, seed, n_actions, extra_days):
+        trace = random_trace(seed, n_actions=n_actions, n_accounts=20,
+                             n_candidates=5, n_proxies=3)
+        end_time = trace[-1].timestamp + extra_days * DAY
+        graph = build_voting_network(trace, end_time=end_time)
+        expected = brute_voting_network(trace, end_time)
+        assert list(graph.edges) == list(expected)
+        for key, stats in graph.edges.items():
+            want = expected[key]
+            assert (stats.placements, stats.last_weight, stats.duration) == (
+                want.placements, want.last_weight, want.duration), key
+            assert stats.weight_integral == pytest.approx(
+                want.weight_integral, rel=1e-12), key
 
 
 def star_clique_graph(n_stars=60, star_size=6, clique_size=8):
@@ -268,12 +291,19 @@ class TestReconstruction:
                         1.0, abs=1e-9)
 
     def test_edge_weight_matches_intensity_oracle(self):
-        graph = self.trace_graph()
-        anomalies = sorted(graph.candidates)[:4]
-        weighted = reconstruct_weighted_network(graph, anomalies)
+        # the planted near clique makes candidates vote for each other, so
+        # the reconstruction has candidate-to-candidate edges to weigh
+        trace, _, truth = generate_ledger(GenConfig(
+            seed=3, n_accounts=160, n_candidates=22, n_proxies=3,
+            duration_days=30, participation_rate=0.3, rounds_per_day=1,
+            plants=[PlantSpec(kind="near_clique", size=6)]))
+        graph = build_voting_network(trace)
+        weighted = reconstruct_weighted_network(graph,
+                                                truth["plants"][0]["members"])
+        assert weighted.number_of_edges() > 0
         for a, b, data in weighted.edges(data=True):
             expected = brute_intensity(graph, a, b) + brute_intensity(graph, b, a)
-            assert data["weight"] == pytest.approx(expected, rel=1e-9)
+            assert data["weight"] == expected, (a, b)
 
     def test_kept_nodes_limited_to_candidate_egonets(self):
         graph, clique = star_clique_graph(n_stars=10, clique_size=6)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dposforensics.motifs import (
     DEFAULT_WINDOW,
@@ -8,6 +9,7 @@ from dposforensics.motifs import (
     LINEAR,
     TRIANGULAR,
     VoteEvent,
+    VoteRecorder,
     build_vote_events,
     detect_eight,
     detect_linear,
@@ -16,7 +18,9 @@ from dposforensics.motifs import (
     verify_instance,
 )
 
-from conftest import T0, DAY, TraceBuilder
+from dposforensics.replay import replay
+
+from conftest import T0, DAY, TraceBuilder, random_trace
 from oracles import (
     brute_eight,
     brute_linear,
@@ -176,6 +180,24 @@ class TestBuildEvents:
         b.vote_proxy("alice", "proxyone", ts=T0 + 200)
         events = build_vote_events(b.build())
         assert all(e.src != "alice" for e in events)
+
+
+ACCOUNTS = [f"acct{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(24)]
+
+
+class TestVoteRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_actions=st.integers(0, 300),
+           candidates=st.sets(st.sampled_from(ACCOUNTS)))
+    def test_restricted_flattening_filters_the_full_one(self, seed, n_actions,
+                                                        candidates):
+        trace = random_trace(seed, n_actions=n_actions, n_accounts=24,
+                             n_candidates=6, n_proxies=4)
+        recorder = VoteRecorder()
+        replay(trace, [recorder])
+        flattened = recorder.events()
+        assert recorder.events(candidates) == [
+            e for e in flattened if e.src in candidates and e.dst in candidates]
 
 
 def random_events(seed, n_events=300, n_accounts=20, n_proxies=4, span_days=45):
