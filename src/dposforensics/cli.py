@@ -10,6 +10,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -115,7 +116,8 @@ def _load_trace_or_die(trace_path: str):
 
 def _replay_or_die(trace, observers=(), cadence=None):
     """The command's one fold of the trace: (state, rejected), plus the
-    snapshots at the cadence's sample times when a cadence is given."""
+    snapshots at the sample times of a cadence from _cadence_or_die when one
+    is given."""
     try:
         if cadence is None:
             return replay(trace, observers)
@@ -135,30 +137,53 @@ def _end_time(trace) -> float:
     return trace[-1].timestamp if trace else 0.0
 
 
-def _read_json_or_die(path) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        _fail(EXIT_DATA, f"unreadable {path}: {exc}")
-    if not isinstance(payload, dict):
-        _fail(EXIT_DATA, f"unreadable {path}: not a JSON object")
-    return payload
-
-
-def _snapshot_times(trace, cadence: str) -> list[int]:
+def _snapshot_times(trace, cadence: str | int) -> list[int]:
     if not trace:
         return []
     start, end = trace[0].timestamp, trace[-1].timestamp + 1
     if cadence == "monthly":
         return monthly_sample_times(start, end)
+    return list(range(start + cadence - 1, end + cadence, cadence))
+
+
+# The numeric options are checked before the trace is read, each exiting 2
+# with a message that names it.
+
+def _cadence_or_die(cadence: str) -> str | int:
+    """'monthly', or the step in whole seconds of a cadence given in days."""
+    if cadence == "monthly":
+        return cadence
     try:
-        days = float(cadence)
+        step = float(cadence) * 86_400
     except ValueError:
-        _fail(EXIT_USAGE, f"bad snapshot cadence '{cadence}' (use 'monthly' or days)")
-    if days <= 0:
-        _fail(EXIT_USAGE, "snapshot cadence must be positive")
-    step = int(days * 86_400)
-    return list(range(start + step - 1, end + step, step))
+        _fail(EXIT_USAGE, f"bad snapshot-cadence '{cadence}' (use 'monthly' or days)")
+    if not 1 <= step < math.inf:
+        _fail(EXIT_USAGE, f"snapshot-cadence must be a finite number of days, "
+                          f"at least one second, got '{cadence}'")
+    return int(step)
+
+
+def _fraction_or_die(value: float, option: str) -> None:
+    if not 0 < value <= 1:
+        _fail(EXIT_USAGE, f"{option} out of range (0, 1]")
+
+
+def _window_or_die(window_days: float) -> None:
+    if not 0 < window_days * 86_400 < math.inf:
+        _fail(EXIT_USAGE, f"window-days must be positive and finite, got {window_days}")
+
+
+def _entropy_ns_or_die(entropy_n: str) -> list[int | None]:
+    """The entropy top-n list: integers, with 'all' for every producer."""
+    ns: list[int | None] = []
+    for token in entropy_n.split(","):
+        token = token.strip()
+        try:
+            ns.append(None if token == "all" else int(token))
+        except ValueError:
+            _fail(EXIT_USAGE, f"bad entropy-n '{entropy_n}' (use integers or "
+                              f"'all', comma-separated)")
+    return ns
 
 
 @click.group()
@@ -221,11 +246,7 @@ def _metric_params(entropy_n: str, top_stake_pct: float, cadence: str) -> dict:
 
 
 def _run_metrics(snapshots, headers, reports: dict[str, str], manifest: dict,
-                 entropy_n: str, top_stake_pct: float) -> dict:
-    ns: list[int | None] = []
-    for token in entropy_n.split(","):
-        token = token.strip()
-        ns.append(None if token == "all" else int(token))
+                 ns: list[int | None], top_stake_pct: float) -> dict:
     production = monthly_production(headers)
     rows = []
     for month, counts in production.items():
@@ -282,8 +303,11 @@ def _run_metrics(snapshots, headers, reports: dict[str, str], manifest: dict,
 def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
             snapshot_cadence) -> None:
     """Decentralization metrics: entropy, turnover, distributions, shares."""
+    ns = _entropy_ns_or_die(entropy_n)
+    _fraction_or_die(top_stake_pct, "top-stake-pct")
+    cadence = _cadence_or_die(snapshot_cadence)
     trace = _load_trace_or_die(trace_path)
-    _, _, snapshots = _replay_or_die(trace, cadence=snapshot_cadence)
+    _, _, snapshots = _replay_or_die(trace, cadence=cadence)
     try:
         headers = load_headers(headers_path)
     except ParseError as exc:
@@ -291,7 +315,7 @@ def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
     manifest = _manifest("metrics", {"trace": trace_path, "headers": headers_path},
                          _metric_params(entropy_n, top_stake_pct, snapshot_cadence))
     reports: dict[str, str] = {}
-    _run_metrics(snapshots, headers, reports, manifest, entropy_n, top_stake_pct)
+    _run_metrics(snapshots, headers, reports, manifest, ns, top_stake_pct)
     out_dir = _write_reports(out, reports)
     click.echo(f"metrics written to {out_dir}")
 
@@ -335,10 +359,11 @@ def _run_cluster(trace, snapshots, reports: dict[str, str], manifest: dict,
 @click.option("--snapshot-cadence", default="monthly", show_default=True)
 def cluster(trace_path, out, theta, top_stake_pct, snapshot_cadence) -> None:
     """Similar-voting clusters among the top stakeholders."""
-    if not 0 < theta <= 1:
-        _fail(EXIT_USAGE, "theta out of range (0, 1]")
+    _fraction_or_die(theta, "theta")
+    _fraction_or_die(top_stake_pct, "top-stake-pct")
+    cadence = _cadence_or_die(snapshot_cadence)
     trace = _load_trace_or_die(trace_path)
-    _, _, snapshots = _replay_or_die(trace, cadence=snapshot_cadence)
+    _, _, snapshots = _replay_or_die(trace, cadence=cadence)
     _need_snapshots(snapshots)
     manifest = _manifest("cluster", {"trace": trace_path},
                          {"theta": theta, "top_stake_pct": top_stake_pct,
@@ -385,8 +410,7 @@ def _run_motifs(events, candidates, reports: dict[str, str], manifest: dict,
 @click.option("--window-days", default=7.0, show_default=True)
 def motifs(trace_path, out, window_days) -> None:
     """Mutual-voting motifs (linear, triangular, eight-shaped)."""
-    if window_days <= 0:
-        _fail(EXIT_USAGE, "window-days must be positive")
+    _window_or_die(window_days)
     trace = _load_trace_or_die(trace_path)
     votes = VoteRecorder()
     state, _ = _replay_or_die(trace, [votes])
@@ -428,8 +452,7 @@ def _run_gangs(graph, reports: dict[str, str], manifest: dict, outlier_pct: floa
 @click.option("--seed", default=0, show_default=True)
 def gangs(trace_path, out, outlier_pct, seed) -> None:
     """Mutual-voting gang pipeline (egonet scoring, reconstruction, Louvain)."""
-    if not 0 < outlier_pct <= 1:
-        _fail(EXIT_USAGE, "outlier-pct out of range (0, 1]")
+    _fraction_or_die(outlier_pct, "outlier-pct")
     trace = _load_trace_or_die(trace_path)
     network = NetworkBuilder()
     _replay_or_die(trace, [network])
@@ -456,12 +479,16 @@ def gangs(trace_path, out, outlier_pct, seed) -> None:
 def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
             outlier_pct, entropy_n, seed, snapshot_cadence) -> None:
     """Run every analysis and emit a cross-method overlap summary."""
-    if not 0 < theta <= 1:
-        _fail(EXIT_USAGE, "theta out of range (0, 1]")
+    _fraction_or_die(theta, "theta")
+    _window_or_die(window_days)
+    _fraction_or_die(top_stake_pct, "top-stake-pct")
+    _fraction_or_die(outlier_pct, "outlier-pct")
+    ns = _entropy_ns_or_die(entropy_n)
+    cadence = _cadence_or_die(snapshot_cadence)
     trace = _load_trace_or_die(trace_path)
     votes = VoteRecorder()
     network = NetworkBuilder()
-    _, _, snapshots = _replay_or_die(trace, [votes, network], snapshot_cadence)
+    _, _, snapshots = _replay_or_die(trace, [votes, network], cadence)
     _need_snapshots(snapshots)
     graph = network.finish(_end_time(trace))
     try:
@@ -475,7 +502,7 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     manifest = _manifest("all", {"trace": trace_path, "headers": headers_path},
                          params)
     reports: dict[str, str] = {}  # written once gang detection has succeeded
-    _run_metrics(snapshots, headers, reports, manifest, entropy_n, top_stake_pct)
+    _run_metrics(snapshots, headers, reports, manifest, ns, top_stake_pct)
     cluster_payload = _run_cluster(trace, snapshots, reports, manifest, theta,
                                    top_stake_pct)
     del snapshots  # the fold's products are large; free each once it is used
@@ -507,6 +534,16 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     click.echo(f"full report written to {out_dir}")
 
 
+# Shapes of the files `score` reads. A dict is an object with those keys (a
+# key ending in "?" may be absent), a one-item list is a list of items of
+# that shape, and a type is an instance of it.
+NAMES = [str]
+MANIFEST = {"manifest?": {"digests?": {}}}
+TRUTH = {**MANIFEST, "plants?": [{"kind": str}]}
+REPORTS = {"clusters.json": {**MANIFEST, "clusters": [{"members": NAMES}]},
+           "gangs.json": {**MANIFEST, "communities": [NAMES]},
+           "motifs.json": MANIFEST}
+MOTIF_LINE = {"shape": str, "participants": NAMES}
 # The field of each scored plant kind that lists its planted accounts: one
 # group of names, or one name tuple per planted motif instance.
 PLANT_GROUPS = {"similar_cluster": "members", "near_clique": "members",
@@ -514,40 +551,50 @@ PLANT_GROUPS = {"similar_cluster": "members", "near_clique": "members",
                 "eight_gang": "quads"}
 
 
-def _plants_or_die(truth: dict, truth_path: str) -> dict[str, list[dict]]:
-    """The truth file's plants by kind; exit 3 naming the file when a plant
-    has no kind or a scored plant lacks its list of account names."""
-    def names(value) -> bool:
-        return isinstance(value, list) and all(isinstance(n, str) for n in value)
+def _misfit(value, shape, where: str = "") -> str | None:
+    """Where and how `value` first departs from `shape`; None if it fits."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return f"{where or 'the file'} is not an object"
+        for key, inner in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                problem = _misfit(value[name], inner,
+                                  f"{where}.{name}" if where else name)
+                if problem:
+                    return problem
+            elif name == key:
+                return f"{where or 'the file'} has no '{name}'"
+        return None
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            return f"{where} is not a list"
+        for i, item in enumerate(value):
+            problem = _misfit(item, shape[0], f"{where}[{i}]")
+            if problem:
+                return problem
+        return None
+    return None if isinstance(value, shape) else f"{where} is not a {shape.__name__}"
 
-    plants = truth.get("plants", [])
-    if not isinstance(plants, list):
-        _fail(EXIT_DATA, f"malformed {truth_path}: 'plants' is not a list")
-    by_kind: dict[str, list[dict]] = {}
-    for i, plant in enumerate(plants):
-        if not isinstance(plant, dict) or not isinstance(plant.get("kind"), str):
-            _fail(EXIT_DATA, f"malformed {truth_path}: plant {i} has no 'kind'")
-        kind = plant["kind"]
-        field = PLANT_GROUPS.get(kind)
-        if field is None:  # not scored
-            continue
-        groups = plant.get(field)
-        if not (names(groups) if field == "members" else
-                isinstance(groups, list) and all(map(names, groups))):
-            _fail(EXIT_DATA, f"malformed {truth_path}: {kind} plant {i} needs "
-                             f"'{field}' as a list of account names")
-        by_kind.setdefault(kind, []).append(plant)
-    return by_kind
+
+def _fit_or_die(value, shape, path, where: str = ""):
+    """`value`, once it fits `shape`; exit 3 naming the file otherwise."""
+    problem = _misfit(value, shape, where)
+    if problem:
+        _fail(EXIT_DATA, f"malformed {path}: {problem}")
+    return value
 
 
-def _trace_digest_or_die(payload: dict, path) -> str | None:
-    """The trace digest in a file's manifest, if it names one; exit 3 naming
-    the file when its manifest or the manifest's digests are not objects."""
-    manifest = payload.get("manifest", {})
-    digests = manifest.get("digests", {}) if isinstance(manifest, dict) else None
-    if not isinstance(digests, dict):
-        _fail(EXIT_DATA, f"malformed {path}: 'manifest' needs a 'digests' object")
-    return digests.get("trace")
+def _read_json_or_die(path, shape) -> dict:
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        _fail(EXIT_DATA, f"unreadable {path}: {exc}")
+    return _fit_or_die(payload, shape, path)
+
+
+def _trace_digest(payload: dict):
+    return payload.get("manifest", {}).get("digests", {}).get("trace")
 
 
 @main.command()
@@ -557,16 +604,22 @@ def _trace_digest_or_die(payload: dict, path) -> str | None:
 def score(report_dir, truth_path, out) -> None:
     """Score detection reports in REPORT_DIR against a truth file."""
     report_dir = Path(report_dir)
-    truth = _read_json_or_die(truth_path)
-    by_kind = _plants_or_die(truth, truth_path)
-    truth_digest = _trace_digest_or_die(truth, truth_path)
+    truth = _read_json_or_die(truth_path, TRUTH)
+    by_kind: dict[str, list[dict]] = {}
+    for i, plant in enumerate(truth.get("plants", [])):
+        field = PLANT_GROUPS.get(plant["kind"])
+        if field is not None:  # a scored kind
+            _fit_or_die(plant, {field: NAMES if field == "members" else [NAMES]},
+                        truth_path, f"plants[{i}]")
+            by_kind.setdefault(plant["kind"], []).append(plant)
+    truth_digest = _trace_digest(truth)
 
     def load_report(name: str) -> dict | None:
         path = report_dir / name
         if not path.exists():
             return None
-        payload = _read_json_or_die(path)
-        digest = _trace_digest_or_die(payload, path)
+        payload = _read_json_or_die(path, REPORTS[name])
+        digest = _trace_digest(payload)
         if truth_digest and digest and digest != truth_digest:
             _fail(EXIT_USAGE,
                   f"{name} was produced from a different trace than the truth file")
@@ -579,10 +632,12 @@ def score(report_dir, truth_path, out) -> None:
     if motif_path.exists():
         load_report("motifs.json")
         try:
-            motif_lines = [json.loads(l) for l in
-                           motif_path.read_text(encoding="utf-8").splitlines() if l]
+            lines = [(n, json.loads(l)) for n, l in enumerate(
+                motif_path.read_text(encoding="utf-8").splitlines(), 1) if l]
         except ValueError as exc:
             _fail(EXIT_DATA, f"unreadable {motif_path}: {exc}")
+        motif_lines = [_fit_or_die(line, MOTIF_LINE, motif_path, f"line {n}")
+                       for n, line in lines]
 
     results: dict[str, dict] = {}
     if "similar_cluster" in by_kind and clusters is not None:

@@ -10,13 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .model import Action, ActionKind
 from .replay import VotingState, replay
+
+if TYPE_CHECKING:  # networkx loads only when a weighted network is built
+    import networkx as nx
 
 
 class GangError(Exception):
@@ -304,6 +306,8 @@ def reconstruct_weighted_network(graph: VotingGraph, anomalies: Sequence[str],
     i's placement count toward j over i's total placements, and j's received
     duration / average-weight from i over j's totals.
     """
+    import networkx as nx
+
     if not anomalies:
         raise GangError("nothing to reconstruct: empty anomaly set")
     if index is None:
@@ -392,6 +396,8 @@ def _modularity(weighted: nx.Graph, partition: Sequence[set[str]]) -> float:
 def detect_gangs(weighted: nx.Graph, seed: int = 0) -> GangReport:
     """Weighted Louvain communities, then drop single-edge members and emit
     communities keeping at least two members."""
+    import networkx as nx
+
     if weighted.number_of_nodes() == 0:
         raise GangError("empty reconstructed network")
     partition = nx.community.louvain_communities(

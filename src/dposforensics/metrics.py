@@ -4,13 +4,14 @@ top-share concentration, proxy share series, and producer turnover.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import BlockHeader
+from .model import SECONDS_PER_DAY, BlockHeader
 from .replay import VotingSnapshot
 
 
@@ -26,6 +27,28 @@ def utc_month(ts: float) -> tuple[int, int]:
 def utc_day(ts: float) -> tuple[int, int, int]:
     dt = datetime.fromtimestamp(ts, tz=timezone.utc)
     return (dt.year, dt.month, dt.day)
+
+
+def utc_days(timestamps: Iterable[float]) -> list[tuple[int, int, int]]:
+    """utc_day of each timestamp. A time at least a second from either end of
+    its day takes its date from the day's start, converted once per day."""
+    days: dict[float, tuple[int, int, int]] = {}
+    result = []
+    for ts in timestamps:
+        if 1 <= ts % SECONDS_PER_DAY < SECONDS_PER_DAY - 1:
+            start = ts // SECONDS_PER_DAY * SECONDS_PER_DAY
+            day = days.get(start)
+            if day is None:
+                day = days[start] = utc_day(start)
+        else:  # rounding to microseconds may carry it into another day
+            day = utc_day(ts)
+        result.append(day)
+    return result
+
+
+def _day_producers(headers: Sequence[BlockHeader]):
+    """(UTC day, producer) of each header."""
+    return zip(utc_days([h.timestamp for h in headers]), [h.producer for h in headers])
 
 
 def production_entropy(counts: Mapping[str, int], n: int | None = None,
@@ -157,9 +180,9 @@ def producer_turnover(headers: Sequence[BlockHeader]) -> TurnoverReport:
     distinct production days per producer."""
     monthly: dict[tuple[int, int], set[str]] = {}
     days: dict[str, set[tuple[int, int, int]]] = {}
-    for header in headers:
-        monthly.setdefault(utc_month(header.timestamp), set()).add(header.producer)
-        days.setdefault(header.producer, set()).add(utc_day(header.timestamp))
+    for day, producer in set(_day_producers(headers)):
+        monthly.setdefault(day[:2], set()).add(producer)
+        days.setdefault(producer, set()).add(day)
     seen: set[str] = set()
     cumulative = []
     for month in sorted(monthly):
@@ -175,7 +198,7 @@ def producer_turnover(headers: Sequence[BlockHeader]) -> TurnoverReport:
 def monthly_production(headers: Sequence[BlockHeader]) -> dict[tuple[int, int], dict[str, int]]:
     """Blocks produced per producer, bucketed by UTC month."""
     result: dict[tuple[int, int], dict[str, int]] = {}
-    for header in headers:
-        month = result.setdefault(utc_month(header.timestamp), {})
-        month[header.producer] = month.get(header.producer, 0) + 1
+    for (day, producer), blocks in Counter(_day_producers(headers)).items():
+        month = result.setdefault(day[:2], {})
+        month[producer] = month.get(producer, 0) + blocks
     return {m: dict(sorted(c.items())) for m, c in sorted(result.items())}

@@ -120,87 +120,129 @@ def _is_number(value: Any, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _require(condition: bool, message: str, field_name: str) -> None:
-    if not condition:
-        raise ParseError(message, field_name)
+def _name(value: Any, field_name: str, names: set[str]) -> str:
+    """validate_name(value), skipped for a name already in `names`, the
+    names accepted so far in this load; an accepted name is added."""
+    if value.__class__ is not str or value not in names:
+        names.add(validate_name(value, field_name))
+    return value
 
 
-def _validate_payload(kind: ActionKind, actor: str, payload: Any) -> dict:
+_KINDS = {kind.value: kind for kind in ActionKind}
+
+
+def _validate_payload(kind: ActionKind, actor: str, payload: Any,
+                      names: set[str]) -> dict:
     if not isinstance(payload, dict):
         raise ParseError("payload must be an object", "payload")
     if kind is ActionKind.NEW_ACCOUNT:
-        created = validate_name(payload.get("created"), "payload.created")
-        creator = payload.get("creator", actor)
-        validate_name(creator, "payload.creator")
-        _require(creator == actor, "creator must equal the acting account", "payload.creator")
+        created = _name(payload.get("created"), "payload.created", names)
+        creator = _name(payload.get("creator", actor), "payload.creator", names)
+        if creator != actor:
+            raise ParseError("creator must equal the acting account", "payload.creator")
         return {"created": created, "creator": creator}
-    if kind in (ActionKind.DELEGATE_BW, ActionKind.UNDELEGATE_BW):
+    if kind is ActionKind.DELEGATE_BW or kind is ActionKind.UNDELEGATE_BW:
         amount = payload.get("amount")
-        _require(_is_number(amount, int),
-                 "amount must be an integer of base units", "payload.amount")
-        _require(amount >= 0, "amount must be non-negative", "payload.amount")
+        if not (amount.__class__ is int or _is_number(amount, int)):
+            raise ParseError("amount must be an integer of base units", "payload.amount")
+        if amount < 0:
+            raise ParseError("amount must be non-negative", "payload.amount")
         return {"amount": amount}
     if kind is ActionKind.REG_PRODUCER:
         return {}
     if kind is ActionKind.REG_PROXY:
         isproxy = payload.get("isproxy")
-        _require(isinstance(isproxy, bool), "isproxy must be a boolean", "payload.isproxy")
+        if not isinstance(isproxy, bool):
+            raise ParseError("isproxy must be a boolean", "payload.isproxy")
         return {"isproxy": isproxy}
     if kind is ActionKind.VOTE_PRODUCER:
         proxy = payload.get("proxy") or ""
         producers = payload.get("producers") or []
-        _require(isinstance(producers, list), "producers must be a list", "payload.producers")
+        if not isinstance(producers, list):
+            raise ParseError("producers must be a list", "payload.producers")
         if proxy:
-            validate_name(proxy, "payload.proxy")
-            _require(not producers,
-                     "ambiguous vote: both proxy and producers set", "payload")
+            _name(proxy, "payload.proxy", names)
+            if producers:
+                raise ParseError("ambiguous vote: both proxy and producers set", "payload")
             return {"proxy": proxy, "producers": []}
-        _require(len(producers) <= MAX_VOTES,
-                 f"producers list exceeds {MAX_VOTES}", "payload.producers")
-        for p in producers:
-            validate_name(p, "payload.producers")
-        _require(len(set(producers)) == len(producers),
-                 "producers list has duplicates", "payload.producers")
-        _require(producers == sorted(producers),
-                 "producers list must be sorted ascending", "payload.producers")
+        if len(producers) > MAX_VOTES:
+            raise ParseError(f"producers list exceeds {MAX_VOTES}", "payload.producers")
+        try:
+            known = names.issuperset(producers)
+        except TypeError:  # an unhashable item, which validate_name rejects
+            known = False
+        if not known:
+            for p in producers:
+                _name(p, "payload.producers", names)
+        if len(set(producers)) != len(producers):
+            raise ParseError("producers list has duplicates", "payload.producers")
+        if producers != sorted(producers):
+            raise ParseError("producers list must be sorted ascending", "payload.producers")
         return {"proxy": "", "producers": list(producers)}
     raise ParseError(f"unknown action kind '{kind}'", "kind")
 
 
 def make_action(kind: ActionKind | str, actor: str, timestamp: int, block: int,
-                seq: int, payload: dict | None = None) -> Action:
-    """Build a validated Action; raises ParseError on any invariant violation."""
+                seq: int, payload: dict | None = None,
+                names: set[str] | None = None) -> Action:
+    """Build a validated Action; raises ParseError on any invariant violation.
+
+    `names` holds the account names accepted earlier in the same load, which
+    are not checked again; the names this action adds are put in it.
+    """
     try:
-        kind = ActionKind(kind)
-    except ValueError:
+        kind = _KINDS[kind]
+    except (KeyError, TypeError):
         raise ParseError(f"unknown action kind '{kind}'", "kind") from None
-    validate_name(actor, "actor")
-    if not _is_number(timestamp, (int, float)):
+    if names is None:
+        names = set()
+    _name(actor, "actor", names)
+    if not (timestamp.__class__ is int or timestamp.__class__ is float
+            or _is_number(timestamp, (int, float))):
         raise ParseError("timestamp must be numeric", "timestamp")
-    _require(TIME_MIN <= timestamp <= TIME_MAX,
-             f"timestamp must fall in the UTC years 1 to 9999, got {timestamp!r}", "timestamp")
-    if not _is_number(block, int) or block < 0:
+    if not TIME_MIN <= timestamp <= TIME_MAX:
+        raise ParseError(f"timestamp must fall in the UTC years 1 to 9999, "
+                         f"got {timestamp!r}", "timestamp")
+    if not (block.__class__ is int or _is_number(block, int)) or block < 0:
         raise ParseError("block must be a non-negative integer", "block")
-    if not _is_number(seq, int):
+    if not (seq.__class__ is int or _is_number(seq, int)):
         raise ParseError("seq must be an integer", "seq")
-    payload = _validate_payload(kind, actor, payload or {})
-    return Action(kind=kind, actor=actor, timestamp=int(timestamp), block=block,
-                  seq=seq, payload=payload)
+    payload = _validate_payload(kind, actor, payload or {}, names)
+    return Action(kind, actor, int(timestamp), block, seq, payload)
 
 
-def parse_action(line: str) -> Action:
-    """Parse one JSON trace line into a validated Action."""
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_value(line: str) -> Any:
+    """json.loads(line). A line that is exactly one JSON value is scanned
+    directly; any other goes through json.loads, for its result or its error."""
     try:
-        record = json.loads(line)
+        value, end = _scan_json(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    try:
+        return json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "line") from None
+
+
+_ACTION_FIELDS = frozenset({"kind", "actor", "timestamp", "block", "seq"})
+
+
+def parse_action(line: str, names: set[str] | None = None) -> Action:
+    """Parse one JSON trace line into a validated Action; `names` as in
+    make_action."""
+    record = _json_value(line)
     if not isinstance(record, dict):
         raise ParseError("trace line must be a JSON object", "line")
-    missing = {"kind", "actor", "timestamp", "block", "seq"} - record.keys()
-    if missing:
-        raise ParseError(f"missing fields: {sorted(missing)}", ",".join(sorted(missing)))
+    if not _ACTION_FIELDS <= record.keys():
+        missing = sorted(_ACTION_FIELDS - record.keys())
+        raise ParseError(f"missing fields: {missing}", ",".join(missing))
     return make_action(record["kind"], record["actor"], record["timestamp"],
-                       record["block"], record["seq"], record.get("payload"))
+                       record["block"], record["seq"], record.get("payload"), names)
 
 
 def serialize_action(action: Action) -> str:
@@ -215,24 +257,28 @@ def serialize_action(action: Action) -> str:
     }, sort_keys=True, separators=(",", ":"))
 
 
-def parse_header(line: str) -> BlockHeader:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", "line") from None
+_HEADER_FIELDS = frozenset({"height", "producer", "timestamp"})
+
+
+def parse_header(line: str, names: set[str] | None = None) -> BlockHeader:
+    """Parse one JSON header line; `names` as in make_action."""
+    record = _json_value(line)
     if not isinstance(record, dict):
         raise ParseError("header line must be a JSON object", "line")
-    for key in ("height", "producer", "timestamp"):
-        if key not in record:
-            raise ParseError(f"missing header field '{key}'", key)
-    validate_name(record["producer"], "producer")
-    height = _header_number(record, "height", int)
-    timestamp = _header_number(record, "timestamp", float)
+    if not _HEADER_FIELDS <= record.keys():
+        key = next(k for k in ("height", "producer", "timestamp") if k not in record)
+        raise ParseError(f"missing header field '{key}'", key)
+    producer = _name(record["producer"], "producer", set() if names is None else names)
+    height = record["height"]
+    if height.__class__ is not int:
+        height = _header_number(record, "height", int)
+    timestamp = record["timestamp"]
+    if timestamp.__class__ is not float:
+        timestamp = _header_number(record, "timestamp", float)
     if not TIME_MIN <= timestamp <= TIME_MAX:
         raise ParseError(f"header field 'timestamp' must fall in the UTC years "
                          f"1 to 9999, got {record['timestamp']!r}", "timestamp")
-    return BlockHeader(height=height, producer=record["producer"],
-                       timestamp=timestamp)
+    return BlockHeader(height, producer, timestamp)
 
 
 def _header_number(record: dict, key: str, kind: type):
@@ -251,16 +297,18 @@ def serialize_header(header: BlockHeader) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
-def _load_lines(path: str, parse: Callable[[str], Any]) -> list:
-    """parse() of each non-blank line; a ParseError names its line number."""
+def _load_lines(path: str, parse: Callable[[str, set[str]], Any]) -> list:
+    """parse() of each non-blank line, sharing one set of accepted account
+    names; a ParseError names its line number."""
     items = []
+    names: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                items.append(parse(line))
+                items.append(parse(line, names))
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}", exc.field) from None
     return items

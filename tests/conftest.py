@@ -1,8 +1,11 @@
+import copy
+import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from dposforensics.model import ActionKind, make_action
+from dposforensics.model import ActionKind, make_action, serialize_action
 
 T0 = 1_609_459_200  # 2021-01-01T00:00:00Z
 DAY = 86_400
@@ -95,3 +98,47 @@ def random_trace(seed, n_actions=500, n_accounts=40, n_candidates=8, n_proxies=4
         else:
             b.vote(actor, [rng.choice(accounts)])  # may hit a non-candidate
     return b.build()
+
+
+def _fuzz_trace() -> list[dict]:
+    """A short valid trace with every action kind, as JSON records."""
+    b = TraceBuilder().regproducer("bpa").regproducer("bpb")
+    b.newaccount("genesis", "pool").regproxy("pool").vote("pool", ["bpa"])
+    b.newaccount("genesis", "alice").delegate("alice", 5 * 10_000)
+    b.vote_proxy("alice", "pool").undelegate("alice", 10_000)
+    b.vote("alice", ["bpa", "bpb"])
+    return [json.loads(serialize_action(a)) for a in b.build()]
+
+
+FUZZ_TRACE = _fuzz_trace()
+FUZZ_HEADERS = [{"height": h, "producer": ("bpa", "bpb")[h % 2],
+                 "timestamp": T0 + h * DAY / 2} for h in range(1, 6)]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([0, -1, 10**400, 2**63])
+    | st.integers(-2**40, 2**40) | st.floats() | st.text(max_size=14),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def one_field_changed(draw, value):
+    """A deep copy of value with one field replaced by any JSON value, or
+    deleted if it is a dict entry. The field is found by descending from the
+    top one level at a time, so a top-level field is hit as often as one deep
+    inside a long list."""
+    value = copy.deepcopy(value)
+    parent, key = None, None
+    node = value
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or draw(st.booleans())):
+        parent = node
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        node = parent[key]
+    if isinstance(parent, dict) and draw(st.integers(0, 4)) == 0:
+        del parent[key]
+    else:
+        parent[key] = draw(json_values)
+    return value

@@ -6,15 +6,23 @@ the modules under test.
 """
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 
 import networkx as nx
 
 from dposforensics.model import (
+    MAX_VOTES,
+    NAME_ALPHABET,
     SECONDS_PER_DAY,
+    TIME_MAX,
+    TIME_MIN,
     VOTE_INDEX_EPOCH,
+    Action,
     ActionKind,
+    BlockHeader,
+    ParseError,
     compute_vote_weight,
 )
 from dposforensics.clustering import record_similarity
@@ -223,3 +231,164 @@ def brute_intensity(graph, src, dst) -> float:
     t = stats.duration / t_total if t_total else 0.0
     p = stats.avg_weight / p_total if p_total else 0.0
     return (f + t + p) / 3.0
+
+
+# The trace and header parsers as they were before names were checked once
+# per load: every name is validated where it appears, every message is
+# formatted, and the kind goes through the enum.
+
+def ref_validate_name(name, field_name="name"):
+    if not isinstance(name, str):
+        raise ParseError(f"{field_name} must be a string, got {type(name).__name__}", field_name)
+    if not 1 <= len(name) <= 12:
+        raise ParseError(f"{field_name} '{name}' length must be in [1, 12]", field_name)
+    bad = set(name) - NAME_ALPHABET
+    if bad:
+        raise ParseError(f"{field_name} '{name}' has invalid characters {sorted(bad)}", field_name)
+    if name.endswith("."):
+        raise ParseError(f"{field_name} '{name}' must not end with a dot", field_name)
+    return name
+
+
+def _ref_is_number(value, kinds):
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _ref_require(condition, message, field_name):
+    if not condition:
+        raise ParseError(message, field_name)
+
+
+def _ref_validate_payload(kind, actor, payload):
+    if not isinstance(payload, dict):
+        raise ParseError("payload must be an object", "payload")
+    if kind is ActionKind.NEW_ACCOUNT:
+        created = ref_validate_name(payload.get("created"), "payload.created")
+        creator = payload.get("creator", actor)
+        ref_validate_name(creator, "payload.creator")
+        _ref_require(creator == actor, "creator must equal the acting account", "payload.creator")
+        return {"created": created, "creator": creator}
+    if kind in (ActionKind.DELEGATE_BW, ActionKind.UNDELEGATE_BW):
+        amount = payload.get("amount")
+        _ref_require(_ref_is_number(amount, int),
+                     "amount must be an integer of base units", "payload.amount")
+        _ref_require(amount >= 0, "amount must be non-negative", "payload.amount")
+        return {"amount": amount}
+    if kind is ActionKind.REG_PRODUCER:
+        return {}
+    if kind is ActionKind.REG_PROXY:
+        isproxy = payload.get("isproxy")
+        _ref_require(isinstance(isproxy, bool), "isproxy must be a boolean", "payload.isproxy")
+        return {"isproxy": isproxy}
+    if kind is ActionKind.VOTE_PRODUCER:
+        proxy = payload.get("proxy") or ""
+        producers = payload.get("producers") or []
+        _ref_require(isinstance(producers, list), "producers must be a list", "payload.producers")
+        if proxy:
+            ref_validate_name(proxy, "payload.proxy")
+            _ref_require(not producers,
+                         "ambiguous vote: both proxy and producers set", "payload")
+            return {"proxy": proxy, "producers": []}
+        _ref_require(len(producers) <= MAX_VOTES,
+                     f"producers list exceeds {MAX_VOTES}", "payload.producers")
+        for p in producers:
+            ref_validate_name(p, "payload.producers")
+        _ref_require(len(set(producers)) == len(producers),
+                     "producers list has duplicates", "payload.producers")
+        _ref_require(producers == sorted(producers),
+                     "producers list must be sorted ascending", "payload.producers")
+        return {"proxy": "", "producers": list(producers)}
+    raise ParseError(f"unknown action kind '{kind}'", "kind")
+
+
+def ref_make_action(kind, actor, timestamp, block, seq, payload=None):
+    try:
+        kind = ActionKind(kind)
+    except ValueError:
+        raise ParseError(f"unknown action kind '{kind}'", "kind") from None
+    ref_validate_name(actor, "actor")
+    if not _ref_is_number(timestamp, (int, float)):
+        raise ParseError("timestamp must be numeric", "timestamp")
+    _ref_require(TIME_MIN <= timestamp <= TIME_MAX,
+                 f"timestamp must fall in the UTC years 1 to 9999, got {timestamp!r}",
+                 "timestamp")
+    if not _ref_is_number(block, int) or block < 0:
+        raise ParseError("block must be a non-negative integer", "block")
+    if not _ref_is_number(seq, int):
+        raise ParseError("seq must be an integer", "seq")
+    payload = _ref_validate_payload(kind, actor, payload or {})
+    return Action(kind=kind, actor=actor, timestamp=int(timestamp), block=block,
+                  seq=seq, payload=payload)
+
+
+def ref_parse_action(line):
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", "line") from None
+    if not isinstance(record, dict):
+        raise ParseError("trace line must be a JSON object", "line")
+    missing = {"kind", "actor", "timestamp", "block", "seq"} - record.keys()
+    if missing:
+        raise ParseError(f"missing fields: {sorted(missing)}", ",".join(sorted(missing)))
+    return ref_make_action(record["kind"], record["actor"], record["timestamp"],
+                           record["block"], record["seq"], record.get("payload"))
+
+
+def ref_parse_header(line):
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", "line") from None
+    if not isinstance(record, dict):
+        raise ParseError("header line must be a JSON object", "line")
+    for key in ("height", "producer", "timestamp"):
+        if key not in record:
+            raise ParseError(f"missing header field '{key}'", key)
+    ref_validate_name(record["producer"], "producer")
+    height = _ref_header_number(record, "height", int)
+    timestamp = _ref_header_number(record, "timestamp", float)
+    if not TIME_MIN <= timestamp <= TIME_MAX:
+        raise ParseError(f"header field 'timestamp' must fall in the UTC years "
+                         f"1 to 9999, got {record['timestamp']!r}", "timestamp")
+    return BlockHeader(height=height, producer=record["producer"],
+                       timestamp=timestamp)
+
+
+def _ref_header_number(record, key, kind):
+    value = record[key]
+    try:
+        if not isinstance(value, bool):
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParseError(f"header field '{key}' must be numeric, got {value!r}", key)
+
+
+def brute_monthly_production(headers):
+    """Blocks per producer per UTC month, one utc_month call per header."""
+    from dposforensics.metrics import utc_month
+
+    result = {}
+    for header in headers:
+        month = result.setdefault(utc_month(header.timestamp), {})
+        month[header.producer] = month.get(header.producer, 0) + 1
+    return {m: dict(sorted(c.items())) for m, c in sorted(result.items())}
+
+
+def brute_producer_turnover(headers):
+    """(distinct producers per month, cumulative distinct producers per month,
+    distinct days per producer), from one utc_month and one utc_day call per
+    header."""
+    from dposforensics.metrics import utc_day, utc_month
+
+    monthly, days = {}, {}
+    for header in headers:
+        monthly.setdefault(utc_month(header.timestamp), set()).add(header.producer)
+        days.setdefault(header.producer, set()).add(utc_day(header.timestamp))
+    seen, cumulative = set(), []
+    for month in sorted(monthly):
+        seen |= monthly[month]
+        cumulative.append((month, len(seen)))
+    return ({m: len(s) for m, s in sorted(monthly.items())}, cumulative,
+            {p: len(d) for p, d in sorted(days.items())})

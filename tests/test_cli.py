@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import json
 import os
@@ -16,7 +15,8 @@ from dposforensics.cli import main
 from dposforensics.model import load_trace, serialize_action
 from dposforensics.replay import VotingState
 
-from conftest import T0, DAY, TraceBuilder
+from conftest import (DAY, FUZZ_HEADERS, FUZZ_TRACE, T0, TraceBuilder,
+                      one_field_changed)
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -310,6 +310,10 @@ BAD_INPUTS = {
     "truth_plant_members": ("truth.json", '{"plants": [{"kind": "near_clique"}]}',
                             "truth.json"),
     "clusters": ("clusters.json", "{", "clusters.json"),
+    "clusters_members": ("clusters.json", '{"clusters": [{"members": "bpa"}]}',
+                         "clusters.json"),
+    "gangs_communities": ("gangs.json", '{"communities": [1]}', "gangs.json"),
+    "motifs_line": ("motifs.jsonl", '{"shape": "linear"}', "motifs.jsonl"),
 }
 
 
@@ -339,6 +343,51 @@ def test_bad_input_exits_3_without_traceback(case, ledger_dir, report_dir,
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert named in result.output
+
+
+# Numeric options that are out of range or not numbers: (arguments after
+# the trace, the option the message names).
+BAD_OPTIONS = {
+    "metrics_entropy_n": (["metrics", "HEADERS", "--entropy-n", "10,foo"], "entropy-n"),
+    "metrics_top_stake_pct": (["metrics", "HEADERS", "--top-stake-pct", "5"],
+                              "top-stake-pct"),
+    "metrics_cadence_nan": (["metrics", "HEADERS", "--snapshot-cadence", "nan"],
+                            "snapshot-cadence"),
+    "motifs_window_nan": (["motifs", "--window-days", "nan"], "window-days"),
+    "motifs_window_inf": (["motifs", "--window-days", "inf"], "window-days"),
+    "motifs_window_overflow": (["motifs", "--window-days", "1e305"], "window-days"),
+    "cluster_cadence_nan": (["cluster", "--snapshot-cadence", "nan"], "snapshot-cadence"),
+    "cluster_cadence_inf": (["cluster", "--snapshot-cadence", "inf"], "snapshot-cadence"),
+    "cluster_cadence_tiny": (["cluster", "--snapshot-cadence", "1e-9"],
+                             "snapshot-cadence"),
+    "cluster_cadence_word": (["cluster", "--snapshot-cadence", "weekly"],
+                             "snapshot-cadence"),
+    "cluster_top_stake_pct": (["cluster", "--top-stake-pct", "5"], "top-stake-pct"),
+    "cluster_top_stake_pct_zero": (["cluster", "--top-stake-pct", "0"], "top-stake-pct"),
+    "cluster_theta": (["cluster", "--theta", "nan"], "theta"),
+    "gangs_outlier_pct": (["gangs", "--outlier-pct", "2"], "outlier-pct"),
+    "all_window": (["all", "HEADERS", "--window-days", "inf"], "window-days"),
+    "all_outlier_pct": (["all", "HEADERS", "--outlier-pct", "0"], "outlier-pct"),
+    "all_entropy_n": (["all", "HEADERS", "--entropy-n", "x"], "entropy-n"),
+    "all_cadence": (["all", "HEADERS", "--snapshot-cadence", "-1"], "snapshot-cadence"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+def test_bad_option_exits_2_before_the_trace_is_read(case, ledger_dir, tmp_path):
+    """The trace is unreadable, so only an option checked before it is read
+    gives exit 2."""
+    args, option = BAD_OPTIONS[case]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("not json\n")
+    command, *rest = args
+    rest = [str(ledger_dir / "headers.jsonl") if a == "HEADERS" else a for a in rest]
+    result = CliRunner().invoke(main, [command, str(trace), *rest,
+                                       "-o", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert option in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["all", "cluster"])
@@ -409,50 +458,6 @@ def test_all_leaves_no_reports_when_gang_detection_fails(ledger_dir, tmp_path):
     assert not out.exists()
 
 
-def _fuzz_trace() -> list[dict]:
-    """A short valid trace with every action kind, as JSON records."""
-    b = TraceBuilder().regproducer("bpa").regproducer("bpb")
-    b.newaccount("genesis", "pool").regproxy("pool").vote("pool", ["bpa"])
-    b.newaccount("genesis", "alice").delegate("alice", 5 * 10_000)
-    b.vote_proxy("alice", "pool").undelegate("alice", 10_000)
-    b.vote("alice", ["bpa", "bpb"])
-    return [json.loads(serialize_action(a)) for a in b.build()]
-
-
-FUZZ_TRACE = _fuzz_trace()
-FUZZ_HEADERS = [{"height": h, "producer": ("bpa", "bpb")[h % 2],
-                 "timestamp": T0 + h * DAY / 2} for h in range(1, 6)]
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.sampled_from([0, -1, 10**400, 2**63])
-    | st.integers(-2**40, 2**40) | st.floats() | st.text(max_size=14),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=4)
-
-
-@st.composite
-def one_field_changed(draw, value):
-    """A deep copy of value with one field replaced by any JSON value, or
-    deleted if it is a dict entry. The field is found by descending from the
-    top one level at a time, so a top-level field is hit as often as one deep
-    inside a long list."""
-    value = copy.deepcopy(value)
-    parent, key = None, None
-    node = value
-    while isinstance(node, (dict, list)) and node and (
-            parent is None or draw(st.booleans())):
-        parent = node
-        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
-                                   else range(len(node))))
-        node = parent[key]
-    if isinstance(parent, dict) and draw(st.integers(0, 4)) == 0:
-        del parent[key]
-    else:
-        parent[key] = draw(json_values)
-    return value
-
-
 def _assert_clean_exit(args):
     result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3), (result.exit_code, result.exception)
@@ -501,3 +506,56 @@ def test_fuzzed_truth_scores_or_exits_cleanly(data, ledger_dir, report_dir,
     path.write_text(json.dumps(data.draw(one_field_changed(truth))))
     _assert_clean_exit(["score", str(report_dir), str(path),
                         "-o", str(fuzz_dir / "out")])
+
+
+@pytest.fixture(scope="module")
+def fuzz_reports(report_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz_reports") / "reports"
+    shutil.copytree(report_dir, path)
+    return path
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_report_scores_or_exits_cleanly(data, ledger_dir, fuzz_reports,
+                                               fuzz_dir):
+    """One field of one report that `score` reads changed or deleted: the
+    score runs, or exits 3, or exits 2 because a digest now names another
+    trace; never a traceback."""
+    name = data.draw(st.sampled_from(["clusters.json", "gangs.json", "motifs.json",
+                                      "motifs.jsonl"]))
+    path = fuzz_reports / name
+    original = path.read_text()
+    if name.endswith(".jsonl"):
+        records = [json.loads(l) for l in original.splitlines()]
+        assert records
+        text = _jsonl(data.draw(one_field_changed(records)))
+    else:
+        text = json.dumps(data.draw(one_field_changed(json.loads(original))))
+    path.write_text(text)
+    try:
+        result = CliRunner().invoke(main, [
+            "score", str(fuzz_reports), str(ledger_dir / "truth.json"),
+            "-o", str(fuzz_dir / "out")])
+    finally:
+        path.write_text(original)
+    assert result.exit_code in (0, 3) or (
+        result.exit_code == 2 and "different trace" in result.output), (
+        result.exit_code, result.exception, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+def test_cli_import_loads_every_module_but_networkx():
+    """Start-up loads every package module, which the benchmark's tracer
+    wraps, and leaves networkx to the gang code that uses it."""
+    src = str(Path(dposforensics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import dposforensics.cli, pkgutil, sys; "
+             "names = [m.name for m in pkgutil.iter_modules(dposforensics.__path__)]; "
+             "print(sorted(n for n in names if 'dposforensics.' + n not in sys.modules)); "
+             "print('networkx' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    assert out[:2] == ["[]", "False"]

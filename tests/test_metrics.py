@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dposforensics.metrics import (
     MetricsError,
@@ -13,12 +14,15 @@ from dposforensics.metrics import (
     proxy_share_series,
     stake_distribution,
     top_share,
+    utc_day,
+    utc_days,
+    utc_month,
 )
-from dposforensics.model import BlockHeader
+from dposforensics.model import TIME_MAX, TIME_MIN, BlockHeader
 from dposforensics.replay import replay, replay_with_snapshots
 
 from conftest import T0, DAY, TraceBuilder, random_trace
-from oracles import hill_alpha
+from oracles import brute_monthly_production, brute_producer_turnover, hill_alpha
 
 EOS = 10_000
 
@@ -234,3 +238,54 @@ class TestTurnover:
         for m, counts in prod.items():
             assert sum(counts.values()) == sum(
                 1 for h in headers if utc_month(h.timestamp) == m)
+
+
+# Times anywhere in the UTC years 1 to 9999, negative ones included, and times
+# within a microsecond of a day boundary, where rounding to microseconds may
+# carry a time into the next day.
+near_day_boundary = st.builds(
+    lambda day, offset: day * DAY + offset,
+    st.integers(int(TIME_MIN) // DAY, int(TIME_MAX) // DAY + 1),
+    st.floats(-1e-6, 1e-6) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+).filter(lambda t: TIME_MIN <= t <= TIME_MAX)
+utc_times = (st.floats(TIME_MIN, TIME_MAX) | st.floats(TIME_MIN, 0.0)
+             | near_day_boundary)
+
+
+class TestDayBuckets:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(times=st.lists(utc_times, max_size=40))
+    def test_equal_per_timestamp_conversion(self, times):
+        times += [t + d for t in times[:5] for d in (-2.0, 0.25, 3600.0)
+                  if TIME_MIN <= t + d <= TIME_MAX]   # more times on the same days
+        days = utc_days(times)
+        assert days == [utc_day(t) for t in times]
+        assert [d[:2] for d in days] == [utc_month(t) for t in times]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(stamps=st.lists(st.tuples(st.sampled_from(["bpa", "bpb", "bpc", "bpd"]),
+                                     near_day_boundary | st.floats(TIME_MIN, TIME_MAX)),
+                           min_size=1, max_size=60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_header_metrics_equal_per_header_reference(self, stamps, seed):
+        headers = [BlockHeader(i, producer, ts)
+                   for i, (producer, ts) in enumerate(stamps)]
+        random.Random(seed).shuffle(headers)
+        assert monthly_production(headers) == brute_monthly_production(headers)
+        rep = producer_turnover(headers)
+        assert (rep.monthly_counts, rep.cumulative_counts, rep.active_days) == \
+            brute_producer_turnover(headers)
+
+    def test_generated_headers_equal_per_header_reference(self):
+        rng = random.Random(7)
+        base = 1_600_000_000 // DAY * DAY
+        headers = [BlockHeader(i, f"bp{chr(97 + rng.randrange(21))}",
+                               base + rng.randrange(200) * DAY + rng.choice(
+                                   [0.0, 0.5, 1.0, DAY - 1.0, DAY - 0.5,
+                                    rng.uniform(0, DAY)]))
+                   for i in range(5_000)]
+        rng.shuffle(headers)
+        assert monthly_production(headers) == brute_monthly_production(headers)
+        rep = producer_turnover(headers)
+        assert (rep.monthly_counts, rep.cumulative_counts, rep.active_days) == \
+            brute_producer_turnover(headers)

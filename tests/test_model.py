@@ -3,7 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
+import oracles
 from dposforensics.model import (
     LedgerError,
     ParseError,
@@ -16,6 +18,8 @@ from dposforensics.model import (
     serialize_action,
     validate_name,
 )
+
+from conftest import FUZZ_HEADERS, FUZZ_TRACE, one_field_changed
 
 DAY = 86_400
 WEEK = 7 * DAY
@@ -178,3 +182,38 @@ class TestParseHeader:
     def test_timestamp_inside_utc_dates_kept(self, timestamp):
         line = json.dumps({"height": 1, "producer": "bpa", "timestamp": timestamp})
         assert parse_header(line).timestamp == timestamp
+
+
+def _outcome(parse, line):
+    """parse(line), or the ParseError's message and field."""
+    try:
+        return parse(line)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.field)
+
+
+def _assert_parsers_agree(records, parse, reference):
+    """Every line parses as the reference parses it. The lines share one set
+    of accepted names and go through twice, so a name is met again after it
+    was accepted in another field, or after it was rejected."""
+    names = set()
+    lines = [json.dumps(r) for r in records]
+    for line in lines + [f" {l}\t" for l in lines]:
+        assert _outcome(lambda l: parse(l, names), line) == _outcome(reference, line)
+        assert _outcome(parse, line) == _outcome(reference, line)
+    assert all(isinstance(n, str) and validate_name(n) == n for n in names)
+
+
+PARSERS_AGREE = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+class TestParsersAgreeWithReference:
+    @PARSERS_AGREE
+    @given(records=one_field_changed(FUZZ_TRACE))
+    def test_trace_lines(self, records):
+        _assert_parsers_agree(records, parse_action, oracles.ref_parse_action)
+
+    @PARSERS_AGREE
+    @given(records=one_field_changed(FUZZ_HEADERS))
+    def test_header_lines(self, records):
+        _assert_parsers_agree(records, parse_header, oracles.ref_parse_header)
