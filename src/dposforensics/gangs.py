@@ -8,9 +8,12 @@ detection with single-edge pruning.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from functools import cached_property
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -43,83 +46,86 @@ class EdgeStats:
         return self.last_weight
 
 
-@dataclass
+def _column(dtype):
+    return field(default_factory=lambda: np.zeros(0, dtype))
+
+
+@dataclass(eq=False)
 class VotingGraph:
-    edges: dict[tuple[str, str], EdgeStats] = field(default_factory=dict)
+    """Directed voting network as edge columns. Edge k runs from
+    nodes[src[k]] to nodes[dst[k]]; edges are in the order they were first
+    placed, and `nodes` holds exactly the names that end an edge."""
+
+    nodes: list[str] = field(default_factory=list)
+    src: np.ndarray = _column(np.int64)
+    dst: np.ndarray = _column(np.int64)
+    placements: np.ndarray = _column(np.int64)
+    duration: np.ndarray = _column(np.float64)
+    weight_integral: np.ndarray = _column(np.float64)
+    last_weight: np.ndarray = _column(np.float64)
     candidates: set[str] = field(default_factory=set)
 
+    @classmethod
+    def from_edges(cls, edges: Mapping[tuple[str, str], EdgeStats],
+                   candidates: Iterable[str] = ()) -> "VotingGraph":
+        """A graph with the given edges, in mapping order."""
+        ids: dict[str, int] = {}
+        src = [ids.setdefault(s, len(ids)) for s, _ in edges]
+        dst = [ids.setdefault(d, len(ids)) for _, d in edges]
+        stats = list(edges.values())
+        return cls(
+            list(ids), np.array(src, np.int64), np.array(dst, np.int64),
+            np.array([s.placements for s in stats], np.int64),
+            np.array([s.duration for s in stats], np.float64),
+            np.array([s.weight_integral for s in stats], np.float64),
+            np.array([s.last_weight for s in stats], np.float64),
+            set(candidates))
 
-@dataclass(slots=True)
-class _Source:
-    """The votes of one source in force: each open edge's aggregate and the
-    start of the segment it is integrating. Every open edge carries the
-    source's own weight at its last reconcile; `votes` are what it backed
-    then."""
-
-    votes: tuple[str, ...]
-    weight: float
-    edges: dict[str, EdgeStats] = field(default_factory=dict)
-    starts: dict[str, float] = field(default_factory=dict)
+    @cached_property
+    def edges(self) -> "EdgeView":
+        return EdgeView(self)
 
 
-def _accrue(stats: EdgeStats, weight: float, span: float) -> None:
-    """Add a segment of `span` seconds in force at `weight` to an edge."""
-    stats.duration += span
-    stats.weight_integral += weight * span
+class EdgeView(Mapping):
+    """Read-only mapping (src, dst) -> EdgeStats over a graph's edge columns,
+    in edge order. Each lookup builds a fresh EdgeStats."""
+
+    def __init__(self, graph: VotingGraph) -> None:
+        self._graph = graph
+        self._ids: Optional[dict[tuple[str, str], int]] = None
+
+    def __len__(self) -> int:
+        return len(self._graph.src)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        name = self._graph.nodes.__getitem__
+        return zip(map(name, self._graph.src.tolist()),
+                   map(name, self._graph.dst.tolist()))
+
+    def __getitem__(self, key: tuple[str, str]) -> EdgeStats:
+        if self._ids is None:
+            self._ids = {pair: i for i, pair in enumerate(self)}
+        i, g = self._ids[key], self._graph
+        return EdgeStats(int(g.placements[i]), float(g.duration[i]),
+                         float(g.weight_integral[i]), float(g.last_weight[i]))
 
 
 class NetworkBuilder:
-    """Replay observer that tracks, per directed pair, the intervals each vote
-    was in force and the weight over those intervals, and the registered
-    candidates."""
+    """Replay observer for the voting network. After each action it logs one
+    row per source the action may re-point or re-weigh: the source, the time,
+    the votes it backs and their weight, and whether the action is a direct
+    vote that places them again. finish() derives every edge from the log.
+    """
 
     def __init__(self) -> None:
-        self.graph = VotingGraph()
-        self.open: dict[str, _Source] = {}
-
-    def _reconcile(self, state: VotingState, src: str, t: float,
-                   replaced: bool) -> None:
-        """Bring src's open edges in line with its current effective votes.
-
-        replaced=True marks a fresh vote placement: continuing targets count
-        as a new placement too. An edge's segment ends when it closes or when
-        the source's weight changes.
-        """
-        votes, weight = state.backing(src)
-        source = self.open.get(src)
-        if source is None:
-            if not votes:
-                return
-            source = self.open[src] = _Source((), weight)
-        edges, starts, old = source.edges, source.starts, source.weight
-        opened: list[str] = []
-        if votes != source.votes:
-            desired = set(votes)
-            desired.discard(src)  # a self-vote is no edge
-            for dst in edges.keys() - desired:
-                _accrue(edges.pop(dst), old, t - starts.pop(dst))
-            opened = sorted(desired - edges.keys())
-        reweigh = weight != old
-        if replaced or reweigh:
-            for dst, stats in edges.items():
-                if replaced:
-                    stats.placements += 1
-                    stats.last_weight = weight
-                if reweigh:
-                    _accrue(stats, old, t - starts[dst])
-                    starts[dst] = t
-        for dst in opened:  # an edge enters graph.edges at its first placement
-            stats = self.graph.edges.get((src, dst))
-            if stats is None:
-                stats = self.graph.edges[(src, dst)] = EdgeStats()
-            edges[dst] = stats
-            starts[dst] = t
-            stats.placements += 1
-            stats.last_weight = weight
-        if edges:
-            source.votes, source.weight = votes, weight
-        else:
-            del self.open[src]
+        self._candidates: set[str] = set()
+        self._sources: dict[str, int] = {}
+        self._vote_sets: dict[tuple[str, ...], int] = {}
+        self._src = array("i")
+        self._time = array("d")
+        self._votes = array("i")
+        self._weight = array("d")
+        self._replaced = array("b")
 
     @staticmethod
     def _affected(action: Action, state: VotingState) -> tuple[list[str], bool]:
@@ -135,17 +141,128 @@ class NetworkBuilder:
 
     def __call__(self, action: Action, state: VotingState) -> None:
         if action.kind is ActionKind.REG_PRODUCER:
-            self.graph.candidates.add(action.actor)
+            self._candidates.add(action.actor)
         affected, replaced = self._affected(action, state)
+        sources, vote_sets = self._sources, self._vote_sets
         for src in affected:
-            self._reconcile(state, src, action.timestamp, replaced)
+            votes, weight = state.backing(src)
+            self._src.append(sources.setdefault(src, len(sources)))
+            self._time.append(action.timestamp)
+            self._votes.append(vote_sets.setdefault(votes, len(vote_sets)))
+            self._weight.append(weight)
+            self._replaced.append(replaced)
 
     def finish(self, end_time: float) -> VotingGraph:
-        for source in self.open.values():
-            for dst, stats in source.edges.items():
-                _accrue(stats, source.weight, end_time - source.starts[dst])
-        self.open.clear()
-        return self.graph
+        """The voting graph, with the votes still in force closed at end_time.
+
+        A logged row puts an edge from its source to each candidate it backs
+        other than itself. The edge opens at a row whose source's previous
+        row did not back that candidate, and stays in force until the
+        source's next row that does not, or end_time. Openings, and rows of a
+        direct vote, count as placements. A segment of constant weight starts
+        at an opening or where the weight differs from the source's previous
+        row, and ends at the source's row after its last. Each edge adds its
+        segments in time order from 0.0, as span and weight * span.
+        """
+        n_rows = len(self._src)
+        # Vote sets as CSR rows of target ids: a target is a backed name, and
+        # its id is its rank in name order.
+        flat = list(chain.from_iterable(self._vote_sets))
+        dst_names = sorted(set(flat))
+        targets = {name: i for i, name in enumerate(dst_names)}
+        n_dst = len(targets)
+        width = np.fromiter(map(len, self._vote_sets), np.int64, len(self._vote_sets))
+        indptr = np.zeros(len(width) + 1, np.int64)
+        np.cumsum(width, out=indptr[1:])
+        indices = np.fromiter(map(targets.__getitem__, flat), np.int64, len(flat))
+        del flat
+        log_src = np.frombuffer(self._src, np.int32)
+        time = np.frombuffer(self._time, np.float64)
+        weight = np.frombuffer(self._weight, np.float64)
+
+        # Rows by source, then in log order: a source's consecutive rows sit
+        # at consecutive positions. next_time is when the source's next row
+        # comes, or end_time.
+        by_src = np.argsort(log_src, kind="stable").astype(np.int32)
+        src_of = log_src[by_src]
+        next_time = np.full(n_rows, float(end_time))
+        same = np.flatnonzero(src_of[1:] == src_of[:-1])
+        next_time[same] = time[by_src[same + 1]]
+        del same
+
+        # One key per (position, backed target other than the source), sorted
+        # to (dst, src, row): each edge's rows together and in log order.
+        votes = np.frombuffer(self._votes, np.int32)[by_src]
+        counts = width[votes]
+        pos = np.repeat(np.arange(n_rows, dtype=np.int32), counts)
+        ends = np.cumsum(counts)
+        dst = indices[np.repeat(indptr[votes] - ends + counts, counts)
+                      + np.arange(len(pos))]
+        del votes, counts, ends, indices, indptr, width
+        as_source = np.fromiter(map(self._sources.get, dst_names, repeat(-1)),
+                                np.int64, n_dst)
+        keep = as_source[dst] != src_of[pos]
+        key = dst[keep] * n_rows + pos[keep]
+        del pos, dst, keep
+        if not len(key):
+            return VotingGraph(candidates=set(self._candidates))
+        key.sort()
+        key = key[np.append(True, key[1:] != key[:-1])]  # a name voted twice
+        dst, pos = np.divmod(key, n_rows)
+        del key
+        row = by_src[pos]
+
+        new_edge = np.ones(len(row), bool)
+        new_edge[1:] = (dst[1:] != dst[:-1]) | (src_of[pos[1:]] != src_of[pos[:-1]])
+        opening = new_edge.copy()
+        opening[1:] |= pos[1:] != pos[:-1] + 1
+        edge_id = np.cumsum(new_edge) - 1
+        n_edges = int(edge_id[-1]) + 1
+
+        replaced = np.frombuffer(self._replaced, np.int8).astype(bool)
+        placed = np.flatnonzero(opening | replaced[row])
+        placements = np.bincount(edge_id[placed], minlength=n_edges)
+        last = placed[np.append(edge_id[placed[1:]] != edge_id[placed[:-1]], True)]
+        last_weight = weight[row[last]]
+        del replaced, placed, last
+
+        w = weight[row]
+        bounds = opening
+        bounds[1:] |= w[1:] != w[:-1]
+        starts = np.flatnonzero(bounds)
+        del bounds, opening
+        stops = np.append(starts[1:], len(row)) - 1
+        span = next_time[pos[stops]] - time[row[starts]]
+        seg_edge = edge_id[starts]
+        duration = np.bincount(seg_edge, span, n_edges)
+        weight_integral = np.bincount(seg_edge, w[starts] * span, n_edges)
+        del w, stops, span, seg_edge, starts, edge_id
+
+        # Edges are listed in the order they were first placed: by the row of
+        # their first opening, then by candidate name.
+        heads = np.flatnonzero(new_edge)
+        order = np.argsort(row[heads].astype(np.int64) * n_dst + dst[heads])
+        heads = heads[order]
+        e_src, e_dst = src_of[pos[heads]], dst[heads]
+
+        src_names = list(self._sources)
+        n_src = len(src_names)
+        nodes = sorted(set(map(src_names.__getitem__, _present(e_src, n_src)))
+                       | set(map(dst_names.__getitem__, _present(e_dst, n_dst))))
+        ids = {name: i for i, name in enumerate(nodes)}
+        src_ids = np.fromiter(map(ids.get, src_names, repeat(-1)), np.int64, n_src)
+        dst_ids = np.fromiter(map(ids.get, dst_names, repeat(-1)), np.int64, n_dst)
+        return VotingGraph(
+            nodes, src_ids[e_src], dst_ids[e_dst], placements[order],
+            duration[order], weight_integral[order], last_weight[order],
+            set(self._candidates))
+
+
+def _present(ids: np.ndarray, n: int) -> list[int]:
+    """The distinct values of ids, all in range(n)."""
+    seen = np.zeros(n, bool)
+    seen[ids] = True
+    return np.flatnonzero(seen).tolist()
 
 
 def build_voting_network(trace: Sequence[Action],
@@ -192,12 +309,12 @@ class NodeIndex:
 
     @classmethod
     def of(cls, graph: VotingGraph) -> "NodeIndex":
-        srcs = [s for s, _ in graph.edges]
-        dsts = [d for _, d in graph.edges]
-        names = sorted(set(srcs).union(dsts))
+        order = sorted(range(len(graph.nodes)), key=graph.nodes.__getitem__)
+        names = [graph.nodes[i] for i in order]
         ids = {name: i for i, name in enumerate(names)}
-        src = np.fromiter(map(ids.__getitem__, srcs), np.int64, len(srcs))
-        dst = np.fromiter(map(ids.__getitem__, dsts), np.int64, len(dsts))
+        rank = np.empty(len(order), np.int64)
+        rank[order] = np.arange(len(order))
+        src, dst = rank[graph.src], rank[graph.dst]
         n = len(names)
         keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))
         first = np.ones(len(keys), bool)
@@ -320,41 +437,39 @@ def reconstruct_weighted_network(graph: VotingGraph, anomalies: Sequence[str],
             kept.update(index.names[i] for i in index.neighbors(ego).tolist())
     kept &= graph.candidates
 
-    # Only the kept nodes' totals are read: sum them over the edges touching
-    # a kept node, each total in edge-table order as one += per edge.
+    # Per edge i->j: i's placements towards j over i's placements, and j's
+    # duration / average weight received from i over j's totals. Each total
+    # is summed in edge order; a self-loop adds its intensity twice.
     n = len(index.names)
     in_kept = np.zeros(n, bool)
     in_kept[[index.ids[node] for node in kept]] = True
-    touching = np.flatnonzero(in_kept[index.src] | in_kept[index.dst])
-    edge_stats = list(graph.edges.values())
-    stats = [edge_stats[i] for i in touching.tolist()]
-    placements = np.fromiter(map(attrgetter("placements"), stats), float, len(stats))
-    duration = np.fromiter(map(attrgetter("duration"), stats), float, len(stats))
-    avg_weight = np.fromiter(map(attrgetter("avg_weight"), stats), float, len(stats))
-    src, dst = index.src[touching], index.dst[touching]
-    out_f = np.bincount(src, placements, n).tolist()
-    in_t = np.bincount(dst, duration, n).tolist()
-    in_p = np.bincount(dst, avg_weight, n).tolist()
-
-    def intensity(a: int, b: int) -> float:
-        stats = graph.edges.get((index.names[a], index.names[b]))
-        if stats is None:
-            return 0.0
-        f_share = stats.placements / out_f[a] if out_f[a] > 0 else 0.0
-        t_share = stats.duration / in_t[b] if in_t[b] > 0 else 0.0
-        p_share = stats.avg_weight / in_p[b] if in_p[b] > 0 else 0.0
-        return (f_share + t_share + p_share) / 3.0
+    placements = graph.placements.astype(np.float64)
+    avg_weight = np.divide(graph.weight_integral, graph.duration,
+                           out=graph.last_weight.copy(), where=graph.duration > 0)
+    inside = np.flatnonzero(in_kept[index.src] & in_kept[index.dst])
+    src, dst = index.src[inside], index.dst[inside]
+    intensity = (
+        _share(placements[inside], np.bincount(index.src, placements, n)[src])
+        + _share(graph.duration[inside], np.bincount(index.dst, graph.duration, n)[dst])
+        + _share(avg_weight[inside], np.bincount(index.dst, avg_weight, n)[dst])
+    ) / 3.0
+    loops = src == dst
+    pairs, pair = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
+                            return_inverse=True)
+    weights = np.bincount(np.concatenate([pair, pair[loops]]),
+                          np.concatenate([intensity, intensity[loops]]), len(pairs))
 
     h = nx.Graph()
     h.add_nodes_from(sorted(kept))
-    inside = in_kept[src] & in_kept[dst]
-    lo = np.minimum(src[inside], dst[inside])
-    hi = np.maximum(src[inside], dst[inside])
-    for pair in np.unique(lo * n + hi).tolist():  # ids follow name order
-        a, b = divmod(pair, n)
-        h.add_edge(index.names[a], index.names[b],
-                   weight=intensity(a, b) + intensity(b, a))
+    for key, weight in zip(pairs.tolist(), weights.tolist()):  # ids follow name order
+        a, b = divmod(key, n)
+        h.add_edge(index.names[a], index.names[b], weight=weight)
     return h
+
+
+def _share(part: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """part / total, and 0.0 where the total is not positive."""
+    return np.divide(part, total, out=np.zeros(len(part)), where=total > 0)
 
 
 @dataclass(frozen=True)

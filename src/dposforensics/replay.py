@@ -149,20 +149,9 @@ class VotingState:
         if action.block < self.as_of[0]:
             raise ReplayError(
                 f"action block {action.block} precedes state height {self.as_of[0]}")
-        self._dispatch(action)
+        self._HANDLERS[action.kind](self, action)
         self.as_of = (action.block, action.timestamp)
         return self
-
-    def _dispatch(self, action: Action) -> None:
-        handler = {
-            ActionKind.NEW_ACCOUNT: self._apply_newaccount,
-            ActionKind.DELEGATE_BW: self._apply_delegatebw,
-            ActionKind.UNDELEGATE_BW: self._apply_undelegatebw,
-            ActionKind.REG_PRODUCER: self._apply_regproducer,
-            ActionKind.REG_PROXY: self._apply_regproxy,
-            ActionKind.VOTE_PRODUCER: self._apply_voteproducer,
-        }[action.kind]
-        handler(action)
 
     def _apply_newaccount(self, action: Action) -> None:
         created = action.payload["created"]
@@ -241,6 +230,15 @@ class VotingState:
         acct.last_vote_time = action.timestamp
         for unit in units:
             self._tally(unit, 1)
+
+    _HANDLERS = {
+        ActionKind.NEW_ACCOUNT: _apply_newaccount,
+        ActionKind.DELEGATE_BW: _apply_delegatebw,
+        ActionKind.UNDELEGATE_BW: _apply_undelegatebw,
+        ActionKind.REG_PRODUCER: _apply_regproducer,
+        ActionKind.REG_PROXY: _apply_regproxy,
+        ActionKind.VOTE_PRODUCER: _apply_voteproducer,
+    }
 
     # -- queries -------------------------------------------------------------
 

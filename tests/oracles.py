@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import networkx as nx
@@ -217,6 +218,95 @@ def brute_voting_network(trace, end_time) -> dict[tuple[str, str], EdgeStats]:
         stats.duration = sum(span for span, _ in segments[key])
         stats.weight_integral = math.fsum(span * w for span, w in segments[key])
     return edges
+
+
+# The voting network as the replay observer built it before the edges became
+# columns: one EdgeStats per edge, kept current in the fold, each segment
+# added with the same += as it closes. The column builder must match it bit
+# for bit.
+
+@dataclass(slots=True)
+class _Source:
+    """The votes of one source in force: each open edge's aggregate and the
+    start of the segment it is integrating."""
+
+    votes: tuple[str, ...]
+    weight: float
+    edges: dict[str, EdgeStats] = field(default_factory=dict)
+    starts: dict[str, float] = field(default_factory=dict)
+
+
+def _accrue(stats: EdgeStats, weight: float, span: float) -> None:
+    stats.duration += span
+    stats.weight_integral += weight * span
+
+
+class _IncrementalBuilder:
+    def __init__(self) -> None:
+        self.edges: dict[tuple[str, str], EdgeStats] = {}
+        self.open: dict[str, _Source] = {}
+
+    def _reconcile(self, state, src, t, replaced) -> None:
+        votes, weight = state.backing(src)
+        source = self.open.get(src)
+        if source is None:
+            if not votes:
+                return
+            source = self.open[src] = _Source((), weight)
+        edges, starts, old = source.edges, source.starts, source.weight
+        opened: list[str] = []
+        if votes != source.votes:
+            desired = set(votes)
+            desired.discard(src)
+            for dst in edges.keys() - desired:
+                _accrue(edges.pop(dst), old, t - starts.pop(dst))
+            opened = sorted(desired - edges.keys())
+        reweigh = weight != old
+        if replaced or reweigh:
+            for dst, stats in edges.items():
+                if replaced:
+                    stats.placements += 1
+                    stats.last_weight = weight
+                if reweigh:
+                    _accrue(stats, old, t - starts[dst])
+                    starts[dst] = t
+        for dst in opened:
+            stats = self.edges.get((src, dst))
+            if stats is None:
+                stats = self.edges[(src, dst)] = EdgeStats()
+            edges[dst] = stats
+            starts[dst] = t
+            stats.placements += 1
+            stats.last_weight = weight
+        if edges:
+            source.votes, source.weight = votes, weight
+        else:
+            del self.open[src]
+
+    def __call__(self, action, state) -> None:
+        actor = action.actor
+        if action.kind in (ActionKind.DELEGATE_BW, ActionKind.UNDELEGATE_BW):
+            affected, replaced = [actor], False
+        elif action.kind is ActionKind.REG_PROXY:
+            affected, replaced = [actor] + sorted(state.delegators.get(actor, ())), False
+        elif action.kind is ActionKind.VOTE_PRODUCER:
+            affected = [actor] + sorted(state.delegators.get(actor, ()))
+            replaced = not action.payload["proxy"]
+        else:
+            affected, replaced = [], False
+        for src in affected:
+            self._reconcile(state, src, action.timestamp, replaced)
+
+
+def incremental_voting_network(trace, end_time) -> dict[tuple[str, str], EdgeStats]:
+    """Every edge's EdgeStats, in the order edges were first placed, from the
+    per-edge incremental builder; the votes in force at end_time close there."""
+    builder = _IncrementalBuilder()
+    replay(trace, [builder])
+    for source in builder.open.values():
+        for dst, stats in source.edges.items():
+            _accrue(stats, source.weight, end_time - source.starts[dst])
+    return builder.edges
 
 
 def brute_intensity(graph, src, dst) -> float:

@@ -216,20 +216,21 @@ def test_06_motif_bruteforce():
 def test_07_egonet_outliers():
     with _Budget("07 star-vs-clique outlierness", 10.0):
         rng = random.Random(3)
-        graph = VotingGraph()
+        edges, candidates = {}, set()
         stats = lambda: EdgeStats(placements=1, duration=1.0,
                                   weight_integral=1.0, last_weight=1.0)
         for s in range(500):
             center = f"cand{s:03d}"
-            graph.candidates.add(center)
+            candidates.add(center)
             for leaf in range(rng.randint(3, 20)):
-                graph.edges[(f"vt{s:03d}{chr(97 + leaf)}", center)] = stats()
+                edges[(f"vt{s:03d}{chr(97 + leaf)}", center)] = stats()
         clique = [f"gang{i:02d}" for i in range(12)]
-        graph.candidates.update(clique)
+        candidates.update(clique)
         for a in clique:
             for b in clique:
                 if a != b:
-                    graph.edges[(a, b)] = stats()
+                    edges[(a, b)] = stats()
+        graph = VotingGraph.from_edges(edges, candidates)
         feats = egonet_features(graph)
         fit = fit_edpl(feats)
         scores = outlierness(feats, fit)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -27,6 +28,7 @@ from oracles import (
     brute_egonet,
     brute_intensity,
     brute_voting_network,
+    incremental_voting_network,
     undirected_view,
 )
 
@@ -124,24 +126,107 @@ class TestEdgeStats:
                 want.weight_integral, rel=1e-12), key
 
 
+CANDIDATES = ["bpa", "bpb", "bpc", "bpd"]
+PROXIES = ["poola", "poolb"]
+VOTERS = ["alice", "bob", "carol", "dave"]
+
+
+@st.composite
+def voting_traces(draw):
+    """Traces in which candidates vote too (for themselves among others),
+    voters move between direct votes, proxies and no votes, proxies
+    deregister, stakes change, and actions share timestamps; plus an end time
+    at or after the last action."""
+    b = TraceBuilder()
+    for name in CANDIDATES + PROXIES + VOTERS:
+        b.newaccount("genesis", name).delegate(name, draw(st.integers(1, 50)) * EOS)
+    for name in CANDIDATES:
+        b.regproducer(name)
+    for name in PROXIES:
+        b.regproxy(name)
+    everyone = st.sampled_from(CANDIDATES + PROXIES + VOTERS)
+    for _ in range(draw(st.integers(0, 40))):
+        ts = b.t + draw(st.sampled_from([0, 0, 1, DAY]))
+        kind = draw(st.sampled_from(["vote", "vote", "proxy", "stake", "unstake",
+                                     "regproxy"]))
+        if kind == "vote":
+            b.vote(draw(everyone), draw(st.sets(st.sampled_from(CANDIDATES))), ts=ts)
+        elif kind == "proxy":
+            b.vote_proxy(draw(st.sampled_from(VOTERS + CANDIDATES)),
+                         draw(st.sampled_from(PROXIES)), ts=ts)
+        elif kind == "stake":
+            b.delegate(draw(everyone), draw(st.integers(1, 20)) * EOS, ts=ts)
+        elif kind == "unstake":
+            b.undelegate(draw(everyone), draw(st.integers(1, 20)) * EOS, ts=ts)
+        else:
+            b.regproxy(draw(st.sampled_from(PROXIES)), draw(st.booleans()), ts=ts)
+    trace = b.build()
+    return trace, trace[-1].timestamp + draw(st.sampled_from([0, 1, 3 * DAY]))
+
+
+class TestColumnBuilder:
+    @settings(max_examples=200, deadline=None)
+    @given(case=voting_traces())
+    def test_matches_incremental_builder_bit_for_bit(self, case):
+        trace, end_time = case
+        graph = build_voting_network(trace, end_time=end_time)
+        expected = incremental_voting_network(trace, end_time)
+        assert list(graph.edges) == list(expected)
+        for key, stats in graph.edges.items():
+            want = expected[key]
+            assert (stats.placements, stats.duration, stats.weight_integral,
+                    stats.last_weight) == (want.placements, want.duration,
+                                           want.weight_integral, want.last_weight), key
+
+    def test_no_edges(self):
+        b = TraceBuilder().newaccount("genesis", "bpa").regproducer("bpa")
+        b.delegate("bpa", EOS).vote("bpa", ["bpa"])
+        b.newaccount("genesis", "alice").vote("alice", [])
+        for trace in ([], b.build()):
+            graph = build_voting_network(trace)
+            assert len(graph.edges) == 0 and graph.nodes == []
+
+    def test_graph_holds_no_object_per_edge(self):
+        # One GC-tracked object per edge makes every full collection walk the
+        # whole network; the columns keep it out of the collector's view.
+        rng = random.Random(5)
+        b = TraceBuilder()
+        candidates = [f"bp{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(30)]
+        for name in candidates:
+            b.regproducer(name)
+        for i in range(2500):
+            name = f"vt{chr(97 + i // 676)}{chr(97 + i // 26 % 26)}{chr(97 + i % 26)}"
+            b.newaccount("genesis", name).delegate(name, rng.randint(1, 100) * EOS)
+            b.vote(name, rng.sample(candidates, rng.randint(4, 8)))
+        trace = b.build()
+        build_voting_network(trace[:300])  # first-use imports and caches
+        gc.collect()
+        before = len(gc.get_objects())
+        graph = build_voting_network(trace)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert len(graph.edges) >= 10_000
+        assert grown < 100
+
+
 def star_clique_graph(n_stars=60, star_size=6, clique_size=8):
     """Synthetic graph of voter-stars onto single candidates plus one
     mutual-voting clique among candidates."""
-    graph = VotingGraph()
+    edges, candidates = {}, set()
     stats = lambda: EdgeStats(placements=1, duration=float(DAY),
                               weight_integral=float(DAY), last_weight=1.0)
     for s in range(n_stars):
         center = f"cand{s:03d}"
-        graph.candidates.add(center)
+        candidates.add(center)
         for leaf in range(star_size):
-            graph.edges[(f"vt{s:03d}{chr(97 + leaf)}", center)] = stats()
+            edges[(f"vt{s:03d}{chr(97 + leaf)}", center)] = stats()
     clique = [f"gang{i:02d}" for i in range(clique_size)]
-    graph.candidates.update(clique)
+    candidates.update(clique)
     for a in clique:
         for b in clique:
             if a != b:
-                graph.edges[(a, b)] = stats()
-    return graph, clique
+                edges[(a, b)] = stats()
+    return VotingGraph.from_edges(edges, candidates), clique
 
 
 NODES = [f"n{i}" for i in range(7)]
@@ -154,12 +239,12 @@ def edge_tables(draw):
     reciprocal pairs, self-loops included, and any candidate set."""
     pairs = draw(st.lists(st.tuples(node_names, node_names, st.booleans()),
                           max_size=30))
-    graph = VotingGraph(candidates=draw(st.sets(node_names)))
+    edges = {}
     for a, b, mirrored in pairs:
-        graph.edges[(a, b)] = EdgeStats(placements=1)
+        edges[(a, b)] = EdgeStats(placements=1)
         if mirrored:
-            graph.edges[(b, a)] = EdgeStats(placements=1)
-    return graph
+            edges[(b, a)] = EdgeStats(placements=1)
+    return VotingGraph.from_edges(edges, draw(st.sets(node_names)))
 
 
 class TestEgonets:
@@ -179,10 +264,9 @@ class TestEgonets:
     def test_matches_bruteforce_on_random_graph(self, seed):
         rng = random.Random(seed)
         g = nx.gnp_random_graph(40, 0.12, seed=seed)
-        graph = VotingGraph()
-        for a, b in g.edges:
-            graph.edges[(f"n{a:02d}", f"n{b:02d}")] = EdgeStats(placements=1)
-        graph.candidates = {f"n{i:02d}" for i in range(40)}
+        graph = VotingGraph.from_edges(
+            {(f"n{a:02d}", f"n{b:02d}"): EdgeStats(placements=1) for a, b in g.edges},
+            {f"n{i:02d}" for i in range(40)})
         simple = undirected_view(graph)
         for f in egonet_features(graph):
             assert (f.neighbors, f.edges) == brute_egonet(simple, f.node)
@@ -199,18 +283,17 @@ class TestEgonets:
             assert (f.neighbors, f.edges) == brute_egonet(view, f.node)
 
     def test_self_loop_counts_as_networkx_does(self):
-        graph = VotingGraph(candidates={"a"})
-        for pair in (("a", "a"), ("a", "b"), ("b", "b"), ("b", "c")):
-            graph.edges[pair] = EdgeStats(placements=1)
+        graph = VotingGraph.from_edges(
+            {pair: EdgeStats(placements=1)
+             for pair in (("a", "a"), ("a", "b"), ("b", "b"), ("b", "c"))}, {"a"})
         (feat,) = egonet_features(graph)
         # the ego is its own neighbour; the egonet {a, b} has a-b and two loops
         assert (feat.neighbors, feat.edges) == (2, 3)
 
     def test_directed_pair_collapses_to_one_edge(self):
-        graph = VotingGraph()
-        graph.edges[("a", "b")] = EdgeStats(placements=1)
-        graph.edges[("b", "a")] = EdgeStats(placements=1)
-        graph.candidates = {"a", "b"}
+        graph = VotingGraph.from_edges(
+            {("a", "b"): EdgeStats(placements=1), ("b", "a"): EdgeStats(placements=1)},
+            {"a", "b"})
         feats = {f.node: f for f in egonet_features(graph)}
         assert feats["a"].neighbors == 1 and feats["a"].edges == 1
 
