@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from itertools import count, takewhile
 from pathlib import Path
 
 import click
@@ -28,15 +29,16 @@ from .clustering import (
 from .gangs import GangError, NetworkBuilder, run_pipeline
 from .metrics import (
     MetricsError,
-    monthly_production,
+    daily_production,
     powerlaw_exponent,
+    production_by_month,
     production_entropy,
-    producer_turnover,
     proxy_share_series,
     stake_distribution,
     top_share,
+    turnover_of,
 )
-from .model import ActionKind, LedgerError, ParseError, load_headers, load_trace
+from .model import ActionKind, LedgerError, ParseError, read_headers, read_trace
 from .motifs import (
     detect_eight,
     detect_linear,
@@ -44,13 +46,13 @@ from .motifs import (
     motif_series,
     VoteRecorder,
 )
-from .replay import ReplayError, replay, replay_with_snapshots
+from .replay import SampleTimes, replay, replay_with_snapshots
 from .scoring import instance_score, pairwise_score
 from .synth import (
     ConfigError,
     GenConfig,
     generate_ledger,
-    monthly_sample_times,
+    month_ends,
 )
 
 EXIT_USAGE = 2
@@ -107,23 +109,24 @@ def _write_reports(out: str | None, reports: dict[str, str]) -> Path:
     return out_dir
 
 
-def _load_trace_or_die(trace_path: str):
-    try:
-        return load_trace(trace_path)
-    except ParseError as exc:
-        _fail(EXIT_DATA, f"unreadable trace: {exc}")
-
-
-def _replay_or_die(trace, observers=(), cadence=None):
-    """The command's one fold of the trace: (state, rejected), plus the
-    snapshots at the sample times of a cadence from _cadence_or_die when one
-    is given."""
+def _fold_or_die(trace_path: str, observers=(), cadence=None):
+    """The command's one fold of the trace, read as it is folded: (state,
+    rejected), plus the snapshots at the sample times of a cadence from
+    _cadence_or_die when one is given."""
     try:
         if cadence is None:
-            return replay(trace, observers)
-        return replay_with_snapshots(trace, _snapshot_times(trace, cadence),
-                                     observers)
-    except (ReplayError, LedgerError) as exc:
+            return replay(read_trace(trace_path), observers)
+        times = _sample_times(cadence)
+        state, rejected, snapshots = replay_with_snapshots(
+            read_trace(trace_path), times, observers)
+        if snapshots is None:  # the timestamps ran back: fold for the samples
+            last = state.end_time  # again, now that the last time is known
+            _, _, snapshots = replay_with_snapshots(
+                read_trace(trace_path), lambda first, _: times(first, last))
+        return state, rejected, snapshots
+    except ParseError as exc:
+        _fail(EXIT_DATA, f"unreadable trace: {exc}")
+    except LedgerError as exc:  # a ReplayError too
         _fail(EXIT_DATA, f"unreplayable trace: {exc}")
 
 
@@ -133,17 +136,38 @@ def _need_snapshots(snapshots) -> None:
         _fail(EXIT_DATA, "no snapshots; trace too short for the cadence")
 
 
-def _end_time(trace) -> float:
-    return trace[-1].timestamp if trace else 0.0
+def _sample_times(cadence: str | int) -> SampleTimes:
+    """The sample times of a cadence from _cadence_or_die, for a trace from
+    first to last: the end of each month from first's on, the one of last's
+    month cut to last; or every step seconds from first + step - 1 up to
+    last + step."""
+    def times(first, last):
+        if first is None:
+            return ()
+        if cadence == "monthly":
+            return month_ends(first, last + 1)
+        return takewhile(lambda t: t < last + 1 + cadence,
+                         count(first + cadence - 1, cadence))
+    return times
 
 
-def _snapshot_times(trace, cadence: str | int) -> list[int]:
-    if not trace:
-        return []
-    start, end = trace[0].timestamp, trace[-1].timestamp + 1
-    if cadence == "monthly":
-        return monthly_sample_times(start, end)
-    return list(range(start + cadence - 1, end + cadence, cadence))
+def _daily_production_or_die(headers_path: str):
+    try:
+        return daily_production(read_headers(headers_path))
+    except ParseError as exc:
+        _fail(EXIT_DATA, f"unreadable headers: {exc}")
+
+
+def _creators(state, rejected) -> dict[str, str]:
+    """Each created account's creator, from the last newaccount line that
+    names it: the applied one, or a later rejected one (a newaccount is
+    rejected only for an account that exists)."""
+    creators = {name: acct.creator for name, acct in state.accounts.items()
+                if acct.creator is not None}
+    for r in rejected:
+        if r.action.kind is ActionKind.NEW_ACCOUNT:
+            creators[r.action.payload["created"]] = r.action.payload["creator"]
+    return creators
 
 
 # The numeric options are checked before the trace is read, each exiting 2
@@ -225,8 +249,7 @@ def generate(config_path: str, out: str | None) -> None:
 @click.option("--out", "-o", default=None)
 def replay_cmd(trace_path: str, out: str | None) -> None:
     """Replay a trace and write the canonical final state."""
-    trace = _load_trace_or_die(trace_path)
-    state, rejected = _replay_or_die(trace)
+    state, rejected = _fold_or_die(trace_path)
     canonical = state.canonical_json()
     payload = {
         "manifest": _manifest("replay", {"trace": trace_path}, {}),
@@ -237,7 +260,7 @@ def replay_cmd(trace_path: str, out: str | None) -> None:
         "events": state.log,
     }
     _write_reports(out, {"state.json": _json_text(payload)})
-    click.echo(f"replayed {len(trace)} actions, {len(rejected)} rejected")
+    click.echo(f"replayed {state.actions_read} actions, {len(rejected)} rejected")
 
 
 def _metric_params(entropy_n: str, top_stake_pct: float, cadence: str) -> dict:
@@ -245,9 +268,10 @@ def _metric_params(entropy_n: str, top_stake_pct: float, cadence: str) -> dict:
             "snapshot_cadence": cadence}
 
 
-def _run_metrics(snapshots, headers, reports: dict[str, str], manifest: dict,
+def _run_metrics(snapshots, daily, reports: dict[str, str], manifest: dict,
                  ns: list[int | None], top_stake_pct: float) -> dict:
-    production = monthly_production(headers)
+    """The metric reports; daily is the headers' daily_production."""
+    production = production_by_month(daily)
     rows = []
     for month, counts in production.items():
         row: list = [f"{month[0]:04d}-{month[1]:02d}", sum(counts.values())]
@@ -261,7 +285,7 @@ def _run_metrics(snapshots, headers, reports: dict[str, str], manifest: dict,
     reports["entropy.csv"] = _csv_text(
         ["month", "blocks"] + [f"entropy_n_{l}" for l in labels], rows)
 
-    turnover = producer_turnover(headers)
+    turnover = turnover_of(daily)
     reports["turnover.csv"] = _csv_text(["month", "distinct", "cumulative"], [
         [f"{m[0]:04d}-{m[1]:02d}", turnover.monthly_counts[m], c]
         for m, c in turnover.cumulative_counts])
@@ -306,27 +330,21 @@ def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
     ns = _entropy_ns_or_die(entropy_n)
     _fraction_or_die(top_stake_pct, "top-stake-pct")
     cadence = _cadence_or_die(snapshot_cadence)
-    trace = _load_trace_or_die(trace_path)
-    _, _, snapshots = _replay_or_die(trace, cadence=cadence)
-    try:
-        headers = load_headers(headers_path)
-    except ParseError as exc:
-        _fail(EXIT_DATA, f"unreadable headers: {exc}")
+    _, _, snapshots = _fold_or_die(trace_path, cadence=cadence)
+    daily = _daily_production_or_die(headers_path)
     manifest = _manifest("metrics", {"trace": trace_path, "headers": headers_path},
                          _metric_params(entropy_n, top_stake_pct, snapshot_cadence))
     reports: dict[str, str] = {}
-    _run_metrics(snapshots, headers, reports, manifest, ns, top_stake_pct)
+    _run_metrics(snapshots, daily, reports, manifest, ns, top_stake_pct)
     out_dir = _write_reports(out, reports)
     click.echo(f"metrics written to {out_dir}")
 
 
-def _run_cluster(trace, snapshots, reports: dict[str, str], manifest: dict,
+def _run_cluster(creators, snapshots, reports: dict[str, str], manifest: dict,
                  theta: float, top_stake_pct: float) -> dict:
     voters = top_stakeholders(snapshots[-1], top_stake_pct)
     records = sample_voting_records(snapshots, voters)
     clusters = cluster_voters(voters, records, theta)
-    creators = {a.payload["created"]: a.payload["creator"]
-                for a in trace if a.kind is ActionKind.NEW_ACCOUNT}
     concordance = creator_concordance(clusters, creators)
     payload = {"manifest": manifest, "n_voters": len(voters), "clusters": []}
     rows = []
@@ -362,14 +380,14 @@ def cluster(trace_path, out, theta, top_stake_pct, snapshot_cadence) -> None:
     _fraction_or_die(theta, "theta")
     _fraction_or_die(top_stake_pct, "top-stake-pct")
     cadence = _cadence_or_die(snapshot_cadence)
-    trace = _load_trace_or_die(trace_path)
-    _, _, snapshots = _replay_or_die(trace, cadence=cadence)
+    state, rejected, snapshots = _fold_or_die(trace_path, cadence=cadence)
     _need_snapshots(snapshots)
     manifest = _manifest("cluster", {"trace": trace_path},
                          {"theta": theta, "top_stake_pct": top_stake_pct,
                           "snapshot_cadence": snapshot_cadence})
     reports: dict[str, str] = {}
-    _run_cluster(trace, snapshots, reports, manifest, theta, top_stake_pct)
+    _run_cluster(_creators(state, rejected), snapshots, reports, manifest, theta,
+                 top_stake_pct)
     out_dir = _write_reports(out, reports)
     click.echo(f"clusters written to {out_dir}")
 
@@ -411,9 +429,8 @@ def _run_motifs(events, candidates, reports: dict[str, str], manifest: dict,
 def motifs(trace_path, out, window_days) -> None:
     """Mutual-voting motifs (linear, triangular, eight-shaped)."""
     _window_or_die(window_days)
-    trace = _load_trace_or_die(trace_path)
     votes = VoteRecorder()
-    state, _ = _replay_or_die(trace, [votes])
+    state, _ = _fold_or_die(trace_path, [votes])
     manifest = _manifest("motifs", {"trace": trace_path},
                          {"window_days": window_days})
     reports: dict[str, str] = {}
@@ -453,10 +470,9 @@ def _run_gangs(graph, reports: dict[str, str], manifest: dict, outlier_pct: floa
 def gangs(trace_path, out, outlier_pct, seed) -> None:
     """Mutual-voting gang pipeline (egonet scoring, reconstruction, Louvain)."""
     _fraction_or_die(outlier_pct, "outlier-pct")
-    trace = _load_trace_or_die(trace_path)
     network = NetworkBuilder()
-    _replay_or_die(trace, [network])
-    graph = network.finish(_end_time(trace))
+    state, _ = _fold_or_die(trace_path, [network])
+    graph = network.finish(state.end_time)
     manifest = _manifest("gangs", {"trace": trace_path},
                          {"outlier_pct": outlier_pct, "seed": seed})
     reports: dict[str, str] = {}
@@ -485,16 +501,11 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     _fraction_or_die(outlier_pct, "outlier-pct")
     ns = _entropy_ns_or_die(entropy_n)
     cadence = _cadence_or_die(snapshot_cadence)
-    trace = _load_trace_or_die(trace_path)
     votes = VoteRecorder()
     network = NetworkBuilder()
-    _, _, snapshots = _replay_or_die(trace, [votes, network], cadence)
+    state, rejected, snapshots = _fold_or_die(trace_path, [votes, network], cadence)
     _need_snapshots(snapshots)
-    graph = network.finish(_end_time(trace))
-    try:
-        headers = load_headers(headers_path)
-    except ParseError as exc:
-        _fail(EXIT_DATA, f"unreadable headers: {exc}")
+    daily = _daily_production_or_die(headers_path)
     params = {"theta": theta, "window_days": window_days,
               "top_stake_pct": top_stake_pct, "outlier_pct": outlier_pct,
               "entropy_n": entropy_n, "seed": seed,
@@ -502,10 +513,14 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     manifest = _manifest("all", {"trace": trace_path, "headers": headers_path},
                          params)
     reports: dict[str, str] = {}  # written once gang detection has succeeded
-    _run_metrics(snapshots, headers, reports, manifest, ns, top_stake_pct)
-    cluster_payload = _run_cluster(trace, snapshots, reports, manifest, theta,
-                                   top_stake_pct)
-    del snapshots  # the fold's products are large; free each once it is used
+    _run_metrics(snapshots, daily, reports, manifest, ns, top_stake_pct)
+    cluster_payload = _run_cluster(_creators(state, rejected), snapshots, reports,
+                                   manifest, theta, top_stake_pct)
+    # The fold's products are large: free each once it is used, and build
+    # the network, the largest, only after the snapshots are gone.
+    del snapshots, rejected
+    graph = network.finish(state.end_time)
+    del network, state
     motif_result = _run_motifs(votes.events(graph.candidates), graph.candidates,
                                reports, manifest, window_days)
     del votes

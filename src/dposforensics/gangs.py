@@ -265,16 +265,14 @@ def _present(ids: np.ndarray, n: int) -> list[int]:
     return np.flatnonzero(seen).tolist()
 
 
-def build_voting_network(trace: Sequence[Action],
+def build_voting_network(trace: Iterable[Action],
                          end_time: Optional[float] = None) -> VotingGraph:
     """Aggregate the trace into a directed voting graph with per-edge
     placement count, in-force duration, and time-averaged weight; end_time
     (default: the last action's timestamp) closes the votes still in force."""
     builder = NetworkBuilder()
-    replay(trace, [builder])
-    if end_time is None:
-        end_time = trace[-1].timestamp if trace else 0.0
-    return builder.finish(end_time)
+    state, _ = replay(trace, [builder])
+    return builder.finish(state.end_time if end_time is None else end_time)
 
 
 @dataclass(frozen=True)

@@ -29,26 +29,35 @@ def utc_day(ts: float) -> tuple[int, int, int]:
     return (dt.year, dt.month, dt.day)
 
 
+def _day_key(ts: float) -> float:
+    """A time of ts's UTC day: the day's start, if ts is at least a second
+    from either end of it, else ts itself (rounding to microseconds may carry
+    a time that near an end into another day)."""
+    if 1 <= ts % SECONDS_PER_DAY < SECONDS_PER_DAY - 1:
+        return ts // SECONDS_PER_DAY * SECONDS_PER_DAY
+    return ts
+
+
 def utc_days(timestamps: Iterable[float]) -> list[tuple[int, int, int]]:
-    """utc_day of each timestamp. A time at least a second from either end of
-    its day takes its date from the day's start, converted once per day."""
+    """utc_day of each timestamp, converted once per _day_key."""
     days: dict[float, tuple[int, int, int]] = {}
     result = []
-    for ts in timestamps:
-        if 1 <= ts % SECONDS_PER_DAY < SECONDS_PER_DAY - 1:
-            start = ts // SECONDS_PER_DAY * SECONDS_PER_DAY
-            day = days.get(start)
-            if day is None:
-                day = days[start] = utc_day(start)
-        else:  # rounding to microseconds may carry it into another day
-            day = utc_day(ts)
-        result.append(day)
+    for key in map(_day_key, timestamps):
+        if key not in days:
+            days[key] = utc_day(key)
+        result.append(days[key])
     return result
 
 
-def _day_producers(headers: Sequence[BlockHeader]):
-    """(UTC day, producer) of each header."""
-    return zip(utc_days([h.timestamp for h in headers]), [h.producer for h in headers])
+def daily_production(headers: Iterable[BlockHeader]) -> Counter:
+    """Blocks per (UTC day, producer), in one pass over the headers; each
+    day is converted once, as in utc_days."""
+    by_key = Counter((_day_key(h.timestamp), h.producer) for h in headers)
+    days = utc_days([key for key, _ in by_key])  # _day_key(key) is key
+    counts: Counter = Counter()
+    for ((_, producer), blocks), day in zip(by_key.items(), days):
+        counts[day, producer] += blocks
+    return counts
 
 
 def production_entropy(counts: Mapping[str, int], n: int | None = None,
@@ -175,12 +184,17 @@ class TurnoverReport:
     active_days: dict[str, int]
 
 
-def producer_turnover(headers: Sequence[BlockHeader]) -> TurnoverReport:
+def producer_turnover(headers: Iterable[BlockHeader]) -> TurnoverReport:
     """Distinct producers per UTC month, cumulative distinct producers, and
     distinct production days per producer."""
+    return turnover_of(daily_production(headers))
+
+
+def turnover_of(daily: Mapping[tuple, int]) -> TurnoverReport:
+    """producer_turnover from the daily_production counts."""
     monthly: dict[tuple[int, int], set[str]] = {}
     days: dict[str, set[tuple[int, int, int]]] = {}
-    for day, producer in set(_day_producers(headers)):
+    for day, producer in daily:
         monthly.setdefault(day[:2], set()).add(producer)
         days.setdefault(producer, set()).add(day)
     seen: set[str] = set()
@@ -195,10 +209,15 @@ def producer_turnover(headers: Sequence[BlockHeader]) -> TurnoverReport:
     )
 
 
-def monthly_production(headers: Sequence[BlockHeader]) -> dict[tuple[int, int], dict[str, int]]:
+def monthly_production(headers: Iterable[BlockHeader]) -> dict[tuple[int, int], dict[str, int]]:
     """Blocks produced per producer, bucketed by UTC month."""
+    return production_by_month(daily_production(headers))
+
+
+def production_by_month(daily: Mapping[tuple, int]) -> dict[tuple[int, int], dict[str, int]]:
+    """monthly_production from the daily_production counts."""
     result: dict[tuple[int, int], dict[str, int]] = {}
-    for (day, producer), blocks in Counter(_day_producers(headers)).items():
+    for (day, producer), blocks in daily.items():
         month = result.setdefault(day[:2], {})
         month[producer] = month.get(producer, 0) + blocks
     return {m: dict(sorted(c.items())) for m, c in sorted(result.items())}

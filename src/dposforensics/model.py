@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any, Callable
+from sys import intern
+from typing import Any, Callable, Iterator
 
 NAME_ALPHABET = frozenset("abcdefghijklmnopqrstuvwxyz12345.")
 MAX_VOTES = 30
@@ -122,10 +123,11 @@ def _is_number(value: Any, kinds) -> bool:
 
 def _name(value: Any, field_name: str, names: set[str]) -> str:
     """validate_name(value), skipped for a name already in `names`, the
-    names accepted so far in this load; an accepted name is added."""
+    names accepted so far in this load; an accepted name is added. A str is
+    returned interned, so that every action naming an account shares one."""
     if value.__class__ is not str or value not in names:
         names.add(validate_name(value, field_name))
-    return value
+    return intern(value) if value.__class__ is str else value
 
 
 _KINDS = {kind.value: kind for kind in ActionKind}
@@ -161,7 +163,7 @@ def _validate_payload(kind: ActionKind, actor: str, payload: Any,
         if not isinstance(producers, list):
             raise ParseError("producers must be a list", "payload.producers")
         if proxy:
-            _name(proxy, "payload.proxy", names)
+            proxy = _name(proxy, "payload.proxy", names)
             if producers:
                 raise ParseError("ambiguous vote: both proxy and producers set", "payload")
             return {"proxy": proxy, "producers": []}
@@ -178,7 +180,11 @@ def _validate_payload(kind: ActionKind, actor: str, payload: Any,
             raise ParseError("producers list has duplicates", "payload.producers")
         if producers != sorted(producers):
             raise ParseError("producers list must be sorted ascending", "payload.producers")
-        return {"proxy": "", "producers": list(producers)}
+        try:
+            producers = list(map(intern, producers))
+        except TypeError:  # a str subclass, from a caller of make_action
+            producers = list(producers)
+        return {"proxy": "", "producers": producers}
     raise ParseError(f"unknown action kind '{kind}'", "kind")
 
 
@@ -196,7 +202,7 @@ def make_action(kind: ActionKind | str, actor: str, timestamp: int, block: int,
         raise ParseError(f"unknown action kind '{kind}'", "kind") from None
     if names is None:
         names = set()
-    _name(actor, "actor", names)
+    actor = _name(actor, "actor", names)
     if not (timestamp.__class__ is int or timestamp.__class__ is float
             or _is_number(timestamp, (int, float))):
         raise ParseError("timestamp must be numeric", "timestamp")
@@ -297,10 +303,9 @@ def serialize_header(header: BlockHeader) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
-def _load_lines(path: str, parse: Callable[[str, set[str]], Any]) -> list:
-    """parse() of each non-blank line, sharing one set of accepted account
-    names; a ParseError names its line number."""
-    items = []
+def _read_lines(path: str, parse: Callable[[str, set[str]], Any]) -> Iterator:
+    """parse() of each non-blank line, yielded as the file is read, sharing
+    one set of accepted account names; a ParseError names its line number."""
     names: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -308,15 +313,25 @@ def _load_lines(path: str, parse: Callable[[str, set[str]], Any]) -> list:
             if not line:
                 continue
             try:
-                items.append(parse(line, names))
+                item = parse(line, names)
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}", exc.field) from None
-    return items
+            yield item
+
+
+def read_trace(path: str) -> Iterator[Action]:
+    """The trace's actions, one at a time, as the file is read."""
+    return _read_lines(path, parse_action)
+
+
+def read_headers(path: str) -> Iterator[BlockHeader]:
+    """The header file's block headers, one at a time, as it is read."""
+    return _read_lines(path, parse_header)
 
 
 def load_trace(path: str) -> list[Action]:
-    return _load_lines(path, parse_action)
+    return list(read_trace(path))
 
 
 def load_headers(path: str) -> list[BlockHeader]:
-    return _load_lines(path, parse_header)
+    return list(read_headers(path))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import Action, ActionKind
 from .metrics import utc_month
@@ -84,7 +84,7 @@ class VoteRecorder:
         return events
 
 
-def build_vote_events(trace: Sequence[Action]) -> list[VoteEvent]:
+def build_vote_events(trace: Iterable[Action]) -> list[VoteEvent]:
     """Replay the trace and flatten applied voteproducer actions to events."""
     recorder = VoteRecorder()
     replay(trace, [recorder])

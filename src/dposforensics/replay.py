@@ -2,16 +2,16 @@
 
 Every direct voter (a registered proxy pooling its delegators' stake) has its
 stake tallied as an exact integer per candidate it votes for and per vote
-week, withdrawn before an action changes it and added back after. Candidate
-weights are summed from the tallies when read.
+week; an action adds the signed change it makes to each tally it touches.
+Candidate weights are summed from the tallies when read.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from itertools import pairwise
-from typing import Any, Callable, Iterable, Optional, Sequence
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     Action,
@@ -69,6 +69,11 @@ class _Rejection(Exception):
         self.reason = reason
 
 
+# (candidates, vote week, stake) of a voting unit: the stake it adds to the
+# tally of that week of each of the candidates.
+Unit = tuple[tuple[str, ...], int, int]
+
+
 class VotingState:
     """Replayed world state; mutate only through apply()/replay()."""
 
@@ -81,6 +86,10 @@ class VotingState:
         self.tallies: dict[str, dict[int, int]] = {}
         self._weights: dict[str, float] = {}
         self._stale: set[str] = set()  # candidates whose weight is out of date
+        # Set by the fold: the trace lines it read, rejected ones included,
+        # and the last one's timestamp (0.0 for an empty trace).
+        self.actions_read = 0
+        self.end_time: float = 0.0
 
     # -- the voting-power rule -----------------------------------------------
 
@@ -100,20 +109,55 @@ class VotingState:
         return voter.votes, compute_vote_weight(
             acct.stake, compute_vote_index(voter.last_vote_time))
 
-    def _tally(self, name: str, sign: int) -> None:
-        """Add (sign 1) or withdraw (sign -1) the stake of name's voting unit,
-        if it is one, for each candidate it votes for."""
+    def _unit(self, name: Optional[str]) -> Optional[Unit]:
+        """The Unit of name; None when name is no voting unit (or None)."""
         acct = self.accounts.get(name)
         if acct is None or acct.proxy is not None or not acct.votes:
-            return
-        week = vote_week(acct.last_vote_time)
+            return None
         stake = acct.stake + (acct.proxied_stake if acct.is_proxy else 0)
-        for cand in acct.votes:
+        return acct.votes, vote_week(acct.last_vote_time), stake
+
+    def _shift(self, votes: Sequence[str], week: int, delta: int) -> None:
+        """Add delta, which may be negative, to the tally of week of each of
+        votes; a tally that reaches 0 is dropped."""
+        if not delta:
+            return
+        for cand in votes:
             weeks = self.tallies[cand]
-            weeks[week] = weeks.get(week, 0) + sign * stake
-            if not weeks[week]:
+            stake = weeks.get(week, 0) + delta
+            if stake:
+                weeks[week] = stake
+            else:
                 del weeks[week]
-            self._stale.add(cand)
+        self._stale.update(votes)
+
+    def _shift_unit(self, name: str, delta: int) -> None:
+        """Add delta to each tally name's voting unit, if it is one, adds to."""
+        unit = self._unit(name)
+        if unit is not None:
+            self._shift(unit[0], unit[1], delta)
+
+    def _shift_pool(self, proxy: Optional[str], delta: int) -> None:
+        """Add delta to the stake pooled by proxy, if one is given; the pool
+        counts for the tallies only while proxy is registered."""
+        if proxy is not None:
+            pool = self.accounts[proxy]
+            pool.proxied_stake += delta
+            if pool.is_proxy:
+                self._shift_unit(proxy, delta)
+
+    def _revote(self, old: Optional[Unit], new: Optional[Unit]) -> None:
+        """Move a voting unit's stake from old to new, each its _unit before
+        and after a vote: the net change per (candidate, week)."""
+        if old is not None and new is not None and old[1:] == new[1:]:
+            (old_votes, week, stake), new_votes = old, new[0]
+            self._shift([c for c in old_votes if c not in new_votes], week, -stake)
+            self._shift([c for c in new_votes if c not in old_votes], week, stake)
+            return
+        if old is not None:
+            self._shift(old[0], old[1], -old[2])
+        if new is not None:
+            self._shift(*new)
 
     @property
     def candidates(self) -> dict[str, float]:
@@ -173,12 +217,11 @@ class VotingState:
 
     def _restake(self, name: str, delta: int) -> None:
         acct = self._ensure_account(name)
-        unit = name if acct.proxy is None else acct.proxy
-        self._tally(unit, -1)
         acct.stake += delta
-        if acct.proxy is not None:
-            self.accounts[acct.proxy].proxied_stake += delta
-        self._tally(unit, 1)
+        if acct.proxy is None:
+            self._shift_unit(name, delta)
+        else:
+            self._shift_pool(acct.proxy, delta)
 
     def _apply_regproducer(self, action: Action) -> None:
         self._ensure_account(action.actor)
@@ -195,9 +238,9 @@ class VotingState:
                 f"proxy '{action.actor}' deregistered at {action.timestamp} with "
                 f"{len(self.delegators[action.actor])} delegators; pooled "
                 "contributions suspended until re-registration")
-        self._tally(action.actor, -1)
+        if isproxy != acct.is_proxy:
+            self._shift_unit(action.actor, acct.proxied_stake * (1 if isproxy else -1))
         acct.is_proxy = isproxy
-        self._tally(action.actor, 1)
 
     def _apply_voteproducer(self, action: Action) -> None:
         acct = self._ensure_account(action.actor)
@@ -216,20 +259,18 @@ class VotingState:
             unknown = [p for p in producers if p not in self.tallies]
             if unknown:
                 raise _Rejection(f"vote for unregistered candidate '{unknown[0]}'")
-        units = dict.fromkeys((action.actor, acct.proxy, proxy))  # None is no unit
-        for unit in units:
-            self._tally(unit, -1)
-        if acct.proxy is not None:
-            self.delegators[acct.proxy].discard(action.actor)
-            self.accounts[acct.proxy].proxied_stake -= acct.stake
-        if proxy is not None:
-            self.delegators.setdefault(proxy, set()).add(action.actor)
-            self.accounts[proxy].proxied_stake += acct.stake
+        before = self._unit(action.actor)
+        if proxy != acct.proxy:
+            if acct.proxy is not None:
+                self.delegators[acct.proxy].discard(action.actor)
+            self._shift_pool(acct.proxy, -acct.stake)
+            if proxy is not None:
+                self.delegators.setdefault(proxy, set()).add(action.actor)
+            self._shift_pool(proxy, acct.stake)
         acct.proxy = proxy
         acct.votes = producers
         acct.last_vote_time = action.timestamp
-        for unit in units:
-            self._tally(unit, 1)
+        self._revote(before, self._unit(action.actor))
 
     _HANDLERS = {
         ActionKind.NEW_ACCOUNT: _apply_newaccount,
@@ -294,66 +335,115 @@ class VotingState:
 
 
 Observer = Callable[[Action, VotingState], None]
+# times(first, last): the ascending sample times of a trace whose first and
+# last actions are stamped first and last (both None for an empty trace).
+# With last=inf, the times as far as they go while the last is not known.
+SampleTimes = Callable[[Optional[int], Optional[float]], Iterable[float]]
 
 
-def _check_sorted(trace: Sequence[Action]) -> None:
-    for prev, cur in pairwise(trace):
-        if cur.order_key() < prev.order_key():
-            raise ReplayError(
-                f"trace not sorted: action (block={cur.block}, seq={cur.seq}) "
-                f"after (block={prev.block}, seq={prev.seq})")
-
-
-def _fold(trace: Sequence[Action], observers: Sequence[Observer],
-          sample_times: Iterable[float],
+def _fold(actions: Iterable[Action], observers: Sequence[Observer],
+          times: Optional[SampleTimes],
           sample: Optional[Callable[[VotingState, float], Any]],
-          ) -> tuple[VotingState, list[RejectedAction], list]:
+          ) -> tuple[VotingState, list[RejectedAction], Optional[list]]:
     """The one fold of a trace in the package.
 
-    Each observer is called as observer(action, state) after every applied
-    action; rejected actions are logged instead. At each sample time t,
-    sample(state, t) (default VotingState.snapshot) sees the state after every
-    action stamped at or before t.
+    The actions may come one at a time from a file; the fold keeps none of
+    them but the rejected ones. Each observer is called as observer(action,
+    state) after every applied action; rejected actions are logged instead.
+    At each sample time t, sample(state, t) (default VotingState.snapshot)
+    sees the state after every action before the first one stamped after t.
+    The times come from times(first, inf) as the actions do and are checked
+    at the end against times(first, last); the samples are None if a time due
+    before the end was not taken, which only timestamps that run back cause.
+
+    Errors come in the order of a check of the whole trace before the fold:
+    an unsorted pair before any replay error, and both only once every
+    action is read, so that a ParseError from a lazy source comes first.
     """
-    _check_sorted(trace)
-    times = sorted(sample_times)
     state = VotingState()
     rejected: list[RejectedAction] = []
-    samples: list = []
+    samples: Optional[list] = []
+    taken: list[float] = []  # the time of each sample
     if sample is None:
         sample = VotingState.snapshot
-    idx = 0
-    for action in trace:
-        while idx < len(times) and action.timestamp > times[idx]:
-            samples.append(sample(state, times[idx]))
-            idx += 1
-        try:
-            state.apply(action)
-        except _Rejection as exc:
-            rejected.append(RejectedAction(action, exc.reason))
+    pending: Iterator[float] = iter(())
+    # the next sample time; -inf has the first action start the times
+    due = -math.inf if times is not None else math.inf
+    first: Optional[int] = None
+    latest = -math.inf
+    failure: Optional[LedgerError] = None
+    in_order = True
+    prev: tuple = (-math.inf,)
+    count = 0
+    for count, action in enumerate(actions, 1):
+        key = action.order_key()
+        if key < prev and in_order:
+            in_order = False
+            failure = ReplayError(
+                f"trace not sorted: action (block={action.block}, seq={action.seq}) "
+                f"after (block={prev[0]}, seq={prev[1]})")
+        prev = key
+        if failure is not None:
             continue
-        for observe in observers:
-            observe(action, state)
-    while idx < len(times):
-        samples.append(sample(state, times[idx]))
-        idx += 1
+        stamp = action.timestamp
+        if stamp > latest:
+            latest = stamp
+        try:
+            while stamp > due:
+                if first is None:
+                    first = stamp
+                    pending = iter(times(first, math.inf))
+                else:
+                    samples.append(sample(state, due))
+                    taken.append(due)
+                due = next(pending, math.inf)
+            try:
+                state.apply(action)
+            except _Rejection as exc:
+                rejected.append(RejectedAction(action, exc.reason))
+                continue
+            for observe in observers:
+                observe(action, state)
+        except LedgerError as exc:
+            failure = exc
+    if failure is not None:
+        raise failure
+    state.actions_read = count
+    if count:
+        state.end_time = action.timestamp
+    if times is not None:
+        exact = iter(times(first, action.timestamp if count else None))
+        if list(islice(exact, len(taken))) != taken:
+            samples = None
+        else:
+            for due in exact:
+                if due < latest:  # due before the last action, not taken
+                    samples = None
+                    break
+                samples.append(sample(state, due))
     state._settle()  # a weight overflow fails the fold, not a later read
     return state, rejected, samples
 
 
-def replay(trace: Sequence[Action], observers: Sequence[Observer] = (),
+def replay(trace: Iterable[Action], observers: Sequence[Observer] = (),
            ) -> tuple[VotingState, list[RejectedAction]]:
     """Left-fold a sorted trace; rejected actions are logged, not fatal.
     Observers see each applied action with the state after it."""
-    state, rejected, _ = _fold(trace, observers, (), None)
+    state, rejected, _ = _fold(trace, observers, None, None)
     return state, rejected
 
 
 def replay_with_snapshots(
-    trace: Sequence[Action], sample_times: Iterable[float],
+    trace: Iterable[Action], sample_times: Iterable[float] | SampleTimes,
     observers: Sequence[Observer] = (),
     sample: Optional[Callable[[VotingState, float], Any]] = None,
-) -> tuple[VotingState, list[RejectedAction], list]:
+) -> tuple[VotingState, list[RejectedAction], Optional[list]]:
     """Replay, emitting a snapshot at each sample time (state as of that
-    instant); `sample` replaces VotingState.snapshot as what is taken."""
+    instant); `sample` replaces VotingState.snapshot as what is taken.
+    `sample_times` is a collection of times, or a SampleTimes function of the
+    trace's first and last timestamps; only the latter can give None for
+    the samples (see _fold)."""
+    if not callable(sample_times):
+        ordered = sorted(sample_times)
+        sample_times = lambda first, last: ordered  # noqa: E731
     return _fold(trace, observers, sample_times, sample)

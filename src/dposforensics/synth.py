@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .model import (
     Action,
@@ -176,9 +176,18 @@ def month_windows(start_ts: int, end_ts: int) -> list[tuple[int, int]]:
     return windows
 
 
+def month_ends(start_ts: int, end_ts: float) -> Iterator[int]:
+    """The last instant of each month_windows(start_ts, end_ts) window, one
+    at a time; end_ts may be inf."""
+    cursor = month_start(start_ts)
+    while cursor < end_ts:
+        cursor = next_month_start(cursor)
+        yield min(cursor, end_ts) - 1
+
+
 def monthly_sample_times(start_ts: int, end_ts: int) -> list[int]:
     """End-of-month sample instants covering the span."""
-    return [hi - 1 for _, hi in month_windows(start_ts, end_ts)]
+    return list(month_ends(start_ts, end_ts))
 
 
 def _pareto_stake(rng: random.Random, alpha: float, minimum_tokens: float = 1.0) -> int:

@@ -32,15 +32,15 @@ from dposforensics.motifs import EIGHT, LINEAR, TRIANGULAR
 from dposforensics.replay import replay
 
 
-def recompute_candidate_weights(state) -> dict[str, float]:
-    """Re-derive every candidate's received weight from account records only.
+def recompute_tallies(state) -> dict[str, dict[int, int]]:
+    """Re-derive every candidate's integer stake per vote week from account
+    records only, leaving out weeks whose stake is 0.
 
     Each direct voter gives its stake, plus the stakes of the accounts whose
     proxy it is while it is a registered proxy, to each candidate it votes
     for, in the bucket of whole weeks from the index epoch to its last vote.
-    A candidate's weight is the fsum over its weeks of stake * 2^(week/52).
     """
-    received = {c: {} for c in state.candidates}
+    received = {c: {} for c in state.tallies}
     for name, acct in state.accounts.items():
         if acct.proxy is not None or not acct.votes:
             continue
@@ -51,9 +51,16 @@ def recompute_candidate_weights(state) -> dict[str, float]:
         week = (acct.last_vote_time - VOTE_INDEX_EPOCH) // (7 * SECONDS_PER_DAY)
         for cand in acct.votes:
             received[cand][week] = received[cand].get(week, 0) + stake
+    return {cand: {week: stake for week, stake in weeks.items() if stake}
+            for cand, weeks in received.items()}
+
+
+def recompute_candidate_weights(state) -> dict[str, float]:
+    """Re-derive every candidate's received weight from account records only:
+    the fsum over its recompute_tallies weeks of stake * 2^(week/52)."""
     return {cand: math.fsum(compute_vote_weight(stake, week / 52)
                             for week, stake in weeks.items())
-            for cand, weeks in received.items()}
+            for cand, weeks in recompute_tallies(state).items()}
 
 
 def component_clusters(voters, records, theta):

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -11,9 +13,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import dposforensics
-from dposforensics.cli import main
-from dposforensics.model import load_trace, serialize_action
-from dposforensics.replay import VotingState
+from dposforensics.cli import _creators, _sample_times, main
+from dposforensics.metrics import proxy_share_series
+from dposforensics.model import Action, ActionKind, load_trace, serialize_action
+from dposforensics.replay import VotingState, replay, replay_with_snapshots
+from dposforensics.synth import month_windows
 
 from conftest import (DAY, FUZZ_HEADERS, FUZZ_TRACE, T0, TraceBuilder,
                       one_field_changed)
@@ -257,9 +261,145 @@ def test_each_command_folds_the_trace_once(command, ledger_dir, tmp_path,
     assert len(applied) == len(load_trace(trace))
 
 
-def _action_line(kind: str, actor: str, timestamp: str, payload: str) -> str:
+@pytest.mark.parametrize("command", ["replay", "metrics", "cluster", "motifs",
+                                     "gangs", "all"])
+def test_no_command_holds_the_trace(command, ledger_dir, tmp_path, monkeypatch):
+    """Each command folds its trace as it reads it: when the last action is
+    applied, the Action objects alive are a few plus the rejected ones, not
+    the whole trace."""
+    trace, headers = ledger_dir / "trace.jsonl", str(ledger_dir / "headers.jsonl")
+    last = json.loads(trace.read_text().splitlines()[-1])
+
+    def live_actions():
+        return sum(isinstance(o, Action) for o in gc.get_objects())
+
+    before = live_actions()
+    live = []
+    apply = VotingState.apply
+
+    def counted_apply(self, action):
+        if (action.block, action.seq) == (last["block"], last["seq"]):
+            live.append(live_actions() - before)
+        return apply(self, action)
+
+    monkeypatch.setattr(VotingState, "apply", counted_apply)
+    args = {"metrics": ["metrics", str(trace), headers],
+            "all": ["all", str(trace), headers, "--top-stake-pct", "0.5"],
+            }.get(command, [command, str(trace)])
+    result = CliRunner().invoke(main, [*args, "-o", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    monkeypatch.undo()
+    _, rejected = replay(load_trace(str(trace)))
+    assert len(live) == 1
+    assert live[0] <= 5 + len(rejected), live
+
+
+def test_every_traced_target_exists():
+    """The benchmark's tracer wraps these by name; a rename would break its
+    traced pass."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(module, owner, attr) for module, owner, attr, *_ in tracer.SPANNED]
+    targets += [("replay", "VotingState", "apply"),
+                ("clustering", None, "record_similarity")]
+    for module, owner, attr in targets:
+        target = importlib.import_module(f"dposforensics.{module}")
+        if owner is not None:
+            target = getattr(target, owner)
+        assert callable(getattr(target, attr, None)), (module, owner, attr)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lazy_sample_times_equal_those_of_the_span(data):
+    """Sample times taken as the trace is read, from its first timestamp on,
+    are those its first and last timestamps give, and the snapshots equal
+    those of the same trace folded as a list at those times."""
+    cadence = data.draw(st.sampled_from(["monthly", 1, 3_600, 7 * DAY, "longer"]))
+    first = data.draw(st.integers(T0, T0 + 400 * DAY))
+    if cadence == "monthly":
+        span = data.draw(st.integers(0, 400 * DAY))
+    elif cadence == "longer":  # a step longer than the trace
+        span = data.draw(st.integers(0, 30 * DAY))
+        cadence = span + data.draw(st.integers(1, DAY))
+    else:
+        span = data.draw(st.integers(0, 150 * cadence))
+    last = first + span
+    stamps = sorted(data.draw(st.lists(st.integers(first, last), max_size=12)))
+    b = TraceBuilder(start=first).regproducer("bpa", ts=first)
+    for i, ts in enumerate(stamps + [last]):
+        voter = ("va", "vb", "vc")[i % 3]
+        if i % 2:
+            b.vote(voter, ["bpa"], ts=ts)
+        else:
+            b.delegate(voter, (i + 1) * 10_000, ts=ts)
+    trace = b.build()
+    if cadence == "monthly":
+        expected = [hi - 1 for _, hi in month_windows(first, last + 1)]
+    else:
+        expected = list(range(first + cadence - 1, last + 1 + cadence, cadence))
+    _, _, lazy = replay_with_snapshots(iter(trace), _sample_times(cadence))
+    assert [s.taken_at for s in lazy] == expected
+    assert lazy == replay_with_snapshots(trace, expected)[2]
+
+
+@pytest.mark.parametrize("cadence", ["monthly", "1"])
+def test_timestamps_that_run_back_sample_at_the_span(cadence, ledger_dir,
+                                                     tmp_path):
+    """A trace in block order whose last timestamp is not its latest: the
+    sample times are those its first and last timestamps give, taken when a
+    later stamp passes them, as in a fold over the known times."""
+    b = TraceBuilder().regproducer("bpa").regproducer("bpb")
+    b.newaccount("genesis", "pool").regproxy("pool").vote("pool", ["bpa"])
+    b.newaccount("genesis", "alice").delegate("alice", 5 * 10_000)
+    b.vote_proxy("alice", "pool", ts=T0 + 3 * DAY)
+    b.vote("pool", ["bpb"], ts=T0 + 40 * DAY)
+    b.vote("alice", ["bpa"], ts=T0 + 41 * DAY)
+    b.delegate("alice", 10_000, ts=T0 + 10 * DAY)
+    trace = b.build()
+    first, last = trace[0].timestamp, trace[-1].timestamp
+    times = _sample_times("monthly" if cadence == "monthly" else DAY)
+    assert replay_with_snapshots(iter(trace), times)[2] is None
+    _, _, snapshots = replay_with_snapshots(trace, list(times(first, last)))
+    share = proxy_share_series(snapshots)
+    expected = [f"{c.timestamp},{c.share:.9f},{s.share:.9f},{w.share:.9f}"
+                for c, s, w in zip(share["count"], share["stake"], share["weight"])]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(serialize_action(a) + "\n" for a in trace))
+    result = CliRunner().invoke(main, [
+        "metrics", str(path), str(ledger_dir / "headers.jsonl"),
+        "--snapshot-cadence", cadence, "-o", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "out" / "proxy_share.csv").read_text().splitlines()[1:]
+    assert rows == expected
+    # taken before the stamp 40 days in, with alice voting through the pool;
+    # by the end she votes herself
+    assert rows[-1].split(",")[1] == "0.500000000"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lines=st.lists(st.tuples(st.sampled_from(["genesis", "alice", "bob"]),
+                                st.sampled_from(["alice", "bob", "carol"])),
+                      max_size=10))
+def test_creators_are_those_of_the_last_newaccount_lines(lines):
+    """The fold's creators equal a map over every newaccount line, rejected
+    ones included, the last line for an account winning."""
+    b = TraceBuilder()
+    for creator, created in lines:
+        b.newaccount(creator, created)
+    trace = b.build()
+    state, rejected = replay(trace)
+    assert _creators(state, rejected) == {
+        a.payload["created"]: a.payload["creator"] for a in trace
+        if a.kind is ActionKind.NEW_ACCOUNT}
+
+
+def _action_line(kind: str, actor: str, timestamp: str, payload: str,
+                 block: int = 1) -> str:
     return (f'{{"kind": "{kind}", "actor": "{actor}", "timestamp": {timestamp}, '
-            f'"block": 1, "seq": 0, "payload": {payload}}}')
+            f'"block": {block}, "seq": 0, "payload": {payload}}}')
 
 
 def _overflowing_trace(stake: int, vote_time: int) -> str:
@@ -315,6 +455,43 @@ BAD_INPUTS = {
     "gangs_communities": ("gangs.json", '{"communities": [1]}', "gangs.json"),
     "motifs_line": ("motifs.jsonl", '{"shape": "linear"}', "motifs.jsonl"),
 }
+
+
+# Traces with two faults: (lines, what the message must name). A trace is
+# read as it is folded, but its faults are reported in the order of a check
+# of the whole trace first: a malformed line, then an unsorted pair, then a
+# replay failure.
+REGPRODUCER = _action_line("regproducer", "bpa", str(T0), "{}")
+ORDERED_FAULTS = {
+    "unsorted_then_bad_line": (
+        [_action_line("regproducer", "bpa", str(T0), "{}", block=2), REGPRODUCER,
+         "not json"], "line 3"),
+    "early_vote_then_unsorted": (
+        [REGPRODUCER, _action_line("delegatebw", "alice", str(T0), '{"amount": 5}'),
+         _action_line("voteproducer", "alice", "900000000",
+                      '{"proxy": "", "producers": ["bpa"]}'),
+         _action_line("delegatebw", "alice", str(T0), '{"amount": 5}', block=3),
+         _action_line("delegatebw", "alice", str(T0), '{"amount": 5}', block=2)],
+        "not sorted"),
+    "overflow_then_bad_line": (
+        _overflowing_trace(10**400, T0).split("\n") + ["not json"], "line 4"),
+}
+
+
+@pytest.mark.parametrize("command", ["replay", "cluster", "gangs", "all"])
+@pytest.mark.parametrize("case", sorted(ORDERED_FAULTS))
+def test_faults_are_reported_in_trace_check_order(case, command, ledger_dir,
+                                                  tmp_path):
+    lines, named = ORDERED_FAULTS[case]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(line + "\n" for line in lines))
+    args = [command, str(trace)]
+    if command == "all":
+        args.append(str(ledger_dir / "headers.jsonl"))
+    result = CliRunner().invoke(main, [*args, "-o", str(tmp_path / "out")])
+    assert result.exit_code == 3, result.output
+    assert "Traceback" not in result.output
+    assert named in result.output
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -7,7 +7,7 @@ from dposforensics.model import compute_vote_index, compute_vote_weight
 from dposforensics.replay import ReplayError, replay, replay_with_snapshots
 
 from conftest import T0, DAY, TraceBuilder, random_trace
-from oracles import recompute_candidate_weights
+from oracles import recompute_candidate_weights, recompute_tallies
 
 EOS = 10_000  # base units per token
 
@@ -168,6 +168,15 @@ class TestReplay:
     def test_weights_equal_oracle_exactly(self, seed, n_actions):
         state, _ = replay(random_trace(seed, n_actions=n_actions))
         assert state.candidates == recompute_candidate_weights(state)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_actions=st.integers(0, 400))
+    def test_tallies_equal_recomputed_ones(self, seed, n_actions):
+        """The signed changes the actions add leave each tally equal to the
+        stake the accounts give it, and drop the weeks that reach 0."""
+        state, _ = replay(random_trace(seed, n_actions=n_actions))
+        assert state.tallies == recompute_tallies(state)
+        assert all(all(weeks.values()) for weeks in state.tallies.values())
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_actions=st.integers(0, 400))
