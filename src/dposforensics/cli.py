@@ -38,7 +38,7 @@ from .metrics import (
     top_share,
     turnover_of,
 )
-from .model import ActionKind, LedgerError, ParseError, read_headers, read_trace
+from .model import ActionKind, LedgerError, ParseError, load_headers, load_trace
 from .motifs import (
     detect_eight,
     detect_linear,
@@ -113,16 +113,23 @@ def _fold_or_die(trace_path: str, observers=(), cadence=None):
     """The command's one fold of the trace, read as it is folded: (state,
     rejected), plus the snapshots at the sample times of a cadence from
     _cadence_or_die when one is given."""
+    trace = load_trace(trace_path, lazy=True)
     try:
         if cadence is None:
-            return replay(read_trace(trace_path), observers)
+            return replay(trace, observers)
         times = _sample_times(cadence)
-        state, rejected, snapshots = replay_with_snapshots(
-            read_trace(trace_path), times, observers)
-        if snapshots is None:  # the timestamps ran back: fold for the samples
-            last = state.end_time  # again, now that the last time is known
-            _, _, snapshots = replay_with_snapshots(
-                read_trace(trace_path), lambda first, _: times(first, last))
+        state, rejected, snapshots = replay_with_snapshots(trace, times, observers)
+        if snapshots is None:
+            # The timestamps ran back: fold again for the samples, now that
+            # the last time is known. Only a regular file reads the same twice.
+            if not os.path.isfile(trace_path):
+                _fail(EXIT_DATA, "timestamps run back in a trace that is not "
+                                 "a regular file, which cannot be read twice")
+            last = state.end_time
+            again, _, snapshots = replay_with_snapshots(
+                trace, lambda first, _: times(first, last))
+            if (again.actions_read, again.end_time) != (state.actions_read, last):
+                _fail(EXIT_DATA, "the trace changed while it was read")
         return state, rejected, snapshots
     except ParseError as exc:
         _fail(EXIT_DATA, f"unreadable trace: {exc}")
@@ -153,7 +160,7 @@ def _sample_times(cadence: str | int) -> SampleTimes:
 
 def _daily_production_or_die(headers_path: str):
     try:
-        return daily_production(read_headers(headers_path))
+        return daily_production(load_headers(headers_path, lazy=True))
     except ParseError as exc:
         _fail(EXIT_DATA, f"unreadable headers: {exc}")
 

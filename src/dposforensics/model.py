@@ -180,11 +180,8 @@ def _validate_payload(kind: ActionKind, actor: str, payload: Any,
             raise ParseError("producers list has duplicates", "payload.producers")
         if producers != sorted(producers):
             raise ParseError("producers list must be sorted ascending", "payload.producers")
-        try:
-            producers = list(map(intern, producers))
-        except TypeError:  # a str subclass, from a caller of make_action
-            producers = list(producers)
-        return {"proxy": "", "producers": producers}
+        return {"proxy": "", "producers": [
+            intern(p) if p.__class__ is str else p for p in producers]}
     raise ParseError(f"unknown action kind '{kind}'", "kind")
 
 
@@ -319,19 +316,30 @@ def _read_lines(path: str, parse: Callable[[str, set[str]], Any]) -> Iterator:
             yield item
 
 
-def read_trace(path: str) -> Iterator[Action]:
-    """The trace's actions, one at a time, as the file is read."""
-    return _read_lines(path, parse_action)
+class LineFile:
+    """The parsed lines of a file, read anew, one at a time, by each
+    iteration (see _read_lines); len() counts its non-blank lines."""
+
+    def __init__(self, path: str, parse: Callable[[str, set[str]], Any]):
+        self.path = path
+        self.parse = parse
+
+    def __iter__(self) -> Iterator:
+        return _read_lines(self.path, self.parse)
+
+    def __len__(self) -> int:
+        with open(self.path, "r", encoding="utf-8") as fh:
+            return sum(1 for line in fh if line.strip())
 
 
-def read_headers(path: str) -> Iterator[BlockHeader]:
-    """The header file's block headers, one at a time, as it is read."""
-    return _read_lines(path, parse_header)
+def load_trace(path: str, lazy: bool = False) -> list[Action] | LineFile:
+    """The trace's actions; with lazy, a LineFile that parses them as it is
+    iterated, so that no list of them is held."""
+    actions = LineFile(path, parse_action)
+    return actions if lazy else list(actions)
 
 
-def load_trace(path: str) -> list[Action]:
-    return list(read_trace(path))
-
-
-def load_headers(path: str) -> list[BlockHeader]:
-    return list(read_headers(path))
+def load_headers(path: str, lazy: bool = False) -> list[BlockHeader] | LineFile:
+    """The file's block headers; lazy as in load_trace."""
+    headers = LineFile(path, parse_header)
+    return headers if lazy else list(headers)

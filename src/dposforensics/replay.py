@@ -69,11 +69,6 @@ class _Rejection(Exception):
         self.reason = reason
 
 
-# (candidates, vote week, stake) of a voting unit: the stake it adds to the
-# tally of that week of each of the candidates.
-Unit = tuple[tuple[str, ...], int, int]
-
-
 class VotingState:
     """Replayed world state; mutate only through apply()/replay()."""
 
@@ -109,55 +104,30 @@ class VotingState:
         return voter.votes, compute_vote_weight(
             acct.stake, compute_vote_index(voter.last_vote_time))
 
-    def _unit(self, name: Optional[str]) -> Optional[Unit]:
-        """The Unit of name; None when name is no voting unit (or None)."""
+    def _shift(self, name: Optional[str], delta: int, pooled: bool = False) -> None:
+        """Add delta, which may be negative, to the stake name's voting unit,
+        if it is one, adds to the tally of its vote week of each candidate it
+        votes for; a tally that reaches 0 is dropped. With pooled, delta is a
+        change to the stake name pools as a proxy, which counts for the
+        tallies only while name is registered."""
         acct = self.accounts.get(name)
-        if acct is None or acct.proxy is not None or not acct.votes:
-            return None
-        stake = acct.stake + (acct.proxied_stake if acct.is_proxy else 0)
-        return acct.votes, vote_week(acct.last_vote_time), stake
-
-    def _shift(self, votes: Sequence[str], week: int, delta: int) -> None:
-        """Add delta, which may be negative, to the tally of week of each of
-        votes; a tally that reaches 0 is dropped."""
-        if not delta:
+        if acct is None:
             return
-        for cand in votes:
+        if pooled:
+            acct.proxied_stake += delta
+            if not acct.is_proxy:
+                return
+        if not delta or acct.proxy is not None or not acct.votes:
+            return
+        week = vote_week(acct.last_vote_time)
+        for cand in acct.votes:
             weeks = self.tallies[cand]
             stake = weeks.get(week, 0) + delta
             if stake:
                 weeks[week] = stake
             else:
                 del weeks[week]
-        self._stale.update(votes)
-
-    def _shift_unit(self, name: str, delta: int) -> None:
-        """Add delta to each tally name's voting unit, if it is one, adds to."""
-        unit = self._unit(name)
-        if unit is not None:
-            self._shift(unit[0], unit[1], delta)
-
-    def _shift_pool(self, proxy: Optional[str], delta: int) -> None:
-        """Add delta to the stake pooled by proxy, if one is given; the pool
-        counts for the tallies only while proxy is registered."""
-        if proxy is not None:
-            pool = self.accounts[proxy]
-            pool.proxied_stake += delta
-            if pool.is_proxy:
-                self._shift_unit(proxy, delta)
-
-    def _revote(self, old: Optional[Unit], new: Optional[Unit]) -> None:
-        """Move a voting unit's stake from old to new, each its _unit before
-        and after a vote: the net change per (candidate, week)."""
-        if old is not None and new is not None and old[1:] == new[1:]:
-            (old_votes, week, stake), new_votes = old, new[0]
-            self._shift([c for c in old_votes if c not in new_votes], week, -stake)
-            self._shift([c for c in new_votes if c not in old_votes], week, stake)
-            return
-        if old is not None:
-            self._shift(old[0], old[1], -old[2])
-        if new is not None:
-            self._shift(*new)
+        self._stale.update(acct.votes)
 
     @property
     def candidates(self) -> dict[str, float]:
@@ -219,9 +189,9 @@ class VotingState:
         acct = self._ensure_account(name)
         acct.stake += delta
         if acct.proxy is None:
-            self._shift_unit(name, delta)
+            self._shift(name, delta)
         else:
-            self._shift_pool(acct.proxy, delta)
+            self._shift(acct.proxy, delta, pooled=True)
 
     def _apply_regproducer(self, action: Action) -> None:
         self._ensure_account(action.actor)
@@ -239,7 +209,7 @@ class VotingState:
                 f"{len(self.delegators[action.actor])} delegators; pooled "
                 "contributions suspended until re-registration")
         if isproxy != acct.is_proxy:
-            self._shift_unit(action.actor, acct.proxied_stake * (1 if isproxy else -1))
+            self._shift(action.actor, acct.proxied_stake * (1 if isproxy else -1))
         acct.is_proxy = isproxy
 
     def _apply_voteproducer(self, action: Action) -> None:
@@ -259,18 +229,19 @@ class VotingState:
             unknown = [p for p in producers if p not in self.tallies]
             if unknown:
                 raise _Rejection(f"vote for unregistered candidate '{unknown[0]}'")
-        before = self._unit(action.actor)
+        stake = acct.stake + (acct.proxied_stake if acct.is_proxy else 0)
+        self._shift(action.actor, -stake)  # from the old votes, if any
         if proxy != acct.proxy:
             if acct.proxy is not None:
                 self.delegators[acct.proxy].discard(action.actor)
-            self._shift_pool(acct.proxy, -acct.stake)
+            self._shift(acct.proxy, -acct.stake, pooled=True)
             if proxy is not None:
                 self.delegators.setdefault(proxy, set()).add(action.actor)
-            self._shift_pool(proxy, acct.stake)
+            self._shift(proxy, acct.stake, pooled=True)
         acct.proxy = proxy
         acct.votes = producers
         acct.last_vote_time = action.timestamp
-        self._revote(before, self._unit(action.actor))
+        self._shift(action.actor, stake)  # to the new ones
 
     _HANDLERS = {
         ActionKind.NEW_ACCOUNT: _apply_newaccount,

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 import dposforensics
 from dposforensics.cli import _creators, _sample_times, main
 from dposforensics.metrics import proxy_share_series
-from dposforensics.model import Action, ActionKind, load_trace, serialize_action
+from dposforensics.model import (Action, ActionKind, load_headers, load_trace,
+                                 serialize_action)
 from dposforensics.replay import VotingState, replay, replay_with_snapshots
 from dposforensics.synth import month_windows
 
@@ -294,13 +295,18 @@ def test_no_command_holds_the_trace(command, ledger_dir, tmp_path, monkeypatch):
     assert live[0] <= 5 + len(rejected), live
 
 
-def test_every_traced_target_exists():
-    """The benchmark's tracer wraps these by name; a rename would break its
-    traced pass."""
+def _perfbench_tracer():
     path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_target_exists():
+    """The benchmark's tracer wraps these by name; a rename would break its
+    traced pass."""
+    tracer = _perfbench_tracer()
     targets = [(module, owner, attr) for module, owner, attr, *_ in tracer.SPANNED]
     targets += [("replay", "VotingState", "apply"),
                 ("clustering", None, "record_similarity")]
@@ -309,6 +315,17 @@ def test_every_traced_target_exists():
         if owner is not None:
             target = getattr(target, owner)
         assert callable(getattr(target, attr, None)), (module, owner, attr)
+
+
+def test_traced_pass_counts_the_lines_read(ledger_dir, tmp_path):
+    """The benchmark's tracer counts the actions and headers a command
+    reads from the len() of what load_trace and load_headers return."""
+    trace, headers = str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl")
+    code, run = _perfbench_tracer().run_command(
+        ["all", trace, headers, "--top-stake-pct", "0.5", "-o", str(tmp_path)], "t")
+    assert code == 0
+    assert run.counts["model.actions"] == len(load_trace(trace)) > 0
+    assert run.counts["model.headers"] == len(load_headers(headers)) > 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -345,12 +362,7 @@ def test_lazy_sample_times_equal_those_of_the_span(data):
     assert lazy == replay_with_snapshots(trace, expected)[2]
 
 
-@pytest.mark.parametrize("cadence", ["monthly", "1"])
-def test_timestamps_that_run_back_sample_at_the_span(cadence, ledger_dir,
-                                                     tmp_path):
-    """A trace in block order whose last timestamp is not its latest: the
-    sample times are those its first and last timestamps give, taken when a
-    later stamp passes them, as in a fold over the known times."""
+def _run_back_trace() -> list[Action]:
     b = TraceBuilder().regproducer("bpa").regproducer("bpb")
     b.newaccount("genesis", "pool").regproxy("pool").vote("pool", ["bpa"])
     b.newaccount("genesis", "alice").delegate("alice", 5 * 10_000)
@@ -358,7 +370,16 @@ def test_timestamps_that_run_back_sample_at_the_span(cadence, ledger_dir,
     b.vote("pool", ["bpb"], ts=T0 + 40 * DAY)
     b.vote("alice", ["bpa"], ts=T0 + 41 * DAY)
     b.delegate("alice", 10_000, ts=T0 + 10 * DAY)
-    trace = b.build()
+    return b.build()
+
+
+@pytest.mark.parametrize("cadence", ["monthly", "1"])
+def test_timestamps_that_run_back_sample_at_the_span(cadence, ledger_dir,
+                                                     tmp_path):
+    """A trace in block order whose last timestamp is not its latest: the
+    sample times are those its first and last timestamps give, taken when a
+    later stamp passes them, as in a fold over the known times."""
+    trace = _run_back_trace()
     first, last = trace[0].timestamp, trace[-1].timestamp
     times = _sample_times("monthly" if cadence == "monthly" else DAY)
     assert replay_with_snapshots(iter(trace), times)[2] is None
@@ -377,6 +398,24 @@ def test_timestamps_that_run_back_sample_at_the_span(cadence, ledger_dir,
     # taken before the stamp 40 days in, with alice voting through the pool;
     # by the end she votes herself
     assert rows[-1].split(",")[1] == "0.500000000"
+
+
+def test_timestamps_that_run_back_in_a_pipe_exit_3(ledger_dir, tmp_path):
+    """Such a trace is folded twice, which a pipe cannot be: the command
+    fails rather than write reports without the snapshots."""
+    text = "".join(serialize_action(a) + "\n" for a in _run_back_trace())
+    read, write = os.pipe()
+    os.write(write, text.encode())
+    os.close(write)
+    try:
+        result = CliRunner().invoke(main, [
+            "metrics", f"/dev/fd/{read}", str(ledger_dir / "headers.jsonl"),
+            "-o", str(tmp_path)])
+    finally:
+        os.close(read)
+    assert result.exit_code == 3, result.output
+    assert "not a regular file" in result.output
+    assert not list(tmp_path.iterdir())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
