@@ -38,7 +38,14 @@ from .metrics import (
     top_share,
     turnover_of,
 )
-from .model import ActionKind, LedgerError, ParseError, load_headers, load_trace
+from .model import (
+    ActionKind,
+    LedgerError,
+    LineFile,
+    ParseError,
+    load_headers,
+    load_trace,
+)
 from .motifs import (
     detect_eight,
     detect_linear,
@@ -72,11 +79,17 @@ def _digest_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _manifest(command: str, inputs: dict[str, str], params: dict) -> dict:
+def _manifest(command: str, inputs: dict[str, str | LineFile],
+              params: dict) -> dict:
+    """An input is a path, digested here, or a LineFile the command has read
+    to the end, whose digest is that of the bytes it read."""
+    files = {k: v for k, v in inputs.items() if isinstance(v, LineFile)}
     return {
         "command": command,
-        "inputs": {k: str(v) for k, v in inputs.items()},
-        "digests": {k: _digest_file(v) for k, v in inputs.items()},
+        "inputs": {k: files[k].path if k in files else str(v)
+                   for k, v in inputs.items()},
+        "digests": {k: files[k].digest if k in files else _digest_file(v)
+                    for k, v in inputs.items()},
         "params": params,
         "version": __version__,
     }
@@ -89,7 +102,12 @@ def _out_dir(out: str | None) -> Path:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline, written
+    chunk by chunk, so that no list of the chunks is held."""
+    buf = io.StringIO()
+    buf.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -109,11 +127,10 @@ def _write_reports(out: str | None, reports: dict[str, str]) -> Path:
     return out_dir
 
 
-def _fold_or_die(trace_path: str, observers=(), cadence=None):
-    """The command's one fold of the trace, read as it is folded: (state,
-    rejected), plus the snapshots at the sample times of a cadence from
-    _cadence_or_die when one is given."""
-    trace = load_trace(trace_path, lazy=True)
+def _fold_or_die(trace: LineFile, observers=(), cadence=None):
+    """The command's one fold of the trace, a load_trace(path, lazy=True),
+    read as it is folded: (state, rejected), plus the snapshots at the
+    sample times of a cadence from _cadence_or_die when one is given."""
     try:
         if cadence is None:
             return replay(trace, observers)
@@ -122,13 +139,13 @@ def _fold_or_die(trace_path: str, observers=(), cadence=None):
         if snapshots is None:
             # The timestamps ran back: fold again for the samples, now that
             # the last time is known. Only a regular file reads the same twice.
-            if not os.path.isfile(trace_path):
+            if not os.path.isfile(trace.path):
                 _fail(EXIT_DATA, "timestamps run back in a trace that is not "
                                  "a regular file, which cannot be read twice")
-            last = state.end_time
-            again, _, snapshots = replay_with_snapshots(
+            last, digest = state.end_time, trace.digest
+            _, _, snapshots = replay_with_snapshots(
                 trace, lambda first, _: times(first, last))
-            if (again.actions_read, again.end_time) != (state.actions_read, last):
+            if trace.digest != digest:
                 _fail(EXIT_DATA, "the trace changed while it was read")
         return state, rejected, snapshots
     except ParseError as exc:
@@ -158,9 +175,10 @@ def _sample_times(cadence: str | int) -> SampleTimes:
     return times
 
 
-def _daily_production_or_die(headers_path: str):
+def _daily_production_or_die(headers: LineFile):
+    """daily_production of a load_headers(path, lazy=True)."""
     try:
-        return daily_production(load_headers(headers_path, lazy=True))
+        return daily_production(headers)
     except ParseError as exc:
         _fail(EXIT_DATA, f"unreadable headers: {exc}")
 
@@ -256,10 +274,11 @@ def generate(config_path: str, out: str | None) -> None:
 @click.option("--out", "-o", default=None)
 def replay_cmd(trace_path: str, out: str | None) -> None:
     """Replay a trace and write the canonical final state."""
-    state, rejected = _fold_or_die(trace_path)
+    trace = load_trace(trace_path, lazy=True)
+    state, rejected = _fold_or_die(trace)
     canonical = state.canonical_json()
     payload = {
-        "manifest": _manifest("replay", {"trace": trace_path}, {}),
+        "manifest": _manifest("replay", {"trace": trace}, {}),
         "state_digest": hashlib.sha256(canonical.encode()).hexdigest(),
         "state": json.loads(canonical),
         "rejected": [{"block": r.action.block, "seq": r.action.seq,
@@ -337,9 +356,11 @@ def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
     ns = _entropy_ns_or_die(entropy_n)
     _fraction_or_die(top_stake_pct, "top-stake-pct")
     cadence = _cadence_or_die(snapshot_cadence)
-    _, _, snapshots = _fold_or_die(trace_path, cadence=cadence)
-    daily = _daily_production_or_die(headers_path)
-    manifest = _manifest("metrics", {"trace": trace_path, "headers": headers_path},
+    trace = load_trace(trace_path, lazy=True)
+    headers = load_headers(headers_path, lazy=True)
+    _, _, snapshots = _fold_or_die(trace, cadence=cadence)
+    daily = _daily_production_or_die(headers)
+    manifest = _manifest("metrics", {"trace": trace, "headers": headers},
                          _metric_params(entropy_n, top_stake_pct, snapshot_cadence))
     reports: dict[str, str] = {}
     _run_metrics(snapshots, daily, reports, manifest, ns, top_stake_pct)
@@ -387,9 +408,10 @@ def cluster(trace_path, out, theta, top_stake_pct, snapshot_cadence) -> None:
     _fraction_or_die(theta, "theta")
     _fraction_or_die(top_stake_pct, "top-stake-pct")
     cadence = _cadence_or_die(snapshot_cadence)
-    state, rejected, snapshots = _fold_or_die(trace_path, cadence=cadence)
+    trace = load_trace(trace_path, lazy=True)
+    state, rejected, snapshots = _fold_or_die(trace, cadence=cadence)
     _need_snapshots(snapshots)
-    manifest = _manifest("cluster", {"trace": trace_path},
+    manifest = _manifest("cluster", {"trace": trace},
                          {"theta": theta, "top_stake_pct": top_stake_pct,
                           "snapshot_cadence": snapshot_cadence})
     reports: dict[str, str] = {}
@@ -437,8 +459,9 @@ def motifs(trace_path, out, window_days) -> None:
     """Mutual-voting motifs (linear, triangular, eight-shaped)."""
     _window_or_die(window_days)
     votes = VoteRecorder()
-    state, _ = _fold_or_die(trace_path, [votes])
-    manifest = _manifest("motifs", {"trace": trace_path},
+    trace = load_trace(trace_path, lazy=True)
+    state, _ = _fold_or_die(trace, [votes])
+    manifest = _manifest("motifs", {"trace": trace},
                          {"window_days": window_days})
     reports: dict[str, str] = {}
     candidates = set(state.tallies)
@@ -478,9 +501,10 @@ def gangs(trace_path, out, outlier_pct, seed) -> None:
     """Mutual-voting gang pipeline (egonet scoring, reconstruction, Louvain)."""
     _fraction_or_die(outlier_pct, "outlier-pct")
     network = NetworkBuilder()
-    state, _ = _fold_or_die(trace_path, [network])
+    trace = load_trace(trace_path, lazy=True)
+    state, _ = _fold_or_die(trace, [network])
     graph = network.finish(state.end_time)
-    manifest = _manifest("gangs", {"trace": trace_path},
+    manifest = _manifest("gangs", {"trace": trace},
                          {"outlier_pct": outlier_pct, "seed": seed})
     reports: dict[str, str] = {}
     _run_gangs(graph, reports, manifest, outlier_pct, seed)
@@ -510,14 +534,16 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     cadence = _cadence_or_die(snapshot_cadence)
     votes = VoteRecorder()
     network = NetworkBuilder()
-    state, rejected, snapshots = _fold_or_die(trace_path, [votes, network], cadence)
+    trace = load_trace(trace_path, lazy=True)
+    headers = load_headers(headers_path, lazy=True)
+    state, rejected, snapshots = _fold_or_die(trace, [votes, network], cadence)
     _need_snapshots(snapshots)
-    daily = _daily_production_or_die(headers_path)
+    daily = _daily_production_or_die(headers)
     params = {"theta": theta, "window_days": window_days,
               "top_stake_pct": top_stake_pct, "outlier_pct": outlier_pct,
               "entropy_n": entropy_n, "seed": seed,
               "snapshot_cadence": snapshot_cadence}
-    manifest = _manifest("all", {"trace": trace_path, "headers": headers_path},
+    manifest = _manifest("all", {"trace": trace, "headers": headers},
                          params)
     reports: dict[str, str] = {}  # written once gang detection has succeeded
     _run_metrics(snapshots, daily, reports, manifest, ns, top_stake_pct)

@@ -36,17 +36,22 @@ class VoterCluster:
 def sample_voting_records(snapshots: Sequence[VotingSnapshot],
                           voters: Sequence[str] | None = None) -> dict[str, VotingRecord]:
     """Per-voter effective candidate set at each snapshot; absent voters get
-    the empty set. voters=None takes every account seen in any snapshot."""
+    the empty set. voters=None takes every account seen in any snapshot.
+    Entries with the same votes tuple share one set."""
     if voters is None:
         names = sorted({v for snap in snapshots for v in snap.per_voter})
     else:
         names = sorted(set(voters))
+    shared: dict[tuple[str, ...], frozenset[str]] = {(): frozenset()}
     records = {}
     for name in names:
         sets = []
         for snap in snapshots:
             entry = snap.per_voter.get(name)
-            sets.append(entry.effective if entry is not None else frozenset())
+            votes = entry.votes if entry is not None else ()
+            if votes not in shared:
+                shared[votes] = entry.effective
+            sets.append(shared[votes])
         records[name] = VotingRecord(voter=name, sets=tuple(sets))
     return records
 

@@ -174,76 +174,117 @@ class NetworkBuilder:
         width = np.fromiter(map(len, self._vote_sets), np.int64, len(self._vote_sets))
         indptr = np.zeros(len(width) + 1, np.int64)
         np.cumsum(width, out=indptr[1:])
-        indices = np.fromiter(map(targets.__getitem__, flat), np.int64, len(flat))
-        del flat
         log_src = np.frombuffer(self._src, np.int32)
         time = np.frombuffer(self._time, np.float64)
         weight = np.frombuffer(self._weight, np.float64)
 
         # Rows by source, then in log order: a source's consecutive rows sit
         # at consecutive positions. next_time is when the source's next row
-        # comes, or end_time.
+        # comes, or end_time; changed marks a position whose weight differs
+        # from the one before it.
         by_src = np.argsort(log_src, kind="stable").astype(np.int32)
         src_of = log_src[by_src]
         next_time = np.full(n_rows, float(end_time))
         same = np.flatnonzero(src_of[1:] == src_of[:-1])
         next_time[same] = time[by_src[same + 1]]
         del same
+        sorted_weight = weight[by_src]
+        changed = np.ones(n_rows, bool)
+        np.not_equal(sorted_weight[1:], sorted_weight[:-1], out=changed[1:])
+        del sorted_weight
 
         # One key per (position, backed target other than the source), sorted
         # to (dst, src, row): each edge's rows together and in log order.
+        # Every position, target, key and edge id from here on is below
+        # n_dst * n_rows or the number of keys: `it` is int32 wherever that
+        # allows, which halves the arrays of one entry per key.
         votes = np.frombuffer(self._votes, np.int32)[by_src]
         counts = width[votes]
-        pos = np.repeat(np.arange(n_rows, dtype=np.int32), counts)
+        n_keys = int(counts.sum())
+        it = _index_dtype(max(n_dst * n_rows, n_keys))
+        indices = np.fromiter(map(targets.__getitem__, flat), it, len(flat))
+        del flat, width
+        pos = np.repeat(np.arange(n_rows, dtype=it), counts)
         ends = np.cumsum(counts)
-        dst = indices[np.repeat(indptr[votes] - ends + counts, counts)
-                      + np.arange(len(pos))]
-        del votes, counts, ends, indices, indptr, width
+        slot = np.repeat((indptr[votes] - ends + counts).astype(it), counts)
+        del votes, ends, counts, indptr
+        slot += np.arange(n_keys, dtype=it)
+        dst = indices[slot]
+        del slot, indices
         as_source = np.fromiter(map(self._sources.get, dst_names, repeat(-1)),
-                                np.int64, n_dst)
+                                it, n_dst)
         keep = as_source[dst] != src_of[pos]
-        key = dst[keep] * n_rows + pos[keep]
-        del pos, dst, keep
+        del as_source
+        dst *= n_rows
+        dst += pos
+        del pos
+        key = dst[keep]
+        del dst, keep
         if not len(key):
             return VotingGraph(candidates=set(self._candidates))
         key.sort()
-        key = key[np.append(True, key[1:] != key[:-1])]  # a name voted twice
-        dst, pos = np.divmod(key, n_rows)
+        first = _firsts(key)
+        if not first.all():  # a name voted twice
+            key = key[first]
+        del first
+        pos = key % n_rows
+        key //= n_rows
+        dst = key
         del key
         row = by_src[pos]
 
-        new_edge = np.ones(len(row), bool)
-        new_edge[1:] = (dst[1:] != dst[:-1]) | (src_of[pos[1:]] != src_of[pos[:-1]])
+        # Edges are listed in the order they were first placed: by the row of
+        # their first opening, then by candidate name. edge_id numbers the
+        # edge of each key in that order.
+        src = src_of[pos]
+        new_edge = _firsts(dst)
+        new_edge[1:] |= src[1:] != src[:-1]
+        heads = np.flatnonzero(new_edge)
+        n_edges = len(heads)
+        placed_at = row[heads].astype(it, copy=False)
+        placed_at *= n_dst
+        placed_at += dst[heads]
+        order = np.argsort(placed_at)
+        del placed_at
+        heads = heads[order]
+        e_src, e_dst = src[heads], dst[heads]
+        del heads, src, dst
+        rank = np.empty(n_edges, it)
+        rank[order] = np.arange(n_edges, dtype=it)
+        del order
         opening = new_edge.copy()
         opening[1:] |= pos[1:] != pos[:-1] + 1
-        edge_id = np.cumsum(new_edge) - 1
-        n_edges = int(edge_id[-1]) + 1
+        edge_id = np.cumsum(new_edge, dtype=it)
+        del new_edge
+        edge_id -= 1
+        edge_id = rank[edge_id]
+        del rank
 
-        replaced = np.frombuffer(self._replaced, np.int8).astype(bool)
+        replaced = np.frombuffer(self._replaced, bool)
         placed = np.flatnonzero(opening | replaced[row])
-        placements = np.bincount(edge_id[placed], minlength=n_edges)
-        last = placed[np.append(edge_id[placed[1:]] != edge_id[placed[:-1]], True)]
-        last_weight = weight[row[last]]
-        del replaced, placed, last
+        placed_edge = edge_id[placed]
+        placements = np.bincount(placed_edge, minlength=n_edges)
+        last = placed[np.append(placed_edge[1:] != placed_edge[:-1], True)]
+        del placed, placed_edge
+        last_weight = np.empty(n_edges)
+        last_weight[edge_id[last]] = weight[row[last]]
+        del last
 
-        w = weight[row]
-        bounds = opening
-        bounds[1:] |= w[1:] != w[:-1]
-        starts = np.flatnonzero(bounds)
-        del bounds, opening
+        # Within an edge, a key that opens nothing is at the position after
+        # the key before it, so its weight differs from that key's exactly
+        # where `changed` is set at its position.
+        opening |= changed[pos]
+        starts = np.flatnonzero(opening)
+        del opening
         stops = np.append(starts[1:], len(row)) - 1
         span = next_time[pos[stops]] - time[row[starts]]
+        del stops, pos
         seg_edge = edge_id[starts]
+        del edge_id
         duration = np.bincount(seg_edge, span, n_edges)
-        weight_integral = np.bincount(seg_edge, w[starts] * span, n_edges)
-        del w, stops, span, seg_edge, starts, edge_id
-
-        # Edges are listed in the order they were first placed: by the row of
-        # their first opening, then by candidate name.
-        heads = np.flatnonzero(new_edge)
-        order = np.argsort(row[heads].astype(np.int64) * n_dst + dst[heads])
-        heads = heads[order]
-        e_src, e_dst = src_of[pos[heads]], dst[heads]
+        span *= weight[row[starts]]
+        weight_integral = np.bincount(seg_edge, span, n_edges)
+        del seg_edge, span, starts, row
 
         src_names = list(self._sources)
         n_src = len(src_names)
@@ -252,10 +293,22 @@ class NetworkBuilder:
         ids = {name: i for i, name in enumerate(nodes)}
         src_ids = np.fromiter(map(ids.get, src_names, repeat(-1)), np.int64, n_src)
         dst_ids = np.fromiter(map(ids.get, dst_names, repeat(-1)), np.int64, n_dst)
-        return VotingGraph(
-            nodes, src_ids[e_src], dst_ids[e_dst], placements[order],
-            duration[order], weight_integral[order], last_weight[order],
-            set(self._candidates))
+        return VotingGraph(nodes, src_ids[e_src], dst_ids[e_dst], placements,
+                           duration, weight_integral, last_weight,
+                           set(self._candidates))
+
+
+def _index_dtype(bound: int) -> type:
+    """int32 if it holds every integer up to bound, else int64."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of keys differs from the one before it; the first
+    entry does."""
+    first = np.ones(len(keys), bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
 
 
 def _present(ids: np.ndarray, n: int) -> list[int]:
@@ -313,14 +366,23 @@ class NodeIndex:
         rank = np.empty(len(order), np.int64)
         rank[order] = np.arange(len(order))
         src, dst = rank[graph.src], rank[graph.dst]
-        n = len(names)
-        keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))
-        first = np.ones(len(keys), bool)
-        first[1:] = keys[1:] != keys[:-1]
-        rows, indices = np.divmod(keys[first], max(n, 1))
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(names, ids, src, dst, indptr, indices)
+        n, m = len(names), len(src)
+        # The key u * n + v of each edge in both directions, built in one
+        # array and sorted in place; the distinct keys, row by row, are the
+        # CSR entries, and row u starts at the first key at or above u * n.
+        keys = np.empty(2 * m, np.int64)
+        np.multiply(src, n, out=keys[:m])
+        keys[:m] += dst
+        np.multiply(dst, n, out=keys[m:])
+        keys[m:] += src
+        keys.sort()
+        first = _firsts(keys)
+        if not first.all():
+            keys = keys[first]
+        del first
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        keys %= max(n, 1)
+        return cls(names, ids, src, dst, indptr, keys)
 
     def neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]

@@ -164,7 +164,7 @@ def proxy_share_series(snapshots: Sequence[VotingSnapshot]) -> dict[str, list[Sh
     series: dict[str, list[SharePoint]] = {"count": [], "stake": [], "weight": []}
     for snap in snapshots:
         voters = [v for v in snap.per_voter.values()
-                  if v.effective or v.via_proxy]
+                  if v.votes or v.via_proxy]
         n_all = len(voters)
         n_prox = sum(1 for v in voters if v.via_proxy)
         s_all = sum(v.stake for v in voters)

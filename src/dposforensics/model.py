@@ -5,6 +5,8 @@ units) so ledger arithmetic stays exact; weights are doubles.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -300,32 +302,54 @@ def serialize_header(header: BlockHeader) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
-def _read_lines(path: str, parse: Callable[[str, set[str]], Any]) -> Iterator:
-    """parse() of each non-blank line, yielded as the file is read, sharing
-    one set of accepted account names; a ParseError names its line number."""
-    names: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                item = parse(line, names)
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}", exc.field) from None
-            yield item
+class _Hashing(io.RawIOBase):
+    """A raw binary reader that adds every byte it reads from `raw` to the
+    hashlib object `sha`."""
+
+    def __init__(self, raw: io.RawIOBase, sha) -> None:
+        self.raw = raw
+        self.sha = sha
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(buffer)
+        if n:
+            self.sha.update(memoryview(buffer)[:n])
+        return n
 
 
 class LineFile:
     """The parsed lines of a file, read anew, one at a time, by each
-    iteration (see _read_lines); len() counts its non-blank lines."""
+    iteration; len() counts its non-blank lines.
+
+    An iteration yields parse() of each non-blank line, sharing one set of
+    accepted account names; a ParseError names its line number. Once it
+    reaches the end, `digest` is the sha256 of the bytes it read, so that a
+    pipe, which reads only once, has the digest of what was parsed.
+    """
 
     def __init__(self, path: str, parse: Callable[[str, set[str]], Any]):
         self.path = path
         self.parse = parse
+        self.digest: str | None = None
 
     def __iter__(self) -> Iterator:
-        return _read_lines(self.path, self.parse)
+        names: set[str] = set()
+        sha = hashlib.sha256()
+        with open(self.path, "rb", buffering=0) as raw, io.TextIOWrapper(
+                io.BufferedReader(_Hashing(raw, sha)), encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    item = self.parse(line, names)
+                except ParseError as exc:
+                    raise ParseError(f"line {lineno}: {exc}", exc.field) from None
+                yield item
+        self.digest = sha.hexdigest()
 
     def __len__(self) -> int:
         with open(self.path, "r", encoding="utf-8") as fh:

@@ -40,14 +40,21 @@ class AccountRecord:
 
 @dataclass(frozen=True, slots=True)
 class VoterEntry:
-    """Per-voter slice of a snapshot, proxy indirection already resolved."""
+    """Per-voter slice of a snapshot, proxy indirection already resolved.
+    `votes` is the state's own tuple of the candidates the voter's stake
+    backs (its proxy's, for a delegator), shared, not copied."""
 
-    effective: frozenset[str]
+    votes: tuple[str, ...]
     stake: int
     is_proxy: bool
     proxied_stake: int
     weight: float
     via_proxy: bool
+
+    @property
+    def effective(self) -> frozenset[str]:
+        """The backed candidates as a set, built anew on each read."""
+        return frozenset(self.votes)
 
 
 @dataclass(frozen=True)
@@ -263,16 +270,13 @@ class VotingState:
 
     def snapshot(self, taken_at: int) -> VotingSnapshot:
         per_voter: dict[str, VoterEntry] = {}
-        # Voters sharing a votes tuple (every delegator of one proxy) share
-        # one frozenset.
-        shared: dict[tuple[str, ...], frozenset[str]] = {}
         for name in sorted(self.accounts):
             acct = self.accounts[name]
             if not (acct.votes or acct.proxy is not None or acct.is_proxy):
                 continue
             votes, weight = self.backing(name)
             per_voter[name] = VoterEntry(
-                effective=shared.setdefault(votes, frozenset(votes)),
+                votes=votes,
                 stake=acct.stake,
                 is_proxy=acct.is_proxy,
                 proxied_stake=acct.proxied_stake,

@@ -20,6 +20,7 @@ from .model import (
     ActionKind,
     BlockHeader,
     MAX_VOTES,
+    TIME_MAX,
     make_action,
 )
 from .replay import replay_with_snapshots
@@ -160,7 +161,11 @@ def month_start(ts: float) -> int:
 
 
 def next_month_start(ts: float) -> int:
+    """The start of the UTC month after ts's; after December 9999, the
+    first second past TIME_MAX."""
     dt = datetime.fromtimestamp(ts, tz=timezone.utc)
+    if (dt.year, dt.month) == (9999, 12):
+        return int(TIME_MAX) + 1
     year, month = (dt.year + 1, 1) if dt.month == 12 else (dt.year, dt.month + 1)
     return int(datetime(year, month, 1, tzinfo=timezone.utc).timestamp())
 
@@ -211,9 +216,11 @@ class _TraceAssembler:
     def build(self) -> list[Action]:
         self.raw.sort(key=lambda r: (r[0], r[1]))
         actions = []
+        names: set[str] = set()  # checked once per name, as in a load
         for seq, (ts, _, kind, actor, payload) in enumerate(self.raw):
             block = int((ts - self.start_time) * 2) + 1
-            actions.append(make_action(kind, actor, int(ts), block, seq, payload))
+            actions.append(make_action(kind, actor, int(ts), block, seq, payload,
+                                       names))
         return actions
 
 

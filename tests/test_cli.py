@@ -418,6 +418,76 @@ def test_timestamps_that_run_back_in_a_pipe_exit_3(ledger_dir, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_second_fold_must_read_the_bytes_of_the_first(ledger_dir, tmp_path,
+                                                      monkeypatch):
+    """Timestamps that run back fold a regular file twice; a file whose bytes
+    differ the second time exits 3, even where its actions do not."""
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(serialize_action(a) + "\n" for a in _run_back_trace()))
+    folds = []
+
+    def fold(*args, **kwargs):
+        if folds:
+            path.write_text(path.read_text() + "\n")
+        folds.append(args)
+        return replay_with_snapshots(*args, **kwargs)
+
+    monkeypatch.setattr("dposforensics.cli.replay_with_snapshots", fold)
+    result = CliRunner().invoke(main, [
+        "metrics", str(path), str(ledger_dir / "headers.jsonl"),
+        "-o", str(tmp_path / "out")])
+    assert len(folds) == 2
+    assert result.exit_code == 3, result.output
+    assert "the trace changed while it was read" in result.output
+    assert not (tmp_path / "out").exists()
+
+@pytest.mark.parametrize("command", ["replay", "metrics"])
+def test_piped_trace_has_the_digest_of_its_bytes(command, fuzz_dir, tmp_path):
+    """The manifest digests the bytes the command read, so a trace from a
+    pipe, which cannot be opened again, has the digest of the same trace as
+    a regular file."""
+    data = _jsonl(FUZZ_TRACE)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data.encode())
+    headers = [str(fuzz_dir / "headers.jsonl")] if command == "metrics" else []
+    read, write = os.pipe()
+    os.write(write, data.encode())
+    os.close(write)
+    try:
+        piped = CliRunner().invoke(main, [
+            command, f"/dev/fd/{read}", *headers, "-o", str(tmp_path / "piped")])
+    finally:
+        os.close(read)
+    assert piped.exit_code == 0, piped.output
+    regular = CliRunner().invoke(main, [
+        command, str(path), *headers, "-o", str(tmp_path / "regular")])
+    assert regular.exit_code == 0, regular.output
+    report = "state.json" if command == "replay" else "metrics.json"
+    digests = [json.loads((tmp_path / run / report).read_text())
+               ["manifest"]["digests"] for run in ("piped", "regular")]
+    assert digests[0] == digests[1]
+    assert digests[0]["trace"] == hashlib.sha256(data.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["cluster", "metrics", "all"])
+def test_trace_in_december_9999_exits_cleanly(command, tmp_path):
+    """The monthly cadence's last month ends at the last second a trace may
+    carry; a trace stamped in December 9999 gives reports or exits 3."""
+    stamp = 253_402_300_000  # 9999-12-31T22:13:20Z
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(_jsonl([{**r, "timestamp": stamp + i}
+                             for i, r in enumerate(FUZZ_TRACE)]))
+    headers = tmp_path / "headers.jsonl"
+    headers.write_text(_jsonl([{**h, "timestamp": stamp + h["height"]}
+                               for h in FUZZ_HEADERS]))
+    args = [command, str(trace)]
+    if command != "cluster":
+        args.append(str(headers))
+    result = CliRunner().invoke(main, [*args, "-o", str(tmp_path / "out")])
+    assert result.exit_code in (0, 3), (result.exit_code, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(lines=st.lists(st.tuples(st.sampled_from(["genesis", "alice", "bob"]),
                                 st.sampled_from(["alice", "bob", "carol"])),

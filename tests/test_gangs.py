@@ -1,8 +1,10 @@
 import gc
 import math
 import random
+import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,8 @@ from dposforensics.gangs import (
     EdgeStats,
     EgonetFeature,
     GangError,
+    NetworkBuilder,
+    NodeIndex,
     VotingGraph,
     build_voting_network,
     detect_gangs,
@@ -21,6 +25,7 @@ from dposforensics.gangs import (
     select_anomalies,
 )
 from dposforensics.model import compute_vote_index, compute_vote_weight
+from dposforensics.replay import replay
 from dposforensics.synth import GenConfig, PlantSpec, generate_ledger
 
 from conftest import T0, DAY, TraceBuilder, random_trace
@@ -170,6 +175,10 @@ class TestColumnBuilder:
     def test_matches_incremental_builder_bit_for_bit(self, case):
         trace, end_time = case
         graph = build_voting_network(trace, end_time=end_time)
+        assert [c.dtype for c in (graph.src, graph.dst, graph.placements)] \
+            == [np.int64] * 3
+        assert [c.dtype for c in (graph.duration, graph.weight_integral,
+                                  graph.last_weight)] == [np.float64] * 3
         expected = incremental_voting_network(trace, end_time)
         assert list(graph.edges) == list(expected)
         for key, stats in graph.edges.items():
@@ -207,6 +216,57 @@ class TestColumnBuilder:
         grown = len(gc.get_objects()) - before
         assert len(graph.edges) >= 10_000
         assert grown < 100
+
+    def test_wide_index_dtype_builds_the_same_graph(self, monkeypatch):
+        # Ledgers past 2**31 keys take int64 ids; the arithmetic is the same.
+        trace = random_trace(11, n_actions=400)
+        narrow = build_voting_network(trace)
+        monkeypatch.setattr("dposforensics.gangs._index_dtype",
+                            lambda bound: np.int64)
+        wide = build_voting_network(trace)
+        assert narrow.nodes == wide.nodes and len(narrow.src) > 0
+        for column in ("src", "dst", "placements", "duration",
+                       "weight_integral", "last_weight"):
+            assert np.array_equal(getattr(narrow, column), getattr(wide, column))
+
+    # The numpy temporaries of finish() and NodeIndex.of, beyond what each
+    # returns, take at most as much memory as what it returns.
+    def test_finish_transient_memory_at_most_its_graph(self, logged_ledger):
+        builder, end_time = logged_ledger
+        graph = _within_its_result(lambda: builder.finish(end_time))
+        assert len(graph.src) >= 20_000
+
+    def test_node_index_transient_memory_at_most_the_index(self, logged_ledger):
+        builder, end_time = logged_ledger
+        graph = builder.finish(end_time)
+        _within_its_result(lambda: NodeIndex.of(graph))
+
+
+@pytest.fixture(scope="module")
+def logged_ledger():
+    """A NetworkBuilder that has logged a fixed generated ledger, and the
+    ledger's end time."""
+    trace, _, _ = generate_ledger(GenConfig(
+        seed=3, n_accounts=2000, n_candidates=60, n_proxies=20,
+        duration_days=30, participation_rate=0.5,
+        plants=[PlantSpec(kind="near_clique", size=6)]))
+    builder = NetworkBuilder()
+    state, _ = replay(trace, [builder])
+    return builder, state.end_time
+
+
+def _within_its_result(make):
+    """make(), checking under tracemalloc that its peak beyond the memory
+    its result holds is no more than that memory."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = make()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= held - before, (held - before, peak - held)
+    return result
 
 
 def star_clique_graph(n_stars=60, star_size=6, clique_size=8):

@@ -223,6 +223,21 @@ class TestSnapshotsAndTop:
         assert snap.per_voter["carol"].effective == {"bp.a", "bp.b", "bp.c"}
         assert snap.per_voter["carol"].via_proxy
 
+    def test_snapshot_shares_the_states_vote_tuples(self):
+        # A snapshot holds no copy of any voter's votes: a direct voter's
+        # entry is its own tuple, and a delegator's its proxy's.
+        b = base_trace()
+        b.vote("alice", ["bp.a", "bp.c"], ts=T0 + 100)
+        b.vote("proxyone", ["bp.a", "bp.b"], ts=T0 + 150)
+        b.vote_proxy("carol", "proxyone", ts=T0 + 200)
+        state, _ = replay(b.build())
+        snap = state.snapshot(T0 + 500)
+        accounts = state.accounts
+        assert snap.per_voter["alice"].votes is accounts["alice"].votes
+        assert snap.per_voter["proxyone"].votes is accounts["proxyone"].votes
+        assert snap.per_voter["carol"].votes is accounts["proxyone"].votes
+        assert snap.per_voter["carol"].effective == {"bp.a", "bp.b"}
+
     def test_proxied_stake_sums(self):
         b = base_trace()
         b.vote("proxyone", ["bp.a"], ts=T0 + 100)
