@@ -195,24 +195,19 @@ class NetworkBuilder:
 
         # One key per (position, backed target other than the source), sorted
         # to (dst, src, row): each edge's rows together and in log order.
-        # Every position, target, key and edge id from here on is below
-        # n_dst * n_rows or the number of keys: `it` is int32 wherever that
-        # allows, which halves the arrays of one entry per key.
         votes = np.frombuffer(self._votes, np.int32)[by_src]
         counts = width[votes]
-        n_keys = int(counts.sum())
-        it = _index_dtype(max(n_dst * n_rows, n_keys))
-        indices = np.fromiter(map(targets.__getitem__, flat), it, len(flat))
+        indices = np.fromiter(map(targets.__getitem__, flat), np.int64, len(flat))
         del flat, width
-        pos = np.repeat(np.arange(n_rows, dtype=it), counts)
+        pos = np.repeat(np.arange(n_rows, dtype=np.int32), counts)
         ends = np.cumsum(counts)
-        slot = np.repeat((indptr[votes] - ends + counts).astype(it), counts)
+        slot = np.repeat(indptr[votes] - ends + counts, counts)
         del votes, ends, counts, indptr
-        slot += np.arange(n_keys, dtype=it)
+        slot += np.arange(len(slot))
         dst = indices[slot]
         del slot, indices
         as_source = np.fromiter(map(self._sources.get, dst_names, repeat(-1)),
-                                it, n_dst)
+                                np.int64, n_dst)
         keep = as_source[dst] != src_of[pos]
         del as_source
         dst *= n_rows
@@ -223,10 +218,7 @@ class NetworkBuilder:
         if not len(key):
             return VotingGraph(candidates=set(self._candidates))
         key.sort()
-        first = _firsts(key)
-        if not first.all():  # a name voted twice
-            key = key[first]
-        del first
+        key = key[_firsts(key)]  # a name voted twice
         pos = key % n_rows
         key //= n_rows
         dst = key
@@ -241,7 +233,7 @@ class NetworkBuilder:
         new_edge[1:] |= src[1:] != src[:-1]
         heads = np.flatnonzero(new_edge)
         n_edges = len(heads)
-        placed_at = row[heads].astype(it, copy=False)
+        placed_at = row[heads].astype(np.int64)
         placed_at *= n_dst
         placed_at += dst[heads]
         order = np.argsort(placed_at)
@@ -249,12 +241,12 @@ class NetworkBuilder:
         heads = heads[order]
         e_src, e_dst = src[heads], dst[heads]
         del heads, src, dst
-        rank = np.empty(n_edges, it)
-        rank[order] = np.arange(n_edges, dtype=it)
+        rank = np.empty(n_edges, np.int64)
+        rank[order] = np.arange(n_edges)
         del order
         opening = new_edge.copy()
         opening[1:] |= pos[1:] != pos[:-1] + 1
-        edge_id = np.cumsum(new_edge, dtype=it)
+        edge_id = np.cumsum(new_edge)
         del new_edge
         edge_id -= 1
         edge_id = rank[edge_id]
@@ -277,8 +269,9 @@ class NetworkBuilder:
         starts = np.flatnonzero(opening)
         del opening
         stops = np.append(starts[1:], len(row)) - 1
-        span = next_time[pos[stops]] - time[row[starts]]
+        span = next_time[pos[stops]]
         del stops, pos
+        span -= time[row[starts]]
         seg_edge = edge_id[starts]
         del edge_id
         duration = np.bincount(seg_edge, span, n_edges)
@@ -296,11 +289,6 @@ class NetworkBuilder:
         return VotingGraph(nodes, src_ids[e_src], dst_ids[e_dst], placements,
                            duration, weight_integral, last_weight,
                            set(self._candidates))
-
-
-def _index_dtype(bound: int) -> type:
-    """int32 if it holds every integer up to bound, else int64."""
-    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
 def _firsts(keys: np.ndarray) -> np.ndarray:
@@ -376,10 +364,7 @@ class NodeIndex:
         np.multiply(dst, n, out=keys[m:])
         keys[m:] += src
         keys.sort()
-        first = _firsts(keys)
-        if not first.all():
-            keys = keys[first]
-        del first
+        keys = keys[_firsts(keys)]
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         keys %= max(n, 1)
         return cls(names, ids, src, dst, indptr, keys)

@@ -441,6 +441,7 @@ def test_second_fold_must_read_the_bytes_of_the_first(ledger_dir, tmp_path,
     assert "the trace changed while it was read" in result.output
     assert not (tmp_path / "out").exists()
 
+
 @pytest.mark.parametrize("command", ["replay", "metrics"])
 def test_piped_trace_has_the_digest_of_its_bytes(command, fuzz_dir, tmp_path):
     """The manifest digests the bytes the command read, so a trace from a
@@ -487,6 +488,7 @@ def test_trace_in_december_9999_exits_cleanly(command, tmp_path):
     assert result.exit_code in (0, 3), (result.exit_code, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(lines=st.lists(st.tuples(st.sampled_from(["genesis", "alice", "bob"]),

@@ -217,18 +217,6 @@ class TestColumnBuilder:
         assert len(graph.edges) >= 10_000
         assert grown < 100
 
-    def test_wide_index_dtype_builds_the_same_graph(self, monkeypatch):
-        # Ledgers past 2**31 keys take int64 ids; the arithmetic is the same.
-        trace = random_trace(11, n_actions=400)
-        narrow = build_voting_network(trace)
-        monkeypatch.setattr("dposforensics.gangs._index_dtype",
-                            lambda bound: np.int64)
-        wide = build_voting_network(trace)
-        assert narrow.nodes == wide.nodes and len(narrow.src) > 0
-        for column in ("src", "dst", "placements", "duration",
-                       "weight_integral", "last_weight"):
-            assert np.array_equal(getattr(narrow, column), getattr(wide, column))
-
     # The numpy temporaries of finish() and NodeIndex.of, beyond what each
     # returns, take at most as much memory as what it returns.
     def test_finish_transient_memory_at_most_its_graph(self, logged_ledger):
