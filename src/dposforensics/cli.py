@@ -30,6 +30,7 @@ from .gangs import GangError, NetworkBuilder, run_pipeline
 from .metrics import (
     MetricsError,
     daily_production,
+    header_day,
     powerlaw_exponent,
     production_by_month,
     production_entropy,
@@ -176,7 +177,7 @@ def _sample_times(cadence: str | int) -> SampleTimes:
 
 
 def _daily_production_or_die(headers: LineFile):
-    """daily_production of a load_headers(path, lazy=True)."""
+    """daily_production of a load_headers(path, lazy=True, parse=header_day)."""
     try:
         return daily_production(headers)
     except ParseError as exc:
@@ -357,7 +358,7 @@ def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
     _fraction_or_die(top_stake_pct, "top-stake-pct")
     cadence = _cadence_or_die(snapshot_cadence)
     trace = load_trace(trace_path, lazy=True)
-    headers = load_headers(headers_path, lazy=True)
+    headers = load_headers(headers_path, lazy=True, parse=header_day)
     _, _, snapshots = _fold_or_die(trace, cadence=cadence)
     daily = _daily_production_or_die(headers)
     manifest = _manifest("metrics", {"trace": trace, "headers": headers},
@@ -535,7 +536,7 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     votes = VoteRecorder()
     network = NetworkBuilder()
     trace = load_trace(trace_path, lazy=True)
-    headers = load_headers(headers_path, lazy=True)
+    headers = load_headers(headers_path, lazy=True, parse=header_day)
     state, rejected, snapshots = _fold_or_die(trace, [votes, network], cadence)
     _need_snapshots(snapshots)
     daily = _daily_production_or_die(headers)
@@ -636,7 +637,7 @@ def _fit_or_die(value, shape, path, where: str = ""):
 def _read_json_or_die(path, shape) -> dict:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         _fail(EXIT_DATA, f"unreadable {path}: {exc}")
     return _fit_or_die(payload, shape, path)
 
@@ -682,7 +683,7 @@ def score(report_dir, truth_path, out) -> None:
         try:
             lines = [(n, json.loads(l)) for n, l in enumerate(
                 motif_path.read_text(encoding="utf-8").splitlines(), 1) if l]
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             _fail(EXIT_DATA, f"unreadable {motif_path}: {exc}")
         motif_lines = [_fit_or_die(line, MOTIF_LINE, motif_path, f"line {n}")
                        for n, line in lines]

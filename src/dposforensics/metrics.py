@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import SECONDS_PER_DAY, BlockHeader
+from .model import SECONDS_PER_DAY, BlockHeader, header_fields
 from .replay import VotingSnapshot
 
 
@@ -49,10 +49,18 @@ def utc_days(timestamps: Iterable[float]) -> list[tuple[int, int, int]]:
     return result
 
 
-def daily_production(headers: Iterable[BlockHeader]) -> Counter:
-    """Blocks per (UTC day, producer), in one pass over the headers; each
-    day is converted once, as in utc_days."""
-    by_key = Counter((_day_key(h.timestamp), h.producer) for h in headers)
+def header_day(line: str, names: dict[str, str]) -> tuple[float, str]:
+    """(_day_key(timestamp), producer) of a JSON header line, checked as
+    parse_header checks it: what daily_production counts, with no
+    BlockHeader made; a parse for load_headers."""
+    _, producer, timestamp = header_fields(line, names)
+    return _day_key(timestamp), producer
+
+
+def daily_production(keys: Iterable[tuple[float, str]]) -> Counter:
+    """Blocks per (UTC day, producer), in one pass over the header_day of
+    each header line; each day is converted once, as in utc_days."""
+    by_key = Counter(keys)
     days = utc_days([key for key, _ in by_key])  # _day_key(key) is key
     counts: Counter = Counter()
     for ((_, producer), blocks), day in zip(by_key.items(), days):
@@ -187,7 +195,8 @@ class TurnoverReport:
 def producer_turnover(headers: Iterable[BlockHeader]) -> TurnoverReport:
     """Distinct producers per UTC month, cumulative distinct producers, and
     distinct production days per producer."""
-    return turnover_of(daily_production(headers))
+    return turnover_of(daily_production(
+        (_day_key(h.timestamp), h.producer) for h in headers))
 
 
 def turnover_of(daily: Mapping[tuple, int]) -> TurnoverReport:
@@ -211,7 +220,8 @@ def turnover_of(daily: Mapping[tuple, int]) -> TurnoverReport:
 
 def monthly_production(headers: Iterable[BlockHeader]) -> dict[tuple[int, int], dict[str, int]]:
     """Blocks produced per producer, bucketed by UTC month."""
-    return production_by_month(daily_production(headers))
+    return production_by_month(daily_production(
+        (_day_key(h.timestamp), h.producer) for h in headers))
 
 
 def production_by_month(daily: Mapping[tuple, int]) -> dict[tuple[int, int], dict[str, int]]:

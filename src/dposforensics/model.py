@@ -15,6 +15,8 @@ from enum import Enum
 from sys import intern
 from typing import Any, Callable, Iterator
 
+import orjson
+
 NAME_ALPHABET = frozenset("abcdefghijklmnopqrstuvwxyz12345.")
 MAX_VOTES = 30
 BASE_UNITS_PER_TOKEN = 10_000
@@ -123,20 +125,24 @@ def _is_number(value: Any, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _name(value: Any, field_name: str, names: set[str]) -> str:
+def _name(value: Any, field_name: str, names: dict[str, str]) -> str:
     """validate_name(value), skipped for a name already in `names`, the
-    names accepted so far in this load; an accepted name is added. A str is
-    returned interned, so that every action naming an account shares one."""
-    if value.__class__ is not str or value not in names:
-        names.add(validate_name(value, field_name))
-    return intern(value) if value.__class__ is str else value
+    table of names accepted so far in this load, which maps each to its
+    interned str, so that every action naming an account shares one; an
+    accepted name is added."""
+    try:
+        return names[value]
+    except (KeyError, TypeError):  # a new name, or an unhashable value
+        name = validate_name(value, field_name)
+        name = names[name] = intern(name) if name.__class__ is str else name
+        return name
 
 
 _KINDS = {kind.value: kind for kind in ActionKind}
 
 
 def _validate_payload(kind: ActionKind, actor: str, payload: Any,
-                      names: set[str]) -> dict:
+                      names: dict[str, str]) -> dict:
     if not isinstance(payload, dict):
         raise ParseError("payload must be an object", "payload")
     if kind is ActionKind.NEW_ACCOUNT:
@@ -172,35 +178,32 @@ def _validate_payload(kind: ActionKind, actor: str, payload: Any,
         if len(producers) > MAX_VOTES:
             raise ParseError(f"producers list exceeds {MAX_VOTES}", "payload.producers")
         try:
-            known = names.issuperset(producers)
-        except TypeError:  # an unhashable item, which validate_name rejects
-            known = False
-        if not known:
-            for p in producers:
-                _name(p, "payload.producers", names)
+            producers = [names[p] for p in producers]
+        except (KeyError, TypeError):
+            producers = [_name(p, "payload.producers", names) for p in producers]
         if len(set(producers)) != len(producers):
             raise ParseError("producers list has duplicates", "payload.producers")
         if producers != sorted(producers):
             raise ParseError("producers list must be sorted ascending", "payload.producers")
-        return {"proxy": "", "producers": [
-            intern(p) if p.__class__ is str else p for p in producers]}
+        return {"proxy": "", "producers": producers}
     raise ParseError(f"unknown action kind '{kind}'", "kind")
 
 
 def make_action(kind: ActionKind | str, actor: str, timestamp: int, block: int,
                 seq: int, payload: dict | None = None,
-                names: set[str] | None = None) -> Action:
+                names: dict[str, str] | None = None) -> Action:
     """Build a validated Action; raises ParseError on any invariant violation.
 
-    `names` holds the account names accepted earlier in the same load, which
-    are not checked again; the names this action adds are put in it.
+    `names` is the table of account names accepted earlier in the same load,
+    each mapped to its interned str, which are not checked again; the names
+    this action adds are put in it.
     """
     try:
         kind = _KINDS[kind]
     except (KeyError, TypeError):
         raise ParseError(f"unknown action kind '{kind}'", "kind") from None
     if names is None:
-        names = set()
+        names = {}
     actor = _name(actor, "actor", names)
     if not (timestamp.__class__ is int or timestamp.__class__ is float
             or _is_number(timestamp, (int, float))):
@@ -216,31 +219,36 @@ def make_action(kind: ActionKind | str, actor: str, timestamp: int, block: int,
     return Action(kind, actor, int(timestamp), block, seq, payload)
 
 
-_scan_json = json.JSONDecoder().scan_once
-
-
 def _json_value(line: str) -> Any:
-    """json.loads(line). A line that is exactly one JSON value is scanned
-    directly; any other goes through json.loads, for its result or its error."""
-    try:
-        value, end = _scan_json(line, 0)
-        if end == len(line):
-            return value
-    except (StopIteration, ValueError):
-        pass
+    """json.loads(line), its errors ParseErrors."""
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "line") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", "line") from None
 
+
+# Each line is decoded by orjson, and again by json, whose values and
+# messages are the reference, where orjson refuses it (NaN, infinities, 1e400,
+# lone surrogates) or the checks reject its record: orjson turns an integer
+# beyond 64 bits into a float, which fails every integer check and the time
+# range. A header's height, the one number converted with int(), goes back
+# to json whenever orjson does not read it as an int.
 
 _ACTION_FIELDS = frozenset({"kind", "actor", "timestamp", "block", "seq"})
 
 
-def parse_action(line: str, names: set[str] | None = None) -> Action:
+def parse_action(line: str, names: dict[str, str] | None = None) -> Action:
     """Parse one JSON trace line into a validated Action; `names` as in
     make_action."""
-    record = _json_value(line)
+    try:
+        return _action(orjson.loads(line), names)
+    except (orjson.JSONDecodeError, ParseError):
+        return _action(_json_value(line), names)
+
+
+def _action(record: Any, names: dict[str, str] | None) -> Action:
     if not isinstance(record, dict):
         raise ParseError("trace line must be a JSON object", "line")
     if not _ACTION_FIELDS <= record.keys():
@@ -265,15 +273,30 @@ def serialize_action(action: Action) -> str:
 _HEADER_FIELDS = frozenset({"height", "producer", "timestamp"})
 
 
-def parse_header(line: str, names: set[str] | None = None) -> BlockHeader:
+def parse_header(line: str, names: dict[str, str] | None = None) -> BlockHeader:
     """Parse one JSON header line; `names` as in make_action."""
-    record = _json_value(line)
+    return BlockHeader(*header_fields(line, {} if names is None else names))
+
+
+def header_fields(line: str, names: dict[str, str]) -> tuple[int, str, float]:
+    """The (height, producer, timestamp) of a JSON header line, checked as
+    parse_header checks it; `names` as in make_action."""
+    try:
+        record = orjson.loads(line)
+        if record.__class__ is dict and record.get("height").__class__ is int:
+            return _header(record, names)
+    except (orjson.JSONDecodeError, ParseError):
+        pass
+    return _header(_json_value(line), names)
+
+
+def _header(record: Any, names: dict[str, str]) -> tuple[int, str, float]:
     if not isinstance(record, dict):
         raise ParseError("header line must be a JSON object", "line")
     if not _HEADER_FIELDS <= record.keys():
         key = next(k for k in ("height", "producer", "timestamp") if k not in record)
         raise ParseError(f"missing header field '{key}'", key)
-    producer = _name(record["producer"], "producer", set() if names is None else names)
+    producer = _name(record["producer"], "producer", names)
     height = record["height"]
     if height.__class__ is not int:
         height = _header_number(record, "height", int)
@@ -283,7 +306,7 @@ def parse_header(line: str, names: set[str] | None = None) -> BlockHeader:
     if not TIME_MIN <= timestamp <= TIME_MAX:
         raise ParseError(f"header field 'timestamp' must fall in the UTC years "
                          f"1 to 9999, got {record['timestamp']!r}", "timestamp")
-    return BlockHeader(height, producer, timestamp)
+    return height, producer, timestamp
 
 
 def _header_number(record: dict, key: str, kind: type):
@@ -320,31 +343,47 @@ class _Hashing(io.RawIOBase):
         return n
 
 
+def _check_utf8(line: str) -> None:
+    """Reject a line read with errors="surrogateescape" that holds a byte
+    that is not UTF-8, which that handler decodes to a lone surrogate."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ParseError(f"invalid UTF-8: byte 0x{byte:02x}", "line") from None
+
+
 class LineFile:
     """The parsed lines of a file, read anew, one at a time, by each
     iteration; len() counts its non-blank lines.
 
-    An iteration yields parse() of each non-blank line, sharing one set of
-    accepted account names; a ParseError names its line number. Once it
-    reaches the end, `digest` is the sha256 of the bytes it read, so that a
-    pipe, which reads only once, has the digest of what was parsed.
+    An iteration yields parse() of each non-blank line, sharing one table of
+    accepted account names; a ParseError, or a byte that is not UTF-8, names
+    its line number. Once it reaches the end, `digest` is the sha256 of the
+    bytes it read, so that a pipe, which reads only once, has the digest of
+    what was parsed.
     """
 
-    def __init__(self, path: str, parse: Callable[[str, set[str]], Any]):
+    def __init__(self, path: str, parse: Callable[[str, dict[str, str]], Any]):
         self.path = path
         self.parse = parse
         self.digest: str | None = None
 
     def __iter__(self) -> Iterator:
-        names: set[str] = set()
+        names: dict[str, str] = {}
         sha = hashlib.sha256()
+        # Bytes that are not UTF-8 decode to lone surrogates, so that each is
+        # found in its own line, not in the 8 KB chunk the wrapper decodes.
         with open(self.path, "rb", buffering=0) as raw, io.TextIOWrapper(
-                io.BufferedReader(_Hashing(raw, sha)), encoding="utf-8") as fh:
+                io.BufferedReader(_Hashing(raw, sha)), encoding="utf-8",
+                errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
+                    if not line.isascii():
+                        _check_utf8(line)
                     item = self.parse(line, names)
                 except ParseError as exc:
                     raise ParseError(f"line {lineno}: {exc}", exc.field) from None
@@ -352,7 +391,7 @@ class LineFile:
         self.digest = sha.hexdigest()
 
     def __len__(self) -> int:
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return sum(1 for line in fh if line.strip())
 
 
@@ -363,7 +402,10 @@ def load_trace(path: str, lazy: bool = False) -> list[Action] | LineFile:
     return actions if lazy else list(actions)
 
 
-def load_headers(path: str, lazy: bool = False) -> list[BlockHeader] | LineFile:
-    """The file's block headers; lazy as in load_trace."""
-    headers = LineFile(path, parse_header)
+def load_headers(path: str, lazy: bool = False,
+                 parse: Callable[[str, dict[str, str]], Any] = parse_header
+                 ) -> list | LineFile:
+    """The file's block headers, or parse(line, names) of each header line
+    (see header_fields); lazy as in load_trace."""
+    headers = LineFile(path, parse)
     return headers if lazy else list(headers)

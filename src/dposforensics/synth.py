@@ -136,7 +136,7 @@ class GenConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
@@ -216,7 +216,7 @@ class _TraceAssembler:
     def build(self) -> list[Action]:
         self.raw.sort(key=lambda r: (r[0], r[1]))
         actions = []
-        names: set[str] = set()  # checked once per name, as in a load
+        names: dict[str, str] = {}  # checked once per name, as in a load
         for seq, (ts, _, kind, actor, payload) in enumerate(self.raw):
             block = int((ts - self.start_time) * 2) + 1
             actions.append(make_action(kind, actor, int(ts), block, seq, payload,

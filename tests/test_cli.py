@@ -84,6 +84,17 @@ class TestGenerate:
                                            "-o", str(tmp_path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("text", [b"[" * 100_000, b'{"seed": "\xff"}'],
+                             ids=["deep", "not_utf8"])
+    def test_unreadable_config_exits_2_without_traceback(self, text, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(text)
+        result = CliRunner().invoke(main, ["generate", "-c", str(config),
+                                           "-o", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "config is not valid JSON" in result.output
+
     def test_missing_config_exits_2(self, tmp_path):
         result = CliRunner().invoke(main, ["generate", "-c",
                                            str(tmp_path / "nope.json")])
@@ -513,6 +524,9 @@ def _action_line(kind: str, actor: str, timestamp: str, payload: str,
             f'"block": {block}, "seq": 0, "payload": {payload}}}')
 
 
+REGPRODUCER = _action_line("regproducer", "bpa", str(T0), "{}")
+
+
 def _overflowing_trace(stake: int, vote_time: int) -> str:
     """A voter whose weight stake * 2^index is beyond the largest double."""
     return "\n".join([
@@ -565,6 +579,24 @@ BAD_INPUTS = {
                          "clusters.json"),
     "gangs_communities": ("gangs.json", '{"communities": [1]}', "gangs.json"),
     "motifs_line": ("motifs.jsonl", '{"shape": "linear"}', "motifs.jsonl"),
+    # Nesting past json's recursion limit: unclosed, which orjson refuses
+    # too, or closed, which orjson reads and the checks then reject.
+    "trace_deep": ("trace.jsonl", "[" * 100_000, "line 1"),
+    "trace_deep_closed": ("trace.jsonl", "[" * 100_000 + "]" * 100_000, "line 1"),
+    "header_deep": ("headers.jsonl", "[" * 100_000, "line 1"),
+    "truth_deep": ("truth.json", "[" * 100_000, "truth.json"),
+    "clusters_deep": ("clusters.json", "[" * 100_000, "clusters.json"),
+    "motifs_line_deep": ("motifs.jsonl", "[" * 100_000, "motifs.jsonl"),
+    # A byte that is not UTF-8 is found in its own line, which universal
+    # newlines count as before.
+    "trace_not_utf8": ("trace.jsonl", (REGPRODUCER + "\r\n" + REGPRODUCER
+                                       + '\r{"kind": "\xff"}').encode("latin-1"),
+                       "line 3: invalid UTF-8: byte 0xff"),
+    "header_not_utf8": ("headers.jsonl",
+                        b'{"height": 1, "producer": "bpa", "timestamp": 1}\r'
+                        b'{"height": 2, "producer": "bp\xfe", "timestamp": 1}',
+                        "line 2: invalid UTF-8: byte 0xfe"),
+    "truth_not_utf8": ("truth.json", b'{"plants": "\xff"}', "truth.json"),
 }
 
 
@@ -572,7 +604,6 @@ BAD_INPUTS = {
 # read as it is folded, but its faults are reported in the order of a check
 # of the whole trace first: a malformed line, then an unsorted pair, then a
 # replay failure.
-REGPRODUCER = _action_line("regproducer", "bpa", str(T0), "{}")
 ORDERED_FAULTS = {
     "unsorted_then_bad_line": (
         [_action_line("regproducer", "bpa", str(T0), "{}", block=2), REGPRODUCER,
@@ -609,11 +640,12 @@ def test_faults_are_reported_in_trace_check_order(case, command, ledger_dir,
 def test_bad_input_exits_3_without_traceback(case, ledger_dir, report_dir,
                                              tmp_path):
     name, text, named = BAD_INPUTS[case]
+    data = text if isinstance(text, bytes) else text.encode()
     if name == "trace.jsonl":
-        (tmp_path / name).write_text(text + "\n")
+        (tmp_path / name).write_bytes(data + b"\n")
         args = ["replay", str(tmp_path / name), "-o", str(tmp_path / "out")]
     elif name == "headers.jsonl":
-        (tmp_path / name).write_text(text + "\n")
+        (tmp_path / name).write_bytes(data + b"\n")
         args = ["metrics", str(ledger_dir / "trace.jsonl"), str(tmp_path / name),
                 "-o", str(tmp_path / "out")]
     else:
@@ -622,9 +654,9 @@ def test_bad_input_exits_3_without_traceback(case, ledger_dir, report_dir,
         truth = ledger_dir / "truth.json"
         if name == "truth.json":
             truth = tmp_path / name
-            truth.write_text(text)
+            truth.write_bytes(data)
         else:
-            (reports / name).write_text(text)
+            (reports / name).write_bytes(data)
         args = ["score", str(reports), str(truth)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 3, result.output

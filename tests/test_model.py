@@ -1,17 +1,22 @@
 import json
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from dposforensics.metrics import daily_production, header_day, utc_day
 from dposforensics.model import (
     LedgerError,
     ParseError,
     VOTE_INDEX_EPOCH,
     compute_vote_index,
     compute_vote_weight,
+    load_headers,
     make_action,
     parse_action,
     parse_header,
@@ -19,7 +24,7 @@ from dposforensics.model import (
     validate_name,
 )
 
-from conftest import FUZZ_HEADERS, FUZZ_TRACE, one_field_changed
+from conftest import FUZZ_HEADERS, FUZZ_TRACE, T0, one_field_changed
 
 DAY = 86_400
 WEEK = 7 * DAY
@@ -184,6 +189,18 @@ class TestParseHeader:
         assert parse_header(line).timestamp == timestamp
 
 
+def test_line_count_reads_bytes_that_are_not_utf8(tmp_path):
+    """len() counts the lines of a file that iterating it rejects, as the
+    benchmark's tracer does before the command reads the file."""
+    path = tmp_path / "headers.jsonl"
+    path.write_bytes(b'{"height": 1, "producer": "bpa", "timestamp": 1}\r\n\n'
+                     b'{"producer": "bp\xff"}\r')
+    headers = load_headers(str(path), lazy=True)
+    assert len(headers) == 2
+    with pytest.raises(ParseError, match="^line 3: invalid UTF-8: byte 0xff$"):
+        list(headers)
+
+
 def _outcome(parse, line):
     """parse(line), or the ParseError's message and field."""
     try:
@@ -192,28 +209,129 @@ def _outcome(parse, line):
         return ("ParseError", str(exc), exc.field)
 
 
-def _assert_parsers_agree(records, parse, reference):
-    """Every line parses as the reference parses it. The lines share one set
-    of accepted names and go through twice, so a name is met again after it
-    was accepted in another field, or after it was rejected."""
-    names = set()
-    lines = [json.dumps(r) for r in records]
+def _assert_parsers_agree(lines, parse, reference):
+    """Every line parses as the reference parses it. The lines share one
+    table of accepted names and go through twice, so a name is met again
+    after it was accepted in another field, or after it was rejected."""
+    names = {}
     for line in lines + [f" {l}\t" for l in lines]:
         assert _outcome(lambda l: parse(l, names), line) == _outcome(reference, line)
         assert _outcome(parse, line) == _outcome(reference, line)
-    assert all(isinstance(n, str) and validate_name(n) == n for n in names)
+    assert all(isinstance(n, str) and validate_name(n) == n
+               and names[n] is n is sys.intern(n) for n in names)
 
 
 PARSERS_AGREE = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+class Raw(str):
+    """JSON text, written as it is."""
+
+
+class Obj(list):
+    """A JSON object as [key, value] pairs, in which a key may repeat."""
+
+
+def _obj(value):
+    if isinstance(value, dict):
+        return Obj([k, _obj(v)] for k, v in value.items())
+    return [_obj(v) for v in value] if isinstance(value, list) else value
+
+
+def _text(value) -> str:
+    if isinstance(value, Raw):
+        return value
+    if isinstance(value, Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_text(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_text, value)) + "]"
+    return json.dumps(value)
+
+
+def _slots(node):
+    """(container, index) of every value inside node, outermost first."""
+    for i, item in enumerate(node):
+        yield node, i
+        inner = item[1] if isinstance(node, Obj) else item
+        if isinstance(inner, list):
+            yield from _slots(inner)
+
+
+# JSON texts on which orjson and json part ways, or nearly do: integers at
+# and past the 64-bit limits (orjson reads one above 2^64 - 1 or below -2^63
+# as a float); NaN, the infinities and 1e400, and lone surrogates, which
+# orjson refuses; floats where an integer is read; and a surrogate pair and
+# a plain name, on which they agree.
+SPLIT_TEXTS = [Raw(t) for t in (
+    str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1), str(2**64 - 1),
+    str(2**64), str(-2**64), str(10**30), str(T0 * 2**40), "NaN", "Infinity",
+    "-Infinity", "1e400", "-1e400", "1.0", "-0.0", "3e0", f"{T0}.0", f"{T0}e0",
+    '"\\ud800"', '"bp\\udfff"', '"\\ud800\\udc00"', '"bpa"')]
+
+
+@st.composite
+def split_lines(draw, records):
+    """The records as JSON lines, each with up to two values replaced by a
+    text of SPLIT_TEXTS or by the float an integer value equals, or with a
+    key repeated before or after it with that text as its value."""
+    lines = []
+    for record in records:
+        node = _obj(record)
+        for _ in range(draw(st.integers(0, 2))):
+            container, i = draw(st.sampled_from(list(_slots(node))))
+            keyed = isinstance(container, Obj)
+            old = container[i][1] if keyed else container[i]
+            floats = [Raw(f"{old}.0")] if old.__class__ is int else []
+            new = draw(st.sampled_from(SPLIT_TEXTS + floats))
+            if keyed and draw(st.booleans()):
+                container.insert(i + draw(st.integers(0, 1)), [container[i][0], new])
+            elif keyed:
+                container[i][1] = new
+            else:
+                container[i] = new
+        lines.append(_text(node))
+    return lines
 
 
 class TestParsersAgreeWithReference:
     @PARSERS_AGREE
     @given(records=one_field_changed(FUZZ_TRACE))
     def test_trace_lines(self, records):
-        _assert_parsers_agree(records, parse_action, oracles.ref_parse_action)
+        _assert_parsers_agree([json.dumps(r) for r in records], parse_action,
+                              oracles.ref_parse_action)
 
     @PARSERS_AGREE
     @given(records=one_field_changed(FUZZ_HEADERS))
     def test_header_lines(self, records):
-        _assert_parsers_agree(records, parse_header, oracles.ref_parse_header)
+        _assert_parsers_agree([json.dumps(r) for r in records], parse_header,
+                              oracles.ref_parse_header)
+
+    # Lines on which orjson, which decodes first, and json, the reference's
+    # decoder, part ways.
+
+    @PARSERS_AGREE
+    @given(lines=split_lines(FUZZ_TRACE))
+    def test_trace_lines_where_decoders_differ(self, lines):
+        _assert_parsers_agree(lines, parse_action, oracles.ref_parse_action)
+
+    @PARSERS_AGREE
+    @given(lines=split_lines(FUZZ_HEADERS))
+    def test_header_lines_where_decoders_differ(self, lines):
+        _assert_parsers_agree(lines, parse_header, oracles.ref_parse_header)
+
+    @PARSERS_AGREE
+    @given(lines=split_lines(FUZZ_HEADERS))
+    def test_header_count_where_decoders_differ(self, lines):
+        """The CLI's count of the lines the reference accepts is a Counter
+        over the reference's headers, and over all the lines it fails as the
+        reference fails on the first line it rejects."""
+        outcomes = [_outcome(oracles.ref_parse_header, line) for line in lines]
+        accepted = [line for line, o in zip(lines, outcomes) if not isinstance(o, tuple)]
+        names = {}
+        assert daily_production(header_day(line, names) for line in accepted) == Counter(
+            (utc_day(h.timestamp), h.producer) for h in map(oracles.ref_parse_header, accepted))
+        rejected = [o for o in outcomes if isinstance(o, tuple)]
+        if rejected:
+            with pytest.raises(ParseError) as exc:
+                daily_production(header_day(line, {}) for line in lines)
+            assert ("ParseError", str(exc.value), exc.value.field) == rejected[0]
