@@ -30,7 +30,6 @@ from .gangs import GangError, NetworkBuilder, run_pipeline
 from .metrics import (
     MetricsError,
     daily_production,
-    header_day,
     powerlaw_exponent,
     production_by_month,
     production_entropy,
@@ -177,7 +176,7 @@ def _sample_times(cadence: str | int) -> SampleTimes:
 
 
 def _daily_production_or_die(headers: LineFile):
-    """daily_production of a load_headers(path, lazy=True, parse=header_day)."""
+    """daily_production of a load_headers(path, lazy=True)."""
     try:
         return daily_production(headers)
     except ParseError as exc:
@@ -358,7 +357,7 @@ def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
     _fraction_or_die(top_stake_pct, "top-stake-pct")
     cadence = _cadence_or_die(snapshot_cadence)
     trace = load_trace(trace_path, lazy=True)
-    headers = load_headers(headers_path, lazy=True, parse=header_day)
+    headers = load_headers(headers_path, lazy=True)
     _, _, snapshots = _fold_or_die(trace, cadence=cadence)
     daily = _daily_production_or_die(headers)
     manifest = _manifest("metrics", {"trace": trace, "headers": headers},
@@ -536,7 +535,7 @@ def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
     votes = VoteRecorder()
     network = NetworkBuilder()
     trace = load_trace(trace_path, lazy=True)
-    headers = load_headers(headers_path, lazy=True, parse=header_day)
+    headers = load_headers(headers_path, lazy=True)
     state, rejected, snapshots = _fold_or_die(trace, [votes, network], cadence)
     _need_snapshots(snapshots)
     daily = _daily_production_or_die(headers)

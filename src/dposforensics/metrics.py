@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import SECONDS_PER_DAY, BlockHeader, header_fields
+from .model import SECONDS_PER_DAY, BlockHeader
 from .replay import VotingSnapshot
 
 
@@ -49,18 +49,11 @@ def utc_days(timestamps: Iterable[float]) -> list[tuple[int, int, int]]:
     return result
 
 
-def header_day(line: str, names: dict[str, str]) -> tuple[float, str]:
-    """(_day_key(timestamp), producer) of a JSON header line, checked as
-    parse_header checks it: what daily_production counts, with no
-    BlockHeader made; a parse for load_headers."""
-    _, producer, timestamp = header_fields(line, names)
-    return _day_key(timestamp), producer
-
-
-def daily_production(keys: Iterable[tuple[float, str]]) -> Counter:
-    """Blocks per (UTC day, producer), in one pass over the header_day of
-    each header line; each day is converted once, as in utc_days."""
-    by_key = Counter(keys)
+def daily_production(headers: Iterable[tuple[int, str, float]]) -> Counter:
+    """Blocks per (UTC day, producer), in one pass over the (height,
+    producer, timestamp) of each header; each day is converted once, as in
+    utc_days."""
+    by_key = Counter((_day_key(ts), p) for _, p, ts in headers)
     days = utc_days([key for key, _ in by_key])  # _day_key(key) is key
     counts: Counter = Counter()
     for ((_, producer), blocks), day in zip(by_key.items(), days):
@@ -195,8 +188,7 @@ class TurnoverReport:
 def producer_turnover(headers: Iterable[BlockHeader]) -> TurnoverReport:
     """Distinct producers per UTC month, cumulative distinct producers, and
     distinct production days per producer."""
-    return turnover_of(daily_production(
-        (_day_key(h.timestamp), h.producer) for h in headers))
+    return turnover_of(daily_production(map(astuple, headers)))
 
 
 def turnover_of(daily: Mapping[tuple, int]) -> TurnoverReport:
@@ -220,8 +212,7 @@ def turnover_of(daily: Mapping[tuple, int]) -> TurnoverReport:
 
 def monthly_production(headers: Iterable[BlockHeader]) -> dict[tuple[int, int], dict[str, int]]:
     """Blocks produced per producer, bucketed by UTC month."""
-    return production_by_month(daily_production(
-        (_day_key(h.timestamp), h.producer) for h in headers))
+    return production_by_month(daily_production(map(astuple, headers)))
 
 
 def production_by_month(daily: Mapping[tuple, int]) -> dict[tuple[int, int], dict[str, int]]:

@@ -133,8 +133,7 @@ def _name(value: Any, field_name: str, names: dict[str, str]) -> str:
     try:
         return names[value]
     except (KeyError, TypeError):  # a new name, or an unhashable value
-        name = validate_name(value, field_name)
-        name = names[name] = intern(name) if name.__class__ is str else name
+        name = names[name] = intern(validate_name(value, field_name))
         return name
 
 
@@ -402,10 +401,8 @@ def load_trace(path: str, lazy: bool = False) -> list[Action] | LineFile:
     return actions if lazy else list(actions)
 
 
-def load_headers(path: str, lazy: bool = False,
-                 parse: Callable[[str, dict[str, str]], Any] = parse_header
-                 ) -> list | LineFile:
-    """The file's block headers, or parse(line, names) of each header line
-    (see header_fields); lazy as in load_trace."""
-    headers = LineFile(path, parse)
+def load_headers(path: str, lazy: bool = False) -> list[tuple] | LineFile:
+    """The header_fields of each of the file's block headers; lazy as in
+    load_trace."""
+    headers = LineFile(path, header_fields)
     return headers if lazy else list(headers)

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dposforensics.metrics import daily_production, header_day, utc_day
+from dposforensics.metrics import daily_production, utc_day
 from dposforensics.model import (
     LedgerError,
     ParseError,
     VOTE_INDEX_EPOCH,
     compute_vote_index,
     compute_vote_weight,
+    header_fields,
     load_headers,
     make_action,
     parse_action,
@@ -328,10 +329,10 @@ class TestParsersAgreeWithReference:
         outcomes = [_outcome(oracles.ref_parse_header, line) for line in lines]
         accepted = [line for line, o in zip(lines, outcomes) if not isinstance(o, tuple)]
         names = {}
-        assert daily_production(header_day(line, names) for line in accepted) == Counter(
+        assert daily_production(header_fields(line, names) for line in accepted) == Counter(
             (utc_day(h.timestamp), h.producer) for h in map(oracles.ref_parse_header, accepted))
         rejected = [o for o in outcomes if isinstance(o, tuple)]
         if rejected:
             with pytest.raises(ParseError) as exc:
-                daily_production(header_day(line, {}) for line in lines)
+                daily_production(header_fields(line, {}) for line in lines)
             assert ("ParseError", str(exc.value), exc.value.field) == rejected[0]
