@@ -223,15 +223,19 @@ def _window_or_die(window_days: float) -> None:
 
 
 def _entropy_ns_or_die(entropy_n: str) -> list[int | None]:
-    """The entropy top-n list: integers, with 'all' for every producer."""
+    """The entropy top-n list: positive integers, with 'all' for every
+    producer."""
     ns: list[int | None] = []
     for token in entropy_n.split(","):
         token = token.strip()
         try:
-            ns.append(None if token == "all" else int(token))
+            n = None if token == "all" else int(token)
         except ValueError:
-            _fail(EXIT_USAGE, f"bad entropy-n '{entropy_n}' (use integers or "
-                              f"'all', comma-separated)")
+            n = 0
+        if n is not None and n < 1:
+            _fail(EXIT_USAGE, f"bad entropy-n '{entropy_n}' (use positive "
+                              f"integers or 'all', comma-separated)")
+        ns.append(n)
     return ns
 
 

@@ -54,7 +54,8 @@ def _column(dtype):
 class VotingGraph:
     """Directed voting network as edge columns. Edge k runs from
     nodes[src[k]] to nodes[dst[k]]; edges are in the order they were first
-    placed, and `nodes` holds exactly the names that end an edge."""
+    placed. `nodes` holds exactly the names that end an edge, in name order,
+    so a node's id is its rank among the names."""
 
     nodes: list[str] = field(default_factory=list)
     src: np.ndarray = _column(np.int64)
@@ -68,13 +69,15 @@ class VotingGraph:
     @classmethod
     def from_edges(cls, edges: Mapping[tuple[str, str], EdgeStats],
                    candidates: Iterable[str] = ()) -> "VotingGraph":
-        """A graph with the given edges, in mapping order."""
-        ids: dict[str, int] = {}
-        src = [ids.setdefault(s, len(ids)) for s, _ in edges]
-        dst = [ids.setdefault(d, len(ids)) for _, d in edges]
+        """A graph with the given edges, in mapping order, and its nodes in
+        name order."""
+        nodes = sorted({name for pair in edges for name in pair})
+        ids = {name: i for i, name in enumerate(nodes)}
+        src = [ids[s] for s, _ in edges]
+        dst = [ids[d] for _, d in edges]
         stats = list(edges.values())
         return cls(
-            list(ids), np.array(src, np.int64), np.array(dst, np.int64),
+            nodes, np.array(src, np.int64), np.array(dst, np.int64),
             np.array([s.placements for s in stats], np.int64),
             np.array([s.duration for s in stats], np.float64),
             np.array([s.weight_integral for s in stats], np.float64),
@@ -84,6 +87,10 @@ class VotingGraph:
     @cached_property
     def edges(self) -> "EdgeView":
         return EdgeView(self)
+
+    @cached_property
+    def index(self) -> "NodeIndex":
+        return NodeIndex.of(self)
 
 
 class EdgeView(Mapping):
@@ -334,27 +341,18 @@ class EdplFit:
 
 @dataclass(frozen=True)
 class NodeIndex:
-    """Integer view of a voting graph: nodes numbered in name order, the two
-    ends of every edge in edge-table order, and each node's undirected
-    neighbours as sorted, deduplicated CSR rows, where a self-loop makes a
-    node its own neighbour."""
+    """A voting graph's node ids by name, and each node's undirected
+    neighbours as sorted, deduplicated CSR rows of node ids, where a
+    self-loop makes a node its own neighbour."""
 
-    names: list[str]
     ids: dict[str, int]
-    src: np.ndarray
-    dst: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
 
     @classmethod
     def of(cls, graph: VotingGraph) -> "NodeIndex":
-        order = sorted(range(len(graph.nodes)), key=graph.nodes.__getitem__)
-        names = [graph.nodes[i] for i in order]
-        ids = {name: i for i, name in enumerate(names)}
-        rank = np.empty(len(order), np.int64)
-        rank[order] = np.arange(len(order))
-        src, dst = rank[graph.src], rank[graph.dst]
-        n, m = len(names), len(src)
+        src, dst = graph.src, graph.dst
+        n, m = len(graph.nodes), len(src)
         # The key u * n + v of each edge in both directions, built in one
         # array and sorted in place; the distinct keys, row by row, are the
         # CSR entries, and row u starts at the first key at or above u * n.
@@ -367,7 +365,7 @@ class NodeIndex:
         keys = keys[_firsts(keys)]
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         keys %= max(n, 1)
-        return cls(names, ids, src, dst, indptr, keys)
+        return cls({name: i for i, name in enumerate(graph.nodes)}, indptr, keys)
 
     def neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
@@ -380,11 +378,10 @@ class NodeIndex:
         return self.indices[shift + np.arange(len(shift))]
 
 
-def egonet_features(graph: VotingGraph, scope: Optional[Sequence[str]] = None,
-                    *, index: Optional[NodeIndex] = None) -> list[EgonetFeature]:
+def egonet_features(graph: VotingGraph,
+                    scope: Optional[Sequence[str]] = None) -> list[EgonetFeature]:
     """Neighbor and egonet-edge counts on the undirected simple view; scope
-    defaults to the candidate nodes present in the graph. `index` is the
-    graph's NodeIndex when the caller has already built it.
+    defaults to the candidate nodes present in the graph.
 
     E_i is the ego's spokes plus the edges among its neighbours (OddBall's
     N_i + triangles(i)); the latter show up twice in the summed overlaps of
@@ -392,13 +389,12 @@ def egonet_features(graph: VotingGraph, scope: Optional[Sequence[str]] = None,
     A self-loop counts once, as in networkx, which also lists a looped ego
     among its own neighbours.
     """
-    if index is None:
-        index = NodeIndex.of(graph)
-    looped = np.zeros(len(index.names), bool)
-    looped[index.src[index.src == index.dst]] = True
+    index = graph.index
+    looped = np.zeros(len(graph.nodes), bool)
+    looped[graph.src[graph.src == graph.dst]] = True
     if scope is None:
         scope = graph.candidates & index.ids.keys()
-    member = np.zeros(len(index.names), bool)
+    member = np.zeros(len(graph.nodes), bool)
     features = []
     for node in sorted(scope):
         ego = index.ids.get(node)
@@ -458,11 +454,10 @@ def select_anomalies(features: Sequence[EgonetFeature], fit: EdplFit,
     return above[:k]
 
 
-def reconstruct_weighted_network(graph: VotingGraph, anomalies: Sequence[str],
-                                 *, index: Optional[NodeIndex] = None) -> nx.Graph:
+def reconstruct_weighted_network(graph: VotingGraph,
+                                 anomalies: Sequence[str]) -> nx.Graph:
     """Undirected network over candidate nodes inside the anomalies' egonets,
-    weighted by the symmetrized voting intensity. `index` is the graph's
-    NodeIndex when the caller has already built it.
+    weighted by the symmetrized voting intensity.
 
     Intensity i->j averages three shares computed on the FULL directed graph:
     i's placement count toward j over i's total placements, and j's received
@@ -472,31 +467,30 @@ def reconstruct_weighted_network(graph: VotingGraph, anomalies: Sequence[str],
 
     if not anomalies:
         raise GangError("nothing to reconstruct: empty anomaly set")
-    if index is None:
-        index = NodeIndex.of(graph)
+    index, names = graph.index, graph.nodes
     kept: set[str] = set()
     for node in anomalies:
         ego = index.ids.get(node)
         if ego is not None:
             kept.add(node)
-            kept.update(index.names[i] for i in index.neighbors(ego).tolist())
+            kept.update(names[i] for i in index.neighbors(ego).tolist())
     kept &= graph.candidates
 
     # Per edge i->j: i's placements towards j over i's placements, and j's
     # duration / average weight received from i over j's totals. Each total
     # is summed in edge order; a self-loop adds its intensity twice.
-    n = len(index.names)
+    n = len(names)
     in_kept = np.zeros(n, bool)
     in_kept[[index.ids[node] for node in kept]] = True
     placements = graph.placements.astype(np.float64)
     avg_weight = np.divide(graph.weight_integral, graph.duration,
                            out=graph.last_weight.copy(), where=graph.duration > 0)
-    inside = np.flatnonzero(in_kept[index.src] & in_kept[index.dst])
-    src, dst = index.src[inside], index.dst[inside]
+    inside = np.flatnonzero(in_kept[graph.src] & in_kept[graph.dst])
+    src, dst = graph.src[inside], graph.dst[inside]
     intensity = (
-        _share(placements[inside], np.bincount(index.src, placements, n)[src])
-        + _share(graph.duration[inside], np.bincount(index.dst, graph.duration, n)[dst])
-        + _share(avg_weight[inside], np.bincount(index.dst, avg_weight, n)[dst])
+        _share(placements[inside], np.bincount(graph.src, placements, n)[src])
+        + _share(graph.duration[inside], np.bincount(graph.dst, graph.duration, n)[dst])
+        + _share(avg_weight[inside], np.bincount(graph.dst, avg_weight, n)[dst])
     ) / 3.0
     loops = src == dst
     pairs, pair = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
@@ -508,7 +502,7 @@ def reconstruct_weighted_network(graph: VotingGraph, anomalies: Sequence[str],
     h.add_nodes_from(sorted(kept))
     for key, weight in zip(pairs.tolist(), weights.tolist()):  # ids follow name order
         a, b = divmod(key, n)
-        h.add_edge(index.names[a], index.names[b], weight=weight)
+        h.add_edge(names[a], names[b], weight=weight)
     return h
 
 
@@ -579,15 +573,14 @@ def detect_gangs(weighted: nx.Graph, seed: int = 0) -> GangReport:
 def run_pipeline(graph: VotingGraph, outlier_pct: float = 0.10,
                  seed: int = 0) -> GangReport:
     """Full three-step pipeline from a voting network to a gang report."""
-    index = NodeIndex.of(graph)
-    features = egonet_features(graph, index=index)
+    features = egonet_features(graph)
     fit = fit_edpl(features)
     scores = outlierness(features, fit)
     anomalies = select_anomalies(features, fit, scores, pct=outlier_pct)
     if not anomalies:
         return GangReport(communities=[], modularity=0.0, pruned=[], fit=fit,
                           scores=scores, anomalies=[])
-    weighted = reconstruct_weighted_network(graph, anomalies, index=index)
+    weighted = reconstruct_weighted_network(graph, anomalies)
     report = detect_gangs(weighted, seed=seed)
     return GangReport(communities=report.communities, modularity=report.modularity,
                       pruned=report.pruned, fit=fit, scores=scores,

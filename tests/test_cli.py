@@ -669,6 +669,7 @@ def test_bad_input_exits_3_without_traceback(case, ledger_dir, report_dir,
 # the trace, the option the message names).
 BAD_OPTIONS = {
     "metrics_entropy_n": (["metrics", "HEADERS", "--entropy-n", "10,foo"], "entropy-n"),
+    "metrics_entropy_n_zero": (["metrics", "HEADERS", "--entropy-n", "10,0"], "entropy-n"),
     "metrics_top_stake_pct": (["metrics", "HEADERS", "--top-stake-pct", "5"],
                               "top-stake-pct"),
     "metrics_cadence_nan": (["metrics", "HEADERS", "--snapshot-cadence", "nan"],
@@ -689,6 +690,7 @@ BAD_OPTIONS = {
     "all_window": (["all", "HEADERS", "--window-days", "inf"], "window-days"),
     "all_outlier_pct": (["all", "HEADERS", "--outlier-pct", "0"], "outlier-pct"),
     "all_entropy_n": (["all", "HEADERS", "--entropy-n", "x"], "entropy-n"),
+    "all_entropy_n_negative": (["all", "HEADERS", "--entropy-n", "-3"], "entropy-n"),
     "all_cadence": (["all", "HEADERS", "--snapshot-cadence", "-1"], "snapshot-cadence"),
 }
 

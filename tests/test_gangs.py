@@ -179,6 +179,7 @@ class TestColumnBuilder:
             == [np.int64] * 3
         assert [c.dtype for c in (graph.duration, graph.weight_integral,
                                   graph.last_weight)] == [np.float64] * 3
+        assert graph.nodes == sorted(graph.nodes)
         expected = incremental_voting_network(trace, end_time)
         assert list(graph.edges) == list(expected)
         for key, stats in graph.edges.items():
@@ -193,7 +194,27 @@ class TestColumnBuilder:
         b.newaccount("genesis", "alice").vote("alice", [])
         for trace in ([], b.build()):
             graph = build_voting_network(trace)
-            assert len(graph.edges) == 0 and graph.nodes == []
+            assert len(graph.edges) == 0 and graph.nodes == sorted(graph.nodes) == []
+
+    def test_from_edges_numbers_nodes_in_name_order(self):
+        # neither order lists the names in name order; the sums of these
+        # integral values are exact, so the edge order cannot change them
+        pairs = [("vt.b", "bp.c"), ("bp.c", "bp.a"), ("vt.a", "bp.a"),
+                 ("bp.a", "bp.c"), ("bp.b", "bp.b"), ("bp.b", "bp.a"),
+                 ("bp.a", "bp.b")]
+        stats = {pair: EdgeStats(placements=i + 1, duration=float(DAY * (i + 2)),
+                                 weight_integral=float(DAY * (i + 2) * (i + 3)),
+                                 last_weight=float(i))
+                 for i, pair in enumerate(pairs)}
+        graphs = [VotingGraph.from_edges({pair: stats[pair] for pair in order},
+                                         {"bp.a", "bp.b", "bp.c"})
+                  for order in (pairs, pairs[::-1])]
+        for graph in graphs:
+            assert graph.nodes == sorted(graph.nodes)
+        assert egonet_features(graphs[0]) == egonet_features(graphs[1])
+        weighted = [list(reconstruct_weighted_network(graph, ["bp.a"]).edges(data=True))
+                    for graph in graphs]
+        assert weighted[0] and weighted[0] == weighted[1]
 
     def test_graph_holds_no_object_per_edge(self):
         # One GC-tracked object per edge makes every full collection walk the
@@ -329,6 +350,10 @@ class TestEgonets:
             set(scope or graph.candidates) & set(view.nodes))
         for f in feats:
             assert (f.neighbors, f.edges) == brute_egonet(view, f.node)
+        # ids follow name order, and a looped node lists itself
+        for i, node in enumerate(graph.nodes):
+            assert [graph.nodes[j] for j in graph.index.neighbors(i)] \
+                == sorted(view.neighbors(node)), node
 
     def test_self_loop_counts_as_networkx_does(self):
         graph = VotingGraph.from_edges(
