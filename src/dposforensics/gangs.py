@@ -8,20 +8,24 @@ detection with single-edge pruning.
 from __future__ import annotations
 
 import math
+import random
 from array import array
-from collections.abc import Iterable, Iterator, Mapping
+from collections import defaultdict
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import Action, ActionKind
 from .replay import VotingState, replay
 
-if TYPE_CHECKING:  # networkx loads only when a weighted network is built
-    import networkx as nx
+# An undirected weighted graph as its adjacency: each node maps each
+# neighbour to the edge's weight, stored under both ends; a self-loop is
+# stored once, under its node.
+Adjacency = dict[Hashable, dict[Hashable, float]]
 
 
 class GangError(Exception):
@@ -455,16 +459,15 @@ def select_anomalies(features: Sequence[EgonetFeature], fit: EdplFit,
 
 
 def reconstruct_weighted_network(graph: VotingGraph,
-                                 anomalies: Sequence[str]) -> nx.Graph:
+                                 anomalies: Sequence[str]) -> Adjacency:
     """Undirected network over candidate nodes inside the anomalies' egonets,
-    weighted by the symmetrized voting intensity.
+    weighted by the symmetrized voting intensity. Its nodes are in name
+    order, and its edges are added in (smaller, larger) name order.
 
     Intensity i->j averages three shares computed on the FULL directed graph:
     i's placement count toward j over i's total placements, and j's received
     duration / average-weight from i over j's totals.
     """
-    import networkx as nx
-
     if not anomalies:
         raise GangError("nothing to reconstruct: empty anomaly set")
     index, names = graph.index, graph.nodes
@@ -498,12 +501,11 @@ def reconstruct_weighted_network(graph: VotingGraph,
     weights = np.bincount(np.concatenate([pair, pair[loops]]),
                           np.concatenate([intensity, intensity[loops]]), len(pairs))
 
-    h = nx.Graph()
-    h.add_nodes_from(sorted(kept))
+    adjacency: Adjacency = {name: {} for name in sorted(kept)}
     for key, weight in zip(pairs.tolist(), weights.tolist()):  # ids follow name order
         a, b = divmod(key, n)
-        h.add_edge(names[a], names[b], weight=weight)
-    return h
+        adjacency[names[a]][names[b]] = adjacency[names[b]][names[a]] = weight
+    return adjacency
 
 
 def _share(part: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -521,44 +523,159 @@ class GangReport:
     anomalies: list[str] = field(default_factory=list)
 
 
-def _modularity(weighted: nx.Graph, partition: Sequence[set[str]]) -> float:
+def _modularity(weighted: Adjacency, partition: Sequence[set]) -> float:
     """Weighted modularity at resolution 1, by networkx's formula, with every
     sum an fsum: exact before its one rounding, so Q does not depend on the
     order in which the communities' sets hand out their (hashed) members."""
-    def weight(data: dict) -> float:
-        return data.get("weight", 1)
-
     degree = {}
-    for node, nbrs in weighted.adj.items():
-        weights = [weight(d) for d in nbrs.values()]
+    for node, nbrs in weighted.items():
+        weights = list(nbrs.values())
         if node in nbrs:  # a self-loop adds its weight to the degree twice
-            weights.append(weight(nbrs[node]))
+            weights.append(nbrs[node])
         degree[node] = math.fsum(weights)
     deg_sum = math.fsum(degree.values())
     m = deg_sum / 2
     norm = 1 / deg_sum ** 2
     terms = []
     for community in partition:
-        inside = math.fsum(weight(d) for u in community
-                           for v, d in weighted.adj[u].items()
-                           if v in community and u <= v)
+        inside = math.fsum(w for _, v, w in _edges(weighted, community)
+                           if v in community)
         degrees = math.fsum(degree[u] for u in community)
         terms.append(inside / m - degrees * degrees * norm)
     return math.fsum(terms)
 
 
-def detect_gangs(weighted: nx.Graph, seed: int = 0) -> GangReport:
+# Weighted Louvain (Blondel et al., J. Stat. Mech. 2008), ported from
+# networkx 3.6.1's louvain_partitions for an undirected graph at resolution 1
+# and threshold 1e-7. Each float sum runs over the same terms in the same
+# order as there, so the partition is bit for bit networkx's.
+
+def louvain_communities(adjacency: Adjacency, seed: int = 0) -> list[set]:
+    """The last level's partition of networkx's
+    louvain_communities(G, seed=seed), where G's adjacency is `adjacency`."""
+    partition = [{u} for u in adjacency]
+    if not any(adjacency.values()):
+        return partition
+    mod = _level_modularity(adjacency, partition)  # of the input, not the copy
+    # networkx first copies G, adding its edges in G.edges() order. The
+    # copy's adjacency order fixes every later sum, and its size is m at
+    # every level.
+    graph: Adjacency = {u: {} for u in adjacency}
+    for u, v, w in _edges(adjacency):
+        graph[u][v] = graph[v][u] = w
+    m = sum(_degrees(graph).values()) / 2
+    rng = random.Random(seed)  # one generator for every level
+    members: dict = {u: {u} for u in adjacency}  # the input nodes of each node
+    inner = _one_level(graph, m, rng)
+    while True:
+        partition = [set().union(*map(members.get, part)) for part in inner]
+        new_mod = _level_modularity(graph, inner)
+        if new_mod - mod <= 1e-7:
+            return partition
+        mod = new_mod
+        graph, members = _gen_graph(graph, inner), dict(enumerate(partition))
+        inner = _one_level(graph, m, rng)
+        if len(inner) == len(graph):  # no node moved
+            return partition
+
+
+def _edges(adjacency: Adjacency, nbunch: Optional[Iterable] = None
+           ) -> Iterator[tuple]:
+    """Each edge (u, v, weight) once, in the order of networkx's
+    G.edges(nbunch): u over nbunch (default: all nodes), v over u's
+    neighbours that u has not run over yet."""
+    seen = set()
+    for u in adjacency if nbunch is None else nbunch:
+        for v, w in adjacency[u].items():
+            if v not in seen:
+                yield u, v, w
+        seen.add(u)
+
+
+def _degrees(adjacency: Adjacency) -> dict:
+    """Weighted degrees as networkx's G.degree sums them: in adjacency order,
+    then a self-loop's weight once more."""
+    return {u: sum(nbrs.values()) + (u in nbrs and nbrs[u])
+            for u, nbrs in adjacency.items()}
+
+
+def _level_modularity(adjacency: Adjacency, partition: Sequence[set]) -> float:
+    """networkx's nx.community.modularity, with its plain sums in its order."""
+    degree = _degrees(adjacency)
+    deg_sum = sum(degree.values())
+    m = deg_sum / 2
+    norm = 1 / deg_sum**2
+
+    def contribution(community: set) -> float:
+        comm = set(community)
+        inside = sum(w for _, v, w in _edges(adjacency, comm) if v in comm)
+        degrees = sum(degree[u] for u in comm)
+        return inside / m - degrees * degrees * norm
+
+    return sum(map(contribution, partition))
+
+
+def _one_level(graph: Adjacency, m: float, rng: random.Random) -> list[set]:
+    """Local moves over graph's nodes, in one shuffled order, until a sweep
+    moves none; the communities, without empty ones. Moves go only into a
+    neighbour's community, so a level that moves a node ends with fewer
+    communities than nodes."""
+    node2com = {u: i for i, u in enumerate(graph)}
+    inner = [{u} for u in graph]
+    degrees = _degrees(graph)
+    stot = list(degrees.values())
+    nbrs = {u: {v: w for v, w in graph[u].items() if v != u} for u in graph}
+    order = list(graph)
+    rng.shuffle(order)
+    moves = 1
+    while moves > 0:
+        moves = 0
+        for u in order:
+            best_mod = 0
+            best_com = node2com[u]
+            weights2com = defaultdict(float)
+            for v, w in nbrs[u].items():
+                weights2com[node2com[v]] += w
+            degree = degrees[u]
+            stot[best_com] -= degree
+            # reading the own community's weight adds it, at 0.0, if absent
+            remove_cost = -weights2com[best_com] / m + (
+                stot[best_com] * degree) / (2 * m**2)
+            for com, w in weights2com.items():
+                gain = remove_cost + w / m - (stot[com] * degree) / (2 * m**2)
+                if gain > best_mod:
+                    best_mod, best_com = gain, com
+            stot[best_com] += degree
+            if best_com != node2com[u]:
+                inner[node2com[u]].remove(u)
+                inner[best_com].add(u)
+                moves += 1
+                node2com[u] = best_com
+    return list(filter(len, inner))
+
+
+def _gen_graph(graph: Adjacency, inner: list[set]) -> Adjacency:
+    """The graph of inner's communities, numbered in list order, with each
+    pair's edge weights summed in graph's edge order."""
+    node2com = {node: i for i, part in enumerate(inner) for node in part}
+    new: Adjacency = {i: {} for i in range(len(inner))}
+    for u, v, w in _edges(graph):
+        a, b = node2com[u], node2com[v]
+        new[a][b] = new[b][a] = w + new[a].get(b, 0)
+    return new
+
+
+def detect_gangs(weighted: Adjacency, seed: int = 0) -> GangReport:
     """Weighted Louvain communities, then drop single-edge members and emit
     communities keeping at least two members."""
-    import networkx as nx
-
-    if weighted.number_of_nodes() == 0:
+    if not weighted:
         raise GangError("empty reconstructed network")
-    partition = nx.community.louvain_communities(
-        weighted, weight="weight", resolution=1.0, seed=seed)
+    partition = louvain_communities(weighted, seed)
     modularity = _modularity(weighted, partition) \
-        if weighted.number_of_edges() else 0.0
-    pruned = sorted(n for n in weighted.nodes if weighted.degree(n) == 1)
+        if any(weighted.values()) else 0.0
+    # a node's degree counts a self-loop twice
+    pruned = sorted(n for n, nbrs in weighted.items()
+                    if len(nbrs) + (n in nbrs) == 1)
     pruned_set = set(pruned)
     communities = []
     for group in partition:

@@ -9,11 +9,11 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from sys import intern
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 import orjson
 
@@ -64,16 +64,17 @@ def validate_name(name: Any, field_name: str = "name") -> str:
     return name
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
-    """One typed ledger event. Ordered by (block, seq) within a trace."""
+class Action(NamedTuple):
+    """One typed ledger event. Ordered by (block, seq) within a trace. A
+    named tuple: immutable, and about twice as fast to build as a frozen
+    dataclass, which sets each field through object.__setattr__."""
 
     kind: ActionKind
     actor: str
     timestamp: int
     block: int
     seq: int
-    payload: dict = field(default_factory=dict)
+    payload: dict
 
     def order_key(self) -> tuple[int, int]:
         return (self.block, self.seq)

@@ -150,6 +150,24 @@ def undirected_view(graph) -> nx.Graph:
     return g
 
 
+def adjacency(g: nx.Graph) -> dict:
+    """A networkx graph as the adjacency gang detection reads: each node's
+    neighbours and edge weights (1 where an edge has none), in g's own order."""
+    return {u: {v: data.get("weight", 1) for v, data in nbrs.items()}
+            for u, nbrs in g.adj.items()}
+
+
+def weighted_edges(adjacency: dict) -> list[tuple]:
+    """The (u, v, weight) edges of an adjacency, each once, in the order
+    networkx's edges(data="weight") lists the same graph's."""
+    g = nx.Graph()
+    g.add_nodes_from(adjacency)
+    for u, nbrs in adjacency.items():
+        for v, weight in nbrs.items():
+            g.add_edge(u, v, weight=weight)
+    return list(g.edges(data="weight"))
+
+
 def brute_egonet(g: nx.Graph, node):
     """(N, E) of node's egonet: a self-loop makes a node its own neighbour,
     and each self-loop inside the egonet counts as one edge."""

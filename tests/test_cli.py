@@ -868,9 +868,10 @@ def test_fuzzed_report_scores_or_exits_cleanly(data, ledger_dir, fuzz_reports,
     assert "Traceback" not in result.output
 
 
-def test_cli_import_loads_every_module_but_networkx():
+def test_cli_import_loads_every_module_but_networkx(ledger_dir, tmp_path):
     """Start-up loads every package module, which the benchmark's tracer
-    wraps, and leaves networkx to the gang code that uses it."""
+    wraps, and no run loads networkx: `dposf all` runs Louvain in the
+    package."""
     src = str(Path(dposforensics.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -881,3 +882,17 @@ def test_cli_import_loads_every_module_but_networkx():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split("\n")
     assert out[:2] == ["[]", "False"]
+
+    run_all = ("import sys\n"
+               "from dposforensics.cli import main\n"
+               "try:\n"
+               "    main(sys.argv[1:])\n"
+               "except SystemExit as exc:\n"
+               "    assert not exc.code, exc.code\n"
+               "print('networkx' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", run_all, "all",
+                          str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl"),
+                          "-o", str(tmp_path), "--top-stake-pct", "0.5"],
+                         env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "False"
+    assert json.loads((tmp_path / "gangs.json").read_text())["communities"]

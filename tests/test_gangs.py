@@ -1,13 +1,18 @@
 import gc
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dposforensics
 from dposforensics.gangs import (
     EdgeStats,
     EgonetFeature,
@@ -19,6 +24,7 @@ from dposforensics.gangs import (
     detect_gangs,
     egonet_features,
     fit_edpl,
+    louvain_communities,
     outlierness,
     reconstruct_weighted_network,
     run_pipeline,
@@ -30,11 +36,13 @@ from dposforensics.synth import GenConfig, PlantSpec, generate_ledger
 
 from conftest import T0, DAY, TraceBuilder, random_trace
 from oracles import (
+    adjacency,
     brute_egonet,
     brute_intensity,
     brute_voting_network,
     incremental_voting_network,
     undirected_view,
+    weighted_edges,
 )
 
 EOS = 10_000
@@ -212,7 +220,7 @@ class TestColumnBuilder:
         for graph in graphs:
             assert graph.nodes == sorted(graph.nodes)
         assert egonet_features(graphs[0]) == egonet_features(graphs[1])
-        weighted = [list(reconstruct_weighted_network(graph, ["bp.a"]).edges(data=True))
+        weighted = [weighted_edges(reconstruct_weighted_network(graph, ["bp.a"]))
                     for graph in graphs]
         assert weighted[0] and weighted[0] == weighted[1]
 
@@ -456,16 +464,16 @@ class TestReconstruction:
         graph = build_voting_network(trace)
         weighted = reconstruct_weighted_network(graph,
                                                 truth["plants"][0]["members"])
-        assert weighted.number_of_edges() > 0
-        for a, b, data in weighted.edges(data=True):
+        assert len(weighted_edges(weighted)) > 0
+        for a, b, weight in weighted_edges(weighted):
             expected = brute_intensity(graph, a, b) + brute_intensity(graph, b, a)
-            assert data["weight"] == expected, (a, b)
+            assert weight == expected, (a, b)
 
     def test_kept_nodes_limited_to_candidate_egonets(self):
         graph, clique = star_clique_graph(n_stars=10, clique_size=6)
         weighted = reconstruct_weighted_network(graph, [clique[0]])
         # voters are not candidates and never enter the reconstruction
-        assert set(weighted.nodes) == set(clique)
+        assert set(weighted) == set(clique)
 
     @settings(max_examples=200, deadline=None)
     @given(graph=edge_tables(), anomalies=st.lists(node_names, min_size=1, max_size=3))
@@ -476,7 +484,7 @@ class TestReconstruction:
             if node in view:
                 expected |= {node, *view.neighbors(node)}
         weighted = reconstruct_weighted_network(graph, anomalies)
-        assert set(weighted.nodes) == expected & graph.candidates
+        assert set(weighted) == expected & graph.candidates
 
     def test_empty_anomalies_error(self):
         graph, _ = star_clique_graph()
@@ -489,7 +497,7 @@ class TestCommunities:
         g = nx.Graph()
         g.add_weighted_edges_from([("a", "b", 1.0), ("b", "c", 1.0),
                                    ("a", "c", 1.0), ("a", "d", 0.1)])
-        report = detect_gangs(g, seed=0)
+        report = detect_gangs(adjacency(g), seed=0)
         assert report.pruned == ["d"]
         assert frozenset({"a", "b", "c"}) in report.communities
         assert all("d" not in c for c in report.communities)
@@ -503,7 +511,7 @@ class TestCommunities:
                 for b in group[i + 1:]:
                     g.add_edge(a, b, weight=1.0)
         g.add_edge("l0", "r0", weight=0.01)
-        report = detect_gangs(g, seed=0)
+        report = detect_gangs(adjacency(g), seed=0)
         assert frozenset(left) in report.communities
         assert frozenset(right) in report.communities
         assert report.modularity > 0.3
@@ -517,7 +525,7 @@ class TestCommunities:
             g.add_edge("n00", "n00")
         for a, b in g.edges:
             g[a][b]["weight"] = rng.random() * rng.choice([1e-3, 1.0, 1e3])
-        report = detect_gangs(g, seed=seed)
+        report = detect_gangs(adjacency(g), seed=seed)
         partition = nx.community.louvain_communities(
             g, weight="weight", resolution=1.0, seed=seed)
         expected = nx.community.modularity(g, partition, weight="weight")
@@ -526,10 +534,73 @@ class TestCommunities:
     def test_deterministic_given_seed(self):
         g = nx.gnp_random_graph(60, 0.1, seed=2)
         nx.set_edge_attributes(g, 1.0, "weight")
-        r1 = detect_gangs(g, seed=5)
-        r2 = detect_gangs(g, seed=5)
+        r1 = detect_gangs(adjacency(g), seed=5)
+        r2 = detect_gangs(adjacency(g), seed=5)
         assert r1.communities == r2.communities
         assert r1.modularity == r2.modularity
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A networkx graph built from one drawn edge list in one order. Some
+    nodes are added first, in a drawn order, and may stay isolated; the
+    edges may be self-loops, tie their weights, or add a pair again, which
+    re-weighs it in place. The list may be empty."""
+    names = draw(st.permutations([f"n{i:02d}" for i in range(draw(st.integers(1, 12)))]))
+    weights = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(1e-3, 1e3)
+    edges = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names),
+                                    weights), max_size=40))
+    g = nx.Graph()
+    g.add_nodes_from(names[:draw(st.integers(1, len(names)))])
+    for a, b, weight in edges:
+        g.add_edge(a, b, weight=weight)
+    return g
+
+
+class TestLouvainPort:
+    @settings(max_examples=300, deadline=None)
+    @given(g=weighted_graphs(), seed=st.integers(0, 9))
+    def test_matches_networkx(self, g, seed):
+        weighted = adjacency(g)
+        expected = nx.community.louvain_communities(
+            g, weight="weight", resolution=1.0, seed=seed)
+        assert louvain_communities(weighted, seed) == expected
+        report = detect_gangs(weighted, seed)
+        pruned = sorted(n for n in g if g.degree(n) == 1)
+        assert report.pruned == pruned
+        kept = [frozenset(c.difference(pruned)) for c in expected]
+        assert report.communities == sorted((c for c in kept if len(c) >= 2), key=sorted)
+        if g.number_of_edges():
+            assert abs(report.modularity
+                       - nx.community.modularity(g, expected, weight="weight")) <= 1e-12
+        else:
+            assert report.modularity == 0.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_networkx_over_several_levels(self, seed):
+        # graphs large enough that Louvain aggregates at least once, so the
+        # later levels' shuffles and sums are compared too
+        rng = random.Random(seed)
+        g = nx.relabel_nodes(nx.gnp_random_graph(60, 0.08, seed=seed), lambda i: f"n{i:02d}")
+        for a, b in g.edges:
+            g[a][b]["weight"] = rng.random() * rng.choice([1e-3, 1.0, 1e3])
+        g.add_edge("n00", "n00", weight=rng.random())
+        assert len(list(nx.community.louvain_partitions(g, seed=seed))) >= 2
+        assert louvain_communities(adjacency(g), seed) \
+            == nx.community.louvain_communities(g, seed=seed)
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_matches_networkx_under_hash_seed(self, hash_seed, tmp_path):
+        """The first level's communities are sets of names, whose order
+        follows the string hash; the port must match under each hash seed."""
+        paths = [str(Path(dposforensics.__file__).parents[1]), str(Path(__file__).parent),
+                 os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        probe = "import test_gangs; test_gangs.TestLouvainPort().test_matches_networkx()"
+        result = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestPipeline:

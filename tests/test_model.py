@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from dposforensics.metrics import daily_production, utc_day
 from dposforensics.model import (
+    Action,
+    ActionKind,
     LedgerError,
     ParseError,
     VOTE_INDEX_EPOCH,
@@ -173,6 +175,17 @@ class TestParseAction:
                                  rng.randrange(0, 10**6), rng.randrange(0, 10**6),
                                  payload)
             assert parse_action(serialize_action(action)) == action
+
+    def test_action_is_immutable(self):
+        action = make_action("delegatebw", "alice", 1, 2, 3, {"amount": 5})
+        for name in ("kind", "actor", "timestamp", "block", "seq", "payload"):
+            with pytest.raises(AttributeError):
+                setattr(action, name, getattr(action, name))
+        with pytest.raises(AttributeError):
+            action.extra = 1
+        assert action.order_key() == (2, 3)
+        assert action == Action(kind=ActionKind.DELEGATE_BW, actor="alice", timestamp=1,
+                                block=2, seq=3, payload={"amount": 5})
 
 
 class TestParseHeader:
