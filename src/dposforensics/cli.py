@@ -129,11 +129,11 @@ def _write_reports(out: str | None, reports: dict[str, str]) -> Path:
 
 def _fold_or_die(trace: LineFile, observers=(), cadence=None):
     """The command's one fold of the trace, a load_trace(path, lazy=True),
-    read as it is folded: (state, rejected), plus the snapshots at the
-    sample times of a cadence from _cadence_or_die when one is given."""
+    read as it is folded: (state, rejected, snapshots), the snapshots at the
+    sample times of a cadence from _cadence_or_die, or None without one."""
     try:
         if cadence is None:
-            return replay(trace, observers)
+            return (*replay(trace, observers), None)
         times = _sample_times(cadence)
         state, rejected, snapshots = replay_with_snapshots(trace, times, observers)
         if snapshots is None:
@@ -154,12 +154,6 @@ def _fold_or_die(trace: LineFile, observers=(), cadence=None):
         _fail(EXIT_DATA, f"unreplayable trace: {exc}")
 
 
-def _need_snapshots(snapshots) -> None:
-    """Clustering needs a sample time; checked before any report is written."""
-    if not snapshots:
-        _fail(EXIT_DATA, "no snapshots; trace too short for the cadence")
-
-
 def _sample_times(cadence: str | int) -> SampleTimes:
     """The sample times of a cadence from _cadence_or_die, for a trace from
     first to last: the end of each month from first's on, the one of last's
@@ -173,14 +167,6 @@ def _sample_times(cadence: str | int) -> SampleTimes:
         return takewhile(lambda t: t < last + 1 + cadence,
                          count(first + cadence - 1, cadence))
     return times
-
-
-def _daily_production_or_die(headers: LineFile):
-    """daily_production of a load_headers(path, lazy=True)."""
-    try:
-        return daily_production(headers)
-    except ParseError as exc:
-        _fail(EXIT_DATA, f"unreadable headers: {exc}")
 
 
 def _creators(state, rejected) -> dict[str, str]:
@@ -212,14 +198,16 @@ def _cadence_or_die(cadence: str) -> str | int:
     return int(step)
 
 
-def _fraction_or_die(value: float, option: str) -> None:
+def _fraction_or_die(value: float, option: str) -> float:
     if not 0 < value <= 1:
         _fail(EXIT_USAGE, f"{option} out of range (0, 1]")
+    return value
 
 
-def _window_or_die(window_days: float) -> None:
+def _window_or_die(window_days: float) -> float:
     if not 0 < window_days * 86_400 < math.inf:
         _fail(EXIT_USAGE, f"window-days must be positive and finite, got {window_days}")
+    return window_days
 
 
 def _entropy_ns_or_die(entropy_n: str) -> list[int | None]:
@@ -237,6 +225,29 @@ def _entropy_ns_or_die(entropy_n: str) -> list[int | None]:
                               f"integers or 'all', comma-separated)")
         ns.append(n)
     return ns
+
+
+# Each analysis option once: its default, and its check, which gives the
+# value the analysis uses. Its flag is --name, with dashes for underscores.
+_OPTIONS = {
+    "theta": (0.9, lambda theta: _fraction_or_die(theta, "theta")),
+    "window_days": (7.0, _window_or_die),
+    "top_stake_pct": (0.05, lambda pct: _fraction_or_die(pct, "top-stake-pct")),
+    "outlier_pct": (0.10, lambda pct: _fraction_or_die(pct, "outlier-pct")),
+    "entropy_n": ("10,20,all", _entropy_ns_or_die),
+    "seed": (0, lambda seed: seed),
+    "snapshot_cadence": ("monthly", _cadence_or_die),
+}
+
+
+def _analysis_options(*names: str):
+    """Declare -o and then the named analysis options, in that order."""
+    def declare(command):
+        for name in reversed(names):
+            command = click.option(f"--{name.replace('_', '-')}", show_default=True,
+                                   default=_OPTIONS[name][0])(command)
+        return click.option("--out", "-o", default=None)(command)
+    return declare
 
 
 @click.group()
@@ -279,7 +290,7 @@ def generate(config_path: str, out: str | None) -> None:
 def replay_cmd(trace_path: str, out: str | None) -> None:
     """Replay a trace and write the canonical final state."""
     trace = load_trace(trace_path, lazy=True)
-    state, rejected = _fold_or_die(trace)
+    state, rejected, _ = _fold_or_die(trace)
     canonical = state.canonical_json()
     payload = {
         "manifest": _manifest("replay", {"trace": trace}, {}),
@@ -293,13 +304,78 @@ def replay_cmd(trace_path: str, out: str | None) -> None:
     click.echo(f"replayed {state.actions_read} actions, {len(rejected)} rejected")
 
 
-def _metric_params(entropy_n: str, top_stake_pct: float, cadence: str) -> dict:
-    return {"entropy_n": entropy_n, "top_stake_pct": top_stake_pct,
-            "snapshot_cadence": cadence}
+_WRITTEN = {"metrics": "metrics", "cluster": "clusters", "motifs": "motifs",
+            "gangs": "gang report", "all": "full report"}
+
+
+def _analyze(command: str, analyses: set[str], options: dict, trace_path: str,
+             headers_path: str | None = None) -> None:
+    """Run the analyses (metrics, cluster, motifs, gangs) of a command with -o
+    and analysis options `options` over one fold of the trace, and write their
+    reports, with summary.json for all, once all are made."""
+    out = options.pop("out")
+    # In declaration order: click orders options by the command line.
+    checked = {p.name: _OPTIONS[p.name][1](options[p.name])
+               for p in click.get_current_context().command.params if p.name in options}
+    votes = VoteRecorder() if "motifs" in analyses else None
+    network = NetworkBuilder() if "gangs" in analyses else None
+    inputs = {"trace": load_trace(trace_path, lazy=True)}
+    state, rejected, snapshots = _fold_or_die(
+        inputs["trace"], [o for o in (votes, network) if o is not None],
+        checked.get("snapshot_cadence"))
+    if "cluster" in analyses and not snapshots:
+        _fail(EXIT_DATA, "no snapshots; trace too short for the cadence")
+    if "metrics" in analyses:
+        inputs["headers"] = load_headers(headers_path, lazy=True)
+        try:
+            daily = daily_production(inputs["headers"])
+        except ParseError as exc:
+            _fail(EXIT_DATA, f"unreadable headers: {exc}")
+    manifest = _manifest(command, inputs, options)
+    reports: dict[str, str] = {}
+    if "metrics" in analyses:
+        _run_metrics(snapshots, daily, reports, manifest, checked["entropy_n"],
+                     checked["top_stake_pct"])
+    if "cluster" in analyses:
+        clustered = _run_cluster(_creators(state, rejected), snapshots, reports,
+                                 manifest, checked["theta"], checked["top_stake_pct"])
+    # The fold's products are large: free each once it is used, and build
+    # the network, the largest, only after the snapshots are gone.
+    del snapshots, rejected
+    candidates = set(state.tallies)
+    graph = None if network is None else network.finish(state.end_time)
+    del network, state
+    if votes is not None:
+        instances = _run_motifs(votes.events(candidates), candidates, reports,
+                                manifest, checked["window_days"])
+    del votes
+    if graph is not None:
+        gang_payload = _run_gangs(graph, reports, manifest, checked["outlier_pct"],
+                                  checked["seed"])
+    if command == "all":
+        cluster_members = {m for c in clustered["clusters"] for m in c["members"]}
+        motif_members = {p for inst in instances for p in inst.participants}
+        gang_members = {m for c in gang_payload["communities"] for m in c}
+        reports["summary.json"] = _json_text({
+            "manifest": manifest,
+            "accounts": {
+                "cluster": len(cluster_members),
+                "motif": len(motif_members),
+                "gang": len(gang_members),
+            },
+            "overlap": {
+                "cluster_motif": len(cluster_members & motif_members),
+                "cluster_gang": len(cluster_members & gang_members),
+                "motif_gang": len(motif_members & gang_members),
+                "all_three": len(cluster_members & motif_members & gang_members),
+            },
+        })
+    out_dir = _write_reports(out, reports)
+    click.echo(f"{_WRITTEN[command]} written to {out_dir}")
 
 
 def _run_metrics(snapshots, daily, reports: dict[str, str], manifest: dict,
-                 ns: list[int | None], top_stake_pct: float) -> dict:
+                 ns: list[int | None], top_stake_pct: float) -> None:
     """The metric reports; daily is the headers' daily_production."""
     production = production_by_month(daily)
     rows = []
@@ -344,32 +420,15 @@ def _run_metrics(snapshots, daily, reports: dict[str, str], manifest: dict,
         except MetricsError as exc:
             summary["stake_powerlaw"] = {"error": str(exc)}
     reports["metrics.json"] = _json_text(summary)
-    return summary
 
 
 @main.command()
 @click.argument("trace_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("headers_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "-o", default=None)
-@click.option("--entropy-n", default="10,20,all", show_default=True)
-@click.option("--top-stake-pct", default=0.05, show_default=True)
-@click.option("--snapshot-cadence", default="monthly", show_default=True)
-def metrics(trace_path, headers_path, out, entropy_n, top_stake_pct,
-            snapshot_cadence) -> None:
+@_analysis_options("entropy_n", "top_stake_pct", "snapshot_cadence")
+def metrics(trace_path, headers_path, **options) -> None:
     """Decentralization metrics: entropy, turnover, distributions, shares."""
-    ns = _entropy_ns_or_die(entropy_n)
-    _fraction_or_die(top_stake_pct, "top-stake-pct")
-    cadence = _cadence_or_die(snapshot_cadence)
-    trace = load_trace(trace_path, lazy=True)
-    headers = load_headers(headers_path, lazy=True)
-    _, _, snapshots = _fold_or_die(trace, cadence=cadence)
-    daily = _daily_production_or_die(headers)
-    manifest = _manifest("metrics", {"trace": trace, "headers": headers},
-                         _metric_params(entropy_n, top_stake_pct, snapshot_cadence))
-    reports: dict[str, str] = {}
-    _run_metrics(snapshots, daily, reports, manifest, ns, top_stake_pct)
-    out_dir = _write_reports(out, reports)
-    click.echo(f"metrics written to {out_dir}")
+    _analyze("metrics", {"metrics"}, options, trace_path, headers_path)
 
 
 def _run_cluster(creators, snapshots, reports: dict[str, str], manifest: dict,
@@ -403,30 +462,14 @@ def _run_cluster(creators, snapshots, reports: dict[str, str], manifest: dict,
 
 @main.command()
 @click.argument("trace_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "-o", default=None)
-@click.option("--theta", default=0.9, show_default=True)
-@click.option("--top-stake-pct", default=0.05, show_default=True)
-@click.option("--snapshot-cadence", default="monthly", show_default=True)
-def cluster(trace_path, out, theta, top_stake_pct, snapshot_cadence) -> None:
+@_analysis_options("theta", "top_stake_pct", "snapshot_cadence")
+def cluster(trace_path, **options) -> None:
     """Similar-voting clusters among the top stakeholders."""
-    _fraction_or_die(theta, "theta")
-    _fraction_or_die(top_stake_pct, "top-stake-pct")
-    cadence = _cadence_or_die(snapshot_cadence)
-    trace = load_trace(trace_path, lazy=True)
-    state, rejected, snapshots = _fold_or_die(trace, cadence=cadence)
-    _need_snapshots(snapshots)
-    manifest = _manifest("cluster", {"trace": trace},
-                         {"theta": theta, "top_stake_pct": top_stake_pct,
-                          "snapshot_cadence": snapshot_cadence})
-    reports: dict[str, str] = {}
-    _run_cluster(_creators(state, rejected), snapshots, reports, manifest, theta,
-                 top_stake_pct)
-    out_dir = _write_reports(out, reports)
-    click.echo(f"clusters written to {out_dir}")
+    _analyze("cluster", {"cluster"}, options, trace_path)
 
 
 def _run_motifs(events, candidates, reports: dict[str, str], manifest: dict,
-                window_days: float) -> dict:
+                window_days: float) -> list:
     window = int(window_days * 86_400)
     instances = (detect_linear(events, window, candidates)
                  + detect_triangular(events, window, candidates)
@@ -452,27 +495,15 @@ def _run_motifs(events, candidates, reports: dict[str, str], manifest: dict,
     summary = {"manifest": manifest,
                "counts": {shape: sum(c.values()) for shape, c in series.items()}}
     reports["motifs.json"] = _json_text(summary)
-    return {"instances": instances, "summary": summary}
+    return instances
 
 
 @main.command()
 @click.argument("trace_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "-o", default=None)
-@click.option("--window-days", default=7.0, show_default=True)
-def motifs(trace_path, out, window_days) -> None:
+@_analysis_options("window_days")
+def motifs(trace_path, **options) -> None:
     """Mutual-voting motifs (linear, triangular, eight-shaped)."""
-    _window_or_die(window_days)
-    votes = VoteRecorder()
-    trace = load_trace(trace_path, lazy=True)
-    state, _ = _fold_or_die(trace, [votes])
-    manifest = _manifest("motifs", {"trace": trace},
-                         {"window_days": window_days})
-    reports: dict[str, str] = {}
-    candidates = set(state.tallies)
-    _run_motifs(votes.events(candidates), candidates, reports, manifest,
-                window_days)
-    out_dir = _write_reports(out, reports)
-    click.echo(f"motifs written to {out_dir}")
+    _analyze("motifs", {"motifs"}, options, trace_path)
 
 
 def _run_gangs(graph, reports: dict[str, str], manifest: dict, outlier_pct: float,
@@ -498,92 +529,21 @@ def _run_gangs(graph, reports: dict[str, str], manifest: dict, outlier_pct: floa
 
 @main.command()
 @click.argument("trace_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "-o", default=None)
-@click.option("--outlier-pct", default=0.10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-def gangs(trace_path, out, outlier_pct, seed) -> None:
+@_analysis_options("outlier_pct", "seed")
+def gangs(trace_path, **options) -> None:
     """Mutual-voting gang pipeline (egonet scoring, reconstruction, Louvain)."""
-    _fraction_or_die(outlier_pct, "outlier-pct")
-    network = NetworkBuilder()
-    trace = load_trace(trace_path, lazy=True)
-    state, _ = _fold_or_die(trace, [network])
-    graph = network.finish(state.end_time)
-    manifest = _manifest("gangs", {"trace": trace},
-                         {"outlier_pct": outlier_pct, "seed": seed})
-    reports: dict[str, str] = {}
-    _run_gangs(graph, reports, manifest, outlier_pct, seed)
-    out_dir = _write_reports(out, reports)
-    click.echo(f"gang report written to {out_dir}")
+    _analyze("gangs", {"gangs"}, options, trace_path)
 
 
 @main.command("all")
 @click.argument("trace_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("headers_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "-o", default=None)
-@click.option("--theta", default=0.9, show_default=True)
-@click.option("--window-days", default=7.0, show_default=True)
-@click.option("--top-stake-pct", default=0.05, show_default=True)
-@click.option("--outlier-pct", default=0.10, show_default=True)
-@click.option("--entropy-n", default="10,20,all", show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--snapshot-cadence", default="monthly", show_default=True)
-def all_cmd(trace_path, headers_path, out, theta, window_days, top_stake_pct,
-            outlier_pct, entropy_n, seed, snapshot_cadence) -> None:
+@_analysis_options("theta", "window_days", "top_stake_pct", "outlier_pct", "entropy_n",
+                   "seed", "snapshot_cadence")
+def all_cmd(trace_path, headers_path, **options) -> None:
     """Run every analysis and emit a cross-method overlap summary."""
-    _fraction_or_die(theta, "theta")
-    _window_or_die(window_days)
-    _fraction_or_die(top_stake_pct, "top-stake-pct")
-    _fraction_or_die(outlier_pct, "outlier-pct")
-    ns = _entropy_ns_or_die(entropy_n)
-    cadence = _cadence_or_die(snapshot_cadence)
-    votes = VoteRecorder()
-    network = NetworkBuilder()
-    trace = load_trace(trace_path, lazy=True)
-    headers = load_headers(headers_path, lazy=True)
-    state, rejected, snapshots = _fold_or_die(trace, [votes, network], cadence)
-    _need_snapshots(snapshots)
-    daily = _daily_production_or_die(headers)
-    params = {"theta": theta, "window_days": window_days,
-              "top_stake_pct": top_stake_pct, "outlier_pct": outlier_pct,
-              "entropy_n": entropy_n, "seed": seed,
-              "snapshot_cadence": snapshot_cadence}
-    manifest = _manifest("all", {"trace": trace, "headers": headers},
-                         params)
-    reports: dict[str, str] = {}  # written once gang detection has succeeded
-    _run_metrics(snapshots, daily, reports, manifest, ns, top_stake_pct)
-    cluster_payload = _run_cluster(_creators(state, rejected), snapshots, reports,
-                                   manifest, theta, top_stake_pct)
-    # The fold's products are large: free each once it is used, and build
-    # the network, the largest, only after the snapshots are gone.
-    del snapshots, rejected
-    graph = network.finish(state.end_time)
-    del network, state
-    motif_result = _run_motifs(votes.events(graph.candidates), graph.candidates,
-                               reports, manifest, window_days)
-    del votes
-    gang_payload = _run_gangs(graph, reports, manifest, outlier_pct, seed)
-
-    cluster_members = {m for c in cluster_payload["clusters"] for m in c["members"]}
-    motif_members = {p for inst in motif_result["instances"]
-                     for p in inst.participants}
-    gang_members = {m for c in gang_payload["communities"] for m in c}
-    summary = {
-        "manifest": manifest,
-        "accounts": {
-            "cluster": len(cluster_members),
-            "motif": len(motif_members),
-            "gang": len(gang_members),
-        },
-        "overlap": {
-            "cluster_motif": len(cluster_members & motif_members),
-            "cluster_gang": len(cluster_members & gang_members),
-            "motif_gang": len(motif_members & gang_members),
-            "all_three": len(cluster_members & motif_members & gang_members),
-        },
-    }
-    reports["summary.json"] = _json_text(summary)
-    out_dir = _write_reports(out, reports)
-    click.echo(f"full report written to {out_dir}")
+    _analyze("all", {"metrics", "cluster", "motifs", "gangs"}, options, trace_path,
+             headers_path)
 
 
 # Shapes of the files `score` reads. A dict is an object with those keys (a
