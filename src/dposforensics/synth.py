@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterator, Optional, Sequence
 
@@ -45,6 +45,40 @@ DEFAULT_START = 1_609_459_200
 
 class ConfigError(Exception):
     pass
+
+
+# The JSON types of the config fields that a comparison, a range or a sum
+# reads. Counts that size a range are integers; the other numbers may be
+# floats. months is searched with `in`, so an object works too. Any value
+# works for seed, kind and shared_creator, which are only formatted, looked
+# up or tested for truth.
+_NUMBER = ((int, float), "a number")
+_FIELD_TYPES = {
+    **dict.fromkeys(("n_accounts", "n_candidates", "n_proxies", "size"),
+                    (int, "an integer")),
+    **dict.fromkeys(("stake_powerlaw_alpha", "duration_days", "proxy_weight_target",
+                     "block_skip_rate", "participation_rate", "start_time",
+                     "rounds_per_day", "vote_jitter"), _NUMBER),
+    "months": ((list, dict, type(None)), "a list or null"),
+}
+
+
+def _check_fields(data: dict, cls: type, what: str, where: str = "") -> None:
+    """Raise a ConfigError, its message starting with `where`, for a field of
+    the `what` object `data` that dataclass `cls` does not have or needs, or
+    for one of a JSON type that _FIELD_TYPES does not allow."""
+    fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ConfigError(f"{where}unknown {what} fields: {sorted(unknown)}")
+    missing = [name for name, f in fields.items() if name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where}missing {what} fields: {missing}")
+    for name, value in data.items():
+        types, expected = _FIELD_TYPES.get(name, (object, None))
+        if not isinstance(value, types):
+            raise ConfigError(f"{where}{name} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -122,12 +156,17 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenConfig":
-        plants = [PlantSpec(**p) for p in data.pop("plants", [])]
-        unknown = set(data) - {f.name for f in
-                               cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        config = cls(plants=plants, **data)
+        specs = data.pop("plants", [])
+        try:
+            specs = list(specs)  # any iterable, as before: {} and "" hold no plants
+        except TypeError:
+            raise ConfigError(f"plants must be a list, got {specs!r}") from None
+        for i, spec in enumerate(specs):
+            if not isinstance(spec, dict):
+                raise ConfigError(f"plants[{i}] must be an object, got {spec!r}")
+            _check_fields(spec, PlantSpec, "plant", f"plants[{i}]: ")
+        _check_fields(data, cls, "config")
+        config = cls(plants=[PlantSpec(**spec) for spec in specs], **data)
         config.validate()
         return config
 
