@@ -97,8 +97,18 @@ def _manifest(command: str, inputs: dict[str, str | LineFile],
 
 def _out_dir(out: str | None) -> Path:
     path = Path(out or os.environ.get("DPOSF_OUT", "."))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or a path under one
+        _fail(EXIT_USAGE, f"cannot make output directory {path}: {exc.strerror}")
     return path
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail(EXIT_USAGE, f"cannot write {path}: {exc.strerror}")
 
 
 def _json_text(payload: dict) -> str:
@@ -123,7 +133,7 @@ def _write_reports(out: str | None, reports: dict[str, str]) -> Path:
     run that fails leaves none of them."""
     out_dir = _out_dir(out)
     for name, text in reports.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+        _write(out_dir / name, text)
     return out_dir
 
 
@@ -271,16 +281,14 @@ def generate(config_path: str, out: str | None) -> None:
     from .model import serialize_action, serialize_header
     trace_path = out_dir / "trace.jsonl"
     headers_path = out_dir / "headers.jsonl"
-    trace_path.write_text("".join(serialize_action(a) + "\n" for a in trace),
-                          encoding="utf-8")
-    headers_path.write_text("".join(serialize_header(h) + "\n" for h in headers),
-                            encoding="utf-8")
+    _write(trace_path, "".join(serialize_action(a) + "\n" for a in trace))
+    _write(headers_path, "".join(serialize_header(h) + "\n" for h in headers))
     manifest = _manifest("generate", {"config": config_path,
                                       "trace": str(trace_path),
                                       "headers": str(headers_path)},
                          {"seed": config.seed})
     truth["manifest"] = manifest
-    (out_dir / "truth.json").write_text(_json_text(truth), encoding="utf-8")
+    _write(out_dir / "truth.json", _json_text(truth))
     click.echo(f"wrote {trace_path}, {headers_path}, {out_dir / 'truth.json'}")
 
 
