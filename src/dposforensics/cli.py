@@ -322,7 +322,7 @@ def _analyze(command: str, analyses: set[str], options: dict, trace_path: str,
     and analysis options `options` over one fold of the trace, and write their
     reports, with summary.json for all, once all are made."""
     out = options.pop("out")
-    # In declaration order: click orders options by the command line.
+    # Checked in declaration order: click's ctx.params follows the command line.
     checked = {p.name: _OPTIONS[p.name][1](options[p.name])
                for p in click.get_current_context().command.params if p.name in options}
     votes = VoteRecorder() if "motifs" in analyses else None

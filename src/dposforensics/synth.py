@@ -47,26 +47,24 @@ class ConfigError(Exception):
     pass
 
 
-# The JSON types of the config fields that a comparison, a range or a sum
-# reads. Counts that size a range are integers; the other numbers may be
-# floats. months is searched with `in`, so an object works too. Any value
-# works for seed, kind and shared_creator, which are only formatted, looked
-# up or tested for truth.
-_NUMBER = ((int, float), "a number")
+# The JSON types of the config fields the generator computes with: counts
+# that size a range are integers, other numbers may be floats, and months is
+# searched with `in` (an object works too). seed, kind and shared_creator are
+# only formatted, looked up or tested for truth, so they take any value.
 _FIELD_TYPES = {
     **dict.fromkeys(("n_accounts", "n_candidates", "n_proxies", "size"),
                     (int, "an integer")),
     **dict.fromkeys(("stake_powerlaw_alpha", "duration_days", "proxy_weight_target",
                      "block_skip_rate", "participation_rate", "start_time",
-                     "rounds_per_day", "vote_jitter"), _NUMBER),
+                     "rounds_per_day", "vote_jitter"), ((int, float), "a number")),
     "months": ((list, dict, type(None)), "a list or null"),
 }
 
 
 def _check_fields(data: dict, cls: type, what: str, where: str = "") -> None:
-    """Raise a ConfigError, its message starting with `where`, for a field of
-    the `what` object `data` that dataclass `cls` does not have or needs, or
-    for one of a JSON type that _FIELD_TYPES does not allow."""
+    """Raise a ConfigError, its message prefixed with `where`, if the `what`
+    object `data` has a field that dataclass `cls` lacks, lacks one that `cls`
+    requires, or has one of a JSON type that _FIELD_TYPES forbids."""
     fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
     unknown = set(data) - set(fields)
     if unknown:

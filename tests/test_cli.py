@@ -95,6 +95,25 @@ class TestGenerate:
         assert isinstance(result.exception, SystemExit)
         assert "config is not valid JSON" in result.output
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"plants": 5}, "plants"),
+        ({"plants": [{"kind": "linear_gang", "size": 4, "bogus": 1}]}, "bogus"),
+        ({"n_accounts": "abc"}, "n_accounts"),
+        ({"plants": [{"kind": "linear_gang", "size": "3"}]}, "size"),
+        ({"plants": [{"kind": "linear_gang", "size": 4, "months": 4}]}, "months"),
+        ({"n_accounts": 1e9}, "n_accounts"),
+    ], ids=["plants_int", "plant_unknown_key", "n_accounts_str", "size_str",
+            "months_int", "n_accounts_float"])
+    def test_field_of_wrong_type_exits_2_without_traceback(self, overrides, field,
+                                                          tmp_path):
+        config = write_config(tmp_path / "config.json", **overrides)
+        result = CliRunner().invoke(main, ["generate", "-c", str(config),
+                                           "-o", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert field in result.output
+
     def test_missing_config_exits_2(self, tmp_path):
         result = CliRunner().invoke(main, ["generate", "-c",
                                            str(tmp_path / "nope.json")])
@@ -240,11 +259,20 @@ class TestAllAndScore:
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {p.name for p in report_dir.iterdir()} - {"summary.json",
                                                                   "score.json"}
+        commands = {"metrics.json": "metrics", "clusters.json": "cluster",
+                    "motifs.json": "motifs", "gangs.json": "gangs"}
         for name in sorted(names):
             single, combined = tmp_path / name, report_dir / name
             if single.suffix == ".json":
                 single_payload = json.loads(single.read_text())
                 combined_payload = json.loads(combined.read_text())
+                manifest = single_payload["manifest"]
+                all_manifest = combined_payload["manifest"]
+                assert manifest["command"] == commands[name]
+                assert manifest["params"].items() <= all_manifest["params"].items(), name
+                assert manifest["digests"]["trace"] == all_manifest["digests"]["trace"]
+                headers = {"headers"} if name == "metrics.json" else set()
+                assert set(manifest["inputs"]) == {"trace"} | headers, name
                 del single_payload["manifest"], combined_payload["manifest"]
                 assert single_payload == combined_payload, name
             else:
@@ -692,6 +720,12 @@ BAD_OPTIONS = {
     "all_entropy_n": (["all", "HEADERS", "--entropy-n", "x"], "entropy-n"),
     "all_entropy_n_negative": (["all", "HEADERS", "--entropy-n", "-3"], "entropy-n"),
     "all_cadence": (["all", "HEADERS", "--snapshot-cadence", "-1"], "snapshot-cadence"),
+    # Two bad options, given in reverse declaration order: the first declared
+    # is named, whatever order the command line gives them in.
+    "metrics_declaration_order": (["metrics", "HEADERS", "--snapshot-cadence", "nan",
+                                   "--entropy-n", "x"], "entropy-n"),
+    "all_declaration_order": (["all", "HEADERS", "--entropy-n", "x", "--theta", "2"],
+                              "theta"),
 }
 
 
@@ -710,6 +744,32 @@ def test_bad_option_exits_2_before_the_trace_is_read(case, ledger_dir, tmp_path)
     assert isinstance(result.exception, SystemExit)
     assert option in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("blocked", ["file", "under_file", "report_is_dir"])
+@pytest.mark.parametrize("command", ["replay", "generate", "score", "all"])
+def test_unusable_output_path_exits_2(command, blocked, ledger_dir, report_dir, tmp_path):
+    """An output directory that is a file or lies under one, or a report
+    path that is a directory, exits 2 naming the path."""
+    trace, headers = str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl")
+    truth = str(ledger_dir / "truth.json")
+    args, last_report = {
+        "replay": (["replay", trace], "state.json"),
+        "generate": (["generate", "-c", str(ledger_dir / "config.json")], "truth.json"),
+        "score": (["score", str(report_dir), truth], "score.json"),
+        "all": (["all", trace, headers, "--top-stake-pct", "0.5"], "summary.json"),
+    }[command]
+    out = tmp_path / "out"
+    if blocked == "report_is_dir":
+        unusable = out / last_report
+        unusable.mkdir(parents=True)
+    else:
+        out.write_text("")
+        out = unusable = out / "sub" if blocked == "under_file" else out
+    result = CliRunner().invoke(main, [*args, "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert str(unusable) in result.output
 
 
 @pytest.mark.parametrize("command", ["all", "cluster"])
