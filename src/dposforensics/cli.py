@@ -95,22 +95,6 @@ def _manifest(command: str, inputs: dict[str, str | LineFile],
     }
 
 
-def _out_dir(out: str | None) -> Path:
-    path = Path(out or os.environ.get("DPOSF_OUT", "."))
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file, or a path under one
-        _fail(EXIT_USAGE, f"cannot make output directory {path}: {exc.strerror}")
-    return path
-
-
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        _fail(EXIT_USAGE, f"cannot write {path}: {exc.strerror}")
-
-
 def _json_text(payload: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True) and a newline, written
     chunk by chunk, so that no list of the chunks is held."""
@@ -130,10 +114,16 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _write_reports(out: str | None, reports: dict[str, str]) -> Path:
     """Write a command's reports (file name -> text) once all are made, so a
-    run that fails leaves none of them."""
-    out_dir = _out_dir(out)
-    for name, text in reports.items():
-        _write(out_dir / name, text)
+    run that fails leaves none of them; exit 2 naming a path that cannot be
+    written, such as an output directory that is a file or lies under one."""
+    out_dir = path = Path(out or os.environ.get("DPOSF_OUT", "."))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in reports.items():
+            path = out_dir / name
+            path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail(EXIT_USAGE, f"cannot write {path}: {exc.strerror}")
     return out_dir
 
 
@@ -277,18 +267,19 @@ def generate(config_path: str, out: str | None) -> None:
         trace, headers, truth = generate_ledger(config)
     except ConfigError as exc:
         _fail(EXIT_USAGE, str(exc))
-    out_dir = _out_dir(out)
     from .model import serialize_action, serialize_header
-    trace_path = out_dir / "trace.jsonl"
-    headers_path = out_dir / "headers.jsonl"
-    _write(trace_path, "".join(serialize_action(a) + "\n" for a in trace))
-    _write(headers_path, "".join(serialize_header(h) + "\n" for h in headers))
+    # One file at a time, so that one text is held at a time.
+    out_dir = _write_reports(out, {
+        "trace.jsonl": "".join(serialize_action(a) + "\n" for a in trace)})
+    _write_reports(out, {
+        "headers.jsonl": "".join(serialize_header(h) + "\n" for h in headers)})
+    trace_path, headers_path = out_dir / "trace.jsonl", out_dir / "headers.jsonl"
     manifest = _manifest("generate", {"config": config_path,
                                       "trace": str(trace_path),
                                       "headers": str(headers_path)},
                          {"seed": config.seed})
     truth["manifest"] = manifest
-    _write(out_dir / "truth.json", _json_text(truth))
+    _write_reports(out, {"truth.json": _json_text(truth)})
     click.echo(f"wrote {trace_path}, {headers_path}, {out_dir / 'truth.json'}")
 
 

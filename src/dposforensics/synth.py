@@ -47,16 +47,17 @@ class ConfigError(Exception):
     pass
 
 
-# The JSON types of the config fields the generator computes with: counts
-# that size a range are integers, other numbers may be floats, and months is
-# searched with `in` (an object works too). seed, kind and shared_creator are
-# only formatted, looked up or tested for truth, so they take any value.
+# The JSON types of the config fields that the generator computes with.
+# Counts that size a range are integers; other numbers may be floats; plants
+# and months take all that iteration and `in` have always accepted. seed,
+# kind and shared_creator are only formatted or tested, so take any value.
 _FIELD_TYPES = {
     **dict.fromkeys(("n_accounts", "n_candidates", "n_proxies", "size"),
                     (int, "an integer")),
     **dict.fromkeys(("stake_powerlaw_alpha", "duration_days", "proxy_weight_target",
                      "block_skip_rate", "participation_rate", "start_time",
                      "rounds_per_day", "vote_jitter"), ((int, float), "a number")),
+    "plants": ((list, dict, str), "a list"),
     "months": ((list, dict, type(None)), "a list or null"),
 }
 
@@ -154,17 +155,14 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenConfig":
-        specs = data.pop("plants", [])
-        try:
-            specs = list(specs)  # any iterable, as before: {} and "" hold no plants
-        except TypeError:
-            raise ConfigError(f"plants must be a list, got {specs!r}") from None
-        for i, spec in enumerate(specs):
+        _check_fields(data, cls, "config")
+        plants = []
+        for i, spec in enumerate(data.pop("plants", [])):
             if not isinstance(spec, dict):
                 raise ConfigError(f"plants[{i}] must be an object, got {spec!r}")
             _check_fields(spec, PlantSpec, "plant", f"plants[{i}]: ")
-        _check_fields(data, cls, "config")
-        config = cls(plants=[PlantSpec(**spec) for spec in specs], **data)
+            plants.append(PlantSpec(**spec))
+        config = cls(plants=plants, **data)
         config.validate()
         return config
 
