@@ -324,6 +324,11 @@ def _analyze(command: str, analyses: set[str], options: dict, trace_path: str,
         checked.get("snapshot_cadence"))
     if "cluster" in analyses and not snapshots:
         _fail(EXIT_DATA, "no snapshots; trace too short for the cadence")
+    # The fold's products are large: keep only what the analyses read of the
+    # state, and free the snapshots before the network, the largest, is built.
+    creators = _creators(state, rejected) if "cluster" in analyses else None
+    candidates, end_time = set(state.tallies), state.end_time
+    del state, rejected
     if "metrics" in analyses:
         inputs["headers"] = load_headers(headers_path, lazy=True)
         try:
@@ -336,14 +341,11 @@ def _analyze(command: str, analyses: set[str], options: dict, trace_path: str,
         _run_metrics(snapshots, daily, reports, manifest, checked["entropy_n"],
                      checked["top_stake_pct"])
     if "cluster" in analyses:
-        clustered = _run_cluster(_creators(state, rejected), snapshots, reports,
-                                 manifest, checked["theta"], checked["top_stake_pct"])
-    # The fold's products are large: free each once it is used, and build
-    # the network, the largest, only after the snapshots are gone.
-    del snapshots, rejected
-    candidates = set(state.tallies)
-    graph = None if network is None else network.finish(state.end_time)
-    del network, state
+        clustered = _run_cluster(creators, snapshots, reports, manifest,
+                                 checked["theta"], checked["top_stake_pct"])
+    del snapshots, creators
+    graph = None if network is None else network.finish(end_time)
+    del network
     if votes is not None:
         instances = _run_motifs(votes.events(candidates), candidates, reports,
                                 manifest, checked["window_days"])
