@@ -347,8 +347,8 @@ def _analyze(command: str, analyses: set[str], options: dict, trace_path: str,
     graph = None if network is None else network.finish(end_time)
     del network
     if votes is not None:
-        instances = _run_motifs(votes.events(candidates), candidates, reports,
-                                manifest, checked["window_days"])
+        instances = _run_motifs(votes.events(candidates), reports, manifest,
+                                checked["window_days"])
     del votes
     if graph is not None:
         gang_payload = _run_gangs(graph, reports, manifest, checked["outlier_pct"],
@@ -469,12 +469,11 @@ def cluster(trace_path, **options) -> None:
     _analyze("cluster", {"cluster"}, options, trace_path)
 
 
-def _run_motifs(events, candidates, reports: dict[str, str], manifest: dict,
+def _run_motifs(events, reports: dict[str, str], manifest: dict,
                 window_days: float) -> list:
     window = int(window_days * 86_400)
-    instances = (detect_linear(events, window, candidates)
-                 + detect_triangular(events, window, candidates)
-                 + detect_eight(events, window, candidates))
+    instances = (detect_linear(events, window) + detect_triangular(events, window)
+                 + detect_eight(events, window))
     lines = []
     for inst in instances:
         lines.append(json.dumps({

@@ -50,7 +50,7 @@ def sample_voting_records(snapshots: Sequence[VotingSnapshot],
             entry = snap.per_voter.get(name)
             votes = entry.votes if entry is not None else ()
             if votes not in shared:
-                shared[votes] = entry.effective
+                shared[votes] = frozenset(votes)
             sets.append(shared[votes])
         records[name] = VotingRecord(voter=name, sets=tuple(sets))
     return records

@@ -32,24 +32,6 @@ class GangError(Exception):
     pass
 
 
-@dataclass(slots=True)
-class EdgeStats:
-    """Aggregate of one directed voting relation src -> dst."""
-
-    placements: int = 0          # distinct vote placements (F)
-    duration: float = 0.0        # cumulative seconds the vote was in force (T)
-    weight_integral: float = 0.0  # integral of weight over in-force time
-    last_weight: float = 0.0     # weight at the most recent (re)placement
-
-    @property
-    def avg_weight(self) -> float:
-        """Time-averaged in-force weight (P); falls back to the placement
-        weight when no time has accrued."""
-        if self.duration > 0:
-            return self.weight_integral / self.duration
-        return self.last_weight
-
-
 def _column(dtype):
     return field(default_factory=lambda: np.zeros(0, dtype))
 
@@ -70,55 +52,9 @@ class VotingGraph:
     last_weight: np.ndarray = _column(np.float64)
     candidates: set[str] = field(default_factory=set)
 
-    @classmethod
-    def from_edges(cls, edges: Mapping[tuple[str, str], EdgeStats],
-                   candidates: Iterable[str] = ()) -> "VotingGraph":
-        """A graph with the given edges, in mapping order, and its nodes in
-        name order."""
-        nodes = sorted({name for pair in edges for name in pair})
-        ids = {name: i for i, name in enumerate(nodes)}
-        src = [ids[s] for s, _ in edges]
-        dst = [ids[d] for _, d in edges]
-        stats = list(edges.values())
-        return cls(
-            nodes, np.array(src, np.int64), np.array(dst, np.int64),
-            np.array([s.placements for s in stats], np.int64),
-            np.array([s.duration for s in stats], np.float64),
-            np.array([s.weight_integral for s in stats], np.float64),
-            np.array([s.last_weight for s in stats], np.float64),
-            set(candidates))
-
-    @cached_property
-    def edges(self) -> "EdgeView":
-        return EdgeView(self)
-
     @cached_property
     def index(self) -> "NodeIndex":
         return NodeIndex.of(self)
-
-
-class EdgeView(Mapping):
-    """Read-only mapping (src, dst) -> EdgeStats over a graph's edge columns,
-    in edge order. Each lookup builds a fresh EdgeStats."""
-
-    def __init__(self, graph: VotingGraph) -> None:
-        self._graph = graph
-        self._ids: Optional[dict[tuple[str, str], int]] = None
-
-    def __len__(self) -> int:
-        return len(self._graph.src)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        name = self._graph.nodes.__getitem__
-        return zip(map(name, self._graph.src.tolist()),
-                   map(name, self._graph.dst.tolist()))
-
-    def __getitem__(self, key: tuple[str, str]) -> EdgeStats:
-        if self._ids is None:
-            self._ids = {pair: i for i, pair in enumerate(self)}
-        i, g = self._ids[key], self._graph
-        return EdgeStats(int(g.placements[i]), float(g.duration[i]),
-                         float(g.weight_integral[i]), float(g.last_weight[i]))
 
 
 class NetworkBuilder:

@@ -273,14 +273,9 @@ def serialize_action(action: Action) -> str:
 _HEADER_FIELDS = frozenset({"height", "producer", "timestamp"})
 
 
-def parse_header(line: str, names: dict[str, str] | None = None) -> BlockHeader:
-    """Parse one JSON header line; `names` as in make_action."""
-    return BlockHeader(*header_fields(line, {} if names is None else names))
-
-
 def header_fields(line: str, names: dict[str, str]) -> tuple[int, str, float]:
-    """The (height, producer, timestamp) of a JSON header line, checked as
-    parse_header checks it; `names` as in make_action."""
+    """The checked (height, producer, timestamp) of a JSON header line;
+    `names` as in make_action."""
     try:
         record = orjson.loads(line)
         if record.__class__ is dict and record.get("height").__class__ is int:

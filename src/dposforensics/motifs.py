@@ -5,7 +5,8 @@ Vote events are the flattened voteproducer actions: a direct vote yields one
 event per chosen candidate, and a proxy's vote additionally yields one event
 per currently delegating account with the proxy recorded on the event. The
 replay keeps one record per vote and flattens on demand, to the events
-between candidates when that is all the detectors read.
+between candidates when that is all the detectors read; the detectors take
+the events as they are given.
 """
 from __future__ import annotations
 
@@ -103,13 +104,6 @@ def _index_events(events: Sequence[VoteEvent]):
     return direct, proxied
 
 
-def _restrict(events: Sequence[VoteEvent],
-              candidates: Optional[set[str]]) -> list[VoteEvent]:
-    if candidates is None:
-        return list(events)
-    return [e for e in events if e.src in candidates and e.dst in candidates]
-
-
 def _pair_join(shape: str, forward: dict, backward: dict, window: int,
                ordered: bool, distinct_proxies: bool = False) -> list[MotifInstance]:
     """Join a -> b events of `forward` with b -> a events of `backward` that
@@ -134,50 +128,30 @@ def _pair_join(shape: str, forward: dict, backward: dict, window: int,
     return [found[k] for k in sorted(found)]
 
 
-def detect_linear(events: Sequence[VoteEvent], window: int = DEFAULT_WINDOW,
-                  candidates: Optional[set[str]] = None) -> list[MotifInstance]:
+def detect_linear(events: Sequence[VoteEvent],
+                  window: int = DEFAULT_WINDOW) -> list[MotifInstance]:
     """Pairs voting for each other directly within the window; one instance
     per (pair, UTC month of the earlier event)."""
-    direct, _ = _index_events(_restrict(events, candidates))
+    direct, _ = _index_events(events)
     return _pair_join(LINEAR, direct, direct, window, ordered=True)
 
 
-def detect_triangular(events: Sequence[VoteEvent], window: int = DEFAULT_WINDOW,
-                      candidates: Optional[set[str]] = None) -> list[MotifInstance]:
+def detect_triangular(events: Sequence[VoteEvent],
+                      window: int = DEFAULT_WINDOW) -> list[MotifInstance]:
     """Triples (a, p, b): a votes b through proxy p and b votes a directly,
     both within the window. Participants are role-ordered (a, p, b)."""
-    direct, proxied = _index_events(_restrict(events, candidates))
+    direct, proxied = _index_events(events)
     return _pair_join(TRIANGULAR, proxied, direct, window, ordered=False)
 
 
 def detect_eight(events: Sequence[VoteEvent], window: int = DEFAULT_WINDOW,
-                 candidates: Optional[set[str]] = None,
                  distinct_proxies: bool = False) -> list[MotifInstance]:
     """Quadruples (a, p1, b, p2): a votes b through p1 and b votes a through
     p2, within the window. The same proxy account may fill both slots unless
     distinct_proxies is set. Canonical orientation puts min(a, b) first."""
-    _, proxied = _index_events(_restrict(events, candidates))
+    _, proxied = _index_events(events)
     return _pair_join(EIGHT, proxied, proxied, window, ordered=True,
                       distinct_proxies=distinct_proxies)
-
-
-def verify_instance(instance: MotifInstance, window: int = DEFAULT_WINDOW) -> bool:
-    """Independent shape-predicate check over the witness events."""
-    w = instance.witnesses
-    if len(w) != 2:
-        return False
-    e1, e2 = w
-    if abs(e1.timestamp - e2.timestamp) > window:
-        return False
-    if not (e1.src == e2.dst and e1.dst == e2.src and e1.src != e1.dst):
-        return False
-    if instance.shape == LINEAR:
-        return e1.via_proxy is None and e2.via_proxy is None
-    if instance.shape == TRIANGULAR:
-        return e1.via_proxy is not None and e2.via_proxy is None
-    if instance.shape == EIGHT:
-        return e1.via_proxy is not None and e2.via_proxy is not None
-    return False
 
 
 def motif_series(instances: Sequence[MotifInstance]) -> dict[str, dict[tuple[int, int], int]]:

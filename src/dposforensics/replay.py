@@ -51,11 +51,6 @@ class VoterEntry:
     weight: float
     via_proxy: bool
 
-    @property
-    def effective(self) -> frozenset[str]:
-        """The backed candidates as a set, built anew on each read."""
-        return frozenset(self.votes)
-
 
 @dataclass(frozen=True)
 class VotingSnapshot:

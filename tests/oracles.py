@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 
 from dposforensics.model import (
     MAX_VOTES,
@@ -27,8 +28,8 @@ from dposforensics.model import (
     compute_vote_weight,
 )
 from dposforensics.clustering import record_similarity
-from dposforensics.gangs import EdgeStats
-from dposforensics.motifs import EIGHT, LINEAR, TRIANGULAR
+from dposforensics.gangs import VotingGraph
+from dposforensics.motifs import DEFAULT_WINDOW, EIGHT, LINEAR, TRIANGULAR
 from dposforensics.replay import replay
 
 
@@ -136,17 +137,79 @@ def brute_eight(events, window, candidates=None, distinct_proxies=False):
     return _dedup(EIGHT, raw)
 
 
+def verify_instance(instance, window=DEFAULT_WINDOW) -> bool:
+    """Independent shape-predicate check over the witness events."""
+    w = instance.witnesses
+    if len(w) != 2:
+        return False
+    e1, e2 = w
+    if abs(e1.timestamp - e2.timestamp) > window:
+        return False
+    if not (e1.src == e2.dst and e1.dst == e2.src and e1.src != e1.dst):
+        return False
+    if instance.shape == LINEAR:
+        return e1.via_proxy is None and e2.via_proxy is None
+    if instance.shape == TRIANGULAR:
+        return e1.via_proxy is not None and e2.via_proxy is None
+    if instance.shape == EIGHT:
+        return e1.via_proxy is not None and e2.via_proxy is not None
+    return False
+
+
 def motif_key_set(instances):
     from dposforensics.metrics import utc_month
 
     return {(i.shape, i.participants, utc_month(i.window_start)) for i in instances}
 
 
+@dataclass(slots=True)
+class EdgeStats:
+    """Aggregate of one directed voting relation src -> dst."""
+
+    placements: int = 0          # distinct vote placements (F)
+    duration: float = 0.0        # cumulative seconds the vote was in force (T)
+    weight_integral: float = 0.0  # integral of weight over in-force time
+    last_weight: float = 0.0     # weight at the most recent (re)placement
+
+    @property
+    def avg_weight(self) -> float:
+        """Time-averaged in-force weight (P); falls back to the placement
+        weight when no time has accrued."""
+        if self.duration > 0:
+            return self.weight_integral / self.duration
+        return self.last_weight
+
+
+def edge_table(graph) -> dict[tuple[str, str], EdgeStats]:
+    """A voting graph's edge columns as {(src, dst): EdgeStats}, in edge order."""
+    name = graph.nodes.__getitem__
+    columns = (graph.placements, graph.duration, graph.weight_integral,
+               graph.last_weight)
+    return {(name(s), name(d)): EdgeStats(*stats) for s, d, *stats in zip(
+        graph.src.tolist(), graph.dst.tolist(), *(c.tolist() for c in columns))}
+
+
+def voting_graph(edges, candidates=()) -> VotingGraph:
+    """A voting graph with the given {(src, dst): EdgeStats} edges, in mapping
+    order, and its nodes in name order."""
+    nodes = sorted({name for pair in edges for name in pair})
+    ids = {name: i for i, name in enumerate(nodes)}
+    stats = list(edges.values())
+    return VotingGraph(
+        nodes, np.array([ids[s] for s, _ in edges], np.int64),
+        np.array([ids[d] for _, d in edges], np.int64),
+        np.array([s.placements for s in stats], np.int64),
+        np.array([s.duration for s in stats], np.float64),
+        np.array([s.weight_integral for s in stats], np.float64),
+        np.array([s.last_weight for s in stats], np.float64),
+        set(candidates))
+
+
 def undirected_view(graph) -> nx.Graph:
     """A voting graph's edge table as an undirected networkx graph; reciprocal
     pairs collapse to one edge and self-loops stay."""
     g = nx.Graph()
-    g.add_edges_from(graph.edges)
+    g.add_edges_from(edge_table(graph))
     return g
 
 
@@ -336,12 +399,13 @@ def incremental_voting_network(trace, end_time) -> dict[tuple[str, str], EdgeSta
 
 def brute_intensity(graph, src, dst) -> float:
     """Direct Eq-style intensity recomputation from the edge table."""
-    stats = graph.edges.get((src, dst))
+    edges = edge_table(graph)
+    stats = edges.get((src, dst))
     if stats is None:
         return 0.0
-    f_total = sum(s.placements for (a, _), s in graph.edges.items() if a == src)
-    t_total = sum(s.duration for (_, b), s in graph.edges.items() if b == dst)
-    p_total = sum(s.avg_weight for (_, b), s in graph.edges.items() if b == dst)
+    f_total = sum(s.placements for (a, _), s in edges.items() if a == src)
+    t_total = sum(s.duration for (_, b), s in edges.items() if b == dst)
+    p_total = sum(s.avg_weight for (_, b), s in edges.items() if b == dst)
     f = stats.placements / f_total if f_total else 0.0
     t = stats.duration / t_total if t_total else 0.0
     p = stats.avg_weight / p_total if p_total else 0.0

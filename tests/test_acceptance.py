@@ -21,8 +21,6 @@ from dposforensics.clustering import (
 )
 from dposforensics.cli import main as cli_main
 from dposforensics.gangs import (
-    EdgeStats,
-    VotingGraph,
     build_voting_network,
     egonet_features,
     fit_edpl,
@@ -53,12 +51,15 @@ from dposforensics.clustering import VotingRecord
 
 from conftest import random_trace
 from oracles import (
+    EdgeStats,
     brute_eight,
     brute_linear,
     brute_triangular,
     component_clusters,
+    edge_table,
     motif_key_set,
     recompute_candidate_weights,
+    voting_graph,
 )
 
 T0 = 1_609_459_200
@@ -230,7 +231,7 @@ def test_07_egonet_outliers():
             for b in clique:
                 if a != b:
                     edges[(a, b)] = stats()
-        graph = VotingGraph.from_edges(edges, candidates)
+        graph = voting_graph(edges, candidates)
         feats = egonet_features(graph)
         fit = fit_edpl(feats)
         scores = outlierness(feats, fit)
@@ -254,7 +255,7 @@ def test_08_intensity_normalization():
                                  n_candidates=12)
             graph = build_voting_network(trace)
             out_f, in_t, in_p = {}, {}, {}
-            for (src, dst), stats in graph.edges.items():
+            for (src, dst), stats in edge_table(graph).items():
                 out_f.setdefault(src, []).append(stats.placements)
                 in_t.setdefault(dst, []).append(stats.duration)
                 in_p.setdefault(dst, []).append(stats.avg_weight)

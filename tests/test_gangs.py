@@ -14,12 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import dposforensics
 from dposforensics.gangs import (
-    EdgeStats,
     EgonetFeature,
     GangError,
     NetworkBuilder,
     NodeIndex,
-    VotingGraph,
     build_voting_network,
     detect_gangs,
     egonet_features,
@@ -36,12 +34,15 @@ from dposforensics.synth import GenConfig, PlantSpec, generate_ledger
 
 from conftest import T0, DAY, TraceBuilder, random_trace
 from oracles import (
+    EdgeStats,
     adjacency,
     brute_egonet,
     brute_intensity,
     brute_voting_network,
+    edge_table,
     incremental_voting_network,
     undirected_view,
+    voting_graph,
     weighted_edges,
 )
 
@@ -55,7 +56,7 @@ class TestEdgeStats:
         b.newaccount("genesis", "alice").delegate("alice", 10 * EOS)
         b.vote("alice", ["bp.a"], ts=T0 + 100)
         graph = build_voting_network(b.build(), end_time=T0 + 100 + 100 * DAY)
-        stats = graph.edges[("alice", "bp.a")]
+        stats = edge_table(graph)[("alice", "bp.a")]
         w = compute_vote_weight(10 * EOS, compute_vote_index(T0 + 100))
         assert stats.placements == 1
         assert stats.duration == pytest.approx(100 * DAY)
@@ -68,7 +69,7 @@ class TestEdgeStats:
         b.vote("alice", ["bp.a"], ts=T0 + 0)
         b.vote("alice", ["bp.a"], ts=T0 + 10 * DAY)
         graph = build_voting_network(b.build(), end_time=T0 + 15 * DAY)
-        stats = graph.edges[("alice", "bp.a")]
+        stats = edge_table(graph)[("alice", "bp.a")]
         assert stats.placements == 2
         assert stats.duration == pytest.approx(15 * DAY)
 
@@ -79,8 +80,9 @@ class TestEdgeStats:
         b.vote("alice", ["bp.a"], ts=T0)
         b.vote("alice", ["bp.b"], ts=T0 + 4 * DAY)
         graph = build_voting_network(b.build(), end_time=T0 + 10 * DAY)
-        assert graph.edges[("alice", "bp.a")].duration == pytest.approx(4 * DAY)
-        assert graph.edges[("alice", "bp.b")].duration == pytest.approx(6 * DAY)
+        edges = edge_table(graph)
+        assert edges[("alice", "bp.a")].duration == pytest.approx(4 * DAY)
+        assert edges[("alice", "bp.b")].duration == pytest.approx(6 * DAY)
 
     def test_time_weighted_average_on_stake_change(self):
         b = TraceBuilder()
@@ -89,7 +91,7 @@ class TestEdgeStats:
         b.vote("alice", ["bp.a"], ts=T0)
         b.delegate("alice", 10 * EOS, ts=T0 + 10 * DAY)  # stake doubles
         graph = build_voting_network(b.build(), end_time=T0 + 20 * DAY)
-        stats = graph.edges[("alice", "bp.a")]
+        stats = edge_table(graph)[("alice", "bp.a")]
         index = compute_vote_index(T0)
         w1 = compute_vote_weight(10 * EOS, index)
         w2 = compute_vote_weight(20 * EOS, index)
@@ -108,10 +110,10 @@ class TestEdgeStats:
         graph = build_voting_network(b.build(), end_time=T0 + 200 + DAY)
         # the delegator gets its own edge, weighted by its own stake at the
         # proxy's vote index
-        stats = graph.edges[("alice", "bp.a")]
+        stats = edge_table(graph)[("alice", "bp.a")]
         w = compute_vote_weight(5 * EOS, compute_vote_index(T0 + 200))
         assert stats.avg_weight == pytest.approx(w)
-        assert ("proxyone", "bp.a") in graph.edges
+        assert ("proxyone", "bp.a") in edge_table(graph)
 
     def test_self_vote_excluded(self):
         b = TraceBuilder()
@@ -119,7 +121,7 @@ class TestEdgeStats:
         b.regproducer("bp.a").delegate("bp.a", EOS)
         b.vote("bp.a", ["bp.a"], ts=T0 + 100)
         graph = build_voting_network(b.build())
-        assert ("bp.a", "bp.a") not in graph.edges
+        assert ("bp.a", "bp.a") not in edge_table(graph)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_actions=st.integers(0, 250),
@@ -130,8 +132,9 @@ class TestEdgeStats:
         end_time = trace[-1].timestamp + extra_days * DAY
         graph = build_voting_network(trace, end_time=end_time)
         expected = brute_voting_network(trace, end_time)
-        assert list(graph.edges) == list(expected)
-        for key, stats in graph.edges.items():
+        edges = edge_table(graph)
+        assert list(edges) == list(expected)
+        for key, stats in edges.items():
             want = expected[key]
             assert (stats.placements, stats.last_weight, stats.duration) == (
                 want.placements, want.last_weight, want.duration), key
@@ -189,8 +192,9 @@ class TestColumnBuilder:
                                   graph.last_weight)] == [np.float64] * 3
         assert graph.nodes == sorted(graph.nodes)
         expected = incremental_voting_network(trace, end_time)
-        assert list(graph.edges) == list(expected)
-        for key, stats in graph.edges.items():
+        edges = edge_table(graph)
+        assert list(edges) == list(expected)
+        for key, stats in edges.items():
             want = expected[key]
             assert (stats.placements, stats.duration, stats.weight_integral,
                     stats.last_weight) == (want.placements, want.duration,
@@ -202,7 +206,7 @@ class TestColumnBuilder:
         b.newaccount("genesis", "alice").vote("alice", [])
         for trace in ([], b.build()):
             graph = build_voting_network(trace)
-            assert len(graph.edges) == 0 and graph.nodes == sorted(graph.nodes) == []
+            assert len(graph.src) == 0 and graph.nodes == sorted(graph.nodes) == []
 
     def test_from_edges_numbers_nodes_in_name_order(self):
         # neither order lists the names in name order; the sums of these
@@ -214,8 +218,8 @@ class TestColumnBuilder:
                                  weight_integral=float(DAY * (i + 2) * (i + 3)),
                                  last_weight=float(i))
                  for i, pair in enumerate(pairs)}
-        graphs = [VotingGraph.from_edges({pair: stats[pair] for pair in order},
-                                         {"bp.a", "bp.b", "bp.c"})
+        graphs = [voting_graph({pair: stats[pair] for pair in order},
+                               {"bp.a", "bp.b", "bp.c"})
                   for order in (pairs, pairs[::-1])]
         for graph in graphs:
             assert graph.nodes == sorted(graph.nodes)
@@ -243,7 +247,7 @@ class TestColumnBuilder:
         graph = build_voting_network(trace)
         gc.collect()
         grown = len(gc.get_objects()) - before
-        assert len(graph.edges) >= 10_000
+        assert len(graph.src) >= 10_000
         assert grown < 100
 
     # The numpy temporaries of finish() and NodeIndex.of, beyond what each
@@ -303,7 +307,7 @@ def star_clique_graph(n_stars=60, star_size=6, clique_size=8):
         for b in clique:
             if a != b:
                 edges[(a, b)] = stats()
-    return VotingGraph.from_edges(edges, candidates), clique
+    return voting_graph(edges, candidates), clique
 
 
 NODES = [f"n{i}" for i in range(7)]
@@ -321,7 +325,7 @@ def edge_tables(draw):
         edges[(a, b)] = EdgeStats(placements=1)
         if mirrored:
             edges[(b, a)] = EdgeStats(placements=1)
-    return VotingGraph.from_edges(edges, draw(st.sets(node_names)))
+    return voting_graph(edges, draw(st.sets(node_names)))
 
 
 class TestEgonets:
@@ -341,7 +345,7 @@ class TestEgonets:
     def test_matches_bruteforce_on_random_graph(self, seed):
         rng = random.Random(seed)
         g = nx.gnp_random_graph(40, 0.12, seed=seed)
-        graph = VotingGraph.from_edges(
+        graph = voting_graph(
             {(f"n{a:02d}", f"n{b:02d}"): EdgeStats(placements=1) for a, b in g.edges},
             {f"n{i:02d}" for i in range(40)})
         simple = undirected_view(graph)
@@ -364,7 +368,7 @@ class TestEgonets:
                 == sorted(view.neighbors(node)), node
 
     def test_self_loop_counts_as_networkx_does(self):
-        graph = VotingGraph.from_edges(
+        graph = voting_graph(
             {pair: EdgeStats(placements=1)
              for pair in (("a", "a"), ("a", "b"), ("b", "b"), ("b", "c"))}, {"a"})
         (feat,) = egonet_features(graph)
@@ -372,7 +376,7 @@ class TestEgonets:
         assert (feat.neighbors, feat.edges) == (2, 3)
 
     def test_directed_pair_collapses_to_one_edge(self):
-        graph = VotingGraph.from_edges(
+        graph = voting_graph(
             {("a", "b"): EdgeStats(placements=1), ("b", "a"): EdgeStats(placements=1)},
             {"a", "b"})
         feats = {f.node: f for f in egonet_features(graph)}
@@ -443,7 +447,7 @@ class TestReconstruction:
     def test_share_normalizations_sum_to_one(self):
         graph = self.trace_graph()
         out_f, in_t, in_p = {}, {}, {}
-        for (src, dst), stats in graph.edges.items():
+        for (src, dst), stats in edge_table(graph).items():
             out_f.setdefault(src, []).append(stats.placements)
             in_t.setdefault(dst, []).append(stats.duration)
             in_p.setdefault(dst, []).append(stats.avg_weight)

@@ -13,6 +13,7 @@ from dposforensics.metrics import daily_production, utc_day
 from dposforensics.model import (
     Action,
     ActionKind,
+    BlockHeader,
     LedgerError,
     ParseError,
     VOTE_INDEX_EPOCH,
@@ -22,7 +23,6 @@ from dposforensics.model import (
     load_headers,
     make_action,
     parse_action,
-    parse_header,
     serialize_action,
     validate_name,
 )
@@ -194,13 +194,13 @@ class TestParseHeader:
     def test_timestamp_outside_utc_dates_rejected(self, timestamp):
         line = f'{{"height": 1, "producer": "bpa", "timestamp": {timestamp}}}'
         with pytest.raises(ParseError, match="timestamp"):
-            parse_header(line)
+            header_fields(line, {})
 
     @pytest.mark.parametrize("timestamp", [-62135596800, 0, 1_600_000_000.5,
                                            253402300799])
     def test_timestamp_inside_utc_dates_kept(self, timestamp):
         line = json.dumps({"height": 1, "producer": "bpa", "timestamp": timestamp})
-        assert parse_header(line).timestamp == timestamp
+        assert header_fields(line, {})[2] == timestamp
 
 
 def test_line_count_reads_bytes_that_are_not_utf8(tmp_path):
@@ -233,6 +233,12 @@ def _assert_parsers_agree(lines, parse, reference):
         assert _outcome(parse, line) == _outcome(reference, line)
     assert all(isinstance(n, str) and validate_name(n) == n
                and names[n] is n is sys.intern(n) for n in names)
+
+
+def _header(line, names=None):
+    """header_fields, with a fresh name table by default, as the reference's
+    BlockHeader."""
+    return BlockHeader(*header_fields(line, {} if names is None else names))
 
 
 PARSERS_AGREE = settings(max_examples=300, derandomize=True, deadline=None)
@@ -317,7 +323,7 @@ class TestParsersAgreeWithReference:
     @PARSERS_AGREE
     @given(records=one_field_changed(FUZZ_HEADERS))
     def test_header_lines(self, records):
-        _assert_parsers_agree([json.dumps(r) for r in records], parse_header,
+        _assert_parsers_agree([json.dumps(r) for r in records], _header,
                               oracles.ref_parse_header)
 
     # Lines on which orjson, which decodes first, and json, the reference's
@@ -331,7 +337,7 @@ class TestParsersAgreeWithReference:
     @PARSERS_AGREE
     @given(lines=split_lines(FUZZ_HEADERS))
     def test_header_lines_where_decoders_differ(self, lines):
-        _assert_parsers_agree(lines, parse_header, oracles.ref_parse_header)
+        _assert_parsers_agree(lines, _header, oracles.ref_parse_header)
 
     @PARSERS_AGREE
     @given(lines=split_lines(FUZZ_HEADERS))

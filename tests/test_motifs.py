@@ -15,7 +15,6 @@ from dposforensics.motifs import (
     detect_linear,
     detect_triangular,
     motif_series,
-    verify_instance,
 )
 
 from dposforensics.replay import replay
@@ -26,6 +25,7 @@ from oracles import (
     brute_linear,
     brute_triangular,
     motif_key_set,
+    verify_instance,
 )
 
 EOS = 10_000
@@ -78,9 +78,14 @@ class TestLinear:
         assert len(detect_linear(events)) == 2
 
     def test_candidate_filter(self):
-        events = [ev("a", "b", T0), ev("b", "a", T0 + 100)]
-        assert detect_linear(events, candidates={"a", "b"})
-        assert detect_linear(events, candidates={"a"}) == []
+        b = TraceBuilder()
+        for name in ("a", "b"):
+            b.newaccount("genesis", name).delegate(name, 10_000).regproducer(name)
+        b.vote("a", ["b"], ts=T0).vote("b", ["a"], ts=T0 + 100)
+        recorder = VoteRecorder()
+        replay(b.build(), [recorder])
+        assert detect_linear(recorder.events({"a", "b"}))
+        assert detect_linear(recorder.events({"a"})) == []
 
 
 class TestTriangular:
@@ -231,9 +236,10 @@ class TestBruteForceEquivalence:
     def test_candidate_restriction_matches_oracle(self, seed):
         events = random_events(seed, n_accounts=12)
         cands = {f"acct{i:02d}" for i in range(6)}
-        assert motif_key_set(detect_linear(events, candidates=cands)) == \
+        between = [e for e in events if e.src in cands and e.dst in cands]
+        assert motif_key_set(detect_linear(between)) == \
             brute_linear(events, DEFAULT_WINDOW, cands)
-        assert motif_key_set(detect_triangular(events, candidates=cands)) == \
+        assert motif_key_set(detect_triangular(between)) == \
             brute_triangular(events, DEFAULT_WINDOW, cands)
 
     def test_shapes_disjoint(self):

@@ -126,9 +126,10 @@ class TestTraceValidity:
 class TestPlantRealizability:
     def detected(self, config, detector, **kwargs):
         trace, _, truth = generate_ledger(config)
-        events = build_vote_events(trace)
         cands = {a.actor for a in trace if a.kind.value == "regproducer"}
-        return truth["plants"][0], detector(events, candidates=cands, **kwargs)
+        events = [e for e in build_vote_events(trace)
+                  if e.src in cands and e.dst in cands]
+        return truth["plants"][0], detector(events, **kwargs)
 
     def test_linear_pairs_found(self):
         config = small_config(plants=[PlantSpec(kind="linear_gang", size=4)])
