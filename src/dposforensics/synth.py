@@ -10,6 +10,7 @@ does not perturb the background.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import MISSING, asdict, dataclass, field
 from datetime import datetime, timezone
@@ -21,6 +22,7 @@ from .model import (
     BlockHeader,
     MAX_VOTES,
     TIME_MAX,
+    VOTE_INDEX_EPOCH,
     make_action,
 )
 from .replay import replay_with_snapshots
@@ -126,6 +128,15 @@ class GenConfig:
     rounds_per_day: int = 4
 
     def validate(self) -> None:
+        for name in ("stake_powerlaw_alpha", "duration_days", "proxy_weight_target",
+                     "block_skip_rate", "participation_rate", "start_time",
+                     "rounds_per_day"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not VOTE_INDEX_EPOCH <= self.start_time <= TIME_MAX:
+            raise ConfigError(f"start_time must be in [{VOTE_INDEX_EPOCH}, "
+                              f"{int(TIME_MAX)}], got {self.start_time!r}")
         if self.n_accounts <= 0 or self.n_candidates <= 0 or self.n_proxies <= 0:
             raise ConfigError("account, candidate, and proxy counts must be positive")
         if self.n_candidates < PRODUCERS_PER_ROUND:
@@ -133,6 +144,10 @@ class GenConfig:
                 f"need at least {PRODUCERS_PER_ROUND} candidates for block production")
         if self.duration_days < 1:
             raise ConfigError("duration must be at least one day")
+        if self.duration_days * 86_400 > TIME_MAX + 1 - self.start_time:
+            raise ConfigError(
+                f"start_time {self.start_time!r} plus duration_days "
+                f"{self.duration_days!r} runs past the end of the year 9999")
         for frac_name in ("proxy_weight_target", "block_skip_rate", "participation_rate"):
             value = getattr(self, frac_name)
             if not 0.0 <= value <= 1.0:
