@@ -14,6 +14,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .metrics import stake_distribution
 from .replay import VotingSnapshot
 
 
@@ -182,10 +183,5 @@ def top_stakeholders(snapshot: VotingSnapshot, pct: float = 0.05) -> list[str]:
     """Top pct of voters by stake, proxies ranked with delegated stake added."""
     if not 0 < pct <= 1:
         raise ClusteringError(f"pct must be in (0, 1], got {pct}")
-    ranked = []
-    for name, voter in snapshot.per_voter.items():
-        stake = voter.stake + (voter.proxied_stake if voter.is_proxy else 0)
-        ranked.append((name, stake))
-    ranked.sort(key=lambda kv: (-kv[1], kv[0]))
-    k = math.ceil(pct * len(ranked))
-    return [name for name, _ in ranked[:k]]
+    ranked = stake_distribution(snapshot, accumulate_proxies=True)
+    return [name for name, _ in ranked[:math.ceil(pct * len(ranked))]]
