@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -102,8 +103,15 @@ class TestGenerate:
         ({"plants": [{"kind": "linear_gang", "size": "3"}]}, "size"),
         ({"plants": [{"kind": "linear_gang", "size": 4, "months": 4}]}, "months"),
         ({"n_accounts": 1e9}, "n_accounts"),
+        # of the right type, but out of range
+        ({"start_time": 0}, "start_time"),
+        ({"start_time": True}, "start_time"),
+        ({"duration_days": math.inf}, "duration_days"),
+        ({"start_time": 253402300000}, "start_time"),
+        ({"stake_powerlaw_alpha": math.nan}, "stake_powerlaw_alpha"),
     ], ids=["plants_int", "plant_unknown_key", "n_accounts_str", "size_str",
-            "months_int", "n_accounts_float"])
+            "months_int", "n_accounts_float", "start_zero", "start_true",
+            "duration_inf", "start_year_9999", "alpha_nan"])
     def test_field_of_wrong_type_exits_2_without_traceback(self, overrides, field,
                                                           tmp_path):
         config = write_config(tmp_path / "config.json", **overrides)
@@ -334,12 +342,16 @@ def test_no_command_holds_the_trace(command, ledger_dir, tmp_path, monkeypatch):
     assert live[0] <= 5 + len(rejected), live
 
 
+def _perfbench(name):
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _perfbench_tracer():
-    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _perfbench("tracer")
 
 
 def test_every_traced_target_exists():
@@ -354,6 +366,22 @@ def test_every_traced_target_exists():
         if owner is not None:
             target = getattr(target, owner)
         assert callable(getattr(target, attr, None)), (module, owner, attr)
+
+
+def test_benchmark_crosschecks_pass(ledger_dir, tmp_path, monkeypatch):
+    """The benchmark's cross-checks import the oracles and the package by
+    name, and every check passes on the reports of a full run."""
+    root = Path(__file__).parents[1]
+    for path in ("tests", "src"):
+        monkeypatch.syspath_prepend(str(root / path))
+    crosscheck = _perfbench("crosscheck")
+    result = CliRunner().invoke(main, [
+        "all", str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl"),
+        "--top-stake-pct", "0.5", "-o", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    checks = crosscheck.run_all(ledger_dir, tmp_path, {"all"}, top_stake_pct=0.5,
+                                theta=0.9, window_days=7.0)
+    assert len(checks) == 3 and all(ok for _, ok, _ in checks), checks
 
 
 def test_traced_pass_counts_the_lines_read(ledger_dir, tmp_path):
