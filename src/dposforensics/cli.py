@@ -408,15 +408,16 @@ def _run_metrics(snapshots, daily, reports: dict[str, str], manifest: dict,
     summary: dict = {"manifest": manifest}
     if snapshots:
         final = snapshots[-1]
-        dist = stake_distribution(final, accumulate_proxies=True)
+        dist = stake_distribution(final)
         reports["stake_distribution.csv"] = _csv_text(
             ["rank", "account", "stake"],
             [[i + 1, name, stake] for i, (name, stake) in enumerate(dist)])
-        if dist:
-            summary["top_share"] = top_share(dist, top_stake_pct)
+        stakes = [s for _, s in dist]
+        if stakes:
+            summary["top_share"] = top_share(stakes, top_stake_pct)
             summary["top_share_pct"] = top_stake_pct
         try:
-            alpha, r2 = powerlaw_exponent([s for _, s in dist if s > 0])
+            alpha, r2 = powerlaw_exponent([s for s in stakes if s > 0])
             summary["stake_powerlaw"] = {"alpha": alpha, "r_squared": r2}
         except MetricsError as exc:
             summary["stake_powerlaw"] = {"error": str(exc)}

@@ -35,14 +35,10 @@ class VoterCluster:
 
 
 def sample_voting_records(snapshots: Sequence[VotingSnapshot],
-                          voters: Sequence[str] | None = None) -> dict[str, VotingRecord]:
+                          voters: Sequence[str]) -> dict[str, VotingRecord]:
     """Per-voter effective candidate set at each snapshot; absent voters get
-    the empty set. voters=None takes every account seen in any snapshot.
-    Entries with the same votes tuple share one set."""
-    if voters is None:
-        names = sorted({v for snap in snapshots for v in snap.per_voter})
-    else:
-        names = sorted(set(voters))
+    the empty set. Entries with the same votes tuple share one set."""
+    names = sorted(set(voters))
     shared: dict[tuple[str, ...], frozenset[str]] = {(): frozenset()}
     records = {}
     for name in names:
@@ -158,6 +154,10 @@ def cluster_voters(voters: Sequence[str], records: Mapping[str, VotingRecord],
     return clusters
 
 
+# The creator of an account that no newaccount action created.
+UNKNOWN_CREATOR = "<genesis>"
+
+
 @dataclass(frozen=True)
 class ConcordanceEntry:
     creators: dict[str, int]
@@ -165,13 +165,13 @@ class ConcordanceEntry:
 
 
 def creator_concordance(clusters: Sequence[VoterCluster],
-                        creation: Mapping[str, str],
-                        unknown: str = "<genesis>") -> list[ConcordanceEntry]:
+                        creation: Mapping[str, str]) -> list[ConcordanceEntry]:
     """Per cluster, the creator multiset of its members and whether a single
-    creator made them all. Accounts missing from the map get the sentinel."""
+    creator made them all. Accounts missing from the map get UNKNOWN_CREATOR."""
     entries = []
     for cluster in clusters:
-        counter = Counter(creation.get(m, unknown) for m in sorted(cluster.members))
+        counter = Counter(creation.get(m, UNKNOWN_CREATOR)
+                          for m in sorted(cluster.members))
         entries.append(ConcordanceEntry(
             creators=dict(sorted(counter.items())),
             single_creator=len(counter) == 1,
@@ -183,5 +183,5 @@ def top_stakeholders(snapshot: VotingSnapshot, pct: float = 0.05) -> list[str]:
     """Top pct of voters by stake, proxies ranked with delegated stake added."""
     if not 0 < pct <= 1:
         raise ClusteringError(f"pct must be in (0, 1], got {pct}")
-    ranked = stake_distribution(snapshot, accumulate_proxies=True)
+    ranked = stake_distribution(snapshot)
     return [name for name, _ in ranked[:math.ceil(pct * len(ranked))]]

@@ -459,28 +459,6 @@ class GangReport:
     anomalies: list[str] = field(default_factory=list)
 
 
-def _modularity(weighted: Adjacency, partition: Sequence[set]) -> float:
-    """Weighted modularity at resolution 1, by networkx's formula, with every
-    sum an fsum: exact before its one rounding, so Q does not depend on the
-    order in which the communities' sets hand out their (hashed) members."""
-    degree = {}
-    for node, nbrs in weighted.items():
-        weights = list(nbrs.values())
-        if node in nbrs:  # a self-loop adds its weight to the degree twice
-            weights.append(nbrs[node])
-        degree[node] = math.fsum(weights)
-    deg_sum = math.fsum(degree.values())
-    m = deg_sum / 2
-    norm = 1 / deg_sum ** 2
-    terms = []
-    for community in partition:
-        inside = math.fsum(w for _, v, w in _edges(weighted, community)
-                           if v in community)
-        degrees = math.fsum(degree[u] for u in community)
-        terms.append(inside / m - degrees * degrees * norm)
-    return math.fsum(terms)
-
-
 # Weighted Louvain (Blondel et al., J. Stat. Mech. 2008), ported from
 # networkx 3.6.1's louvain_partitions for an undirected graph at resolution 1
 # and threshold 1e-7. Each float sum runs over the same terms in the same
@@ -492,7 +470,7 @@ def louvain_communities(adjacency: Adjacency, seed: int = 0) -> list[set]:
     partition = [{u} for u in adjacency]
     if not any(adjacency.values()):
         return partition
-    mod = _level_modularity(adjacency, partition)  # of the input, not the copy
+    mod = _modularity(adjacency, partition)  # of the input, not the copy
     # networkx first copies G, adding its edges in G.edges() order. The
     # copy's adjacency order fixes every later sum, and its size is m at
     # every level.
@@ -505,7 +483,7 @@ def louvain_communities(adjacency: Adjacency, seed: int = 0) -> list[set]:
     inner = _one_level(graph, m, rng)
     while True:
         partition = [set().union(*map(members.get, part)) for part in inner]
-        new_mod = _level_modularity(graph, inner)
+        new_mod = _modularity(graph, inner)
         if new_mod - mod <= 1e-7:
             return partition
         mod = new_mod
@@ -528,27 +506,29 @@ def _edges(adjacency: Adjacency, nbunch: Optional[Iterable] = None
         seen.add(u)
 
 
-def _degrees(adjacency: Adjacency) -> dict:
+def _degrees(adjacency: Adjacency, total=sum) -> dict:
     """Weighted degrees as networkx's G.degree sums them: in adjacency order,
     then a self-loop's weight once more."""
-    return {u: sum(nbrs.values()) + (u in nbrs and nbrs[u])
+    return {u: total(chain(nbrs.values(), (nbrs[u],) if u in nbrs else ()))
             for u, nbrs in adjacency.items()}
 
 
-def _level_modularity(adjacency: Adjacency, partition: Sequence[set]) -> float:
-    """networkx's nx.community.modularity, with its plain sums in its order."""
-    degree = _degrees(adjacency)
-    deg_sum = sum(degree.values())
+def _modularity(adjacency: Adjacency, partition: Sequence[set], total=sum) -> float:
+    """networkx's nx.community.modularity at resolution 1, with every sum a
+    `total`: sum, in networkx's order, for Louvain's comparisons; math.fsum,
+    exact before its one rounding and so free of set order, for the report."""
+    degree = _degrees(adjacency, total)
+    deg_sum = total(degree.values())
     m = deg_sum / 2
     norm = 1 / deg_sum**2
 
     def contribution(community: set) -> float:
-        comm = set(community)
-        inside = sum(w for _, v, w in _edges(adjacency, comm) if v in comm)
-        degrees = sum(degree[u] for u in comm)
+        comm = set(community)  # networkx's copy; the plain sums follow its order
+        inside = total(w for _, v, w in _edges(adjacency, comm) if v in comm)
+        degrees = total(degree[u] for u in comm)
         return inside / m - degrees * degrees * norm
 
-    return sum(map(contribution, partition))
+    return total(map(contribution, partition))
 
 
 def _one_level(graph: Adjacency, m: float, rng: random.Random) -> list[set]:
@@ -607,7 +587,7 @@ def detect_gangs(weighted: Adjacency, seed: int = 0) -> GangReport:
     if not weighted:
         raise GangError("empty reconstructed network")
     partition = louvain_communities(weighted, seed)
-    modularity = _modularity(weighted, partition) \
+    modularity = _modularity(weighted, partition, math.fsum) \
         if any(weighted.values()) else 0.0
     # a node's degree counts a self-loop twice
     pruned = sorted(n for n, nbrs in weighted.items()

@@ -61,15 +61,12 @@ def daily_production(headers: Iterable[tuple[int, str, float]]) -> Counter:
     return counts
 
 
-def production_entropy(counts: Mapping[str, int], n: int | None = None,
-                       renormalize: bool = True) -> float:
+def production_entropy(counts: Mapping[str, int], n: int | None = None) -> float:
     """Shannon entropy (bits) of the per-producer block-count distribution.
 
-    Restricts to the top-n producers by count (ties by name ascending) and,
-    by default, renormalizes probabilities over that restriction so the
-    result stays comparable to the log2(n) bound. With renormalize=False the
-    global probabilities are summed over the top-n only (sensitivity mode).
-    n=None uses every producer.
+    Restricts to the top-n producers by count (ties by name ascending) and
+    renormalizes probabilities over that restriction, so the result stays
+    comparable to the log2(n) bound. n=None uses every producer.
     """
     if not counts:
         raise MetricsError("no production data")
@@ -78,7 +75,7 @@ def production_entropy(counts: Mapping[str, int], n: int | None = None,
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     selected = ranked if n is None else ranked[:n]
     values = np.array([v for _, v in selected], dtype=float)
-    total = values.sum() if renormalize else float(sum(counts.values()))
+    total = values.sum()
     if total <= 0:
         raise MetricsError("no production data")
     probs = values / total
@@ -86,28 +83,21 @@ def production_entropy(counts: Mapping[str, int], n: int | None = None,
     return float(-(probs * np.log2(probs)).sum())
 
 
-def stake_distribution(snapshot: VotingSnapshot,
-                       accumulate_proxies: bool = False) -> list[tuple[str, int]]:
-    """Voter stakes, descending. With accumulation a proxy's entry adds the
-    stakes delegated to it; proxied voters keep their own entries."""
-    entries = []
-    for name, voter in snapshot.per_voter.items():
-        stake = voter.stake
-        if accumulate_proxies and voter.is_proxy:
-            stake += voter.proxied_stake
-        entries.append((name, stake))
+def stake_distribution(snapshot: VotingSnapshot) -> list[tuple[str, int]]:
+    """Voter stakes, descending. A proxy's entry adds the stakes delegated to
+    it; proxied voters keep their own entries."""
+    entries = [(name, voter.stake + (voter.proxied_stake if voter.is_proxy else 0))
+               for name, voter in snapshot.per_voter.items()]
     entries.sort(key=lambda kv: (-kv[1], kv[0]))
     return entries
 
 
-def top_share(distribution: Sequence[tuple[str, int]] | Sequence[int | float],
-              p: float) -> float:
-    """Share of the total held by the largest ceil(p*N) entries."""
-    if not distribution:
+def top_share(values: Sequence[int | float], p: float) -> float:
+    """Share of the total held by the largest ceil(p*N) values."""
+    if not values:
         raise MetricsError("empty distribution")
     if not 0 < p <= 1:
         raise MetricsError("p must be in (0, 1]")
-    values = [v[1] if isinstance(v, tuple) else v for v in distribution]
     values = sorted(values, reverse=True)
     k = math.ceil(p * len(values))
     total = sum(values)

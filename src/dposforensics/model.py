@@ -87,18 +87,17 @@ class BlockHeader:
     timestamp: float
 
 
-def vote_week(t_vote: int, t_init: int = VOTE_INDEX_EPOCH,
-              t_day: int = SECONDS_PER_DAY) -> int:
+def vote_week(t_vote: int) -> int:
     """Whole weeks from the index epoch to t_vote; the vote index is week / 52."""
-    if t_vote < t_init:
-        raise LedgerError(f"vote timestamp {t_vote} predates the index epoch {t_init}")
-    return math.floor((t_vote - t_init) / (7 * t_day))
+    if t_vote < VOTE_INDEX_EPOCH:
+        raise LedgerError(f"vote timestamp {t_vote} predates the index epoch "
+                          f"{VOTE_INDEX_EPOCH}")
+    return math.floor((t_vote - VOTE_INDEX_EPOCH) / (7 * SECONDS_PER_DAY))
 
 
-def compute_vote_index(t_vote: int, t_init: int = VOTE_INDEX_EPOCH,
-                       t_day: int = SECONDS_PER_DAY) -> float:
+def compute_vote_index(t_vote: int) -> float:
     """Weekly-bucketed vote age: floor(weeks since epoch) / 52."""
-    return vote_week(t_vote, t_init, t_day) / 52.0
+    return vote_week(t_vote) / 52.0
 
 
 def compute_vote_weight(stake: int, index: float) -> float:

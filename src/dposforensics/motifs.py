@@ -105,7 +105,7 @@ def _index_events(events: Sequence[VoteEvent]):
 
 
 def _pair_join(shape: str, forward: dict, backward: dict, window: int,
-               ordered: bool, distinct_proxies: bool = False) -> list[MotifInstance]:
+               ordered: bool) -> list[MotifInstance]:
     """Join a -> b events of `forward` with b -> a events of `backward` that
     lie within the window; one instance per (participants, UTC month of the
     earlier event), keeping the earliest. Participants are role-ordered
@@ -117,7 +117,7 @@ def _pair_join(shape: str, forward: dict, backward: dict, window: int,
             continue
         for t1, p1 in forward[(a, b)]:
             for t2, p2 in backward[(b, a)]:
-                if abs(t1 - t2) > window or (distinct_proxies and p1 == p2):
+                if abs(t1 - t2) > window:
                     continue
                 participants = tuple(x for x in (a, p1, b, p2) if x is not None)
                 key = participants + (utc_month(min(t1, t2)),)
@@ -144,14 +144,13 @@ def detect_triangular(events: Sequence[VoteEvent],
     return _pair_join(TRIANGULAR, proxied, direct, window, ordered=False)
 
 
-def detect_eight(events: Sequence[VoteEvent], window: int = DEFAULT_WINDOW,
-                 distinct_proxies: bool = False) -> list[MotifInstance]:
+def detect_eight(events: Sequence[VoteEvent],
+                 window: int = DEFAULT_WINDOW) -> list[MotifInstance]:
     """Quadruples (a, p1, b, p2): a votes b through p1 and b votes a through
-    p2, within the window. The same proxy account may fill both slots unless
-    distinct_proxies is set. Canonical orientation puts min(a, b) first."""
+    p2, within the window. The same proxy account may fill both slots.
+    Canonical orientation puts min(a, b) first."""
     _, proxied = _index_events(events)
-    return _pair_join(EIGHT, proxied, proxied, window, ordered=True,
-                      distinct_proxies=distinct_proxies)
+    return _pair_join(EIGHT, proxied, proxied, window, ordered=True)
 
 
 def motif_series(instances: Sequence[MotifInstance]) -> dict[str, dict[tuple[int, int], int]]:

@@ -30,28 +30,25 @@ def _pairs(groups: Iterable[Iterable[str]]) -> set[frozenset[str]]:
     return pairs
 
 
-def pairwise_score(truth_groups: Sequence[Iterable[str]],
-                   detected_groups: Sequence[Iterable[str]]) -> Score:
-    """Co-membership pair precision/recall of detected groups vs planted."""
-    truth = _pairs(truth_groups)
-    detected = _pairs(detected_groups)
-    if not detected:
-        return Score(precision=1.0 if not truth else 0.0,
-                     recall=0.0 if truth else 1.0)
-    hit = len(truth & detected)
-    precision = hit / len(detected)
-    recall = hit / len(truth) if truth else 1.0
-    return Score(precision=precision, recall=recall)
-
-
-def instance_score(truth_instances: Sequence[Sequence[str]],
-                   detected_instances: Sequence[Sequence[str]]) -> Score:
-    """Instance-level precision/recall on participant tuples (order-exact)."""
-    truth = {tuple(t) for t in truth_instances}
-    detected = {tuple(d) for d in detected_instances}
+def _score(truth: set, detected: set) -> Score:
+    """Precision and recall of detected against truth; an empty detection is
+    precise only when there is nothing to find."""
     if not detected:
         return Score(precision=1.0 if not truth else 0.0,
                      recall=0.0 if truth else 1.0)
     hit = len(truth & detected)
     return Score(precision=hit / len(detected),
                  recall=hit / len(truth) if truth else 1.0)
+
+
+def pairwise_score(truth_groups: Sequence[Iterable[str]],
+                   detected_groups: Sequence[Iterable[str]]) -> Score:
+    """Co-membership pair precision/recall of detected groups vs planted."""
+    return _score(_pairs(truth_groups), _pairs(detected_groups))
+
+
+def instance_score(truth_instances: Sequence[Sequence[str]],
+                   detected_instances: Sequence[Sequence[str]]) -> Score:
+    """Instance-level precision/recall on participant tuples (order-exact)."""
+    return _score({tuple(t) for t in truth_instances},
+                  {tuple(d) for d in detected_instances})

@@ -196,10 +196,10 @@ class GenConfig:
         return asdict(self)
 
 
-def _encode(i: int, width: int = 5) -> str:
+def _encode(i: int) -> str:
     letters = "abcdefghijklmnopqrstuvwxyz"
     out = []
-    for _ in range(width):
+    for _ in range(5):
         out.append(letters[i % 26])
         i //= 26
     return "".join(reversed(out))
@@ -245,10 +245,10 @@ def monthly_sample_times(start_ts: int, end_ts: int) -> list[int]:
     return list(month_ends(start_ts, end_ts))
 
 
-def _pareto_stake(rng: random.Random, alpha: float, minimum_tokens: float = 1.0) -> int:
+def _pareto_stake(rng: random.Random, alpha: float) -> int:
     # density ~ x^-alpha over tokens, returned in base units
     u = rng.random()
-    tokens = minimum_tokens * (1.0 - u) ** (-1.0 / (alpha - 1.0))
+    tokens = (1.0 - u) ** (-1.0 / (alpha - 1.0))
     tokens = min(tokens, 1e9)
     return max(1, int(round(tokens * 10_000)))
 
@@ -315,9 +315,9 @@ def generate_ledger(config: GenConfig) -> tuple[list[Action], list[BlockHeader],
 
     cursor = float(t0)
 
-    def tick(step: float = 1.0) -> float:
+    def tick() -> float:
         nonlocal cursor
-        cursor += step
+        cursor += 1.0
         return cursor
 
     # account creation
@@ -554,7 +554,6 @@ def _emit_plant(plant: PlantSpec, roles: dict,
 def generate_block_schedule(rounds: Sequence[Sequence[str]], start_time: float,
                             skip_rate: float = 0.0,
                             rng: Optional[random.Random] = None,
-                            round_interval: float = ROUND_SECONDS,
                             start_height: int = 1) -> list[BlockHeader]:
     """Block headers for explicit per-round producer lists.
 
@@ -563,8 +562,6 @@ def generate_block_schedule(rounds: Sequence[Sequence[str]], start_time: float,
     """
     if not 0.0 <= skip_rate < 1.0:
         raise ConfigError("skip_rate must be in [0, 1)")
-    if round_interval < ROUND_SECONDS:
-        raise ConfigError("round_interval must cover the 63-second round")
     rng = rng or random.Random(0)
     headers = []
     height = start_height
@@ -574,7 +571,7 @@ def generate_block_schedule(rounds: Sequence[Sequence[str]], start_time: float,
             raise ConfigError(
                 f"round {r}: need exactly {PRODUCERS_PER_ROUND} producers, "
                 f"got {len(producers)}")
-        base = start_time + r * round_interval
+        base = start_time + r * ROUND_SECONDS
         for slot in range(BLOCKS_PER_ROUND):
             ts = base + slot * BLOCK_INTERVAL
             producer = producers[slot // 6]

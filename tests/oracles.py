@@ -118,7 +118,7 @@ def brute_triangular(events, window, candidates=None):
     return _dedup(TRIANGULAR, raw)
 
 
-def brute_eight(events, window, candidates=None, distinct_proxies=False):
+def brute_eight(events, window, candidates=None):
     raw = []
     for e1 in events:
         for e2 in events:
@@ -131,8 +131,6 @@ def brute_eight(events, window, candidates=None, distinct_proxies=False):
                     and e1.src == e2.dst and e1.dst == e2.src
                     and e1.src < e1.dst
                     and abs(e1.timestamp - e2.timestamp) <= window):
-                if distinct_proxies and e1.via_proxy == e2.via_proxy:
-                    continue
                 raw.append(((e1.src, e1.via_proxy, e1.dst, e2.via_proxy), (e1, e2)))
     return _dedup(EIGHT, raw)
 

@@ -122,8 +122,8 @@ class TestEight:
 
     def test_shared_proxy_allowed_by_default(self):
         events = [ev("a", "b", T0, via="pxy"), ev("b", "a", T0 + DAY, via="pxy")]
-        assert len(detect_eight(events)) == 1
-        assert detect_eight(events, distinct_proxies=True) == []
+        assert [inst.participants for inst in detect_eight(events)] == \
+            [("a", "pxy", "b", "pxy")]
 
     def test_canonical_orientation(self):
         events = [ev("zed", "ann", T0, via="p1"), ev("ann", "zed", T0 + DAY, via="p2")]
@@ -229,8 +229,6 @@ class TestBruteForceEquivalence:
             brute_triangular(events, window)
         assert motif_key_set(detect_eight(events, window)) == \
             brute_eight(events, window)
-        assert motif_key_set(detect_eight(events, window, distinct_proxies=True)) == \
-            brute_eight(events, window, distinct_proxies=True)
 
     @pytest.mark.parametrize("seed", [100, 101])
     def test_candidate_restriction_matches_oracle(self, seed):
