@@ -267,6 +267,8 @@ def generate(config_path: str, out: str | None) -> None:
         trace, headers, truth = generate_ledger(config)
     except ConfigError as exc:
         _fail(EXIT_USAGE, str(exc))
+    except LedgerError as exc:  # the vote weights outgrow a float
+        _fail(EXIT_USAGE, f"start_time {config.start_time!r} is too late: {exc}")
     from .model import serialize_action, serialize_header
     # One file at a time, so that one text is held at a time.
     out_dir = _write_reports(out, {
