@@ -18,6 +18,7 @@ from dposforensics.gangs import (
     GangError,
     NetworkBuilder,
     NodeIndex,
+    _modularity,
     build_voting_network,
     detect_gangs,
     egonet_features,
@@ -605,6 +606,23 @@ class TestLouvainPort:
         result = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+class TestModularity:
+    @settings(max_examples=300, deadline=None)
+    @given(g=weighted_graphs().filter(nx.number_of_edges), seed=st.integers(0, 9),
+           rng=st.randoms(use_true_random=False))
+    def test_both_sums_bit_for_bit(self, g, seed, rng):
+        """Louvain's plain sums are networkx's, to the bit; the report's fsum
+        does not depend on the order of the communities or of their members."""
+        weighted = adjacency(g)
+        partition = louvain_communities(weighted, seed)
+        assert _modularity(weighted, partition) == \
+            nx.community.modularity(g, partition, weight="weight")
+        shuffled = [set(rng.sample(sorted(c), len(c)))
+                    for c in rng.sample(partition, len(partition))]
+        assert detect_gangs(weighted, seed).modularity == \
+            _modularity(weighted, shuffled, math.fsum)
 
 
 class TestPipeline:
