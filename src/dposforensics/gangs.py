@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 from typing import Optional, Sequence
 
@@ -51,10 +51,6 @@ class VotingGraph:
     weight_integral: np.ndarray = _column(np.float64)
     last_weight: np.ndarray = _column(np.float64)
     candidates: set[str] = field(default_factory=set)
-
-    @cached_property
-    def index(self) -> "NodeIndex":
-        return NodeIndex.of(self)
 
 
 class NetworkBuilder:
@@ -279,77 +275,55 @@ class EdplFit:
         return self.coefficient * neighbors ** self.alpha
 
 
-@dataclass(frozen=True)
-class NodeIndex:
-    """A voting graph's node ids by name, and each node's undirected
-    neighbours as sorted, deduplicated CSR rows of node ids, where a
-    self-loop makes a node its own neighbour."""
-
-    ids: dict[str, int]
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @classmethod
-    def of(cls, graph: VotingGraph) -> "NodeIndex":
-        src, dst = graph.src, graph.dst
-        n, m = len(graph.nodes), len(src)
-        # The key u * n + v of each edge in both directions, built in one
-        # array and sorted in place; the distinct keys, row by row, are the
-        # CSR entries, and row u starts at the first key at or above u * n.
-        keys = np.empty(2 * m, np.int64)
-        np.multiply(src, n, out=keys[:m])
-        keys[:m] += dst
-        np.multiply(dst, n, out=keys[m:])
-        keys[m:] += src
-        keys.sort()
-        keys = keys[_firsts(keys)]
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        keys %= max(n, 1)
-        return cls({name: i for i, name in enumerate(graph.nodes)}, indptr, keys)
-
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
-
-    def rows(self, nodes: np.ndarray) -> np.ndarray:
-        """The neighbours of every node in `nodes`, concatenated."""
-        starts = self.indptr[nodes]
-        lengths = self.indptr[nodes + 1] - starts
-        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        return self.indices[shift + np.arange(len(shift))]
+def _node_ids(graph: VotingGraph, names: Iterable[str]) -> list[int]:
+    """The ids of those of names that are nodes of graph, in the order given."""
+    nodes, ids = graph.nodes, []
+    for name in names:
+        i = bisect_left(nodes, name)
+        if i < len(nodes) and nodes[i] == name:
+            ids.append(i)
+    return ids
 
 
-def egonet_features(graph: VotingGraph,
-                    scope: Optional[Sequence[str]] = None) -> list[EgonetFeature]:
-    """Neighbor and egonet-edge counts on the undirected simple view; scope
-    defaults to the candidate nodes present in the graph.
+def egonet_features(graph: VotingGraph) -> list[EgonetFeature]:
+    """Neighbor and egonet-edge counts of the candidate nodes, in name order,
+    on the undirected simple view.
 
-    E_i is the ego's spokes plus the edges among its neighbours (OddBall's
-    N_i + triangles(i)); the latter show up twice in the summed overlaps of
-    the neighbours' rows with the neighbour set, and a looped neighbour once.
-    A self-loop counts once, as in networkx, which also lists a looped ego
-    among its own neighbours.
+    In a graph built from a trace every edge ends at a candidate and none is
+    a self-loop; a graph that breaks either raises GangError. A candidate's
+    neighbours are then the candidates A links it to, either way, and the
+    other sources that vote for it. With C[k][l] the number of those other
+    sources voting for both k and l, N_k = C[k][k] + |A[k]|, and E_k (OddBall's
+    N_k + triangles(k)) adds to N_k the edges of A among A[k] and, per l in
+    A[k], C[k][l]: the other sources voting for both ends of the spoke k-l.
     """
-    index = graph.index
-    looped = np.zeros(len(graph.nodes), bool)
-    looped[graph.src[graph.src == graph.dst]] = True
-    if scope is None:
-        scope = graph.candidates & index.ids.keys()
-    member = np.zeros(len(graph.nodes), bool)
-    features = []
-    for node in sorted(scope):
-        ego = index.ids.get(node)
-        if ego is None:
-            continue
-        nbrs = index.neighbors(ego)
-        others = nbrs[nbrs != ego]
-        member[others] = True
-        overlaps = int(np.count_nonzero(member[index.rows(others)]))
-        member[others] = False
-        nbr_loops = int(np.count_nonzero(looped[others]))
-        features.append(EgonetFeature(
-            node=node, neighbors=len(nbrs),
-            edges=len(others) + (overlaps + nbr_loops) // 2 + int(looped[ego])))
-    return features
+    src, dst, names = graph.src, graph.dst, graph.nodes
+    egos = _node_ids(graph, sorted(graph.candidates))
+    k = len(egos)
+    slot = np.full(len(names), -1, np.int64)  # each node's candidate number
+    slot[egos] = np.arange(k)
+    to = slot[dst]
+    bad = np.flatnonzero((to < 0) | (src == dst))
+    if len(bad):
+        e = int(bad[0])
+        raise GangError(f"voting graph edge {e} ({names[src[e]]} -> {names[dst[e]]}) "
+                        + ("is a self-loop" if src[e] == dst[e]
+                           else "ends at a non-candidate"))
+    # Each source's votes: the candidates' rows give A, the others' give C.
+    votes = np.zeros((len(names), k), bool)
+    votes[src, to] = True
+    del to
+    among = votes[egos]
+    adjacent = (among | among.T).astype(np.int64)  # A
+    votes[egos] = False
+    shared = np.empty((k, k), np.int64)  # C
+    for ego in range(k):
+        shared[ego] = votes[votes[:, ego]].sum(0)
+    neighbors = shared.diagonal() + adjacent.sum(1)
+    edges = (neighbors + ((adjacent @ adjacent) * adjacent).sum(1) // 2
+             + (shared * adjacent).sum(1))
+    return [EgonetFeature(names[i], n, e) for i, n, e
+            in zip(egos, neighbors.tolist(), edges.tolist())]
 
 
 def fit_edpl(features: Sequence[EgonetFeature]) -> EdplFit:
@@ -406,21 +380,22 @@ def reconstruct_weighted_network(graph: VotingGraph,
     """
     if not anomalies:
         raise GangError("nothing to reconstruct: empty anomaly set")
-    index, names = graph.index, graph.nodes
-    kept: set[str] = set()
-    for node in anomalies:
-        ego = index.ids.get(node)
-        if ego is not None:
-            kept.add(node)
-            kept.update(names[i] for i in index.neighbors(ego).tolist())
-    kept &= graph.candidates
+    names, n = graph.nodes, len(graph.nodes)
+    # The anomalies and their neighbours either way, less the non-candidates;
+    # every node ends an edge, so an anomaly's own edges mark it too.
+    in_kept = np.zeros(n, bool)
+    in_kept[_node_ids(graph, anomalies)] = True
+    touching = in_kept[graph.src] | in_kept[graph.dst]
+    in_kept[graph.src[touching]] = in_kept[graph.dst[touching]] = True
+    del touching
+    is_candidate = np.zeros(n, bool)
+    is_candidate[_node_ids(graph, graph.candidates)] = True
+    in_kept &= is_candidate
+    kept = [names[i] for i in np.flatnonzero(in_kept).tolist()]
 
     # Per edge i->j: i's placements towards j over i's placements, and j's
     # duration / average weight received from i over j's totals. Each total
     # is summed in edge order; a self-loop adds its intensity twice.
-    n = len(names)
-    in_kept = np.zeros(n, bool)
-    in_kept[[index.ids[node] for node in kept]] = True
     placements = graph.placements.astype(np.float64)
     avg_weight = np.divide(graph.weight_integral, graph.duration,
                            out=graph.last_weight.copy(), where=graph.duration > 0)
@@ -437,7 +412,7 @@ def reconstruct_weighted_network(graph: VotingGraph,
     weights = np.bincount(np.concatenate([pair, pair[loops]]),
                           np.concatenate([intensity, intensity[loops]]), len(pairs))
 
-    adjacency: Adjacency = {name: {} for name in sorted(kept)}
+    adjacency: Adjacency = {name: {} for name in kept}
     for key, weight in zip(pairs.tolist(), weights.tolist()):  # ids follow name order
         a, b = divmod(key, n)
         adjacency[names[a]][names[b]] = adjacency[names[b]][names[a]] = weight

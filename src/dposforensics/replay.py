@@ -140,8 +140,8 @@ class VotingState:
 
     def _settle(self) -> None:
         """Sum the weights of the candidates whose tallies changed since the
-        last read; an overflow raises LedgerError."""
-        for cand in self._stale:
+        last read, in name order; an overflow raises LedgerError."""
+        for cand in sorted(self._stale):
             try:
                 self._weights[cand] = math.fsum(
                     compute_vote_weight(stake, week / 52)

@@ -28,7 +28,7 @@ from dposforensics.model import (
     compute_vote_weight,
 )
 from dposforensics.clustering import record_similarity
-from dposforensics.gangs import VotingGraph
+from dposforensics.gangs import EgonetFeature, VotingGraph
 from dposforensics.motifs import DEFAULT_WINDOW, EIGHT, LINEAR, TRIANGULAR
 from dposforensics.replay import replay
 
@@ -237,6 +237,84 @@ def brute_egonet(g: nx.Graph, node):
     edges = sum(1 for a, b in combinations(sorted(members), 2) if g.has_edge(a, b))
     loops = sum(1 for m in members if g.has_edge(m, m))
     return len(nbrs), edges + loops
+
+
+@dataclass(frozen=True)
+class NodeIndex:
+    """A voting graph's node ids by name, and each node's undirected
+    neighbours as sorted, deduplicated CSR rows of node ids, where a
+    self-loop makes a node its own neighbour."""
+
+    ids: dict[str, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def of(cls, graph: VotingGraph) -> "NodeIndex":
+        src, dst = graph.src, graph.dst
+        n = len(graph.nodes)
+        # The distinct keys u * n + v of the edges in both directions, row by
+        # row, are the CSR entries; row u starts at the first key >= u * n.
+        keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        return cls({name: i for i, name in enumerate(graph.nodes)}, indptr,
+                   keys % max(n, 1))
+
+    def neighbors(self, node: int) -> np.ndarray:
+        return self.indices[self.indptr[node]:self.indptr[node + 1]]
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The neighbours of every node in `nodes`, concatenated."""
+        starts = self.indptr[nodes]
+        lengths = self.indptr[nodes + 1] - starts
+        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        return self.indices[shift + np.arange(len(shift))]
+
+
+def ref_egonet_features(graph: VotingGraph, scope=None) -> list[EgonetFeature]:
+    """Neighbor and egonet-edge counts on the undirected simple view of any
+    graph, read from its voter-level NodeIndex; scope defaults to the
+    candidate nodes present in the graph.
+
+    E_i is the ego's spokes plus the edges among its neighbours (OddBall's
+    N_i + triangles(i)); the latter show up twice in the summed overlaps of
+    the neighbours' rows with the neighbour set, and a looped neighbour once.
+    A self-loop counts once, as in networkx, which also lists a looped ego
+    among its own neighbours.
+    """
+    index = NodeIndex.of(graph)
+    looped = np.zeros(len(graph.nodes), bool)
+    looped[graph.src[graph.src == graph.dst]] = True
+    if scope is None:
+        scope = graph.candidates & index.ids.keys()
+    member = np.zeros(len(graph.nodes), bool)
+    features = []
+    for node in sorted(scope):
+        ego = index.ids.get(node)
+        if ego is None:
+            continue
+        nbrs = index.neighbors(ego)
+        others = nbrs[nbrs != ego]
+        member[others] = True
+        overlaps = int(np.count_nonzero(member[index.rows(others)]))
+        member[others] = False
+        nbr_loops = int(np.count_nonzero(looped[others]))
+        features.append(EgonetFeature(
+            node=node, neighbors=len(nbrs),
+            edges=len(others) + (overlaps + nbr_loops) // 2 + int(looped[ego])))
+    return features
+
+
+def ref_kept_nodes(graph: VotingGraph, anomalies) -> list[str]:
+    """The candidates the reconstruction keeps, in name order: each anomaly
+    that is a node, and its NodeIndex neighbours."""
+    index, kept = NodeIndex.of(graph), set()
+    for node in anomalies:
+        ego = index.ids.get(node)
+        if ego is not None:
+            kept.add(node)
+            kept.update(graph.nodes[i] for i in index.neighbors(ego).tolist())
+    return sorted(kept & graph.candidates)
 
 
 def hill_alpha(values) -> float:

@@ -124,6 +124,25 @@ class TestGenerate:
         assert "Traceback" not in result.output
         assert field in result.output
 
+    def test_weight_overflow_message_independent_of_hash_seed(self, tmp_path):
+        """The overflow names the first candidate in name order whose weight
+        outgrows a float, under every string hash seed."""
+        config = write_config(tmp_path / "config.json", start_time=253398844800)
+        src = str(Path(dposforensics.__file__).parents[1])
+        stderr = []
+        for hash_seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            result = subprocess.run(
+                [sys.executable, "-m", "dposforensics.cli", "generate", "-c",
+                 str(config), "-o", str(tmp_path / f"hash{hash_seed}")],
+                env=env, capture_output=True, text=True)
+            assert result.returncode == 2, result.stderr
+            stderr.append(result.stderr)
+        assert "vote weight overflow" in stderr[0]
+        assert stderr[1:] == stderr[:1] * 2
+
     def test_missing_config_exits_2(self, tmp_path):
         result = CliRunner().invoke(main, ["generate", "-c",
                                            str(tmp_path / "nope.json")])

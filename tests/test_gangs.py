@@ -17,7 +17,6 @@ from dposforensics.gangs import (
     EgonetFeature,
     GangError,
     NetworkBuilder,
-    NodeIndex,
     _modularity,
     build_voting_network,
     detect_gangs,
@@ -36,12 +35,15 @@ from dposforensics.synth import GenConfig, PlantSpec, generate_ledger
 from conftest import T0, DAY, TraceBuilder, random_trace
 from oracles import (
     EdgeStats,
+    NodeIndex,
     adjacency,
     brute_egonet,
     brute_intensity,
     brute_voting_network,
     edge_table,
     incremental_voting_network,
+    ref_egonet_features,
+    ref_kept_nodes,
     undirected_view,
     voting_graph,
     weighted_edges,
@@ -224,7 +226,11 @@ class TestColumnBuilder:
                   for order in (pairs, pairs[::-1])]
         for graph in graphs:
             assert graph.nodes == sorted(graph.nodes)
-        assert egonet_features(graphs[0]) == egonet_features(graphs[1])
+        # the egonets of a graph without its self-loop, which a trace never has
+        loop_free = [voting_graph({(a, b): stats[(a, b)] for a, b in order if a != b},
+                                  {"bp.a", "bp.b", "bp.c"})
+                     for order in (pairs, pairs[::-1])]
+        assert egonet_features(loop_free[0]) == egonet_features(loop_free[1])
         weighted = [weighted_edges(reconstruct_weighted_network(graph, ["bp.a"]))
                     for graph in graphs]
         assert weighted[0] and weighted[0] == weighted[1]
@@ -251,17 +257,22 @@ class TestColumnBuilder:
         assert len(graph.src) >= 10_000
         assert grown < 100
 
-    # The numpy temporaries of finish() and NodeIndex.of, beyond what each
-    # returns, take at most as much memory as what it returns.
+    # The numpy temporaries of finish() take at most as much memory as the
+    # graph it returns, and those of egonet_features at most the graph's
+    # edge columns.
     def test_finish_transient_memory_at_most_its_graph(self, logged_ledger):
         builder, end_time = logged_ledger
         graph = _within_its_result(lambda: builder.finish(end_time))
         assert len(graph.src) >= 20_000
 
-    def test_node_index_transient_memory_at_most_the_index(self, logged_ledger):
+    def test_egonet_transient_memory_at_most_the_graph(self, logged_ledger):
         builder, end_time = logged_ledger
         graph = builder.finish(end_time)
-        _within_its_result(lambda: NodeIndex.of(graph))
+        columns = (graph.src, graph.dst, graph.placements, graph.duration,
+                   graph.weight_integral, graph.last_weight)
+        feats = _within_its_result(lambda: egonet_features(graph),
+                                   sum(c.nbytes for c in columns))
+        assert len(feats) >= 60
 
 
 @pytest.fixture(scope="module")
@@ -277,9 +288,9 @@ def logged_ledger():
     return builder, state.end_time
 
 
-def _within_its_result(make):
+def _within_its_result(make, limit=None):
     """make(), checking under tracemalloc that its peak beyond the memory
-    its result holds is no more than that memory."""
+    its result holds is no more than limit, by default that memory."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -287,7 +298,9 @@ def _within_its_result(make):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - held <= held - before, (held - before, peak - held)
+    if limit is None:
+        limit = held - before
+    assert peak - held <= limit, (limit, peak - held)
     return result
 
 
@@ -338,7 +351,7 @@ class TestEgonets:
 
     def test_clique_member(self):
         graph, clique = star_clique_graph(n_stars=0, clique_size=8)
-        feats = {f.node: f for f in egonet_features(graph, scope=clique)}
+        feats = {f.node: f for f in egonet_features(graph)}
         assert feats["gang00"].neighbors == 7
         assert feats["gang00"].edges == 8 * 7 // 2
 
@@ -358,21 +371,22 @@ class TestEgonets:
     def test_matches_bruteforce_on_random_edge_tables(self, graph, every_node):
         view = undirected_view(graph)
         scope = NODES if every_node else None
-        feats = egonet_features(graph, scope)
+        feats = ref_egonet_features(graph, scope)
         assert [f.node for f in feats] == sorted(
             set(scope or graph.candidates) & set(view.nodes))
         for f in feats:
             assert (f.neighbors, f.edges) == brute_egonet(view, f.node)
         # ids follow name order, and a looped node lists itself
+        index = NodeIndex.of(graph)
         for i, node in enumerate(graph.nodes):
-            assert [graph.nodes[j] for j in graph.index.neighbors(i)] \
+            assert [graph.nodes[j] for j in index.neighbors(i)] \
                 == sorted(view.neighbors(node)), node
 
     def test_self_loop_counts_as_networkx_does(self):
         graph = voting_graph(
             {pair: EdgeStats(placements=1)
              for pair in (("a", "a"), ("a", "b"), ("b", "b"), ("b", "c"))}, {"a"})
-        (feat,) = egonet_features(graph)
+        (feat,) = ref_egonet_features(graph)
         # the ego is its own neighbour; the egonet {a, b} has a-b and two loops
         assert (feat.neighbors, feat.edges) == (2, 3)
 
@@ -382,6 +396,61 @@ class TestEgonets:
             {"a", "b"})
         feats = {f.node: f for f in egonet_features(graph)}
         assert feats["a"].neighbors == 1 and feats["a"].edges == 1
+
+    @pytest.mark.parametrize("pairs, message", [
+        ((("alice", "bpa"), ("bpa", "vtb")),
+         r"edge 1 \(bpa -> vtb\) ends at a non-candidate"),
+        ((("alice", "bpa"), ("bpa", "bpa")), r"edge 1 \(bpa -> bpa\) is a self-loop"),
+    ], ids=["non_candidate_end", "self_loop"])
+    def test_graph_breaking_a_trace_property_raises(self, pairs, message):
+        graph = voting_graph({pair: EdgeStats(placements=1) for pair in pairs}, {"bpa"})
+        with pytest.raises(GangError, match=message):
+            egonet_features(graph)
+
+    # Random action soups, where only non-candidates vote; traces where
+    # candidates vote too; and small generated ledgers whose planted near
+    # clique gives the reconstruction candidate-to-candidate edges.
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.one_of(
+        st.builds(lambda seed, n: (random_trace(seed, n_actions=n, n_accounts=40,
+                                                n_candidates=12, n_proxies=4), None),
+                  st.integers(0, 2**32 - 1), st.integers(0, 400)),
+        voting_traces(),
+        st.builds(lambda seed: (generate_ledger(GenConfig(
+            seed=seed, n_accounts=100, n_candidates=21, n_proxies=3, duration_days=10,
+            participation_rate=0.3, rounds_per_day=1,
+            plants=[PlantSpec(kind="near_clique", size=5)]))[0], None),
+            st.integers(0, 2**32 - 1))))
+    def test_trace_graphs_match_the_oracle(self, case):
+        trace, end_time = case
+        graph = build_voting_network(trace, end_time=end_time)
+        candidate = np.array([name in graph.candidates for name in graph.nodes], bool)
+        assert candidate[graph.dst].all() and not (graph.src == graph.dst).any()
+        feats = egonet_features(graph)
+        assert feats == ref_egonet_features(graph)
+        try:
+            fit = fit_edpl(feats)
+        except GangError as exc:
+            with pytest.raises(GangError) as raised:
+                run_pipeline(graph, seed=0)
+            assert str(raised.value) == str(exc)
+            return
+        report = run_pipeline(graph, seed=0)
+        scores = outlierness(feats, fit)
+        anomalies = select_anomalies(feats, fit, scores)
+        assert (report.fit, report.scores, report.anomalies) == (fit, scores, anomalies)
+        if not anomalies:
+            return
+        kept = ref_kept_nodes(graph, anomalies)
+        edges = edge_table(graph)
+        expected = {a: {b: brute_intensity(graph, a, b) + brute_intensity(graph, b, a)
+                        for b in kept if (a, b) in edges or (b, a) in edges}
+                    for a in kept}
+        weighted = reconstruct_weighted_network(graph, anomalies)
+        assert list(weighted) == kept and weighted == expected
+        gangs = detect_gangs(expected, seed=0)
+        assert (report.communities, report.modularity, report.pruned) \
+            == (gangs.communities, gangs.modularity, gangs.pruned)
 
 
 class TestFitAndScores:
