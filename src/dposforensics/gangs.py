@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -32,25 +31,33 @@ class GangError(Exception):
     pass
 
 
-def _column(dtype):
-    return field(default_factory=lambda: np.zeros(0, dtype))
+def _column(dtype, shape=(0,)):
+    return field(default_factory=lambda: np.zeros(shape, dtype))
 
 
 @dataclass(eq=False)
 class VotingGraph:
-    """Directed voting network as edge columns. Edge k runs from
-    nodes[src[k]] to nodes[dst[k]]; edges are in the order they were first
-    placed. `nodes` holds exactly the names that end an edge, in name order,
-    so a node's id is its rank among the names."""
+    """The directed voting network reduced to what the gang stage reads.
+    `candidates` are the registered candidates that end an edge, in name
+    order, so a candidate's id is its rank among them.
 
-    nodes: list[str] = field(default_factory=list)
+    Edge k of the columns runs from candidates[src[k]] to
+    candidates[dst[k]]; these are the edges between candidates, in the order
+    they were first placed. received_duration and received_weight are each
+    candidate's sums of duration and avg_weight over all its in-edges, the
+    voters' included, added in that order. shared[k][l] counts the sources
+    other than candidates that vote for both k and l; shared[k][k], those
+    that vote for k."""
+
+    candidates: list[str] = field(default_factory=list)
     src: np.ndarray = _column(np.int64)
     dst: np.ndarray = _column(np.int64)
     placements: np.ndarray = _column(np.int64)
     duration: np.ndarray = _column(np.float64)
-    weight_integral: np.ndarray = _column(np.float64)
-    last_weight: np.ndarray = _column(np.float64)
-    candidates: set[str] = field(default_factory=set)
+    avg_weight: np.ndarray = _column(np.float64)
+    received_duration: np.ndarray = _column(np.float64)
+    received_weight: np.ndarray = _column(np.float64)
+    shared: np.ndarray = _column(np.int64, (0, 0))
 
 
 class NetworkBuilder:
@@ -105,21 +112,67 @@ class NetworkBuilder:
         direct vote, count as placements. A segment of constant weight starts
         at an opening or where the weight differs from the source's previous
         row, and ends at the source's row after its last. Each edge adds its
-        segments in time order from 0.0, as span and weight * span.
+        segments in time order from 0.0, as span and weight * span; its
+        average weight is the second sum over the first, or, where no time
+        accrued, the weight of its last placement.
+
+        The edges are derived one target at a time, and all but those among
+        candidates are reduced to the graph's tables before the next.
         """
+        names = sorted(self._candidates)  # every backed name is one of them
+        k = len(names)
+        as_source = np.fromiter(map(self._sources.get, names, repeat(-1)), np.int64, k)
+        sourced = np.flatnonzero(as_source >= 0)
+        # each source's number in names, or -1
+        candidate = np.full(len(self._sources), -1, np.int64)
+        candidate[as_source[sourced]] = sourced
+        # words[t]: one bit per source, set for the sources other than
+        # candidates that vote for t
+        words = np.zeros((k, -(-len(self._sources) // 64)), np.uint64)
+        received = np.zeros((2, k))
+        ends = np.zeros(k, bool)
+        among = []
+        for t, src, first, placements, duration, avg_weight in self._in_edges(
+                names, as_source, end_time):
+            # each candidate's sums add its in-edges in first-placement order;
+            # a cumulative sum adds them one by one, as np.bincount does
+            order = np.argsort(first)
+            received[:, t] = (np.cumsum(duration[order])[-1],
+                              np.cumsum(avg_weight[order])[-1])
+            of = candidate[src]
+            voters = np.zeros(words.shape[1] * 64, bool)
+            voters[src[of < 0]] = True
+            words[t] = np.packbits(voters).view(np.uint64)
+            inner = np.flatnonzero(of >= 0)
+            ends[t] = True
+            ends[of[inner]] = True
+            among.append((first[inner], of[inner], np.full(len(inner), t),
+                          placements[inner], duration[inner], avg_weight[inner]))
+        if not among:
+            return VotingGraph()
+        shared = np.array([np.bitwise_count(words & row).sum(1) for row in words],
+                          np.int64)  # C
+        del words
+        first, src, dst, placements, duration, avg_weight = map(np.concatenate, zip(*among))
+        order = np.lexsort((dst, first))  # first placed, then by candidate name
+        kept = np.flatnonzero(ends)
+        ids = np.cumsum(ends) - 1
+        return VotingGraph([names[i] for i in kept.tolist()], ids[src[order]],
+                           ids[dst[order]], placements[order], duration[order],
+                           avg_weight[order], received[0, kept], received[1, kept],
+                           shared[np.ix_(kept, kept)])
+
+    def _in_edges(self, names: list[str], as_source: np.ndarray, end_time: float
+                  ) -> Iterator[tuple]:
+        """For each of names that has in-edges, its number and its in-edges
+        in source order: their sources, the log row of their first opening,
+        and their placements, durations and average weights, as finish()
+        defines them."""
         n_rows = len(self._src)
-        # Vote sets as CSR rows of target ids: a target is a backed name, and
-        # its id is its rank in name order.
-        flat = list(chain.from_iterable(self._vote_sets))
-        dst_names = sorted(set(flat))
-        targets = {name: i for i, name in enumerate(dst_names)}
-        n_dst = len(targets)
-        width = np.fromiter(map(len, self._vote_sets), np.int64, len(self._vote_sets))
-        indptr = np.zeros(len(width) + 1, np.int64)
-        np.cumsum(width, out=indptr[1:])
         log_src = np.frombuffer(self._src, np.int32)
         time = np.frombuffer(self._time, np.float64)
         weight = np.frombuffer(self._weight, np.float64)
+        replaced = np.frombuffer(self._replaced, bool)
 
         # Rows by source, then in log order: a source's consecutive rows sit
         # at consecutive positions. next_time is when the source's next row
@@ -135,103 +188,48 @@ class NetworkBuilder:
         changed = np.ones(n_rows, bool)
         np.not_equal(sorted_weight[1:], sorted_weight[:-1], out=changed[1:])
         del sorted_weight
+        # backs[t][v]: whether vote set v backs names[t]; and each position's
+        # vote set.
+        ids = {name: i for i, name in enumerate(names)}
+        width = np.fromiter(map(len, self._vote_sets), np.int64, len(self._vote_sets))
+        backs = np.zeros((len(names), len(width)), bool)
+        backs[np.fromiter(map(ids.__getitem__, chain.from_iterable(self._vote_sets)),
+                          np.int64, width.sum()),
+              np.repeat(np.arange(len(width)), width)] = True
+        del width, ids
+        vote_set = np.frombuffer(self._votes, np.int32)[by_src]
 
-        # One key per (position, backed target other than the source), sorted
-        # to (dst, src, row): each edge's rows together and in log order.
-        votes = np.frombuffer(self._votes, np.int32)[by_src]
-        counts = width[votes]
-        indices = np.fromiter(map(targets.__getitem__, flat), np.int64, len(flat))
-        del flat, width
-        pos = np.repeat(np.arange(n_rows, dtype=np.int32), counts)
-        ends = np.cumsum(counts)
-        slot = np.repeat(indptr[votes] - ends + counts, counts)
-        del votes, ends, counts, indptr
-        slot += np.arange(len(slot))
-        dst = indices[slot]
-        del slot, indices
-        as_source = np.fromiter(map(self._sources.get, dst_names, repeat(-1)),
-                                np.int64, n_dst)
-        keep = as_source[dst] != src_of[pos]
-        del as_source
-        dst *= n_rows
-        dst += pos
-        del pos
-        key = dst[keep]
-        del dst, keep
-        if not len(key):
-            return VotingGraph(candidates=set(self._candidates))
-        key.sort()
-        key = key[_firsts(key)]  # a name voted twice
-        pos = key % n_rows
-        key //= n_rows
-        dst = key
-        del key
-        row = by_src[pos]
-
-        # Edges are listed in the order they were first placed: by the row of
-        # their first opening, then by candidate name. edge_id numbers the
-        # edge of each key in that order.
-        src = src_of[pos]
-        new_edge = _firsts(dst)
-        new_edge[1:] |= src[1:] != src[:-1]
-        heads = np.flatnonzero(new_edge)
-        n_edges = len(heads)
-        placed_at = row[heads].astype(np.int64)
-        placed_at *= n_dst
-        placed_at += dst[heads]
-        order = np.argsort(placed_at)
-        del placed_at
-        heads = heads[order]
-        e_src, e_dst = src[heads], dst[heads]
-        del heads, src, dst
-        rank = np.empty(n_edges, np.int64)
-        rank[order] = np.arange(n_edges)
-        del order
-        opening = new_edge.copy()
-        opening[1:] |= pos[1:] != pos[:-1] + 1
-        edge_id = np.cumsum(new_edge)
-        del new_edge
-        edge_id -= 1
-        edge_id = rank[edge_id]
-        del rank
-
-        replaced = np.frombuffer(self._replaced, bool)
-        placed = np.flatnonzero(opening | replaced[row])
-        placed_edge = edge_id[placed]
-        placements = np.bincount(placed_edge, minlength=n_edges)
-        last = placed[np.append(placed_edge[1:] != placed_edge[:-1], True)]
-        del placed, placed_edge
-        last_weight = np.empty(n_edges)
-        last_weight[edge_id[last]] = weight[row[last]]
-        del last
-
-        # Within an edge, a key that opens nothing is at the position after
-        # the key before it, so its weight differs from that key's exactly
-        # where `changed` is set at its position.
-        opening |= changed[pos]
-        starts = np.flatnonzero(opening)
-        del opening
-        stops = np.append(starts[1:], len(row)) - 1
-        span = next_time[pos[stops]]
-        del stops, pos
-        span -= time[row[starts]]
-        seg_edge = edge_id[starts]
-        del edge_id
-        duration = np.bincount(seg_edge, span, n_edges)
-        span *= weight[row[starts]]
-        weight_integral = np.bincount(seg_edge, span, n_edges)
-        del seg_edge, span, starts, row
-
-        src_names = list(self._sources)
-        n_src = len(src_names)
-        nodes = sorted(set(map(src_names.__getitem__, _present(e_src, n_src)))
-                       | set(map(dst_names.__getitem__, _present(e_dst, n_dst))))
-        ids = {name: i for i, name in enumerate(nodes)}
-        src_ids = np.fromiter(map(ids.get, src_names, repeat(-1)), np.int64, n_src)
-        dst_ids = np.fromiter(map(ids.get, dst_names, repeat(-1)), np.int64, n_dst)
-        return VotingGraph(nodes, src_ids[e_src], dst_ids[e_dst], placements,
-                           duration, weight_integral, last_weight,
-                           set(self._candidates))
+        for t, target in enumerate(backs):
+            # The positions that back the target, but for its own rows: each
+            # in-edge's rows together, in log order.
+            pos = np.flatnonzero(target[vote_set])
+            pos = pos[src_of[pos] != as_source[t]]
+            if not len(pos):
+                continue
+            src, row = src_of[pos], by_src[pos]
+            opening = _firsts(src)
+            heads = np.flatnonzero(opening)
+            edge = np.cumsum(opening) - 1
+            opening[1:] |= pos[1:] != pos[:-1] + 1
+            placed = np.flatnonzero(opening | replaced[row])
+            placements = np.bincount(edge[placed], minlength=len(heads))
+            last = placed[np.append(edge[placed[1:]] != edge[placed[:-1]], True)]
+            avg_weight = weight[row[last]]
+            del placed, last
+            # Within an edge, a position that opens nothing follows the one
+            # before it, so its weight differs from that one's exactly where
+            # `changed` is set.
+            opening |= changed[pos]
+            starts = np.flatnonzero(opening)
+            del opening
+            span = next_time[pos[np.append(starts[1:], len(pos)) - 1]]
+            span -= time[row[starts]]
+            seg_edge = edge[starts]
+            duration = np.bincount(seg_edge, span, len(heads))
+            span *= weight[row[starts]]
+            integral = np.bincount(seg_edge, span, len(heads))
+            np.divide(integral, duration, out=avg_weight, where=duration > 0)
+            yield t, src[heads], row[heads], placements, duration, avg_weight
 
 
 def _firsts(keys: np.ndarray) -> np.ndarray:
@@ -240,13 +238,6 @@ def _firsts(keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return first
-
-
-def _present(ids: np.ndarray, n: int) -> list[int]:
-    """The distinct values of ids, all in range(n)."""
-    seen = np.zeros(n, bool)
-    seen[ids] = True
-    return np.flatnonzero(seen).tolist()
 
 
 def build_voting_network(trace: Iterable[Action],
@@ -275,55 +266,25 @@ class EdplFit:
         return self.coefficient * neighbors ** self.alpha
 
 
-def _node_ids(graph: VotingGraph, names: Iterable[str]) -> list[int]:
-    """The ids of those of names that are nodes of graph, in the order given."""
-    nodes, ids = graph.nodes, []
-    for name in names:
-        i = bisect_left(nodes, name)
-        if i < len(nodes) and nodes[i] == name:
-            ids.append(i)
-    return ids
-
-
 def egonet_features(graph: VotingGraph) -> list[EgonetFeature]:
-    """Neighbor and egonet-edge counts of the candidate nodes, in name order,
-    on the undirected simple view.
+    """Neighbor and egonet-edge counts of the candidates, in name order, on
+    the undirected simple view.
 
-    In a graph built from a trace every edge ends at a candidate and none is
-    a self-loop; a graph that breaks either raises GangError. A candidate's
-    neighbours are then the candidates A links it to, either way, and the
-    other sources that vote for it. With C[k][l] the number of those other
-    sources voting for both k and l, N_k = C[k][k] + |A[k]|, and E_k (OddBall's
-    N_k + triangles(k)) adds to N_k the edges of A among A[k] and, per l in
-    A[k], C[k][l]: the other sources voting for both ends of the spoke k-l.
+    Every edge ends at a candidate and none is a self-loop, so a candidate's
+    neighbours are the candidates A links it to, either way, and the other
+    sources that vote for it. With C = graph.shared, N_k = C[k][k] + |A[k]|,
+    and E_k (OddBall's N_k + triangles(k)) adds to N_k the edges of A among
+    A[k] and, per l in A[k], C[k][l]: the other sources voting for both ends
+    of the spoke k-l.
     """
-    src, dst, names = graph.src, graph.dst, graph.nodes
-    egos = _node_ids(graph, sorted(graph.candidates))
-    k = len(egos)
-    slot = np.full(len(names), -1, np.int64)  # each node's candidate number
-    slot[egos] = np.arange(k)
-    to = slot[dst]
-    bad = np.flatnonzero((to < 0) | (src == dst))
-    if len(bad):
-        e = int(bad[0])
-        raise GangError(f"voting graph edge {e} ({names[src[e]]} -> {names[dst[e]]}) "
-                        + ("is a self-loop" if src[e] == dst[e]
-                           else "ends at a non-candidate"))
-    # Each source's votes: the candidates' rows give A, the others' give C.
-    votes = np.zeros((len(names), k), bool)
-    votes[src, to] = True
-    del to
-    among = votes[egos]
-    adjacent = (among | among.T).astype(np.int64)  # A
-    votes[egos] = False
-    shared = np.empty((k, k), np.int64)  # C
-    for ego in range(k):
-        shared[ego] = votes[votes[:, ego]].sum(0)
+    k, shared = len(graph.candidates), graph.shared
+    adjacent = np.zeros((k, k), np.int64)  # A
+    adjacent[graph.src, graph.dst] = adjacent[graph.dst, graph.src] = 1
     neighbors = shared.diagonal() + adjacent.sum(1)
     edges = (neighbors + ((adjacent @ adjacent) * adjacent).sum(1) // 2
              + (shared * adjacent).sum(1))
-    return [EgonetFeature(names[i], n, e) for i, n, e
-            in zip(egos, neighbors.tolist(), edges.tolist())]
+    return [EgonetFeature(name, n, e) for name, n, e
+            in zip(graph.candidates, neighbors.tolist(), edges.tolist())]
 
 
 def fit_edpl(features: Sequence[EgonetFeature]) -> EdplFit:
@@ -370,47 +331,40 @@ def select_anomalies(features: Sequence[EgonetFeature], fit: EdplFit,
 
 def reconstruct_weighted_network(graph: VotingGraph,
                                  anomalies: Sequence[str]) -> Adjacency:
-    """Undirected network over candidate nodes inside the anomalies' egonets,
-    weighted by the symmetrized voting intensity. Its nodes are in name
-    order, and its edges are added in (smaller, larger) name order.
+    """Undirected network over the anomalies among the candidates and the
+    candidates linked to them, either way, weighted by the symmetrized voting
+    intensity. Its nodes are in name order, and its edges are added in
+    (smaller, larger) name order.
 
-    Intensity i->j averages three shares computed on the FULL directed graph:
-    i's placement count toward j over i's total placements, and j's received
-    duration / average-weight from i over j's totals.
+    Intensity i->j averages three shares: i's placements toward j over i's
+    placements, and j's duration / average weight received from i over j's
+    totals, which count the voters' edges too. A candidate's out-edges all
+    end at candidates, so its placements are summed over the graph's edges.
     """
     if not anomalies:
         raise GangError("nothing to reconstruct: empty anomaly set")
-    names, n = graph.nodes, len(graph.nodes)
-    # The anomalies and their neighbours either way, less the non-candidates;
-    # every node ends an edge, so an anomaly's own edges mark it too.
+    names, n = graph.candidates, len(graph.candidates)
+    ids = {name: i for i, name in enumerate(names)}
     in_kept = np.zeros(n, bool)
-    in_kept[_node_ids(graph, anomalies)] = True
+    in_kept[[ids[name] for name in anomalies if name in ids]] = True
     touching = in_kept[graph.src] | in_kept[graph.dst]
     in_kept[graph.src[touching]] = in_kept[graph.dst[touching]] = True
     del touching
-    is_candidate = np.zeros(n, bool)
-    is_candidate[_node_ids(graph, graph.candidates)] = True
-    in_kept &= is_candidate
     kept = [names[i] for i in np.flatnonzero(in_kept).tolist()]
 
-    # Per edge i->j: i's placements towards j over i's placements, and j's
-    # duration / average weight received from i over j's totals. Each total
-    # is summed in edge order; a self-loop adds its intensity twice.
+    # Per edge i->j, each share over its total; each total is summed in edge
+    # order.
     placements = graph.placements.astype(np.float64)
-    avg_weight = np.divide(graph.weight_integral, graph.duration,
-                           out=graph.last_weight.copy(), where=graph.duration > 0)
     inside = np.flatnonzero(in_kept[graph.src] & in_kept[graph.dst])
     src, dst = graph.src[inside], graph.dst[inside]
     intensity = (
         _share(placements[inside], np.bincount(graph.src, placements, n)[src])
-        + _share(graph.duration[inside], np.bincount(graph.dst, graph.duration, n)[dst])
-        + _share(avg_weight[inside], np.bincount(graph.dst, avg_weight, n)[dst])
+        + _share(graph.duration[inside], graph.received_duration[dst])
+        + _share(graph.avg_weight[inside], graph.received_weight[dst])
     ) / 3.0
-    loops = src == dst
     pairs, pair = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
                             return_inverse=True)
-    weights = np.bincount(np.concatenate([pair, pair[loops]]),
-                          np.concatenate([intensity, intensity[loops]]), len(pairs))
+    weights = np.bincount(pair, intensity, len(pairs))
 
     adjacency: Adjacency = {name: {} for name in kept}
     for key, weight in zip(pairs.tolist(), weights.tolist()):  # ids follow name order

@@ -28,7 +28,7 @@ from dposforensics.model import (
     compute_vote_weight,
 )
 from dposforensics.clustering import record_similarity
-from dposforensics.gangs import EgonetFeature, VotingGraph
+from dposforensics.gangs import EgonetFeature, GangError, VotingGraph
 from dposforensics.motifs import DEFAULT_WINDOW, EIGHT, LINEAR, TRIANGULAR
 from dposforensics.replay import replay
 
@@ -178,6 +178,28 @@ class EdgeStats:
         return self.last_weight
 
 
+def _column(dtype):
+    return field(default_factory=lambda: np.zeros(0, dtype))
+
+
+@dataclass(eq=False)
+class VoterGraph:
+    """The voting network at the level of its voters: the edges of every
+    source, which NetworkBuilder.finish reduces to candidates. Edge k runs from
+    nodes[src[k]] to nodes[dst[k]]; edges are in the order they were first
+    placed. `nodes` holds exactly the names that end an edge, in name order,
+    so a node's id is its rank among the names."""
+
+    nodes: list[str] = field(default_factory=list)
+    src: np.ndarray = _column(np.int64)
+    dst: np.ndarray = _column(np.int64)
+    placements: np.ndarray = _column(np.int64)
+    duration: np.ndarray = _column(np.float64)
+    weight_integral: np.ndarray = _column(np.float64)
+    last_weight: np.ndarray = _column(np.float64)
+    candidates: set[str] = field(default_factory=set)
+
+
 def edge_table(graph) -> dict[tuple[str, str], EdgeStats]:
     """A voting graph's edge columns as {(src, dst): EdgeStats}, in edge order."""
     name = graph.nodes.__getitem__
@@ -187,13 +209,13 @@ def edge_table(graph) -> dict[tuple[str, str], EdgeStats]:
         graph.src.tolist(), graph.dst.tolist(), *(c.tolist() for c in columns))}
 
 
-def voting_graph(edges, candidates=()) -> VotingGraph:
+def voting_graph(edges, candidates=()) -> VoterGraph:
     """A voting graph with the given {(src, dst): EdgeStats} edges, in mapping
     order, and its nodes in name order."""
     nodes = sorted({name for pair in edges for name in pair})
     ids = {name: i for i, name in enumerate(nodes)}
     stats = list(edges.values())
-    return VotingGraph(
+    return VoterGraph(
         nodes, np.array([ids[s] for s, _ in edges], np.int64),
         np.array([ids[d] for _, d in edges], np.int64),
         np.array([s.placements for s in stats], np.int64),
@@ -201,6 +223,56 @@ def voting_graph(edges, candidates=()) -> VotingGraph:
         np.array([s.weight_integral for s in stats], np.float64),
         np.array([s.last_weight for s in stats], np.float64),
         set(candidates))
+
+
+def trace_graph(trace, end_time=None, network=None) -> VoterGraph:
+    """The voter-level graph of a trace from an oracle network builder
+    (default incremental_voting_network), with its registered candidates;
+    end_time defaults to the last action's timestamp, as in the package."""
+    if end_time is None:
+        end_time = trace[-1].timestamp if trace else 0.0
+    edges = (network or incremental_voting_network)(trace, end_time)
+    return voting_graph(edges, replay(trace)[0].tallies)
+
+
+def candidate_graph(graph: VoterGraph) -> VotingGraph:
+    """The reduction NetworkBuilder.finish makes, in plain Python: the
+    candidates that end an edge, the edges between them, each candidate's
+    received duration and average weight added with += in edge order, and
+    the counts of the other sources voting for each pair of candidates.
+
+    A graph with an edge that ends at a non-candidate or is a self-loop,
+    which no trace gives, raises GangError naming the first such edge."""
+    edges = edge_table(graph)
+    for e, (src, dst) in enumerate(edges):
+        if src == dst or dst not in graph.candidates:
+            raise GangError(f"voting graph edge {e} ({src} -> {dst}) "
+                            + ("is a self-loop" if src == dst
+                               else "ends at a non-candidate"))
+    names = sorted(graph.candidates.intersection(graph.nodes))
+    ids = {name: i for i, name in enumerate(names)}
+    k = len(names)
+    received_duration, received_weight = [0.0] * k, [0.0] * k
+    among = []  # (src, dst, placements, duration, avg_weight) of each
+    voted: dict[str, list[int]] = {}  # the other sources' candidates
+    for (src, dst), stats in edges.items():
+        received_duration[ids[dst]] += stats.duration
+        received_weight[ids[dst]] += stats.avg_weight
+        if src in ids:
+            among.append((ids[src], ids[dst], stats.placements, stats.duration,
+                          stats.avg_weight))
+        else:
+            voted.setdefault(src, []).append(ids[dst])
+    shared = np.zeros((k, k), np.int64)
+    for targets in voted.values():
+        for a in targets:
+            for b in targets:
+                shared[a, b] += 1
+    dtypes = (np.int64, np.int64, np.int64, np.float64, np.float64)
+    columns = [np.array([edge[i] for edge in among], dtype)
+               for i, dtype in enumerate(dtypes)]
+    return VotingGraph(names, *columns, np.array(received_duration),
+                       np.array(received_weight), shared)
 
 
 def undirected_view(graph) -> nx.Graph:
@@ -250,7 +322,7 @@ class NodeIndex:
     indices: np.ndarray
 
     @classmethod
-    def of(cls, graph: VotingGraph) -> "NodeIndex":
+    def of(cls, graph: VoterGraph) -> "NodeIndex":
         src, dst = graph.src, graph.dst
         n = len(graph.nodes)
         # The distinct keys u * n + v of the edges in both directions, row by
@@ -271,7 +343,7 @@ class NodeIndex:
         return self.indices[shift + np.arange(len(shift))]
 
 
-def ref_egonet_features(graph: VotingGraph, scope=None) -> list[EgonetFeature]:
+def ref_egonet_features(graph: VoterGraph, scope=None) -> list[EgonetFeature]:
     """Neighbor and egonet-edge counts on the undirected simple view of any
     graph, read from its voter-level NodeIndex; scope defaults to the
     candidate nodes present in the graph.
@@ -305,7 +377,7 @@ def ref_egonet_features(graph: VotingGraph, scope=None) -> list[EgonetFeature]:
     return features
 
 
-def ref_kept_nodes(graph: VotingGraph, anomalies) -> list[str]:
+def ref_kept_nodes(graph: VoterGraph, anomalies) -> list[str]:
     """The candidates the reconstruction keeps, in name order: each anomaly
     that is a node, and its NodeIndex neighbours."""
     index, kept = NodeIndex.of(graph), set()
@@ -334,8 +406,8 @@ def brute_voting_network(trace, end_time) -> dict[tuple[str, str], EdgeStats]:
     edge comes into force, and when a direct vote by src, or by src's proxy,
     places it again. Edges are listed in the order they first come into
     force; within one action the actor's edges come first, then the others
-    in (src, dst) order. Each edge's integral is the fsum of its segments;
-    the votes in force at end_time are closed there.
+    in (src, dst) order. Each edge adds its segments' spans and weight *
+    span with += in time order, the votes in force at end_time closed there.
     """
     edges: dict[tuple[str, str], EdgeStats] = {}
     segments: dict[tuple[str, str], list[tuple[float, float]]] = {}
@@ -379,8 +451,8 @@ def brute_voting_network(trace, end_time) -> dict[tuple[str, str], EdgeStats]:
     for key in in_force:
         end_segment(key, end_time)
     for key, stats in edges.items():
-        stats.duration = sum(span for span, _ in segments[key])
-        stats.weight_integral = math.fsum(span * w for span, w in segments[key])
+        for span, weight in segments[key]:
+            _accrue(stats, weight, span)
     return edges
 
 

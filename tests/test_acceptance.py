@@ -10,6 +10,7 @@ import random
 import statistics
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -55,10 +56,12 @@ from oracles import (
     brute_eight,
     brute_linear,
     brute_triangular,
+    candidate_graph,
     component_clusters,
     edge_table,
     motif_key_set,
     recompute_candidate_weights,
+    trace_graph,
     voting_graph,
 )
 
@@ -231,7 +234,7 @@ def test_07_egonet_outliers():
             for b in clique:
                 if a != b:
                     edges[(a, b)] = stats()
-        graph = voting_graph(edges, candidates)
+        graph = candidate_graph(voting_graph(edges, candidates))
         feats = egonet_features(graph)
         fit = fit_edpl(feats)
         scores = outlierness(feats, fit)
@@ -253,15 +256,21 @@ def test_08_intensity_normalization():
         for seed in range(5):
             trace = random_trace(seed + 10, n_actions=800, n_accounts=40,
                                  n_candidates=12)
+            # the graph's totals: over each candidate's in-edges, voters'
+            # included, and its out-edges, all between candidates
             graph = build_voting_network(trace)
+            ids = {name: i for i, name in enumerate(graph.candidates)}
             out_f, in_t, in_p = {}, {}, {}
-            for (src, dst), stats in edge_table(graph).items():
-                out_f.setdefault(src, []).append(stats.placements)
+            for (src, dst), stats in edge_table(trace_graph(trace)).items():
+                if src in ids:
+                    out_f.setdefault(src, []).append(stats.placements)
                 in_t.setdefault(dst, []).append(stats.duration)
                 in_p.setdefault(dst, []).append(stats.avg_weight)
-            for table in (out_f, in_t, in_p):
-                for values in table.values():
-                    total = sum(values)
+            placed = np.bincount(graph.src, graph.placements, len(ids))
+            for table, totals in ((out_f, placed), (in_t, graph.received_duration),
+                                  (in_p, graph.received_weight)):
+                for node, values in table.items():
+                    total = totals[ids[node]]
                     if total > 0:
                         assert abs(sum(v / total for v in values) - 1.0) <= 1e-9
 

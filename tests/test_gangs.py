@@ -40,10 +40,12 @@ from oracles import (
     brute_egonet,
     brute_intensity,
     brute_voting_network,
+    candidate_graph,
     edge_table,
     incremental_voting_network,
     ref_egonet_features,
     ref_kept_nodes,
+    trace_graph,
     undirected_view,
     voting_graph,
     weighted_edges,
@@ -51,30 +53,71 @@ from oracles import (
 
 EOS = 10_000
 
+GRAPH_FIELDS = ("src", "dst", "placements", "duration", "avg_weight",
+                "received_duration", "received_weight", "shared")
+
+
+def assert_same_graph(graph, expected):
+    """Field for field and bit for bit, dtypes included."""
+    assert graph.candidates == expected.candidates
+    for name in GRAPH_FIELDS:
+        got, want = getattr(graph, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def assert_matches_both_oracles(trace, end_time):
+    """The package's graph is the reference reduction of the incremental and
+    of the brute-force network, which agree edge for edge."""
+    incremental = trace_graph(trace, end_time)
+    brute = trace_graph(trace, end_time, brute_voting_network)
+    assert list(edge_table(incremental).items()) == list(edge_table(brute).items())
+    graph = build_voting_network(trace, end_time=end_time)
+    assert_same_graph(graph, candidate_graph(incremental))
+    assert_same_graph(graph, candidate_graph(brute))
+
+
+def candidate_edges(graph):
+    """{(src, dst): (placements, duration, avg_weight)} of the edges between
+    candidates."""
+    name = graph.candidates.__getitem__
+    return {(name(s), name(d)): stats for s, d, *stats in zip(
+        graph.src.tolist(), graph.dst.tolist(), graph.placements.tolist(),
+        graph.duration.tolist(), graph.avg_weight.tolist())}
+
+
+def received(graph):
+    """{candidate: (received duration, received average weight)}."""
+    return dict(zip(graph.candidates, zip(graph.received_duration.tolist(),
+                                          graph.received_weight.tolist())))
+
 
 class TestEdgeStats:
+    # The voter in a case that checks placements is a candidate, since only
+    # the edges between candidates keep theirs.
     def test_single_standing_vote(self):
         b = TraceBuilder()
         b.regproducer("bp.a")
-        b.newaccount("genesis", "alice").delegate("alice", 10 * EOS)
+        b.newaccount("genesis", "alice").regproducer("alice").delegate("alice", 10 * EOS)
         b.vote("alice", ["bp.a"], ts=T0 + 100)
         graph = build_voting_network(b.build(), end_time=T0 + 100 + 100 * DAY)
-        stats = edge_table(graph)[("alice", "bp.a")]
+        placements, duration, avg_weight = candidate_edges(graph)[("alice", "bp.a")]
         w = compute_vote_weight(10 * EOS, compute_vote_index(T0 + 100))
-        assert stats.placements == 1
-        assert stats.duration == pytest.approx(100 * DAY)
-        assert stats.avg_weight == pytest.approx(w)
+        assert placements == 1
+        assert duration == pytest.approx(100 * DAY)
+        assert avg_weight == pytest.approx(w)
+        assert received(graph)["bp.a"] == (duration, avg_weight)
 
     def test_replacement_counts_again(self):
         b = TraceBuilder()
         b.regproducer("bp.a")
-        b.newaccount("genesis", "alice").delegate("alice", 10 * EOS)
+        b.newaccount("genesis", "alice").regproducer("alice").delegate("alice", 10 * EOS)
         b.vote("alice", ["bp.a"], ts=T0 + 0)
         b.vote("alice", ["bp.a"], ts=T0 + 10 * DAY)
         graph = build_voting_network(b.build(), end_time=T0 + 15 * DAY)
-        stats = edge_table(graph)[("alice", "bp.a")]
-        assert stats.placements == 2
-        assert stats.duration == pytest.approx(15 * DAY)
+        placements, duration, _ = candidate_edges(graph)[("alice", "bp.a")]
+        assert placements == 2
+        assert duration == pytest.approx(15 * DAY)
 
     def test_switch_closes_old_edge(self):
         b = TraceBuilder()
@@ -83,25 +126,25 @@ class TestEdgeStats:
         b.vote("alice", ["bp.a"], ts=T0)
         b.vote("alice", ["bp.b"], ts=T0 + 4 * DAY)
         graph = build_voting_network(b.build(), end_time=T0 + 10 * DAY)
-        edges = edge_table(graph)
-        assert edges[("alice", "bp.a")].duration == pytest.approx(4 * DAY)
-        assert edges[("alice", "bp.b")].duration == pytest.approx(6 * DAY)
+        totals = received(graph)
+        assert totals["bp.a"][0] == pytest.approx(4 * DAY)
+        assert totals["bp.b"][0] == pytest.approx(6 * DAY)
 
     def test_time_weighted_average_on_stake_change(self):
         b = TraceBuilder()
         b.regproducer("bp.a")
-        b.newaccount("genesis", "alice").delegate("alice", 10 * EOS)
+        b.newaccount("genesis", "alice").regproducer("alice").delegate("alice", 10 * EOS)
         b.vote("alice", ["bp.a"], ts=T0)
         b.delegate("alice", 10 * EOS, ts=T0 + 10 * DAY)  # stake doubles
         graph = build_voting_network(b.build(), end_time=T0 + 20 * DAY)
-        stats = edge_table(graph)[("alice", "bp.a")]
+        placements, _, avg_weight = candidate_edges(graph)[("alice", "bp.a")]
         index = compute_vote_index(T0)
         w1 = compute_vote_weight(10 * EOS, index)
         w2 = compute_vote_weight(20 * EOS, index)
         # piecewise integral over the two equal-length segments
         expected = (w1 * 10 * DAY + w2 * 10 * DAY) / (20 * DAY)
-        assert stats.avg_weight == pytest.approx(expected, rel=1e-12)
-        assert stats.placements == 1
+        assert avg_weight == pytest.approx(expected, rel=1e-12)
+        assert placements == 1
 
     def test_proxy_delegator_edges(self):
         b = TraceBuilder()
@@ -112,11 +155,10 @@ class TestEdgeStats:
         b.vote("proxyone", ["bp.a"], ts=T0 + 200)
         graph = build_voting_network(b.build(), end_time=T0 + 200 + DAY)
         # the delegator gets its own edge, weighted by its own stake at the
-        # proxy's vote index
-        stats = edge_table(graph)[("alice", "bp.a")]
+        # proxy's vote index; the proxy, with no stake, adds weight 0
         w = compute_vote_weight(5 * EOS, compute_vote_index(T0 + 200))
-        assert stats.avg_weight == pytest.approx(w)
-        assert ("proxyone", "bp.a") in edge_table(graph)
+        assert received(graph)["bp.a"] == (pytest.approx(2 * DAY), pytest.approx(w))
+        assert graph.shared.tolist() == [[2]]  # the proxy and its delegator
 
     def test_self_vote_excluded(self):
         b = TraceBuilder()
@@ -124,7 +166,7 @@ class TestEdgeStats:
         b.regproducer("bp.a").delegate("bp.a", EOS)
         b.vote("bp.a", ["bp.a"], ts=T0 + 100)
         graph = build_voting_network(b.build())
-        assert ("bp.a", "bp.a") not in edge_table(graph)
+        assert graph.candidates == [] and graph.shared.shape == (0, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_actions=st.integers(0, 250),
@@ -132,17 +174,7 @@ class TestEdgeStats:
     def test_matches_oracle_on_random_traces(self, seed, n_actions, extra_days):
         trace = random_trace(seed, n_actions=n_actions, n_accounts=20,
                              n_candidates=5, n_proxies=3)
-        end_time = trace[-1].timestamp + extra_days * DAY
-        graph = build_voting_network(trace, end_time=end_time)
-        expected = brute_voting_network(trace, end_time)
-        edges = edge_table(graph)
-        assert list(edges) == list(expected)
-        for key, stats in edges.items():
-            want = expected[key]
-            assert (stats.placements, stats.last_weight, stats.duration) == (
-                want.placements, want.last_weight, want.duration), key
-            assert stats.weight_integral == pytest.approx(
-                want.weight_integral, rel=1e-12), key
+        assert_matches_both_oracles(trace, trace[-1].timestamp + extra_days * DAY)
 
 
 CANDIDATES = ["bpa", "bpb", "bpc", "bpd"]
@@ -188,20 +220,7 @@ class TestColumnBuilder:
     @given(case=voting_traces())
     def test_matches_incremental_builder_bit_for_bit(self, case):
         trace, end_time = case
-        graph = build_voting_network(trace, end_time=end_time)
-        assert [c.dtype for c in (graph.src, graph.dst, graph.placements)] \
-            == [np.int64] * 3
-        assert [c.dtype for c in (graph.duration, graph.weight_integral,
-                                  graph.last_weight)] == [np.float64] * 3
-        assert graph.nodes == sorted(graph.nodes)
-        expected = incremental_voting_network(trace, end_time)
-        edges = edge_table(graph)
-        assert list(edges) == list(expected)
-        for key, stats in edges.items():
-            want = expected[key]
-            assert (stats.placements, stats.duration, stats.weight_integral,
-                    stats.last_weight) == (want.placements, want.duration,
-                                           want.weight_integral, want.last_weight), key
+        assert_matches_both_oracles(trace, end_time)
 
     def test_no_edges(self):
         b = TraceBuilder().newaccount("genesis", "bpa").regproducer("bpa")
@@ -209,7 +228,8 @@ class TestColumnBuilder:
         b.newaccount("genesis", "alice").vote("alice", [])
         for trace in ([], b.build()):
             graph = build_voting_network(trace)
-            assert len(graph.src) == 0 and graph.nodes == sorted(graph.nodes) == []
+            assert_same_graph(graph, candidate_graph(trace_graph(trace)))
+            assert len(graph.src) == 0 and graph.candidates == []
 
     def test_from_edges_numbers_nodes_in_name_order(self):
         # neither order lists the names in name order; the sums of these
@@ -226,13 +246,17 @@ class TestColumnBuilder:
                   for order in (pairs, pairs[::-1])]
         for graph in graphs:
             assert graph.nodes == sorted(graph.nodes)
-        # the egonets of a graph without its self-loop, which a trace never has
-        loop_free = [voting_graph({(a, b): stats[(a, b)] for a, b in order if a != b},
-                                  {"bp.a", "bp.b", "bp.c"})
-                     for order in (pairs, pairs[::-1])]
-        assert egonet_features(loop_free[0]) == egonet_features(loop_free[1])
+        # the reductions of the graphs without their self-loop, which a trace
+        # never has
+        reduced = [candidate_graph(voting_graph(
+                       {(a, b): stats[(a, b)] for a, b in order if a != b},
+                       {"bp.a", "bp.b", "bp.c"}))
+                   for order in (pairs, pairs[::-1])]
+        for graph in reduced:
+            assert graph.candidates == ["bp.a", "bp.b", "bp.c"]
+        assert egonet_features(reduced[0]) == egonet_features(reduced[1])
         weighted = [weighted_edges(reconstruct_weighted_network(graph, ["bp.a"]))
-                    for graph in graphs]
+                    for graph in reduced]
         assert weighted[0] and weighted[0] == weighted[1]
 
     def test_graph_holds_no_object_per_edge(self):
@@ -251,62 +275,57 @@ class TestColumnBuilder:
         build_voting_network(trace[:300])  # first-use imports and caches
         gc.collect()
         before = len(gc.get_objects())
-        graph = build_voting_network(trace)
+        build_voting_network(trace)
         gc.collect()
         grown = len(gc.get_objects()) - before
-        assert len(graph.src) >= 10_000
+        assert len(incremental_voting_network(trace, trace[-1].timestamp)) >= 10_000
         assert grown < 100
 
-    # The numpy temporaries of finish() take at most as much memory as the
-    # graph it returns, and those of egonet_features at most the graph's
-    # edge columns.
+    # The numpy temporaries of finish() and of egonet_features take at most
+    # the memory of the six edge columns of the voter-level graph: 48 bytes
+    # per edge of the oracle's network.
     def test_finish_transient_memory_at_most_its_graph(self, logged_ledger):
-        builder, end_time = logged_ledger
-        graph = _within_its_result(lambda: builder.finish(end_time))
-        assert len(graph.src) >= 20_000
+        builder, end_time, n_edges = logged_ledger
+        graph = _within_its_result(lambda: builder.finish(end_time), 48 * n_edges)
+        assert n_edges >= 20_000 and len(graph.candidates) >= 60
 
     def test_egonet_transient_memory_at_most_the_graph(self, logged_ledger):
-        builder, end_time = logged_ledger
+        builder, end_time, n_edges = logged_ledger
         graph = builder.finish(end_time)
-        columns = (graph.src, graph.dst, graph.placements, graph.duration,
-                   graph.weight_integral, graph.last_weight)
-        feats = _within_its_result(lambda: egonet_features(graph),
-                                   sum(c.nbytes for c in columns))
+        feats = _within_its_result(lambda: egonet_features(graph), 48 * n_edges)
         assert len(feats) >= 60
 
 
 @pytest.fixture(scope="module")
 def logged_ledger():
-    """A NetworkBuilder that has logged a fixed generated ledger, and the
-    ledger's end time."""
+    """A NetworkBuilder that has logged a fixed generated ledger, the
+    ledger's end time, and the number of edges of its voter-level network."""
     trace, _, _ = generate_ledger(GenConfig(
         seed=3, n_accounts=2000, n_candidates=60, n_proxies=20,
         duration_days=30, participation_rate=0.5,
         plants=[PlantSpec(kind="near_clique", size=6)]))
     builder = NetworkBuilder()
     state, _ = replay(trace, [builder])
-    return builder, state.end_time
+    return (builder, state.end_time,
+            len(incremental_voting_network(trace, state.end_time)))
 
 
-def _within_its_result(make, limit=None):
+def _within_its_result(make, limit):
     """make(), checking under tracemalloc that its peak beyond the memory
-    its result holds is no more than limit, by default that memory."""
+    its result holds is no more than limit."""
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
         result = make()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    if limit is None:
-        limit = held - before
     assert peak - held <= limit, (limit, peak - held)
     return result
 
 
 def star_clique_graph(n_stars=60, star_size=6, clique_size=8):
-    """Synthetic graph of voter-stars onto single candidates plus one
-    mutual-voting clique among candidates."""
+    """Synthetic graph, reduced to its candidates, of voter-stars onto single
+    candidates plus one mutual-voting clique among candidates."""
     edges, candidates = {}, set()
     stats = lambda: EdgeStats(placements=1, duration=float(DAY),
                               weight_integral=float(DAY), last_weight=1.0)
@@ -321,7 +340,7 @@ def star_clique_graph(n_stars=60, star_size=6, clique_size=8):
         for b in clique:
             if a != b:
                 edges[(a, b)] = stats()
-    return voting_graph(edges, candidates), clique
+    return candidate_graph(voting_graph(edges, candidates)), clique
 
 
 NODES = [f"n{i}" for i in range(7)]
@@ -329,17 +348,20 @@ node_names = st.sampled_from(NODES)
 
 
 @st.composite
-def edge_tables(draw):
-    """Voting graphs on a few names: any directed pairs, some mirrored into
-    reciprocal pairs, self-loops included, and any candidate set."""
+def edge_tables(draw, trace_like=False):
+    """Voter-level graphs on a few names: any directed pairs, some mirrored
+    into reciprocal pairs, self-loops included, and any candidate set. With
+    trace_like, only the pairs a trace can give: no self-loop, and every edge
+    ends at a candidate."""
     pairs = draw(st.lists(st.tuples(node_names, node_names, st.booleans()),
                           max_size=30))
+    candidates = draw(st.sets(node_names))
     edges = {}
     for a, b, mirrored in pairs:
-        edges[(a, b)] = EdgeStats(placements=1)
-        if mirrored:
-            edges[(b, a)] = EdgeStats(placements=1)
-    return voting_graph(edges, draw(st.sets(node_names)))
+        for pair in [(a, b), (b, a)][:1 + mirrored]:
+            if not trace_like or (pair[0] != pair[1] and pair[1] in candidates):
+                edges[pair] = EdgeStats(placements=1)
+    return voting_graph(edges, candidates)
 
 
 class TestEgonets:
@@ -357,13 +379,17 @@ class TestEgonets:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_bruteforce_on_random_graph(self, seed):
+        # candidates n00..n29, each voted for by a few of the voters n30..n39
         rng = random.Random(seed)
         g = nx.gnp_random_graph(40, 0.12, seed=seed)
         graph = voting_graph(
-            {(f"n{a:02d}", f"n{b:02d}"): EdgeStats(placements=1) for a, b in g.edges},
-            {f"n{i:02d}" for i in range(40)})
+            {(f"n{max(a, b):02d}", f"n{min(a, b):02d}"): EdgeStats(placements=1)
+             for a, b in g.edges if min(a, b) < 30},
+            {f"n{i:02d}" for i in range(30)})
         simple = undirected_view(graph)
-        for f in egonet_features(graph):
+        feats = egonet_features(candidate_graph(graph))
+        assert [f.node for f in feats] == sorted(graph.candidates & set(simple))
+        for f in feats:
             assert (f.neighbors, f.edges) == brute_egonet(simple, f.node)
 
     @settings(max_examples=300, deadline=None)
@@ -382,6 +408,14 @@ class TestEgonets:
             assert [graph.nodes[j] for j in index.neighbors(i)] \
                 == sorted(view.neighbors(node)), node
 
+    @settings(max_examples=300, deadline=None)
+    @given(graph=edge_tables(trace_like=True))
+    def test_candidate_tables_match_bruteforce(self, graph):
+        assert egonet_features(candidate_graph(graph)) == ref_egonet_features(graph)
+        view = undirected_view(graph)
+        for f in ref_egonet_features(graph):
+            assert (f.neighbors, f.edges) == brute_egonet(view, f.node)
+
     def test_self_loop_counts_as_networkx_does(self):
         graph = voting_graph(
             {pair: EdgeStats(placements=1)
@@ -391,9 +425,9 @@ class TestEgonets:
         assert (feat.neighbors, feat.edges) == (2, 3)
 
     def test_directed_pair_collapses_to_one_edge(self):
-        graph = voting_graph(
+        graph = candidate_graph(voting_graph(
             {("a", "b"): EdgeStats(placements=1), ("b", "a"): EdgeStats(placements=1)},
-            {"a", "b"})
+            {"a", "b"}))
         feats = {f.node: f for f in egonet_features(graph)}
         assert feats["a"].neighbors == 1 and feats["a"].edges == 1
 
@@ -405,7 +439,7 @@ class TestEgonets:
     def test_graph_breaking_a_trace_property_raises(self, pairs, message):
         graph = voting_graph({pair: EdgeStats(placements=1) for pair in pairs}, {"bpa"})
         with pytest.raises(GangError, match=message):
-            egonet_features(graph)
+            candidate_graph(graph)
 
     # Random action soups, where only non-candidates vote; traces where
     # candidates vote too; and small generated ledgers whose planted near
@@ -424,10 +458,10 @@ class TestEgonets:
     def test_trace_graphs_match_the_oracle(self, case):
         trace, end_time = case
         graph = build_voting_network(trace, end_time=end_time)
-        candidate = np.array([name in graph.candidates for name in graph.nodes], bool)
-        assert candidate[graph.dst].all() and not (graph.src == graph.dst).any()
+        voters = trace_graph(trace, end_time)
+        assert_same_graph(graph, candidate_graph(voters))
         feats = egonet_features(graph)
-        assert feats == ref_egonet_features(graph)
+        assert feats == ref_egonet_features(voters)
         try:
             fit = fit_edpl(feats)
         except GangError as exc:
@@ -441,9 +475,9 @@ class TestEgonets:
         assert (report.fit, report.scores, report.anomalies) == (fit, scores, anomalies)
         if not anomalies:
             return
-        kept = ref_kept_nodes(graph, anomalies)
-        edges = edge_table(graph)
-        expected = {a: {b: brute_intensity(graph, a, b) + brute_intensity(graph, b, a)
+        kept = ref_kept_nodes(voters, anomalies)
+        edges = edge_table(voters)
+        expected = {a: {b: brute_intensity(voters, a, b) + brute_intensity(voters, b, a)
                         for b in kept if (a, b) in edges or (b, a) in edges}
                     for a in kept}
         weighted = reconstruct_weighted_network(graph, anomalies)
@@ -510,23 +544,31 @@ class TestFitAndScores:
 
 
 class TestReconstruction:
-    def trace_graph(self, seed=4):
-        trace = random_trace(seed, n_actions=600, n_accounts=30, n_candidates=10)
-        return build_voting_network(trace)
-
     def test_share_normalizations_sum_to_one(self):
-        graph = self.trace_graph()
+        # each candidate's totals are over all its in-edges, voters' included,
+        # and its placements over its out-edges, all between candidates, of
+        # which the planted near clique gives some
+        trace, _, _ = generate_ledger(GenConfig(
+            seed=4, n_accounts=160, n_candidates=22, n_proxies=3,
+            duration_days=30, participation_rate=0.3, rounds_per_day=1,
+            plants=[PlantSpec(kind="near_clique", size=6)]))
+        graph = build_voting_network(trace)
+        ids = {name: i for i, name in enumerate(graph.candidates)}
         out_f, in_t, in_p = {}, {}, {}
-        for (src, dst), stats in edge_table(graph).items():
-            out_f.setdefault(src, []).append(stats.placements)
+        for (src, dst), stats in edge_table(trace_graph(trace)).items():
+            if src in ids:
+                out_f.setdefault(src, []).append(stats.placements)
             in_t.setdefault(dst, []).append(stats.duration)
             in_p.setdefault(dst, []).append(stats.avg_weight)
-        for shares in (out_f, in_t, in_p):
+        placed = np.bincount(graph.src, graph.placements, len(ids))
+        assert out_f and in_t
+        for shares, totals in ((out_f, placed), (in_t, graph.received_duration),
+                               (in_p, graph.received_weight)):
             for node, values in shares.items():
-                total = sum(values)
+                total = totals[ids[node]]
                 if total > 0:
                     assert sum(v / total for v in values) == pytest.approx(
-                        1.0, abs=1e-9)
+                        1.0, abs=1e-9), node
 
     def test_edge_weight_matches_intensity_oracle(self):
         # the planted near clique makes candidates vote for each other, so
@@ -535,12 +577,12 @@ class TestReconstruction:
             seed=3, n_accounts=160, n_candidates=22, n_proxies=3,
             duration_days=30, participation_rate=0.3, rounds_per_day=1,
             plants=[PlantSpec(kind="near_clique", size=6)]))
-        graph = build_voting_network(trace)
-        weighted = reconstruct_weighted_network(graph,
+        voters = trace_graph(trace)
+        weighted = reconstruct_weighted_network(build_voting_network(trace),
                                                 truth["plants"][0]["members"])
         assert len(weighted_edges(weighted)) > 0
         for a, b, weight in weighted_edges(weighted):
-            expected = brute_intensity(graph, a, b) + brute_intensity(graph, b, a)
+            expected = brute_intensity(voters, a, b) + brute_intensity(voters, b, a)
             assert weight == expected, (a, b)
 
     def test_kept_nodes_limited_to_candidate_egonets(self):
@@ -550,14 +592,16 @@ class TestReconstruction:
         assert set(weighted) == set(clique)
 
     @settings(max_examples=200, deadline=None)
-    @given(graph=edge_tables(), anomalies=st.lists(node_names, min_size=1, max_size=3))
+    @given(graph=edge_tables(trace_like=True),
+           anomalies=st.lists(node_names, min_size=1, max_size=3))
     def test_kept_nodes_match_networkx_egonets(self, graph, anomalies):
+        # anomalies are candidates; a name that is not one is passed over
         view = undirected_view(graph)
         expected = set()
         for node in anomalies:
-            if node in view:
+            if node in view and node in graph.candidates:
                 expected |= {node, *view.neighbors(node)}
-        weighted = reconstruct_weighted_network(graph, anomalies)
+        weighted = reconstruct_weighted_network(candidate_graph(graph), anomalies)
         assert set(weighted) == expected & graph.candidates
 
     def test_empty_anomalies_error(self):
