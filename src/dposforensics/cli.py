@@ -43,6 +43,7 @@ from .model import (
     LedgerError,
     LineFile,
     ParseError,
+    decode_text,
     load_headers,
     load_trace,
 )
@@ -71,25 +72,21 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _digest_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def _manifest(command: str, inputs: dict[str, str | LineFile],
+def _manifest(command: str, inputs: dict[str, LineFile | tuple[str, str]],
               params: dict) -> dict:
-    """An input is a path, digested here, or a LineFile the command has read
-    to the end, whose digest is that of the bytes it read."""
-    files = {k: v for k, v in inputs.items() if isinstance(v, LineFile)}
+    """An input is a LineFile the command has read to the end, or a (path,
+    digest) pair. Either digest is that of the bytes the command read, so
+    that a pipe, which reads only once, has the digest of what was used."""
+    pairs = {k: (v.path, v.digest) if isinstance(v, LineFile) else v
+             for k, v in inputs.items()}
     return {
         "command": command,
-        "inputs": {k: files[k].path if k in files else str(v)
-                   for k, v in inputs.items()},
-        "digests": {k: files[k].digest if k in files else _digest_file(v)
-                    for k, v in inputs.items()},
+        "inputs": {k: path for k, (path, _) in pairs.items()},
+        "digests": {k: digest for k, (_, digest) in pairs.items()},
         "params": params,
         "version": __version__,
     }
@@ -262,27 +259,29 @@ def main() -> None:
 @click.option("--out", "-o", "out", default=None, help="Output directory")
 def generate(config_path: str, out: str | None) -> None:
     """Generate a synthetic ledger with planted anomalies."""
+    data = Path(config_path).read_bytes()
     try:
-        config = GenConfig.from_file(config_path)
+        config = GenConfig.from_bytes(data)
         trace, headers, truth = generate_ledger(config)
     except ConfigError as exc:
         _fail(EXIT_USAGE, str(exc))
     except LedgerError as exc:  # the vote weights outgrow a float
         _fail(EXIT_USAGE, f"start_time {config.start_time!r} is too late: {exc}")
     from .model import serialize_action, serialize_header
-    # One file at a time, so that one text is held at a time.
-    out_dir = _write_reports(out, {
-        "trace.jsonl": "".join(serialize_action(a) + "\n" for a in trace)})
-    _write_reports(out, {
-        "headers.jsonl": "".join(serialize_header(h) + "\n" for h in headers)})
-    trace_path, headers_path = out_dir / "trace.jsonl", out_dir / "headers.jsonl"
-    manifest = _manifest("generate", {"config": config_path,
-                                      "trace": str(trace_path),
-                                      "headers": str(headers_path)},
-                         {"seed": config.seed})
-    truth["manifest"] = manifest
+    inputs = {"config": (config_path, _sha256(data))}
+    del data
+    # One file at a time, so that one text is held at a time; each is
+    # digested as it is written.
+    for name, lines in (("trace", map(serialize_action, trace)),
+                        ("headers", map(serialize_header, headers))):
+        text = "".join(line + "\n" for line in lines)
+        out_dir = _write_reports(out, {f"{name}.jsonl": text})
+        inputs[name] = (str(out_dir / f"{name}.jsonl"), _sha256(text.encode()))
+        del text
+    truth["manifest"] = _manifest("generate", inputs, {"seed": config.seed})
     _write_reports(out, {"truth.json": _json_text(truth)})
-    click.echo(f"wrote {trace_path}, {headers_path}, {out_dir / 'truth.json'}")
+    click.echo(f"wrote {inputs['trace'][0]}, {inputs['headers'][0]}, "
+               f"{out_dir / 'truth.json'}")
 
 
 @main.command("replay")
@@ -600,12 +599,15 @@ def _fit_or_die(value, shape, path, where: str = ""):
     return value
 
 
-def _read_json_or_die(path, shape) -> dict:
+def _read_json_or_die(path, shape) -> tuple[dict, str]:
+    """The payload of a JSON file, checked against shape, and the digest of
+    the bytes it was read from: the file is read once, as a pipe can be."""
+    data = Path(path).read_bytes()
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(decode_text(data))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         _fail(EXIT_DATA, f"unreadable {path}: {exc}")
-    return _fit_or_die(payload, shape, path)
+    return _fit_or_die(payload, shape, path), _sha256(data)
 
 
 def _trace_digest(payload: dict):
@@ -619,7 +621,7 @@ def _trace_digest(payload: dict):
 def score(report_dir, truth_path, out) -> None:
     """Score detection reports in REPORT_DIR against a truth file."""
     report_dir = Path(report_dir)
-    truth = _read_json_or_die(truth_path, TRUTH)
+    truth, truth_sha = _read_json_or_die(truth_path, TRUTH)
     by_kind: dict[str, list[dict]] = {}
     for i, plant in enumerate(truth.get("plants", [])):
         field = PLANT_GROUPS.get(plant["kind"])
@@ -633,7 +635,7 @@ def score(report_dir, truth_path, out) -> None:
         path = report_dir / name
         if not path.exists():
             return None
-        payload = _read_json_or_die(path, REPORTS[name])
+        payload, _ = _read_json_or_die(path, REPORTS[name])
         digest = _trace_digest(payload)
         if truth_digest and digest and digest != truth_digest:
             _fail(EXIT_USAGE,
@@ -677,7 +679,7 @@ def score(report_dir, truth_path, out) -> None:
         s = instance_score(truth_instances, detected)
         results[kind] = {"precision": s.precision, "recall": s.recall, "f1": s.f1}
 
-    payload = {"manifest": _manifest("score", {"truth": truth_path}, {}),
+    payload = {"manifest": _manifest("score", {"truth": (truth_path, truth_sha)}, {}),
                "scores": results}
     _write_reports(out or str(report_dir), {"score.json": _json_text(payload)})
     for kind, s in sorted(results.items()):

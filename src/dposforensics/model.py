@@ -347,6 +347,12 @@ def _check_utf8(line: str) -> None:
         raise ParseError(f"invalid UTF-8: byte 0x{byte:02x}", "line") from None
 
 
+def decode_text(data: bytes) -> str:
+    """A file's bytes as open(path, encoding="utf-8") reads them: decoded as
+    UTF-8, with universal newlines, so that a CRLF reads as one newline."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
 class LineFile:
     """The parsed lines of a file, read anew, one at a time, by each
     iteration; len() counts its non-blank lines.

@@ -23,6 +23,7 @@ from .model import (
     MAX_VOTES,
     TIME_MAX,
     VOTE_INDEX_EPOCH,
+    decode_text,
     make_action,
 )
 from .replay import replay_with_snapshots
@@ -182,12 +183,12 @@ class GenConfig:
         return config
 
     @classmethod
-    def from_file(cls, path: str) -> "GenConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
+    def from_bytes(cls, data: bytes) -> "GenConfig":
+        """The config in the bytes of a JSON file."""
+        try:
+            data = json.loads(decode_text(data))
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(data)

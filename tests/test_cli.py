@@ -558,6 +558,58 @@ def test_piped_trace_has_the_digest_of_its_bytes(command, fuzz_dir, tmp_path):
     assert digests[0]["trace"] == hashlib.sha256(data.encode()).hexdigest()
 
 
+@pytest.mark.parametrize("command", ["generate", "score"])
+def test_piped_input_has_the_digest_of_its_bytes(command, ledger_dir, report_dir,
+                                                 tmp_path):
+    """generate reads its config, and score its truth file, once, so either
+    from a pipe has the digest of the same file given as a regular file; the
+    trace and headers that generate writes have the digests of their
+    bytes."""
+    path = (write_config(tmp_path / "config.json") if command == "generate"
+            else ledger_dir / "truth.json")
+    data = path.read_bytes()
+
+    def run(source: str, out: str) -> dict:
+        if command == "generate":
+            args, report = ["generate", "-c", source], "truth.json"
+        else:
+            args, report = ["score", str(report_dir), source], "score.json"
+        result = CliRunner().invoke(main, [*args, "-o", str(tmp_path / out)])
+        assert result.exit_code == 0, result.output
+        return json.loads((tmp_path / out / report).read_text())["manifest"]
+
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    try:
+        piped = run(f"/dev/fd/{read}", "piped")
+    finally:
+        os.close(read)
+    regular = run(str(path), "regular")
+    assert piped["digests"] == regular["digests"]
+    name = "config" if command == "generate" else "truth"
+    assert piped["digests"][name] == hashlib.sha256(data).hexdigest()
+    if command == "generate":
+        for name in ("trace", "headers"):
+            assert piped["digests"][name] == digest(tmp_path / "piped" / f"{name}.jsonl")
+
+
+@pytest.mark.parametrize("command", ["generate", "score"])
+def test_crlf_json_error_names_the_position_open_reads(command, report_dir, tmp_path):
+    """A JSON error in a CRLF file names the position in the text that
+    open(path, encoding="utf-8") reads, with each CRLF read as one newline."""
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{\r\n  "seed": 1,\r\n  oops\r\n}\r\n')
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as error:
+        json.load(fh)
+    args = (["generate", "-c", str(path)] if command == "generate"
+            else ["score", str(report_dir), str(path)])
+    result = CliRunner().invoke(main, [*args, "-o", str(tmp_path / "out")])
+    assert result.exit_code == (2 if command == "generate" else 3), result.output
+    assert f"{error.value}\n" in result.output
+    assert "(char 17)" in str(error.value)  # (char 19) counting the CRs
+
+
 @pytest.mark.parametrize("command", ["cluster", "metrics", "all"])
 def test_trace_in_december_9999_exits_cleanly(command, tmp_path):
     """The monthly cadence's last month ends at the last second a trace may

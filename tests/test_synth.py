@@ -61,14 +61,14 @@ class TestConfig:
         config = small_config(plants=[PlantSpec(kind="linear_gang", size=4)])
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_dict()))
-        loaded = GenConfig.from_file(str(path))
+        loaded = GenConfig.from_bytes(path.read_bytes())
         assert loaded == config
 
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
-            GenConfig.from_file(str(path))
+            GenConfig.from_bytes(path.read_bytes())
 
 
 class TestDeterminism:
