@@ -26,7 +26,7 @@ from .clustering import (
     sample_voting_records,
     top_stakeholders,
 )
-from .gangs import GangError, NetworkBuilder, run_pipeline
+from .gangs import GangError, run_pipeline, voting_network
 from .metrics import (
     MetricsError,
     daily_production,
@@ -52,9 +52,9 @@ from .motifs import (
     detect_linear,
     detect_triangular,
     motif_series,
-    VoteRecorder,
+    vote_events,
 )
-from .replay import SampleTimes, replay, replay_with_snapshots
+from .replay import SampleTimes, VoteLog, replay, replay_with_snapshots
 from .scoring import instance_score, pairwise_score
 from .synth import (
     ConfigError,
@@ -317,12 +317,10 @@ def _analyze(command: str, analyses: set[str], options: dict, trace_path: str,
     # Checked in declaration order: click's ctx.params follows the command line.
     checked = {p.name: _OPTIONS[p.name][1](options[p.name])
                for p in click.get_current_context().command.params if p.name in options}
-    votes = VoteRecorder() if "motifs" in analyses else None
-    network = NetworkBuilder() if "gangs" in analyses else None
+    log = VoteLog() if analyses & {"motifs", "gangs"} else None
     inputs = {"trace": load_trace(trace_path, lazy=True)}
     state, rejected, snapshots = _fold_or_die(
-        inputs["trace"], [o for o in (votes, network) if o is not None],
-        checked.get("snapshot_cadence"))
+        inputs["trace"], [] if log is None else [log], checked.get("snapshot_cadence"))
     if "cluster" in analyses and not snapshots:
         _fail(EXIT_DATA, "no snapshots; trace too short for the cadence")
     # The fold's products are large: keep only what the analyses read of the
@@ -345,12 +343,11 @@ def _analyze(command: str, analyses: set[str], options: dict, trace_path: str,
         clustered = _run_cluster(creators, snapshots, reports, manifest,
                                  checked["theta"], checked["top_stake_pct"])
     del snapshots, creators
-    graph = None if network is None else network.finish(end_time)
-    del network
-    if votes is not None:
-        instances = _run_motifs(votes.events(candidates), reports, manifest,
+    graph = voting_network(log, end_time) if "gangs" in analyses else None
+    if "motifs" in analyses:
+        instances = _run_motifs(vote_events(log, candidates), reports, manifest,
                                 checked["window_days"])
-    del votes
+    del log
     if graph is not None:
         gang_payload = _run_gangs(graph, reports, manifest, checked["outlier_pct"],
                                   checked["seed"])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from collections import defaultdict
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -18,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Action, ActionKind
-from .replay import VotingState, replay
+from .model import Action
+from .replay import VoteLog, replay
 
 # An undirected weighted graph as its adjacency: each node maps each
 # neighbour to the edge's weight, stored under both ends; a self-loop is
@@ -60,176 +59,136 @@ class VotingGraph:
     shared: np.ndarray = _column(np.int64, (0, 0))
 
 
-class NetworkBuilder:
-    """Replay observer for the voting network. After each action it logs one
-    row per source the action may re-point or re-weigh: the source, the time,
-    the votes it backs and their weight, and whether the action is a direct
-    vote that places them again. finish() derives every edge from the log.
+def voting_network(log: VoteLog, end_time: float) -> VotingGraph:
+    """The voting graph of a fold's log, with the votes still in force closed
+    at end_time.
+
+    A logged row puts an edge from its source to each candidate it backs
+    other than itself. The edge opens at a row whose source's previous row
+    did not back that candidate, and stays in force until the source's next
+    row that does not, or end_time. Openings, and rows of a direct vote,
+    count as placements. A segment of constant weight starts at an opening
+    or where the weight differs from the source's previous row, and ends at
+    the source's row after its last. Each edge adds its segments in time
+    order from 0.0, as span and weight * span; its average weight is the
+    second sum over the first, or, where no time accrued, the weight of its
+    last placement.
+
+    The edges are derived one target at a time, and all but those among
+    candidates are reduced to the graph's tables before the next.
     """
+    names = sorted(log.candidates)  # every backed name is one of them
+    k = len(names)
+    as_source = np.fromiter(map(log.sources.get, names, repeat(-1)), np.int64, k)
+    sourced = np.flatnonzero(as_source >= 0)
+    # each source's number in names, or -1
+    candidate = np.full(len(log.sources), -1, np.int64)
+    candidate[as_source[sourced]] = sourced
+    # words[t]: one bit per source, set for the sources other than
+    # candidates that vote for t
+    words = np.zeros((k, -(-len(log.sources) // 64)), np.uint64)
+    received = np.zeros((2, k))
+    ends = np.zeros(k, bool)
+    among = []
+    for t, src, first, placements, duration, avg_weight in _in_edges(
+            log, names, as_source, end_time):
+        # each candidate's sums add its in-edges in first-placement order;
+        # a cumulative sum adds them one by one, as np.bincount does
+        order = np.argsort(first)
+        received[:, t] = (np.cumsum(duration[order])[-1],
+                          np.cumsum(avg_weight[order])[-1])
+        of = candidate[src]
+        voters = np.zeros(words.shape[1] * 64, bool)
+        voters[src[of < 0]] = True
+        words[t] = np.packbits(voters).view(np.uint64)
+        inner = np.flatnonzero(of >= 0)
+        ends[t] = True
+        ends[of[inner]] = True
+        among.append((first[inner], of[inner], np.full(len(inner), t),
+                      placements[inner], duration[inner], avg_weight[inner]))
+    if not among:
+        return VotingGraph()
+    shared = np.array([np.bitwise_count(words & row).sum(1) for row in words],
+                      np.int64)  # C
+    del words
+    first, src, dst, placements, duration, avg_weight = map(np.concatenate, zip(*among))
+    order = np.lexsort((dst, first))  # first placed, then by candidate name
+    kept = np.flatnonzero(ends)
+    ids = np.cumsum(ends) - 1
+    return VotingGraph([names[i] for i in kept.tolist()], ids[src[order]],
+                       ids[dst[order]], placements[order], duration[order],
+                       avg_weight[order], received[0, kept], received[1, kept],
+                       shared[np.ix_(kept, kept)])
 
-    def __init__(self) -> None:
-        self._candidates: set[str] = set()
-        self._sources: dict[str, int] = {}
-        self._vote_sets: dict[tuple[str, ...], int] = {}
-        self._src = array("i")
-        self._time = array("d")
-        self._votes = array("i")
-        self._weight = array("d")
-        self._replaced = array("b")
 
-    @staticmethod
-    def _affected(action: Action, state: VotingState) -> tuple[list[str], bool]:
-        actor = action.actor
-        if action.kind in (ActionKind.DELEGATE_BW, ActionKind.UNDELEGATE_BW):
-            return [actor], False
-        if action.kind is ActionKind.REG_PROXY:
-            return [actor] + sorted(state.delegators.get(actor, ())), False
-        if action.kind is ActionKind.VOTE_PRODUCER:
-            affected = [actor] + sorted(state.delegators.get(actor, ()))
-            return affected, not action.payload["proxy"]
-        return [], False
+def _in_edges(log: VoteLog, names: list[str], as_source: np.ndarray,
+              end_time: float) -> Iterator[tuple]:
+    """For each of names that has in-edges, its number and its in-edges
+    in source order: their sources, the log row of their first opening,
+    and their placements, durations and average weights, as voting_network()
+    defines them."""
+    n_rows = len(log.src)
+    log_src = np.frombuffer(log.src, np.int32)
+    time = np.frombuffer(log.time, np.float64)
+    weight = np.frombuffer(log.weight, np.float64)
+    replaced = np.frombuffer(log.direct, np.int8) != 0
 
-    def __call__(self, action: Action, state: VotingState) -> None:
-        if action.kind is ActionKind.REG_PRODUCER:
-            self._candidates.add(action.actor)
-        affected, replaced = self._affected(action, state)
-        sources, vote_sets = self._sources, self._vote_sets
-        for src in affected:
-            votes, weight = state.backing(src)
-            self._src.append(sources.setdefault(src, len(sources)))
-            self._time.append(action.timestamp)
-            self._votes.append(vote_sets.setdefault(votes, len(vote_sets)))
-            self._weight.append(weight)
-            self._replaced.append(replaced)
+    # Rows by source, then in log order: a source's consecutive rows sit
+    # at consecutive positions. next_time is when the source's next row
+    # comes, or end_time; changed marks a position whose weight differs
+    # from the one before it.
+    by_src = np.argsort(log_src, kind="stable").astype(np.int32)
+    src_of = log_src[by_src]
+    next_time = np.full(n_rows, float(end_time))
+    same = np.flatnonzero(src_of[1:] == src_of[:-1])
+    next_time[same] = time[by_src[same + 1]]
+    del same
+    sorted_weight = weight[by_src]
+    changed = np.ones(n_rows, bool)
+    np.not_equal(sorted_weight[1:], sorted_weight[:-1], out=changed[1:])
+    del sorted_weight
+    # backs[t][v]: whether vote set v backs names[t]; and each position's
+    # vote set.
+    ids = {name: i for i, name in enumerate(names)}
+    width = np.fromiter(map(len, log.vote_sets), np.int64, len(log.vote_sets))
+    backs = np.zeros((len(names), len(width)), bool)
+    backs[np.fromiter(map(ids.__getitem__, chain.from_iterable(log.vote_sets)),
+                      np.int64, width.sum()),
+          np.repeat(np.arange(len(width)), width)] = True
+    del width, ids
+    vote_set = np.frombuffer(log.votes, np.int32)[by_src]
 
-    def finish(self, end_time: float) -> VotingGraph:
-        """The voting graph, with the votes still in force closed at end_time.
-
-        A logged row puts an edge from its source to each candidate it backs
-        other than itself. The edge opens at a row whose source's previous
-        row did not back that candidate, and stays in force until the
-        source's next row that does not, or end_time. Openings, and rows of a
-        direct vote, count as placements. A segment of constant weight starts
-        at an opening or where the weight differs from the source's previous
-        row, and ends at the source's row after its last. Each edge adds its
-        segments in time order from 0.0, as span and weight * span; its
-        average weight is the second sum over the first, or, where no time
-        accrued, the weight of its last placement.
-
-        The edges are derived one target at a time, and all but those among
-        candidates are reduced to the graph's tables before the next.
-        """
-        names = sorted(self._candidates)  # every backed name is one of them
-        k = len(names)
-        as_source = np.fromiter(map(self._sources.get, names, repeat(-1)), np.int64, k)
-        sourced = np.flatnonzero(as_source >= 0)
-        # each source's number in names, or -1
-        candidate = np.full(len(self._sources), -1, np.int64)
-        candidate[as_source[sourced]] = sourced
-        # words[t]: one bit per source, set for the sources other than
-        # candidates that vote for t
-        words = np.zeros((k, -(-len(self._sources) // 64)), np.uint64)
-        received = np.zeros((2, k))
-        ends = np.zeros(k, bool)
-        among = []
-        for t, src, first, placements, duration, avg_weight in self._in_edges(
-                names, as_source, end_time):
-            # each candidate's sums add its in-edges in first-placement order;
-            # a cumulative sum adds them one by one, as np.bincount does
-            order = np.argsort(first)
-            received[:, t] = (np.cumsum(duration[order])[-1],
-                              np.cumsum(avg_weight[order])[-1])
-            of = candidate[src]
-            voters = np.zeros(words.shape[1] * 64, bool)
-            voters[src[of < 0]] = True
-            words[t] = np.packbits(voters).view(np.uint64)
-            inner = np.flatnonzero(of >= 0)
-            ends[t] = True
-            ends[of[inner]] = True
-            among.append((first[inner], of[inner], np.full(len(inner), t),
-                          placements[inner], duration[inner], avg_weight[inner]))
-        if not among:
-            return VotingGraph()
-        shared = np.array([np.bitwise_count(words & row).sum(1) for row in words],
-                          np.int64)  # C
-        del words
-        first, src, dst, placements, duration, avg_weight = map(np.concatenate, zip(*among))
-        order = np.lexsort((dst, first))  # first placed, then by candidate name
-        kept = np.flatnonzero(ends)
-        ids = np.cumsum(ends) - 1
-        return VotingGraph([names[i] for i in kept.tolist()], ids[src[order]],
-                           ids[dst[order]], placements[order], duration[order],
-                           avg_weight[order], received[0, kept], received[1, kept],
-                           shared[np.ix_(kept, kept)])
-
-    def _in_edges(self, names: list[str], as_source: np.ndarray, end_time: float
-                  ) -> Iterator[tuple]:
-        """For each of names that has in-edges, its number and its in-edges
-        in source order: their sources, the log row of their first opening,
-        and their placements, durations and average weights, as finish()
-        defines them."""
-        n_rows = len(self._src)
-        log_src = np.frombuffer(self._src, np.int32)
-        time = np.frombuffer(self._time, np.float64)
-        weight = np.frombuffer(self._weight, np.float64)
-        replaced = np.frombuffer(self._replaced, bool)
-
-        # Rows by source, then in log order: a source's consecutive rows sit
-        # at consecutive positions. next_time is when the source's next row
-        # comes, or end_time; changed marks a position whose weight differs
-        # from the one before it.
-        by_src = np.argsort(log_src, kind="stable").astype(np.int32)
-        src_of = log_src[by_src]
-        next_time = np.full(n_rows, float(end_time))
-        same = np.flatnonzero(src_of[1:] == src_of[:-1])
-        next_time[same] = time[by_src[same + 1]]
-        del same
-        sorted_weight = weight[by_src]
-        changed = np.ones(n_rows, bool)
-        np.not_equal(sorted_weight[1:], sorted_weight[:-1], out=changed[1:])
-        del sorted_weight
-        # backs[t][v]: whether vote set v backs names[t]; and each position's
-        # vote set.
-        ids = {name: i for i, name in enumerate(names)}
-        width = np.fromiter(map(len, self._vote_sets), np.int64, len(self._vote_sets))
-        backs = np.zeros((len(names), len(width)), bool)
-        backs[np.fromiter(map(ids.__getitem__, chain.from_iterable(self._vote_sets)),
-                          np.int64, width.sum()),
-              np.repeat(np.arange(len(width)), width)] = True
-        del width, ids
-        vote_set = np.frombuffer(self._votes, np.int32)[by_src]
-
-        for t, target in enumerate(backs):
-            # The positions that back the target, but for its own rows: each
-            # in-edge's rows together, in log order.
-            pos = np.flatnonzero(target[vote_set])
-            pos = pos[src_of[pos] != as_source[t]]
-            if not len(pos):
-                continue
-            src, row = src_of[pos], by_src[pos]
-            opening = _firsts(src)
-            heads = np.flatnonzero(opening)
-            edge = np.cumsum(opening) - 1
-            opening[1:] |= pos[1:] != pos[:-1] + 1
-            placed = np.flatnonzero(opening | replaced[row])
-            placements = np.bincount(edge[placed], minlength=len(heads))
-            last = placed[np.append(edge[placed[1:]] != edge[placed[:-1]], True)]
-            avg_weight = weight[row[last]]
-            del placed, last
-            # Within an edge, a position that opens nothing follows the one
-            # before it, so its weight differs from that one's exactly where
-            # `changed` is set.
-            opening |= changed[pos]
-            starts = np.flatnonzero(opening)
-            del opening
-            span = next_time[pos[np.append(starts[1:], len(pos)) - 1]]
-            span -= time[row[starts]]
-            seg_edge = edge[starts]
-            duration = np.bincount(seg_edge, span, len(heads))
-            span *= weight[row[starts]]
-            integral = np.bincount(seg_edge, span, len(heads))
-            np.divide(integral, duration, out=avg_weight, where=duration > 0)
-            yield t, src[heads], row[heads], placements, duration, avg_weight
+    for t, target in enumerate(backs):
+        # The positions that back the target, but for its own rows: each
+        # in-edge's rows together, in log order.
+        pos = np.flatnonzero(target[vote_set])
+        pos = pos[src_of[pos] != as_source[t]]
+        if not len(pos):
+            continue
+        src, row = src_of[pos], by_src[pos]
+        opening = _firsts(src)
+        heads = np.flatnonzero(opening)
+        edge = np.cumsum(opening) - 1
+        opening[1:] |= pos[1:] != pos[:-1] + 1
+        placed = np.flatnonzero(opening | replaced[row])
+        placements = np.bincount(edge[placed], minlength=len(heads))
+        last = placed[np.append(edge[placed[1:]] != edge[placed[:-1]], True)]
+        avg_weight = weight[row[last]]
+        del placed, last
+        # Within an edge, a position that opens nothing follows the one
+        # before it, so its weight differs from that one's exactly where
+        # `changed` is set.
+        opening |= changed[pos]
+        starts = np.flatnonzero(opening)
+        del opening
+        span = next_time[pos[np.append(starts[1:], len(pos)) - 1]]
+        span -= time[row[starts]]
+        seg_edge = edge[starts]
+        duration = np.bincount(seg_edge, span, len(heads))
+        span *= weight[row[starts]]
+        integral = np.bincount(seg_edge, span, len(heads))
+        np.divide(integral, duration, out=avg_weight, where=duration > 0)
+        yield t, src[heads], row[heads], placements, duration, avg_weight
 
 
 def _firsts(keys: np.ndarray) -> np.ndarray:
@@ -245,9 +204,9 @@ def build_voting_network(trace: Iterable[Action],
     """Aggregate the trace into a directed voting graph with per-edge
     placement count, in-force duration, and time-averaged weight; end_time
     (default: the last action's timestamp) closes the votes still in force."""
-    builder = NetworkBuilder()
-    state, _ = replay(trace, [builder])
-    return builder.finish(state.end_time if end_time is None else end_time)
+    log = VoteLog()
+    state, _ = replay(trace, [log])
+    return voting_network(log, state.end_time if end_time is None else end_time)
 
 
 @dataclass(frozen=True)

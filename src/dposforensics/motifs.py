@@ -3,8 +3,8 @@ patterns within a sliding time window, with monthly occurrence series.
 
 Vote events are the flattened voteproducer actions: a direct vote yields one
 event per chosen candidate, and a proxy's vote additionally yields one event
-per currently delegating account with the proxy recorded on the event. The
-replay keeps one record per vote and flattens on demand, to the events
+per currently delegating account with the proxy recorded on the event. They
+are read from the direct-vote rows of the fold's VoteLog, to the events
 between candidates when that is all the detectors read; the detectors take
 the events as they are given.
 """
@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
-from .model import Action, ActionKind
+from .model import Action
 from .metrics import utc_month
-from .replay import VotingState, replay
+from .replay import VoteLog, replay
 
 DEFAULT_WINDOW = 7 * 86_400
 
@@ -44,52 +45,45 @@ class MotifInstance:
         return min(e.timestamp for e in self.witnesses)
 
 
-class VoteRecorder:
-    """Replay observer that keeps one record per applied direct vote: the
-    voter, its candidates, the time, and the voter's delegators (sorted) if
-    it is a registered proxy. A direct vote leaves the voter's own delegators
-    and proxy flag as they were, so reading them after the action is exact.
-    """
-
-    def __init__(self) -> None:
-        self.records: list[tuple[str, Sequence[str], int, tuple[str, ...]]] = []
-
-    def __call__(self, action: Action, state: VotingState) -> None:
-        if action.kind is not ActionKind.VOTE_PRODUCER or action.payload["proxy"]:
-            return
-        actor = action.actor
-        delegators: tuple[str, ...] = ()
-        if state.accounts[actor].is_proxy:
-            delegators = tuple(sorted(state.delegators.get(actor, ())))
-        self.records.append(
-            (actor, action.payload["producers"], action.timestamp, delegators))
-
-    def events(self, candidates: Optional[set[str]] = None) -> list[VoteEvent]:
-        """The records flattened in vote order: per chosen candidate, the
-        voter's own event, then one per delegator via the voter. With
-        `candidates`, only the events between two candidates."""
-        events = []
-        for actor, producers, timestamp, delegators in self.records:
-            own = True
-            if candidates is not None:
-                own = actor in candidates
-                delegators = tuple(d for d in delegators if d in candidates)
-                if not (own or delegators):
-                    continue
-                producers = [c for c in producers if c in candidates]
-            for cand in producers:
-                if own:
-                    events.append(VoteEvent(actor, cand, None, timestamp))
-                for delegator in delegators:
-                    events.append(VoteEvent(delegator, cand, actor, timestamp))
-        return events
+def vote_events(log: VoteLog, candidates: Optional[set[str]] = None
+                ) -> list[VoteEvent]:
+    """The direct votes of a fold's log flattened in vote order: per chosen
+    candidate, the voter's own event, then one per delegator via the voter,
+    in name order. With `candidates`, only the events between two
+    candidates."""
+    names, vote_sets = list(log.sources), list(log.vote_sets)
+    # per direct vote: the voter, its candidates, the time, and the
+    # delegators it re-points, those of a registered proxy
+    records: list[tuple[str, tuple[str, ...], int, list[str]]] = []
+    for row in compress(range(len(log.direct)), log.direct):
+        name, votes = names[log.src[row]], vote_sets[log.votes[row]]
+        if log.direct[row] == VoteLog.OWN:
+            delegators: list[str] = []
+            records.append((name, votes, int(log.time[row]), delegators))
+        elif votes:
+            delegators.append(name)
+    events = []
+    for actor, producers, timestamp, delegators in records:
+        own = True
+        if candidates is not None:
+            own = actor in candidates
+            delegators = [d for d in delegators if d in candidates]
+            if not (own or delegators):
+                continue
+            producers = tuple(c for c in producers if c in candidates)
+        for cand in producers:
+            if own:
+                events.append(VoteEvent(actor, cand, None, timestamp))
+            for delegator in delegators:
+                events.append(VoteEvent(delegator, cand, actor, timestamp))
+    return events
 
 
 def build_vote_events(trace: Iterable[Action]) -> list[VoteEvent]:
     """Replay the trace and flatten applied voteproducer actions to events."""
-    recorder = VoteRecorder()
-    replay(trace, [recorder])
-    return recorder.events()
+    log = VoteLog()
+    replay(trace, [log])
+    return vote_events(log)
 
 
 def _index_events(events: Sequence[VoteEvent]):

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -56,7 +57,6 @@ class VoterEntry:
 class VotingSnapshot:
     taken_at: int
     per_voter: dict[str, VoterEntry]
-    per_candidate: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -278,11 +278,8 @@ class VotingState:
                 weight=weight,
                 via_proxy=acct.proxy is not None,
             )
-        return VotingSnapshot(
-            taken_at=taken_at,
-            per_voter=per_voter,
-            per_candidate=dict(sorted(self.candidates.items())),
-        )
+        self._settle()  # a weight overflow fails the fold at this sample
+        return VotingSnapshot(taken_at=taken_at, per_voter=per_voter)
 
     def canonical_json(self) -> str:
         """Sorted-keys serialization used for determinism digests."""
@@ -302,6 +299,58 @@ class VotingState:
             "accounts": accounts,
             "candidates": self.candidates,
         }, sort_keys=True, separators=(",", ":"))
+
+
+class VoteLog:
+    """Replay observer: the fold's one log of what each source backs. After
+    each action it logs one row per source the action may re-point or
+    re-weigh: the source, the time, the votes it backs and their weight (as
+    VotingState.backing gives them), and its mark in `direct`. The rows of a
+    direct vote are the voter's own, marked OWN, then, since a proxy's vote
+    re-points its delegators, one per delegator in name order, marked
+    DELEGATED; every other row is marked 0.
+
+    A row outside a direct vote, backing no one when its source's last row
+    (if any) did too, opens and closes no edge, and is not logged.
+    """
+
+    OWN, DELEGATED = 1, 2
+
+    def __init__(self) -> None:
+        self.candidates: set[str] = set()  # the registered ones
+        self.sources: dict[str, int] = {}  # name -> number, in order of first row
+        self.vote_sets: dict[tuple[str, ...], int] = {}
+        self.src = array("i")
+        self.time = array("d")
+        self.votes = array("i")
+        self.weight = array("d")
+        self.direct = array("b")
+        self._backs: dict[str, bool] = {}  # whether a source's last row backs anyone
+
+    def __call__(self, action: Action, state: VotingState) -> None:
+        kind, actor = action.kind, action.actor
+        marks: Iterator[int] = repeat(0)
+        if kind is ActionKind.DELEGATE_BW or kind is ActionKind.UNDELEGATE_BW:
+            affected = [actor]
+        elif kind is ActionKind.REG_PROXY or kind is ActionKind.VOTE_PRODUCER:
+            affected = [actor] + sorted(state.delegators.get(actor, ()))
+            if kind is ActionKind.VOTE_PRODUCER and not action.payload["proxy"]:
+                marks = chain((self.OWN,), repeat(self.DELEGATED))
+        else:
+            if kind is ActionKind.REG_PRODUCER:
+                self.candidates.add(actor)
+            return
+        sources, vote_sets, backs = self.sources, self.vote_sets, self._backs
+        for src, mark in zip(affected, marks):
+            votes, weight = state.backing(src)
+            if not (votes or mark or backs.get(src)):
+                continue
+            backs[src] = bool(votes)
+            self.src.append(sources.setdefault(src, len(sources)))
+            self.time.append(action.timestamp)
+            self.votes.append(vote_sets.setdefault(votes, len(vote_sets)))
+            self.weight.append(weight)
+            self.direct.append(mark)
 
 
 Observer = Callable[[Action, VotingState], None]

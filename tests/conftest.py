@@ -1,10 +1,15 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import dposforensics
 from dposforensics.model import ActionKind, make_action, serialize_action
 
 T0 = 1_609_459_200  # 2021-01-01T00:00:00Z
@@ -98,6 +103,57 @@ def random_trace(seed, n_actions=500, n_accounts=40, n_candidates=8, n_proxies=4
         else:
             b.vote(actor, [rng.choice(accounts)])  # may hit a non-candidate
     return b.build()
+
+
+CANDIDATES = ["bpa", "bpb", "bpc", "bpd"]
+PROXIES = ["poola", "poolb"]
+VOTERS = ["alice", "bob", "carol", "dave"]
+
+
+@st.composite
+def voting_traces(draw):
+    """Traces in which candidates vote too (for themselves among others),
+    voters move between direct votes, proxies and no votes, proxies
+    deregister, stakes change, and actions share timestamps; plus an end time
+    at or after the last action."""
+    b = TraceBuilder()
+    for name in CANDIDATES + PROXIES + VOTERS:
+        b.newaccount("genesis", name).delegate(name, draw(st.integers(1, 50)) * 10_000)
+    for name in CANDIDATES:
+        b.regproducer(name)
+    for name in PROXIES:
+        b.regproxy(name)
+    everyone = st.sampled_from(CANDIDATES + PROXIES + VOTERS)
+    for _ in range(draw(st.integers(0, 40))):
+        ts = b.t + draw(st.sampled_from([0, 0, 1, DAY]))
+        kind = draw(st.sampled_from(["vote", "vote", "proxy", "stake", "unstake",
+                                     "regproxy"]))
+        if kind == "vote":
+            b.vote(draw(everyone), draw(st.sets(st.sampled_from(CANDIDATES))), ts=ts)
+        elif kind == "proxy":
+            b.vote_proxy(draw(st.sampled_from(VOTERS + CANDIDATES)),
+                         draw(st.sampled_from(PROXIES)), ts=ts)
+        elif kind == "stake":
+            b.delegate(draw(everyone), draw(st.integers(1, 20)) * 10_000, ts=ts)
+        elif kind == "unstake":
+            b.undelegate(draw(everyone), draw(st.integers(1, 20)) * 10_000, ts=ts)
+        else:
+            b.regproxy(draw(st.sampled_from(PROXIES)), draw(st.booleans()), ts=ts)
+    trace = b.build()
+    return trace, trace[-1].timestamp + draw(st.sampled_from([0, 1, 3 * DAY]))
+
+
+def run_under_hash_seed(hash_seed, probe, cwd):
+    """Run the statements `probe` in a fresh interpreter under
+    PYTHONHASHSEED=hash_seed, with the package and the test modules on its
+    path; the probe must exit 0."""
+    paths = [str(Path(dposforensics.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def _fuzz_trace() -> list[dict]:

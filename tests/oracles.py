@@ -29,7 +29,7 @@ from dposforensics.model import (
 )
 from dposforensics.clustering import record_similarity
 from dposforensics.gangs import EgonetFeature, GangError, VotingGraph
-from dposforensics.motifs import DEFAULT_WINDOW, EIGHT, LINEAR, TRIANGULAR
+from dposforensics.motifs import DEFAULT_WINDOW, EIGHT, LINEAR, TRIANGULAR, VoteEvent
 from dposforensics.replay import replay
 
 
@@ -158,6 +158,55 @@ def motif_key_set(instances):
     from dposforensics.metrics import utc_month
 
     return {(i.shape, i.participants, utc_month(i.window_start)) for i in instances}
+
+
+class VoteRecorder:
+    """Replay observer that keeps one record per applied direct vote: the
+    voter, its candidates, the time, and the voter's delegators (sorted) if
+    it is a registered proxy. A direct vote leaves the voter's own delegators
+    and proxy flag as they were, so reading them after the action is exact.
+    """
+
+    def __init__(self) -> None:
+        self.records = []
+
+    def __call__(self, action, state) -> None:
+        if action.kind is not ActionKind.VOTE_PRODUCER or action.payload["proxy"]:
+            return
+        actor = action.actor
+        delegators = ()
+        if state.accounts[actor].is_proxy:
+            delegators = tuple(sorted(state.delegators.get(actor, ())))
+        self.records.append(
+            (actor, action.payload["producers"], action.timestamp, delegators))
+
+    def events(self, candidates=None) -> list[VoteEvent]:
+        """The records flattened in vote order: per chosen candidate, the
+        voter's own event, then one per delegator via the voter. With
+        `candidates`, only the events between two candidates."""
+        events = []
+        for actor, producers, timestamp, delegators in self.records:
+            own = True
+            if candidates is not None:
+                own = actor in candidates
+                delegators = tuple(d for d in delegators if d in candidates)
+                if not (own or delegators):
+                    continue
+                producers = [c for c in producers if c in candidates]
+            for cand in producers:
+                if own:
+                    events.append(VoteEvent(actor, cand, None, timestamp))
+                for delegator in delegators:
+                    events.append(VoteEvent(delegator, cand, actor, timestamp))
+        return events
+
+
+def ref_vote_events(trace, candidates=None) -> list[VoteEvent]:
+    """The trace's vote events from a VoteRecorder replay, restricted to
+    `candidates` if given."""
+    recorder = VoteRecorder()
+    replay(trace, [recorder])
+    return recorder.events(candidates)
 
 
 @dataclass(slots=True)

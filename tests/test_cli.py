@@ -905,10 +905,12 @@ def _report_under_hash_seeds(command: str, trace: Path, report: str,
     return reports
 
 
-def test_gang_report_independent_of_hash_seed(ledger_dir, tmp_path):
-    reports = _report_under_hash_seeds("gangs", ledger_dir / "trace.jsonl",
-                                       "gangs.json", tmp_path)
-    assert reports[0] == reports[1]
+@pytest.mark.parametrize("command, report", [("gangs", "gangs.json"),
+                                             ("motifs", "motifs.jsonl")])
+def test_analysis_report_independent_of_hash_seed(ledger_dir, tmp_path, command, report):
+    reports = _report_under_hash_seeds(command, ledger_dir / "trace.jsonl", report,
+                                       tmp_path)
+    assert reports[0] and reports[0] == reports[1]
 
 
 def test_state_independent_of_hash_seed(tmp_path):

@@ -1,22 +1,16 @@
 import gc
 import math
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import dposforensics
 from dposforensics.gangs import (
     EgonetFeature,
     GangError,
-    NetworkBuilder,
     _modularity,
     build_voting_network,
     detect_gangs,
@@ -27,12 +21,13 @@ from dposforensics.gangs import (
     reconstruct_weighted_network,
     run_pipeline,
     select_anomalies,
+    voting_network,
 )
 from dposforensics.model import compute_vote_index, compute_vote_weight
-from dposforensics.replay import replay
+from dposforensics.replay import VoteLog, replay
 from dposforensics.synth import GenConfig, PlantSpec, generate_ledger
 
-from conftest import T0, DAY, TraceBuilder, random_trace
+from conftest import T0, DAY, TraceBuilder, random_trace, run_under_hash_seed, voting_traces
 from oracles import (
     EdgeStats,
     NodeIndex,
@@ -177,50 +172,18 @@ class TestEdgeStats:
         assert_matches_both_oracles(trace, trace[-1].timestamp + extra_days * DAY)
 
 
-CANDIDATES = ["bpa", "bpb", "bpc", "bpd"]
-PROXIES = ["poola", "poolb"]
-VOTERS = ["alice", "bob", "carol", "dave"]
-
-
-@st.composite
-def voting_traces(draw):
-    """Traces in which candidates vote too (for themselves among others),
-    voters move between direct votes, proxies and no votes, proxies
-    deregister, stakes change, and actions share timestamps; plus an end time
-    at or after the last action."""
-    b = TraceBuilder()
-    for name in CANDIDATES + PROXIES + VOTERS:
-        b.newaccount("genesis", name).delegate(name, draw(st.integers(1, 50)) * EOS)
-    for name in CANDIDATES:
-        b.regproducer(name)
-    for name in PROXIES:
-        b.regproxy(name)
-    everyone = st.sampled_from(CANDIDATES + PROXIES + VOTERS)
-    for _ in range(draw(st.integers(0, 40))):
-        ts = b.t + draw(st.sampled_from([0, 0, 1, DAY]))
-        kind = draw(st.sampled_from(["vote", "vote", "proxy", "stake", "unstake",
-                                     "regproxy"]))
-        if kind == "vote":
-            b.vote(draw(everyone), draw(st.sets(st.sampled_from(CANDIDATES))), ts=ts)
-        elif kind == "proxy":
-            b.vote_proxy(draw(st.sampled_from(VOTERS + CANDIDATES)),
-                         draw(st.sampled_from(PROXIES)), ts=ts)
-        elif kind == "stake":
-            b.delegate(draw(everyone), draw(st.integers(1, 20)) * EOS, ts=ts)
-        elif kind == "unstake":
-            b.undelegate(draw(everyone), draw(st.integers(1, 20)) * EOS, ts=ts)
-        else:
-            b.regproxy(draw(st.sampled_from(PROXIES)), draw(st.booleans()), ts=ts)
-    trace = b.build()
-    return trace, trace[-1].timestamp + draw(st.sampled_from([0, 1, 3 * DAY]))
-
-
 class TestColumnBuilder:
     @settings(max_examples=200, deadline=None)
     @given(case=voting_traces())
     def test_matches_incremental_builder_bit_for_bit(self, case):
         trace, end_time = case
         assert_matches_both_oracles(trace, end_time)
+
+    def test_matches_incremental_builder_under_hash_seed(self, tmp_path):
+        """The property above in a process whose sets of names iterate in
+        another order."""
+        run_under_hash_seed("1", "import test_gangs; test_gangs.TestColumnBuilder()"
+                                 ".test_matches_incremental_builder_bit_for_bit()", tmp_path)
 
     def test_no_edges(self):
         b = TraceBuilder().newaccount("genesis", "bpa").regproducer("bpa")
@@ -285,28 +248,53 @@ class TestColumnBuilder:
     # the memory of the six edge columns of the voter-level graph: 48 bytes
     # per edge of the oracle's network.
     def test_finish_transient_memory_at_most_its_graph(self, logged_ledger):
-        builder, end_time, n_edges = logged_ledger
-        graph = _within_its_result(lambda: builder.finish(end_time), 48 * n_edges)
+        log, end_time, n_edges = logged_ledger
+        graph = _within_its_result(lambda: voting_network(log, end_time), 48 * n_edges)
         assert n_edges >= 20_000 and len(graph.candidates) >= 60
 
     def test_egonet_transient_memory_at_most_the_graph(self, logged_ledger):
-        builder, end_time, n_edges = logged_ledger
-        graph = builder.finish(end_time)
+        log, end_time, n_edges = logged_ledger
+        graph = voting_network(log, end_time)
         feats = _within_its_result(lambda: egonet_features(graph), 48 * n_edges)
         assert len(feats) >= 60
 
 
+def assert_logs_no_dead_row(log):
+    """Each row outside a direct vote backs someone, or follows a row of its
+    source that did: any other row would open and close no edge."""
+    nobody = log.vote_sets.get(())
+    backed = {}
+    for row, (src, votes, mark) in enumerate(zip(log.src, log.votes, log.direct)):
+        assert mark or votes != nobody or backed.get(src), row
+        backed[src] = votes != nobody
+
+
+class TestVoteLog:
+    def test_logs_no_dead_row(self, logged_ledger):
+        log, _, _ = logged_ledger
+        assert_logs_no_dead_row(log)
+        assert len(log.src) >= 1000
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_actions=st.integers(0, 250))
+    def test_logs_no_dead_row_on_random_traces(self, seed, n_actions):
+        log = VoteLog()
+        replay(random_trace(seed, n_actions=n_actions, n_accounts=20, n_candidates=5,
+                            n_proxies=3), [log])
+        assert_logs_no_dead_row(log)
+
+
 @pytest.fixture(scope="module")
 def logged_ledger():
-    """A NetworkBuilder that has logged a fixed generated ledger, the
-    ledger's end time, and the number of edges of its voter-level network."""
+    """The VoteLog of a fixed generated ledger, the ledger's end time, and
+    the number of edges of its voter-level network."""
     trace, _, _ = generate_ledger(GenConfig(
         seed=3, n_accounts=2000, n_candidates=60, n_proxies=20,
         duration_days=30, participation_rate=0.5,
         plants=[PlantSpec(kind="near_clique", size=6)]))
-    builder = NetworkBuilder()
-    state, _ = replay(trace, [builder])
-    return (builder, state.end_time,
+    log = VoteLog()
+    state, _ = replay(trace, [log])
+    return (log, state.end_time,
             len(incremental_voting_network(trace, state.end_time)))
 
 
@@ -711,14 +699,9 @@ class TestLouvainPort:
     def test_matches_networkx_under_hash_seed(self, hash_seed, tmp_path):
         """The first level's communities are sets of names, whose order
         follows the string hash; the port must match under each hash seed."""
-        paths = [str(Path(dposforensics.__file__).parents[1]), str(Path(__file__).parent),
-                 os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        probe = "import test_gangs; test_gangs.TestLouvainPort().test_matches_networkx()"
-        result = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
-                                capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
+        run_under_hash_seed(
+            hash_seed, "import test_gangs; test_gangs.TestLouvainPort().test_matches_networkx()",
+            tmp_path)
 
 
 class TestModularity:

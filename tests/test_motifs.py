@@ -9,22 +9,23 @@ from dposforensics.motifs import (
     LINEAR,
     TRIANGULAR,
     VoteEvent,
-    VoteRecorder,
     build_vote_events,
     detect_eight,
     detect_linear,
     detect_triangular,
     motif_series,
+    vote_events,
 )
 
-from dposforensics.replay import replay
+from dposforensics.replay import VoteLog, replay
 
-from conftest import T0, DAY, TraceBuilder, random_trace
+from conftest import T0, DAY, TraceBuilder, random_trace, run_under_hash_seed, voting_traces
 from oracles import (
     brute_eight,
     brute_linear,
     brute_triangular,
     motif_key_set,
+    ref_vote_events,
     verify_instance,
 )
 
@@ -82,10 +83,10 @@ class TestLinear:
         for name in ("a", "b"):
             b.newaccount("genesis", name).delegate(name, 10_000).regproducer(name)
         b.vote("a", ["b"], ts=T0).vote("b", ["a"], ts=T0 + 100)
-        recorder = VoteRecorder()
-        replay(b.build(), [recorder])
-        assert detect_linear(recorder.events({"a", "b"}))
-        assert detect_linear(recorder.events({"a"})) == []
+        log = VoteLog()
+        replay(b.build(), [log])
+        assert detect_linear(vote_events(log, {"a", "b"}))
+        assert detect_linear(vote_events(log, {"a"})) == []
 
 
 class TestTriangular:
@@ -198,11 +199,98 @@ class TestVoteRecords:
                                                         candidates):
         trace = random_trace(seed, n_actions=n_actions, n_accounts=24,
                              n_candidates=6, n_proxies=4)
-        recorder = VoteRecorder()
-        replay(trace, [recorder])
-        flattened = recorder.events()
-        assert recorder.events(candidates) == [
+        log = VoteLog()
+        replay(trace, [log])
+        flattened = vote_events(log)
+        assert vote_events(log, candidates) == [
             e for e in flattened if e.src in candidates and e.dst in candidates]
+
+
+def by_key(events):
+    """(src, dst) -> the events from src to dst, in order: what the
+    detectors read of a list of events."""
+    keyed = {}
+    for e in events:
+        keyed.setdefault((e.src, e.dst), []).append(e)
+    return keyed
+
+
+def assert_events_match_reference(trace, candidates):
+    """The log's events equal the VoteRecorder reference's per (src, dst)
+    key, in order and with integer timestamps, unrestricted, restricted to
+    `candidates`, and restricted to the registered candidates."""
+    log = VoteLog()
+    state, _ = replay(trace, [log])
+    for restriction in (None, candidates, set(state.tallies)):
+        events = vote_events(log, restriction)
+        assert all(type(e.timestamp) is int for e in events)
+        assert by_key(events) == by_key(ref_vote_events(trace, restriction))
+
+
+def proxy_votes_twice_in_one_second():
+    b = TraceBuilder().regproducer("bpa").regproducer("bpb")
+    b.newaccount("genesis", "pool").regproxy("pool")
+    b.newaccount("genesis", "alice").vote_proxy("alice", "pool")
+    b.vote("pool", ["bpa"], ts=T0 + DAY).vote("pool", ["bpb"], ts=T0 + DAY)
+    return b.build(), [("pool", "bpa", None), ("alice", "bpa", "pool"),
+                       ("pool", "bpb", None), ("alice", "bpb", "pool")]
+
+
+def deregistered_proxy_votes():
+    b = TraceBuilder().regproducer("bpa")
+    b.newaccount("genesis", "pool").regproxy("pool")
+    b.newaccount("genesis", "alice").vote_proxy("alice", "pool")
+    b.regproxy("pool", False).vote("pool", ["bpa"])
+    return b.build(), [("pool", "bpa", None)]
+
+
+def registered_proxy_votes_for_no_one():
+    b = TraceBuilder().regproducer("bpa")
+    b.newaccount("genesis", "pool").regproxy("pool")
+    b.newaccount("genesis", "alice").vote_proxy("alice", "pool")
+    b.vote("pool", []).vote("pool", ["bpa"])
+    return b.build(), [("pool", "bpa", None), ("alice", "bpa", "pool")]
+
+
+def candidate_delegates():
+    b = TraceBuilder().regproducer("bpa").regproducer("bpb")
+    b.newaccount("genesis", "pool").regproxy("pool")
+    b.vote_proxy("bpb", "pool").newaccount("genesis", "alice").vote_proxy("alice", "pool")
+    b.vote("pool", ["bpa", "bpb"])
+    return b.build(), [("pool", "bpa", None), ("alice", "bpa", "pool"),
+                       ("bpb", "bpa", "pool"), ("pool", "bpb", None),
+                       ("alice", "bpb", "pool"), ("bpb", "bpb", "pool")]
+
+
+class TestVoteEvents:
+    @pytest.mark.parametrize("case", [
+        proxy_votes_twice_in_one_second, deregistered_proxy_votes,
+        registered_proxy_votes_for_no_one, candidate_delegates])
+    def test_builder_cases(self, case):
+        trace, expected = case()
+        assert [(e.src, e.dst, e.via_proxy) for e in build_vote_events(trace)] == expected
+        assert_events_match_reference(trace, {"bpa", "bpb", "alice"})
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_actions=st.integers(0, 300),
+           candidates=st.sets(st.sampled_from(ACCOUNTS)))
+    def test_match_reference_on_random_traces(self, seed, n_actions, candidates):
+        assert_events_match_reference(random_trace(
+            seed, n_actions=n_actions, n_accounts=24, n_candidates=6, n_proxies=4),
+            candidates)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=voting_traces(), candidates=st.sets(st.sampled_from(
+        ["bpa", "bpb", "bpc", "poola", "alice", "bob"])))
+    def test_match_reference_on_voting_traces(self, case, candidates):
+        assert_events_match_reference(case[0], candidates)
+
+    def test_match_reference_under_hash_seed(self, tmp_path):
+        """Both properties in a process whose sets of names iterate in
+        another order."""
+        run_under_hash_seed("1", "import test_motifs; t = test_motifs.TestVoteEvents(); "
+                                 "t.test_match_reference_on_random_traces(); "
+                                 "t.test_match_reference_on_voting_traces()", tmp_path)
 
 
 def random_events(seed, n_events=300, n_accounts=20, n_proxies=4, span_days=45):
