@@ -57,6 +57,7 @@ from .motifs import (
 from .replay import SampleTimes, VoteLog, replay, replay_with_snapshots
 from .scoring import instance_score, pairwise_score
 from .synth import (
+    PLANT_GROUPS,
     ConfigError,
     GenConfig,
     generate_ledger,
@@ -555,11 +556,6 @@ REPORTS = {"clusters.json": {**MANIFEST, "clusters": [{"members": NAMES}]},
            "gangs.json": {**MANIFEST, "communities": [NAMES]},
            "motifs.json": MANIFEST}
 MOTIF_LINE = {"shape": str, "participants": NAMES}
-# The field of each scored plant kind that lists its planted accounts: one
-# group of names, or one name tuple per planted motif instance.
-PLANT_GROUPS = {"similar_cluster": "members", "near_clique": "members",
-                "linear_gang": "pairs", "triangular_gang": "triples",
-                "eight_gang": "quads"}
 
 
 def _misfit(value, shape, where: str = "") -> str | None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
@@ -178,7 +178,7 @@ class TurnoverReport:
 def producer_turnover(headers: Iterable[BlockHeader]) -> TurnoverReport:
     """Distinct producers per UTC month, cumulative distinct producers, and
     distinct production days per producer."""
-    return turnover_of(daily_production(map(astuple, headers)))
+    return turnover_of(daily_production(headers))
 
 
 def turnover_of(daily: Mapping[tuple, int]) -> TurnoverReport:
@@ -202,7 +202,7 @@ def turnover_of(daily: Mapping[tuple, int]) -> TurnoverReport:
 
 def monthly_production(headers: Iterable[BlockHeader]) -> dict[tuple[int, int], dict[str, int]]:
     """Blocks produced per producer, bucketed by UTC month."""
-    return production_by_month(daily_production(map(astuple, headers)))
+    return production_by_month(daily_production(headers))
 
 
 def production_by_month(daily: Mapping[tuple, int]) -> dict[tuple[int, int], dict[str, int]]:

@@ -9,7 +9,6 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from sys import intern
@@ -80,8 +79,10 @@ class Action(NamedTuple):
         return (self.block, self.seq)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockHeader:
+class BlockHeader(NamedTuple):
+    """One block's header; a named tuple, as Action is, so that it is the
+    tuple header_fields yields."""
+
     height: int
     producer: str
     timestamp: float

@@ -34,8 +34,16 @@ TRIANGULAR_GANG = "triangular_gang"
 EIGHT_GANG = "eight_gang"
 NEAR_CLIQUE = "near_clique"
 
-PLANT_KINDS = (SIMILAR_CLUSTER, LINEAR_GANG, TRIANGULAR_GANG, EIGHT_GANG,
-               NEAR_CLIQUE)
+# The truth field of each plant kind that lists its planted accounts: one
+# group of names, or one name tuple per planted motif instance.
+PLANT_GROUPS = {SIMILAR_CLUSTER: "members", LINEAR_GANG: "pairs",
+                TRIANGULAR_GANG: "triples", EIGHT_GANG: "quads",
+                NEAR_CLIQUE: "members"}
+PLANT_KINDS = tuple(PLANT_GROUPS)
+# The accounts of a plant beyond its `size` members: the proxies each pair of
+# a pair gang votes through, and a near clique's pendant decoys.
+_PROXIES_PER_PAIR = {TRIANGULAR_GANG: 1, EIGHT_GANG: 2}
+_PENDANTS = {NEAR_CLIQUE: 2}
 
 ROUND_SECONDS = 63.0
 BLOCKS_PER_ROUND = 126
@@ -100,17 +108,8 @@ class PlantSpec:
             raise ConfigError(f"{label}: vote_jitter must be in [0, 0.1]")
 
     def accounts_needed(self) -> int:
-        if self.kind == SIMILAR_CLUSTER:
-            return self.size
-        if self.kind == LINEAR_GANG:
-            return self.size
-        if self.kind == TRIANGULAR_GANG:
-            return self.size + self.size // 2       # voters + one proxy per pair
-        if self.kind == EIGHT_GANG:
-            return self.size + 2 * (self.size // 2)  # voters + two proxies per pair
-        if self.kind == NEAR_CLIQUE:
-            return self.size + 2                     # members + pendant decoys
-        raise ConfigError(f"unknown plant kind '{self.kind}'")
+        return (self.size + _PROXIES_PER_PAIR.get(self.kind, 0) * (self.size // 2)
+                + _PENDANTS.get(self.kind, 0))
 
 
 @dataclass
@@ -223,13 +222,8 @@ def next_month_start(ts: float) -> int:
 
 def month_windows(start_ts: int, end_ts: int) -> list[tuple[int, int]]:
     """[lo, hi) clamped overlap of each UTC month with [start_ts, end_ts)."""
-    windows = []
-    cursor = month_start(start_ts)
-    while cursor < end_ts:
-        nxt = next_month_start(cursor)
-        windows.append((max(cursor, start_ts), min(nxt, end_ts)))
-        cursor = nxt
-    return windows
+    his = [end + 1 for end in month_ends(start_ts, end_ts)]
+    return list(zip([start_ts, *his], his))
 
 
 def month_ends(start_ts: int, end_ts: float) -> Iterator[int]:
@@ -258,14 +252,12 @@ class _TraceAssembler:
     def __init__(self, start_time: int):
         self.start_time = start_time
         self.raw: list[tuple[float, int, ActionKind, str, dict]] = []
-        self._ordinal = 0
 
     def add(self, ts: float, kind: ActionKind, actor: str, payload: dict) -> None:
-        self.raw.append((ts, self._ordinal, kind, actor, payload))
-        self._ordinal += 1
+        self.raw.append((ts, len(self.raw), kind, actor, payload))
 
     def build(self) -> list[Action]:
-        self.raw.sort(key=lambda r: (r[0], r[1]))
+        self.raw.sort()  # by time, then order of addition: no two tie
         actions = []
         names: dict[str, str] = {}  # checked once per name, as in a load
         for seq, (ts, _, kind, actor, payload) in enumerate(self.raw):
@@ -357,12 +349,9 @@ def generate_ledger(config: GenConfig) -> tuple[list[Action], list[BlockHeader],
         asm.add(tick(), ActionKind.DELEGATE_BW, name, {"amount": stakes[name]})
 
     # registrations
-    plant_candidates: list[str] = []
-    plant_proxies: list[str] = []
     plant_roles = _assign_plant_roles(config.plants, names.plant_accounts)
-    for roles in plant_roles:
-        plant_candidates.extend(roles.get("candidates", []))
-        plant_proxies.extend(roles.get("proxies", []))
+    plant_candidates = [c for roles in plant_roles for c in roles["candidates"]]
+    plant_proxies = [p for roles in plant_roles for p in roles["proxies"]]
     for cand in names.candidates + plant_candidates:
         asm.add(tick(), ActionKind.REG_PRODUCER, cand, {})
     for proxy in names.proxies + plant_proxies:
@@ -379,7 +368,7 @@ def generate_ledger(config: GenConfig) -> tuple[list[Action], list[BlockHeader],
 
     # plant delegations (before the proxies' planted votes)
     for roles in plant_roles:
-        for delegator, proxy in roles.get("delegations", []):
+        for delegator, proxy in roles["delegations"]:
             asm.add(tick(), ActionKind.VOTE_PRODUCER, delegator,
                     {"proxy": proxy, "producers": []})
 
@@ -411,10 +400,8 @@ def generate_ledger(config: GenConfig) -> tuple[list[Action], list[BlockHeader],
 
     # planted behavior
     windows = month_windows(vote_start, t_end)
-    truth_plants = []
-    for plant, roles in zip(config.plants, plant_roles):
-        truth_plants.append(_emit_plant(plant, roles, windows, names, asm,
-                                        rng_plants, creators))
+    truth_plants = [_emit_plant(plant, roles, windows, names, asm, rng_plants, creators)
+                    for plant, roles in zip(config.plants, plant_roles)]
 
     trace = asm.build()
     headers = _headers_for_trace(trace, config, rng_sched, t_end)
@@ -428,48 +415,30 @@ def generate_ledger(config: GenConfig) -> tuple[list[Action], list[BlockHeader],
 
 def _assign_plant_roles(plants: Sequence[PlantSpec],
                         plant_accounts: Sequence[list[str]]) -> list[dict]:
-    """Split each plant's accounts into role lists and a delegation plan."""
+    """Split each plant's accounts into role lists, a delegation plan and the
+    groups its truth lists: the first `size` accounts are the members, the
+    rest its proxies or pendants."""
     roles_list = []
     for plant, accounts in zip(plants, plant_accounts):
-        roles: dict = {"members": [], "candidates": [], "proxies": [],
-                       "delegations": [], "pendants": []}
-        if plant.kind == SIMILAR_CLUSTER:
-            roles["members"] = list(accounts)
-        elif plant.kind == LINEAR_GANG:
-            roles["members"] = list(accounts)
-            roles["candidates"] = list(accounts)
-        elif plant.kind == TRIANGULAR_GANG:
-            n_pairs = plant.size // 2
-            voters = accounts[:plant.size]
-            proxies = accounts[plant.size:plant.size + n_pairs]
-            roles["members"] = voters
-            roles["candidates"] = voters
-            roles["proxies"] = proxies
-            roles["triples"] = []
-            for i in range(n_pairs):
-                a, b, p = voters[2 * i], voters[2 * i + 1], proxies[i]
-                roles["delegations"].append((a, p))
-                roles["triples"].append((a, p, b))
-        elif plant.kind == EIGHT_GANG:
-            n_pairs = plant.size // 2
-            voters = accounts[:plant.size]
-            proxies = accounts[plant.size:plant.size + 2 * n_pairs]
-            roles["members"] = voters
-            roles["candidates"] = voters
-            roles["proxies"] = proxies
-            roles["quads"] = []
-            for i in range(n_pairs):
-                a, b = voters[2 * i], voters[2 * i + 1]
-                pa, pb = proxies[2 * i], proxies[2 * i + 1]
-                roles["delegations"] += [(a, pa), (b, pb)]
-                lo, lo_p, hi, hi_p = (a, pa, b, pb) if a < b else (b, pb, a, pa)
-                roles["quads"].append((lo, lo_p, hi, hi_p))
-        elif plant.kind == NEAR_CLIQUE:
-            members = accounts[:plant.size]
-            pendants = accounts[plant.size:plant.size + 2]
-            roles["members"] = members
-            roles["pendants"] = pendants
-            roles["candidates"] = members + pendants
+        members, extras = accounts[:plant.size], accounts[plant.size:]
+        per_pair = _PROXIES_PER_PAIR.get(plant.kind, 0)
+        pendants = extras if plant.kind in _PENDANTS else []
+        roles: dict = {
+            "members": members, "pendants": pendants,
+            "candidates": [] if plant.kind == SIMILAR_CLUSTER else members + pendants,
+            "proxies": extras if per_pair else [], "delegations": [], "groups": []}
+        if plant.kind == LINEAR_GANG:
+            roles["groups"] = [(a, b) for i, a in enumerate(members)
+                               for b in members[i + 1:]]
+        for i in range(plant.size // 2 if per_pair else 0):
+            a, b = members[2 * i], members[2 * i + 1]
+            proxies = extras[per_pair * i:per_pair * (i + 1)]
+            roles["delegations"] += zip((a, b), proxies)
+            if per_pair == 1:  # only a delegates, to its proxy
+                roles["groups"].append((a, proxies[0], b))
+            else:  # each delegates to its own proxy; the lower name leads
+                pa, pb = proxies
+                roles["groups"].append((a, pa, b, pb) if a < b else (b, pb, a, pa))
         roles_list.append(roles)
     return roles_list
 
@@ -479,28 +448,30 @@ def _emit_plant(plant: PlantSpec, roles: dict,
                 asm: _TraceAssembler, rng: random.Random,
                 creators: dict[str, str]) -> dict:
     active = [i for i in range(len(windows))
-              if plant.months is None or i in plant.months]
-    if not active:
-        active = [0]
-    anchors = []
-    for i in active:
-        lo, hi = windows[i]
-        anchors.append(lo + (hi - lo) // 2)
+              if plant.months is None or i in plant.months] or [0]
+    anchors = [lo + (hi - lo) // 2 for lo, hi in (windows[i] for i in active)]
 
+    members, pendants = roles["members"], roles["pendants"]
     record: dict = {
         "kind": plant.kind,
-        "members": list(roles["members"]),
+        "members": list(members),
         "shared_creator": plant.shared_creator,
-        "creator": creators.get(roles["members"][0]) if plant.shared_creator else None,
+        "creator": creators.get(members[0]) if plant.shared_creator else None,
     }
+    field = PLANT_GROUPS[plant.kind]
+    if field != "members":
+        record[field] = [list(group) for group in roles["groups"]]
+    if pendants:
+        record["pendants"] = list(pendants)
 
+    anchor = anchors[0]
     if plant.kind == SIMILAR_CLUSTER:
         pool = names.candidates
         k = rng.randint(10, min(MAX_VOTES, len(pool)))
         base = sorted(rng.sample(pool, k))
         record["candidate_set"] = base
         for anchor in anchors:
-            for member in roles["members"]:
+            for member in members:
                 picks = list(base)
                 if plant.vote_jitter and rng.random() < plant.vote_jitter:
                     out = rng.choice(picks)
@@ -510,37 +481,16 @@ def _emit_plant(plant: PlantSpec, roles: dict,
                         picks.append(rng.choice(alternatives))
                 asm.add(anchor + rng.uniform(0, 3600), ActionKind.VOTE_PRODUCER,
                         member, {"proxy": "", "producers": sorted(picks)})
-    elif plant.kind == LINEAR_GANG:
-        members = roles["members"]
-        record["pairs"] = [[a, b] for i, a in enumerate(members)
-                           for b in members[i + 1:]]
-        anchor = anchors[0]
-        for i, member in enumerate(members):
-            others = sorted(m for m in members if m != member)
-            asm.add(anchor + i * 60 + rng.uniform(0, 30), ActionKind.VOTE_PRODUCER,
-                    member, {"proxy": "", "producers": others})
-    elif plant.kind == TRIANGULAR_GANG:
-        record["triples"] = [list(t) for t in roles["triples"]]
-        anchor = anchors[0]
-        for i, (a, p, b) in enumerate(roles["triples"]):
-            # p is a's proxy: p voting for b realizes the a->b leg via p
+    elif plant.kind in _PROXIES_PER_PAIR:
+        for i, group in enumerate(roles["groups"]):
+            # group[1] is group[0]'s proxy: its vote for group[2] realizes the
+            # group[0] -> group[2] leg; group[-1] closes the loop back
             asm.add(anchor + i * 120 + rng.uniform(0, 30), ActionKind.VOTE_PRODUCER,
-                    p, {"proxy": "", "producers": [b]})
+                    group[1], {"proxy": "", "producers": [group[2]]})
             asm.add(anchor + i * 120 + 60 + rng.uniform(0, 30),
-                    ActionKind.VOTE_PRODUCER, b, {"proxy": "", "producers": [a]})
-    elif plant.kind == EIGHT_GANG:
-        record["quads"] = [list(q) for q in roles["quads"]]
-        anchor = anchors[0]
-        for i, (a, pa, b, pb) in enumerate(roles["quads"]):
-            asm.add(anchor + i * 120 + rng.uniform(0, 30), ActionKind.VOTE_PRODUCER,
-                    pa, {"proxy": "", "producers": [b]})
-            asm.add(anchor + i * 120 + 60 + rng.uniform(0, 30),
-                    ActionKind.VOTE_PRODUCER, pb, {"proxy": "", "producers": [a]})
-    elif plant.kind == NEAR_CLIQUE:
-        members = roles["members"]
-        pendants = roles["pendants"]
-        record["pendants"] = list(pendants)
-        anchor = anchors[0]
+                    ActionKind.VOTE_PRODUCER, group[-1],
+                    {"proxy": "", "producers": [group[0]]})
+    else:  # every member votes for all the others, then the pendants vote
         for i, member in enumerate(members):
             others = sorted(m for m in members if m != member)
             asm.add(anchor + i * 60 + rng.uniform(0, 30), ActionKind.VOTE_PRODUCER,

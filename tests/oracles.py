@@ -741,6 +741,20 @@ def _ref_header_number(record, key, kind):
     raise ParseError(f"header field '{key}' must be numeric, got {value!r}", key)
 
 
+def ref_month_windows(start_ts, end_ts):
+    """[lo, hi) clamped overlap of each UTC month with [start_ts, end_ts),
+    walked one month at a time."""
+    from dposforensics.synth import month_start, next_month_start
+
+    windows = []
+    cursor = month_start(start_ts)
+    while cursor < end_ts:
+        nxt = next_month_start(cursor)
+        windows.append((max(cursor, start_ts), min(nxt, end_ts)))
+        cursor = nxt
+    return windows
+
+
 def brute_monthly_production(headers):
     """Blocks per producer per UTC month, one utc_month call per header."""
     from dposforensics.metrics import utc_month

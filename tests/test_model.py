@@ -346,11 +346,11 @@ class TestParsersAgreeWithReference:
         over the reference's headers, and over all the lines it fails as the
         reference fails on the first line it rejects."""
         outcomes = [_outcome(oracles.ref_parse_header, line) for line in lines]
-        accepted = [line for line, o in zip(lines, outcomes) if not isinstance(o, tuple)]
+        accepted = [line for line, o in zip(lines, outcomes) if isinstance(o, BlockHeader)]
         names = {}
         assert daily_production(header_fields(line, names) for line in accepted) == Counter(
             (utc_day(h.timestamp), h.producer) for h in map(oracles.ref_parse_header, accepted))
-        rejected = [o for o in outcomes if isinstance(o, tuple)]
+        rejected = [o for o in outcomes if not isinstance(o, BlockHeader)]
         if rejected:
             with pytest.raises(ParseError) as exc:
                 daily_production(header_fields(line, {}) for line in lines)

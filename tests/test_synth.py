@@ -1,11 +1,14 @@
+import hashlib
 import json
 import random
 import statistics
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dposforensics.clustering import cluster_voters, sample_voting_records
-from dposforensics.model import serialize_action, serialize_header
+from dposforensics.model import TIME_MAX, serialize_action, serialize_header
 from dposforensics.motifs import build_vote_events, detect_eight, detect_linear, \
     detect_triangular
 from dposforensics.replay import replay, replay_with_snapshots
@@ -21,7 +24,7 @@ from dposforensics.synth import (
     monthly_sample_times,
 )
 
-from oracles import hill_alpha
+from oracles import hill_alpha, ref_month_windows
 
 PRODUCERS = [f"bp{chr(97 + i)}" for i in range(21)]
 
@@ -84,6 +87,21 @@ class TestDeterminism:
                 json.dumps(truth, sort_keys=True),
             ))
         assert outs[0] == outs[1]
+
+    def test_plants_config_bytes_are_pinned(self):
+        """tools/plants.json, which plants every kind with every PlantSpec
+        field and skips blocks, gives the trace, headers and truth pinned
+        here, so that no change to the generator alters its bytes unseen."""
+        config_path = Path(__file__).parents[1] / "tools" / "plants.json"
+        trace, headers, truth = generate_ledger(
+            GenConfig.from_bytes(config_path.read_bytes()))
+        texts = ["".join(serialize_action(a) + "\n" for a in trace),
+                 "".join(serialize_header(h) + "\n" for h in headers),
+                 json.dumps(truth, sort_keys=True)]
+        assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == [
+            "1025d43ea3ddfd18d040443b13b00742dda5cfc3fa4537e268edc2887f4a45d9",
+            "ec68746cff65c2c395ea0012c91078d9c201bb58e95fae30027069f3153e5608",
+            "d4bf8276ddd26b6472a2021d90661df4e3f2e40a70a4a0b8e8300f424d40e54c"]
 
     def test_different_seeds_differ(self):
         t1, _, _ = generate_ledger(small_config(seed=1))
@@ -189,6 +207,18 @@ class TestPlantRealizability:
         assert votes
         lo, hi = windows[1]
         assert all(lo <= a.timestamp < hi for a in votes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_month_windows_match_the_month_walk(data):
+    """month_windows, derived from month_ends, equals the month-by-month walk,
+    also for spans that end in December 9999 or are empty."""
+    end = data.draw(st.one_of(
+        st.integers(946_684_800, 253_402_300_800),
+        st.integers(int(TIME_MAX) - 90 * 86_400, int(TIME_MAX) + 1)))
+    start = data.draw(st.integers(max(946_684_800, end - 500 * 86_400), end))
+    assert month_windows(start, end) == ref_month_windows(start, end)
 
 
 class TestBlockSchedule:
