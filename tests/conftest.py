@@ -15,6 +15,16 @@ from dposforensics.model import ActionKind, make_action, serialize_action
 T0 = 1_609_459_200  # 2021-01-01T00:00:00Z
 DAY = 86_400
 
+# The generator config of test_11, whose reports tests/test_report_pins.py
+# also pins.
+TEST_11_CONFIG = {
+    "seed": 23, "n_accounts": 150, "n_candidates": 22, "n_proxies": 3,
+    "duration_days": 40, "participation_rate": 0.5,
+    "proxy_weight_target": 0.1, "rounds_per_day": 1,
+    "plants": [{"kind": "near_clique", "size": 6},
+               {"kind": "linear_gang", "size": 4}],
+}
+
 
 class TraceBuilder:
     """Compact trace construction for tests; block/seq auto-increment."""

@@ -50,7 +50,7 @@ from dposforensics.synth import (
 )
 from dposforensics.clustering import VotingRecord
 
-from conftest import random_trace
+from conftest import TEST_11_CONFIG, random_trace
 from oracles import (
     EdgeStats,
     brute_eight,
@@ -319,13 +319,7 @@ def test_10_block_schedule():
 def test_11_end_to_end_determinism(tmp_path):
     with _Budget("11 end-to-end determinism", 60.0):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({
-            "seed": 23, "n_accounts": 150, "n_candidates": 22, "n_proxies": 3,
-            "duration_days": 40, "participation_rate": 0.5,
-            "proxy_weight_target": 0.1, "rounds_per_day": 1,
-            "plants": [{"kind": "near_clique", "size": 6},
-                       {"kind": "linear_gang", "size": 4}],
-        }))
+        config_path.write_text(json.dumps(TEST_11_CONFIG))
         runner = CliRunner()
         gen = tmp_path / "gen"
         result = runner.invoke(cli_main, ["generate", "-c", str(config_path),
