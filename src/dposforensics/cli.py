@@ -30,6 +30,7 @@ from .gangs import GangError, run_pipeline, voting_network
 from .metrics import (
     MetricsError,
     daily_production,
+    month_ends,
     powerlaw_exponent,
     production_by_month,
     production_entropy,
@@ -61,7 +62,6 @@ from .synth import (
     ConfigError,
     GenConfig,
     generate_ledger,
-    month_ends,
 )
 
 EXIT_USAGE = 2
@@ -125,14 +125,13 @@ def _write_reports(out: str | None, reports: dict[str, str]) -> Path:
     return out_dir
 
 
-def _fold_or_die(trace: LineFile, observers=(), cadence=None):
+def _fold_or_die(trace: LineFile, observers=(), times: SampleTimes | None = None):
     """The command's one fold of the trace, a load_trace(path, lazy=True),
     read as it is folded: (state, rejected, snapshots), the snapshots at the
-    sample times of a cadence from _cadence_or_die, or None without one."""
+    sample times from _cadence_or_die, or None without them."""
     try:
-        if cadence is None:
+        if times is None:
             return (*replay(trace, observers), None)
-        times = _sample_times(cadence)
         state, rejected, snapshots = replay_with_snapshots(trace, times, observers)
         if snapshots is None:
             # The timestamps ran back: fold again for the samples, now that
@@ -152,21 +151,6 @@ def _fold_or_die(trace: LineFile, observers=(), cadence=None):
         _fail(EXIT_DATA, f"unreplayable trace: {exc}")
 
 
-def _sample_times(cadence: str | int) -> SampleTimes:
-    """The sample times of a cadence from _cadence_or_die, for a trace from
-    first to last: the end of each month from first's on, the one of last's
-    month cut to last; or every step seconds from first + step - 1 up to
-    last + step."""
-    def times(first, last):
-        if first is None:
-            return ()
-        if cadence == "monthly":
-            return month_ends(first, last + 1)
-        return takewhile(lambda t: t < last + 1 + cadence,
-                         count(first + cadence - 1, cadence))
-    return times
-
-
 def _creators(state, rejected) -> dict[str, str]:
     """Each created account's creator, from the last newaccount line that
     names it: the applied one, or a later rejected one (a newaccount is
@@ -182,18 +166,29 @@ def _creators(state, rejected) -> dict[str, str]:
 # The numeric options are checked before the trace is read, each exiting 2
 # with a message that names it.
 
-def _cadence_or_die(cadence: str) -> str | int:
-    """'monthly', or the step in whole seconds of a cadence given in days."""
-    if cadence == "monthly":
-        return cadence
-    try:
-        step = float(cadence) * 86_400
-    except ValueError:
-        _fail(EXIT_USAGE, f"bad snapshot-cadence '{cadence}' (use 'monthly' or days)")
-    if not 1 <= step < math.inf:
-        _fail(EXIT_USAGE, f"snapshot-cadence must be a finite number of days, "
-                          f"at least one second, got '{cadence}'")
-    return int(step)
+def _cadence_or_die(cadence: str) -> SampleTimes:
+    """The sample times of a cadence, 'monthly' or a number of days cut to
+    whole seconds, for a trace from first to last: the end of each month from
+    first's on, the one of last's month cut to last; or every step seconds
+    from first + step - 1 up to last + step."""
+    step = None
+    if cadence != "monthly":
+        try:
+            step = float(cadence) * 86_400
+        except ValueError:
+            _fail(EXIT_USAGE, f"bad snapshot-cadence '{cadence}' (use 'monthly' or days)")
+        if not 1 <= step < math.inf:
+            _fail(EXIT_USAGE, f"snapshot-cadence must be a finite number of days, "
+                              f"at least one second, got '{cadence}'")
+        step = int(step)
+
+    def times(first, last):
+        if first is None:
+            return ()
+        if step is None:
+            return month_ends(first, last + 1)
+        return takewhile(lambda t: t < last + 1 + step, count(first + step - 1, step))
+    return times
 
 
 def _fraction_or_die(value: float, option: str) -> float:

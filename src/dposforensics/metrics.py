@@ -7,11 +7,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import SECONDS_PER_DAY, BlockHeader
+from .model import SECONDS_PER_DAY, TIME_MAX, BlockHeader
 from .replay import VotingSnapshot
 
 
@@ -29,6 +29,26 @@ def utc_day(ts: float) -> tuple[int, int, int]:
     return (dt.year, dt.month, dt.day)
 
 
+def _month_first(year: int, month: int) -> int:
+    """The first second of a UTC month; the month after December 9999, which
+    datetime cannot hold, begins at the first second past TIME_MAX."""
+    if (year, month) == (10000, 1):
+        return int(TIME_MAX) + 1
+    return int(datetime(year, month, 1, tzinfo=timezone.utc).timestamp())
+
+
+def month_ends(start_ts: int, end_ts: float) -> Iterator[int]:
+    """The last instant of each UTC month from start_ts's on that begins
+    before end_ts, one at a time, the last one cut to end_ts - 1; end_ts may
+    be inf."""
+    year, month = utc_month(start_ts)
+    cursor = _month_first(year, month)
+    while cursor < end_ts:
+        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
+        cursor = _month_first(year, month)
+        yield min(cursor, end_ts) - 1
+
+
 def _day_key(ts: float) -> float:
     """A time of ts's UTC day: the day's start, if ts is at least a second
     from either end of it, else ts itself (rounding to microseconds may carry
@@ -38,26 +58,16 @@ def _day_key(ts: float) -> float:
     return ts
 
 
-def utc_days(timestamps: Iterable[float]) -> list[tuple[int, int, int]]:
-    """utc_day of each timestamp, converted once per _day_key."""
-    days: dict[float, tuple[int, int, int]] = {}
-    result = []
-    for key in map(_day_key, timestamps):
-        if key not in days:
-            days[key] = utc_day(key)
-        result.append(days[key])
-    return result
-
-
 def daily_production(headers: Iterable[tuple[int, str, float]]) -> Counter:
     """Blocks per (UTC day, producer), in one pass over the (height,
-    producer, timestamp) of each header; each day is converted once, as in
-    utc_days."""
+    producer, timestamp) of each header; each distinct _day_key is converted
+    once."""
     by_key = Counter((_day_key(ts), p) for _, p, ts in headers)
-    days = utc_days([key for key, _ in by_key])  # _day_key(key) is key
+    # _day_key(key) is key, so utc_day(key) is the day of each of its times
+    days = {key: utc_day(key) for key in {k for k, _ in by_key}}
     counts: Counter = Counter()
-    for ((_, producer), blocks), day in zip(by_key.items(), days):
-        counts[day, producer] += blocks
+    for (key, producer), blocks in by_key.items():
+        counts[days[key], producer] += blocks
     return counts
 
 

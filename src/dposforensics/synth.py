@@ -13,9 +13,9 @@ import json
 import math
 import random
 from dataclasses import MISSING, asdict, dataclass, field
-from datetime import datetime, timezone
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
+from .metrics import month_ends
 from .model import (
     Action,
     ActionKind,
@@ -205,34 +205,10 @@ def _encode(i: int) -> str:
     return "".join(reversed(out))
 
 
-def month_start(ts: float) -> int:
-    dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-    return int(datetime(dt.year, dt.month, 1, tzinfo=timezone.utc).timestamp())
-
-
-def next_month_start(ts: float) -> int:
-    """The start of the UTC month after ts's; after December 9999, the
-    first second past TIME_MAX."""
-    dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-    if (dt.year, dt.month) == (9999, 12):
-        return int(TIME_MAX) + 1
-    year, month = (dt.year + 1, 1) if dt.month == 12 else (dt.year, dt.month + 1)
-    return int(datetime(year, month, 1, tzinfo=timezone.utc).timestamp())
-
-
 def month_windows(start_ts: int, end_ts: int) -> list[tuple[int, int]]:
     """[lo, hi) clamped overlap of each UTC month with [start_ts, end_ts)."""
     his = [end + 1 for end in month_ends(start_ts, end_ts)]
     return list(zip([start_ts, *his], his))
-
-
-def month_ends(start_ts: int, end_ts: float) -> Iterator[int]:
-    """The last instant of each month_windows(start_ts, end_ts) window, one
-    at a time; end_ts may be inf."""
-    cursor = month_start(start_ts)
-    while cursor < end_ts:
-        cursor = next_month_start(cursor)
-        yield min(cursor, end_ts) - 1
 
 
 def monthly_sample_times(start_ts: int, end_ts: int) -> list[int]:

@@ -6,9 +6,11 @@ the modules under test.
 """
 from __future__ import annotations
 
+import calendar
 import json
 import math
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from itertools import combinations
 
 import networkx as nx
@@ -743,13 +745,15 @@ def _ref_header_number(record, key, kind):
 
 def ref_month_windows(start_ts, end_ts):
     """[lo, hi) clamped overlap of each UTC month with [start_ts, end_ts),
-    walked one month at a time."""
-    from dposforensics.synth import month_start, next_month_start
-
+    walked one month at a time from the start of start_ts's month: a month
+    ends as many days after it starts as it has days."""
+    dt = datetime.fromtimestamp(start_ts, tz=timezone.utc)
+    cursor = start_ts - ((dt.day - 1) * 86_400 + dt.hour * 3_600 + dt.minute * 60
+                         + dt.second)
     windows = []
-    cursor = month_start(start_ts)
     while cursor < end_ts:
-        nxt = next_month_start(cursor)
+        dt = datetime.fromtimestamp(cursor, tz=timezone.utc)
+        nxt = cursor + calendar.monthrange(dt.year, dt.month)[1] * 86_400
         windows.append((max(cursor, start_ts), min(nxt, end_ts)))
         cursor = nxt
     return windows

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import dposforensics
-from dposforensics.cli import _creators, _sample_times, main
+from dposforensics.cli import _cadence_or_die, _creators, main
 from dposforensics.metrics import proxy_share_series
 from dposforensics.model import (Action, ActionKind, load_headers, load_trace,
                                  serialize_action)
@@ -445,7 +445,10 @@ def test_lazy_sample_times_equal_those_of_the_span(data):
         expected = [hi - 1 for _, hi in month_windows(first, last + 1)]
     else:
         expected = list(range(first + cadence - 1, last + 1 + cadence, cadence))
-    _, _, lazy = replay_with_snapshots(iter(trace), _sample_times(cadence))
+    # A step of s seconds, as days that cut to s: repr(s / DAY) can read
+    # back as s - 1 (it does for s = 11).
+    days = "monthly" if cadence == "monthly" else repr((cadence + 0.5) / DAY)
+    _, _, lazy = replay_with_snapshots(iter(trace), _cadence_or_die(days))
     assert [s.taken_at for s in lazy] == expected
     assert lazy == replay_with_snapshots(trace, expected)[2]
 
@@ -469,7 +472,7 @@ def test_timestamps_that_run_back_sample_at_the_span(cadence, ledger_dir,
     later stamp passes them, as in a fold over the known times."""
     trace = _run_back_trace()
     first, last = trace[0].timestamp, trace[-1].timestamp
-    times = _sample_times("monthly" if cadence == "monthly" else DAY)
+    times = _cadence_or_die(cadence)
     assert replay_with_snapshots(iter(trace), times)[2] is None
     _, _, snapshots = replay_with_snapshots(trace, list(times(first, last)))
     share = proxy_share_series(snapshots)

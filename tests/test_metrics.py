@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dposforensics.metrics import (
     MetricsError,
+    daily_production,
     monthly_production,
     powerlaw_exponent,
     producer_turnover,
@@ -15,7 +17,6 @@ from dposforensics.metrics import (
     stake_distribution,
     top_share,
     utc_day,
-    utc_days,
     utc_month,
 )
 from dposforensics.model import TIME_MAX, TIME_MIN, BlockHeader
@@ -251,9 +252,10 @@ class TestDayBuckets:
     def test_equal_per_timestamp_conversion(self, times):
         times += [t + d for t in times[:5] for d in (-2.0, 0.25, 3600.0)
                   if TIME_MIN <= t + d <= TIME_MAX]   # more times on the same days
-        days = utc_days(times)
-        assert days == [utc_day(t) for t in times]
-        assert [d[:2] for d in days] == [utc_month(t) for t in times]
+        # One producer per time, so that each count's key names its day.
+        daily = daily_production((0, str(i), t) for i, t in enumerate(times))
+        assert daily == Counter((utc_day(t), str(i)) for i, t in enumerate(times))
+        assert all(day[:2] == utc_month(times[int(i)]) for day, i in daily)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(stamps=st.lists(st.tuples(st.sampled_from(["bpa", "bpb", "bpc", "bpd"]),
