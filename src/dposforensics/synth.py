@@ -412,9 +412,8 @@ def _assign_plant_roles(plants: Sequence[PlantSpec],
             roles["delegations"] += zip((a, b), proxies)
             if per_pair == 1:  # only a delegates, to its proxy
                 roles["groups"].append((a, proxies[0], b))
-            else:  # each delegates to its own proxy; the lower name leads
-                pa, pb = proxies
-                roles["groups"].append((a, pa, b, pb) if a < b else (b, pb, a, pa))
+            else:  # each delegates to its own proxy; _encode makes a < b
+                roles["groups"].append((a, proxies[0], b, proxies[1]))
         roles_list.append(roles)
     return roles_list
 

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import dposforensics
 from dposforensics.cli import _cadence_or_die, _creators, main
+from dposforensics.clustering import (cluster_voters, sample_voting_records,
+                                      top_stakeholders)
 from dposforensics.metrics import proxy_share_series
 from dposforensics.model import (Action, ActionKind, load_headers, load_trace,
                                  serialize_action)
@@ -491,6 +493,54 @@ def test_timestamps_that_run_back_sample_at_the_span(cadence, ledger_dir,
     assert rows[-1].split(",")[1] == "0.500000000"
 
 
+def test_timestamps_that_run_back_in_the_last_month(ledger_dir, tmp_path):
+    """Timestamps that run back within the trace's only month: no month end
+    passes while it is read, and the one cut to the last timestamp falls
+    before the latest stamp, so the fold gives no samples. metrics and
+    cluster fold again and report the one sample at the last timestamp,
+    taken before the stamp 5 days in."""
+    b = TraceBuilder().regproducer("bpa", ts=T0 + 1)
+    b.delegate("alice", 5 * 10_000, ts=T0 + 2).vote("alice", ["bpa"], ts=T0 + 2 * DAY)
+    b.delegate("alice", 3 * 10_000, ts=T0 + 5 * DAY)
+    b.vote("bob", ["bpa"], ts=T0 + 3 * DAY)
+    trace = b.build()
+    assert replay_with_snapshots(iter(trace), _cadence_or_die("monthly"))[2] is None
+    _, _, snapshots = replay_with_snapshots(trace, [T0 + 3 * DAY])
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(serialize_action(a) + "\n" for a in trace))
+    for args in (["metrics", str(path), str(ledger_dir / "headers.jsonl")],
+                 ["cluster", str(path)]):
+        result = CliRunner().invoke(main, args + ["-o", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+    out = tmp_path / "out"
+    assert (out / "proxy_share.csv").read_text().splitlines()[1:] == [
+        f"{T0 + 3 * DAY},0.000000000,0.000000000,0.000000000"]
+    assert (out / "stake_distribution.csv").read_text() == \
+        "rank,account,stake\n1,alice,50000\n"
+    voters = top_stakeholders(snapshots[-1], 0.05)
+    clusters = cluster_voters(voters, sample_voting_records(snapshots, voters), 0.9)
+    payload = json.loads((out / "clusters.json").read_text())
+    assert payload["n_voters"] == len(voters) == 1
+    assert [c["members"] for c in payload["clusters"]] == \
+        [sorted(c.members) for c in clusters]
+
+
+def test_voters_without_stake_have_a_top_share_of_0(ledger_dir, tmp_path):
+    """Every voter votes with no stake: the stakes total 0, so the top share
+    is 0.0 and no power law is fitted."""
+    trace = TraceBuilder().regproducer("bpa").vote("alice", ["bpa"]).vote(
+        "bob", ["bpa"]).build()
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(serialize_action(a) + "\n" for a in trace))
+    result = CliRunner().invoke(main, [
+        "metrics", str(path), str(ledger_dir / "headers.jsonl"),
+        "-o", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert summary["top_share"] == 0.0
+    assert "error" in summary["stake_powerlaw"]
+
+
 def test_timestamps_that_run_back_in_a_pipe_exit_3(ledger_dir, tmp_path):
     """Such a trace is folded twice, which a pipe cannot be: the command
     fails rather than write reports without the snapshots."""
@@ -659,13 +709,15 @@ def _action_line(kind: str, actor: str, timestamp: str, payload: str,
 REGPRODUCER = _action_line("regproducer", "bpa", str(T0), "{}")
 
 
-def _overflowing_trace(stake: int, vote_time: int) -> str:
-    """A voter whose weight stake * 2^index is beyond the largest double."""
-    return "\n".join([
-        _action_line("regproducer", "bpa", str(T0), "{}"),
-        _action_line("delegatebw", "alice", str(T0), f'{{"amount": {stake}}}'),
-        _action_line("voteproducer", "alice", str(vote_time),
-                     '{"proxy": "", "producers": ["bpa"]}')])
+def _overflowing_trace(*votes: tuple[int, int]) -> str:
+    """Voters for bpa, one per (stake, vote time), whose weights stake *
+    2^index overflow the largest double, alone or summed."""
+    lines = [_action_line("regproducer", "bpa", str(T0), "{}")]
+    for voter, (stake, vote_time) in zip(("alice", "bob"), votes):
+        lines += [_action_line("delegatebw", voter, str(T0), f'{{"amount": {stake}}}'),
+                  _action_line("voteproducer", voter, str(vote_time),
+                               '{"proxy": "", "producers": ["bpa"]}')]
+    return "\n".join(lines)
 
 
 BAD_INPUTS = {
@@ -674,10 +726,18 @@ BAD_INPUTS = {
     "trace_timestamp_range": ("trace.jsonl",
                               _action_line("regproducer", "bpa", "1e999", "{}"),
                               "line 1"),
-    "trace_stake_overflow": ("trace.jsonl", _overflowing_trace(10**400, T0),
+    "trace_stake_overflow": ("trace.jsonl", _overflowing_trace((10**400, T0)),
                              "vote weight overflow"),
+    # A stake a float holds, whose weight at an index of 21 does not.
+    "trace_weight_overflow": ("trace.jsonl", _overflowing_trace((10**302, T0)),
+                              "vote weight overflow"),
+    # Two weights of about 1.1e308, in two vote weeks: their sum overflows.
+    "trace_weight_sum_overflow": ("trace.jsonl",
+                                  _overflowing_trace((5 * 10**301, T0),
+                                                     (5 * 10**301, T0 + 7 * DAY)),
+                                  "vote weight overflow for candidate 'bpa'"),
     # A vote in the year 3237: its index passes 1024, and 2^1024 overflows.
-    "trace_index_overflow": ("trace.jsonl", _overflowing_trace(1, 40_000_000_000),
+    "trace_index_overflow": ("trace.jsonl", _overflowing_trace((1, 40_000_000_000)),
                              "vote weight overflow"),
     "trace_timestamp_bool": ("trace.jsonl",
                              _action_line("regproducer", "bpa", "true", "{}"),
@@ -748,7 +808,7 @@ ORDERED_FAULTS = {
          _action_line("delegatebw", "alice", str(T0), '{"amount": 5}', block=2)],
         "not sorted"),
     "overflow_then_bad_line": (
-        _overflowing_trace(10**400, T0).split("\n") + ["not json"], "line 4"),
+        _overflowing_trace((10**400, T0)).split("\n") + ["not json"], "line 4"),
 }
 
 

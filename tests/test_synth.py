@@ -17,6 +17,7 @@ from dposforensics.synth import (
     ConfigError,
     GenConfig,
     PlantSpec,
+    _encode,
     _pareto_stake,
     generate_block_schedule,
     generate_ledger,
@@ -169,6 +170,14 @@ class TestPlantRealizability:
         detected = {inst.participants for inst in found}
         for quad in plant["quads"]:
             assert tuple(quad) in detected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(i=st.integers(0, 26**5 - 2), gap=st.integers(1, 26**5 - 1))
+    def test_encode_names_increase_with_the_index(self, i, gap):
+        """A plant's accounts are named by _encode of increasing indices, so
+        each eight-gang quad, whose pairs are taken in account order, has
+        the lower name of each pair first."""
+        assert _encode(i) < _encode(min(i + gap, 26**5 - 1))
 
     def test_similar_cluster_found(self):
         config = small_config(
