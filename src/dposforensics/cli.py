@@ -12,9 +12,14 @@ import io
 import json
 import math
 import os
+import pickle
+import signal
 import sys
+from collections import Counter
+from contextlib import nullcontext
 from itertools import count, takewhile
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -149,6 +154,79 @@ def _fold_or_die(trace: LineFile, observers=(), times: SampleTimes | None = None
         _fail(EXIT_DATA, f"unreadable trace: {exc}")
     except LedgerError as exc:  # a ReplayError too
         _fail(EXIT_DATA, f"unreplayable trace: {exc}")
+
+
+class _HeaderCount:
+    """The daily_production of a header file, read beside the fold of the
+    trace. Where both inputs are regular files, not one file given twice,
+    and os.fork exists, a child forked on entry counts the headers while the
+    parent folds; otherwise, or when the child ends without a result, the
+    parent counts them in result(). On exit, a child whose result was not
+    read is killed and reaped."""
+
+    def __init__(self, headers_path: str, trace_path: str) -> None:
+        self.headers = load_headers(headers_path, lazy=True)
+        self.pid: int | None = None
+        self.apart = (hasattr(os, "fork") and os.path.isfile(trace_path)
+                      and os.path.isfile(headers_path)
+                      and not os.path.samefile(trace_path, headers_path))
+
+    def __enter__(self) -> "_HeaderCount":
+        if self.apart:
+            read, write = os.pipe()
+            self.pid = os.fork()
+            if self.pid == 0:
+                os.close(read)
+                self._count_and_exit(write)
+            os.close(write)
+            self.pipe = open(read, "rb")
+        return self
+
+    def _count(self) -> tuple[Counter, str] | str:
+        """(The counter, the headers' digest), or the text of their
+        ParseError."""
+        try:
+            return daily_production(self.headers), self.headers.digest
+        except ParseError as exc:
+            return str(exc)
+
+    def _count_and_exit(self, write: int) -> NoReturn:
+        """In the child: pickle _count() into the pipe, and exit 0 once it is
+        written. The child never returns into the caller, so it flushes none
+        of the parent's buffers; any other fault exits 1 without a word."""
+        code = 1
+        try:
+            with open(write, "wb") as pipe:
+                pickle.dump(self._count(), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def _reap(self) -> int:
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return status
+
+    def result(self) -> tuple[Counter, tuple[str, str]]:
+        """The counter and the headers' (path, digest); exit 3 naming the
+        line of a fault in the headers."""
+        found = None
+        if self.pid is not None:
+            data = self.pipe.read()
+            if self._reap() == 0:
+                found = pickle.loads(data)
+        if found is None:
+            found = self._count()
+        if isinstance(found, str):
+            _fail(EXIT_DATA, f"unreadable headers: {found}")
+        daily, digest = found
+        return daily, (self.headers.path, digest)
+
+    def __exit__(self, *exc) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
 
 
 def _creators(state, rejected) -> dict[str, str]:
@@ -315,21 +393,22 @@ def _analyze(command: str, analyses: set[str], options: dict, trace_path: str,
                for p in click.get_current_context().command.params if p.name in options}
     log = VoteLog() if analyses & {"motifs", "gangs"} else None
     inputs = {"trace": load_trace(trace_path, lazy=True)}
-    state, rejected, snapshots = _fold_or_die(
-        inputs["trace"], [] if log is None else [log], checked.get("snapshot_cadence"))
-    if "cluster" in analyses and not snapshots:
-        _fail(EXIT_DATA, "no snapshots; trace too short for the cadence")
-    # The fold's products are large: keep only what the analyses read of the
-    # state, and free the snapshots before the network, the largest, is built.
-    creators = _creators(state, rejected) if "cluster" in analyses else None
-    candidates, end_time = set(state.tallies), state.end_time
-    del state, rejected
-    if "metrics" in analyses:
-        inputs["headers"] = load_headers(headers_path, lazy=True)
-        try:
-            daily = daily_production(inputs["headers"])
-        except ParseError as exc:
-            _fail(EXIT_DATA, f"unreadable headers: {exc}")
+    with (_HeaderCount(headers_path, trace_path) if "metrics" in analyses
+          else nullcontext()) as header_count:
+        state, rejected, snapshots = _fold_or_die(
+            inputs["trace"], [] if log is None else [log],
+            checked.get("snapshot_cadence"))
+        if "cluster" in analyses and not snapshots:
+            _fail(EXIT_DATA, "no snapshots; trace too short for the cadence")
+        # The fold's products are large: keep only what the analyses read of
+        # the state, and free the snapshots before the network, the largest,
+        # is built.
+        creators = _creators(state, rejected) if "cluster" in analyses else None
+        candidates, end_time = set(state.tallies), state.end_time
+        del state, rejected
+        # Only after a good fold, so that a trace fault wins over a header one.
+        if header_count is not None:
+            daily, inputs["headers"] = header_count.result()
     manifest = _manifest(command, inputs, options)
     reports: dict[str, str] = {}
     if "metrics" in analyses:

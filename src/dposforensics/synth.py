@@ -139,6 +139,10 @@ class GenConfig:
                               f"{int(TIME_MAX)}], got {self.start_time!r}")
         if self.n_accounts <= 0 or self.n_candidates <= 0 or self.n_proxies <= 0:
             raise ConfigError("account, candidate, and proxy counts must be positive")
+        for name in ("n_accounts", "n_candidates", "n_proxies"):
+            if getattr(self, name) > _NAMES:
+                raise ConfigError(f"{name} must be at most {_NAMES}, the number of "
+                                  f"five-letter account names, got {getattr(self, name)}")
         if self.n_candidates < PRODUCERS_PER_ROUND:
             raise ConfigError(
                 f"need at least {PRODUCERS_PER_ROUND} candidates for block production")
@@ -194,6 +198,9 @@ class GenConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+_NAMES = 26 ** 5  # the distinct names _encode gives, from index 0 on
 
 
 def _encode(i: int) -> str:

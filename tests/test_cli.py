@@ -17,7 +17,7 @@ import dposforensics
 from dposforensics.cli import _cadence_or_die, _creators, main
 from dposforensics.clustering import (cluster_voters, sample_voting_records,
                                       top_stakeholders)
-from dposforensics.metrics import proxy_share_series
+from dposforensics.metrics import daily_production, proxy_share_series
 from dposforensics.model import (Action, ActionKind, load_headers, load_trace,
                                  serialize_action)
 from dposforensics.replay import VotingState, replay, replay_with_snapshots
@@ -583,32 +583,164 @@ def test_second_fold_must_read_the_bytes_of_the_first(ledger_dir, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["replay", "metrics"])
-def test_piped_trace_has_the_digest_of_its_bytes(command, fuzz_dir, tmp_path):
-    """The manifest digests the bytes the command read, so a trace from a
-    pipe, which cannot be opened again, has the digest of the same trace as
-    a regular file."""
-    data = _jsonl(FUZZ_TRACE)
-    path = tmp_path / "trace.jsonl"
-    path.write_bytes(data.encode())
-    headers = [str(fuzz_dir / "headers.jsonl")] if command == "metrics" else []
+@pytest.mark.parametrize("command, piped", [("replay", "trace"), ("metrics", "trace"),
+                                            ("metrics", "headers")],
+                         ids=["replay", "metrics", "metrics-headers"])
+def test_piped_trace_has_the_digest_of_its_bytes(command, piped, tmp_path):
+    """The manifest digests the bytes the command read, so a trace or a
+    header file from a pipe, which cannot be opened again, has the digest of
+    the same bytes in a regular file. A piped header file is counted
+    in-process, a regular one in a forked child."""
+    data = {"trace": _jsonl(FUZZ_TRACE)}
+    if command == "metrics":
+        data["headers"] = _jsonl(FUZZ_HEADERS)
+    paths = {name: tmp_path / f"{name}.jsonl" for name in data}
+    for name, text in data.items():
+        paths[name].write_bytes(text.encode())
     read, write = os.pipe()
-    os.write(write, data.encode())
+    os.write(write, data[piped].encode())
     os.close(write)
     try:
-        piped = CliRunner().invoke(main, [
-            command, f"/dev/fd/{read}", *headers, "-o", str(tmp_path / "piped")])
+        piped_run = CliRunner().invoke(main, [
+            command, *(f"/dev/fd/{read}" if name == piped else str(path)
+                       for name, path in paths.items()),
+            "-o", str(tmp_path / "piped")])
     finally:
         os.close(read)
-    assert piped.exit_code == 0, piped.output
+    assert piped_run.exit_code == 0, piped_run.output
     regular = CliRunner().invoke(main, [
-        command, str(path), *headers, "-o", str(tmp_path / "regular")])
+        command, *map(str, paths.values()), "-o", str(tmp_path / "regular")])
     assert regular.exit_code == 0, regular.output
+    _assert_no_child_left()
     report = "state.json" if command == "replay" else "metrics.json"
     digests = [json.loads((tmp_path / run / report).read_text())
                ["manifest"]["digests"] for run in ("piped", "regular")]
     assert digests[0] == digests[1]
-    assert digests[0]["trace"] == hashlib.sha256(data.encode()).hexdigest()
+    assert digests[0][piped] == hashlib.sha256(data[piped].encode()).hexdigest()
+
+
+def _assert_no_child_left():
+    """The command reaped every child it forked."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _with_bad_last_line(path: Path, tmp_path: Path) -> tuple[Path, int]:
+    """A copy of the file with a line that is not JSON after its last, and
+    that line's number."""
+    lines = path.read_text().splitlines()
+    copy = tmp_path / f"bad_{path.name}"
+    copy.write_text("".join(line + "\n" for line in lines) + "not json\n")
+    return copy, len(lines) + 1
+
+
+@pytest.mark.parametrize("command", ["metrics", "all"])
+def test_a_trace_fault_wins_over_a_header_fault(command, ledger_dir, tmp_path):
+    trace, trace_line = _with_bad_last_line(ledger_dir / "trace.jsonl", tmp_path)
+    headers, _ = _with_bad_last_line(ledger_dir / "headers.jsonl", tmp_path)
+    result = CliRunner().invoke(main, [command, str(trace), str(headers),
+                                       "-o", str(tmp_path / "out")])
+    _assert_no_child_left()
+    assert result.exit_code == 3, result.output
+    assert f"unreadable trace: line {trace_line}:" in result.output
+    assert "unreadable headers" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "all"])
+def test_a_header_fault_shows_after_a_good_fold(command, ledger_dir, tmp_path,
+                                                monkeypatch):
+    headers, line = _with_bad_last_line(ledger_dir / "headers.jsonl", tmp_path)
+    trace = str(ledger_dir / "trace.jsonl")
+    applied = []
+    apply = VotingState.apply
+
+    def counted_apply(self, action):
+        applied.append(action)
+        return apply(self, action)
+
+    monkeypatch.setattr(VotingState, "apply", counted_apply)
+    result = CliRunner().invoke(main, [command, trace, str(headers),
+                                       "-o", str(tmp_path / "out")])
+    _assert_no_child_left()
+    assert len(applied) == len(load_trace(trace))
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith(f"error: unreadable headers: line {line}:")
+    assert result.output.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_child_without_a_result_leaves_the_count_to_the_parent(ledger_dir, tmp_path,
+                                                                  monkeypatch):
+    """The child counts the headers while the parent folds; a child whose
+    count raises, here anything but a ParseError, gives no result, and the
+    parent counts the headers itself, to the same reports."""
+    parent = os.getpid()
+    counted_in_parent = []
+    fail_in_child = False
+
+    def count(headers):
+        if os.getpid() == parent:
+            counted_in_parent.append(headers.path)
+        elif fail_in_child:
+            raise RuntimeError("no count in the child")
+        return daily_production(headers)
+
+    monkeypatch.setattr("dposforensics.cli.daily_production", count)
+    args = ["metrics", str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl")]
+    outs = [tmp_path / "forked", tmp_path / "in_process"]
+    for out in outs:
+        result = CliRunner().invoke(main, [*args, "-o", str(out)])
+        _assert_no_child_left()
+        assert result.exit_code == 0, result.output
+        assert result.output == f"metrics written to {out}\n"
+        assert len(counted_in_parent) == fail_in_child
+        fail_in_child = True
+    assert counted_in_parent == [str(ledger_dir / "headers.jsonl")]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_an_interrupted_fold_kills_the_child(ledger_dir, tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("dposforensics.cli.replay_with_snapshots", interrupted)
+    result = CliRunner().invoke(main, [
+        "all", str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl"),
+        "-o", str(tmp_path / "out")])
+    _assert_no_child_left()
+    assert result.exit_code == 1, result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the thread count from /proc")
+def test_metrics_forks_from_one_thread(ledger_dir, tmp_path):
+    """numpy starts a thread on import; OpenBLAS stops it before a fork, so
+    the parent has one thread right after its one fork of `dposf metrics`."""
+    src = str(Path(dposforensics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import os, sys\n"
+             "from dposforensics.cli import main\n"
+             "seen = []\n"
+             "def threads():\n"
+             "    with open('/proc/self/status') as status:\n"
+             "        seen.extend(l.split()[1] for l in status if l.startswith('Threads:'))\n"
+             "os.register_at_fork(after_in_parent=threads)\n"
+             "try:\n"
+             "    main(sys.argv[1:])\n"
+             "except SystemExit as exc:\n"
+             "    assert not exc.code, exc.code\n"
+             "print(seen)")
+    out = subprocess.run([sys.executable, "-c", probe, "metrics",
+                          str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl"),
+                          "-o", str(tmp_path)],
+                         env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "['1']"
 
 
 @pytest.mark.parametrize("command", ["generate", "score"])

@@ -57,6 +57,16 @@ class TestConfig:
             small_config(plants=[PlantSpec(kind="similar_cluster", size=3,
                                            vote_jitter=0.5)]).validate()
 
+    @pytest.mark.parametrize("name", ["n_accounts", "n_candidates", "n_proxies"])
+    def test_counts_past_the_five_letter_names_are_refused(self, name):
+        """_encode gives 26**5 names and then repeats them: _encode(26**5) is
+        _encode(0)."""
+        assert _encode(26**5) == _encode(0)
+        config = small_config().to_dict()
+        GenConfig.from_dict({**config, name: 26**5})
+        with pytest.raises(ConfigError, match=f"{name} must be at most 11881376"):
+            GenConfig.from_dict({**config, name: 26**5 + 1})
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
             GenConfig.from_dict({"seed": 1, "bogus": True})

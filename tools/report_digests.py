@@ -8,8 +8,10 @@ PYTHONHASHSEED 0 and 1, each in a fresh directory, it runs generate, all,
 score, and replay, metrics, cluster, motifs and gangs, in subprocesses with
 relative paths so that manifests match. Per group and hash seed it prints
 the sha256 of the group's sorted `sha256sum` lines; the stdout and help
-groups digest the commands' stdout and every --help screen. It exits 1 if
-the two seeds differ.
+groups digest the commands' stdout and every --help screen. The faults group
+digests the exit code and stderr of metrics and all on a header file whose
+last line is bad, alone and with a trace whose last line is bad, each of
+which must exit 3. It exits 1 if the two seeds differ.
 """
 import argparse
 import hashlib
@@ -23,14 +25,25 @@ from pathlib import Path
 COMMANDS = ["generate", "replay", "metrics", "cluster", "motifs", "gangs", "all", "score"]
 
 
-def dposf(src: Path, hash_seed: int, cwd: Path, args: list[str]) -> bytes:
+def dposf(src: Path, hash_seed: int, cwd: Path, args: list[str],
+          code: int = 0) -> subprocess.CompletedProcess:
+    """The finished run of `dposf ARGS`; exit with its stderr unless it
+    exited `code`."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(hash_seed))
     proc = subprocess.run([sys.executable, "-m", "dposforensics.cli", *args],
                           cwd=cwd, env=env, capture_output=True)
-    if proc.returncode:
+    if proc.returncode != code:
         sys.exit(f"dposf {' '.join(args)}: exit {proc.returncode}\n"
                  f"{proc.stderr.decode()}")
-    return proc.stdout
+    return proc
+
+
+def with_bad_last_line(work: Path, name: str) -> str:
+    """A copy of ledger/NAME with a line that is not JSON after its last."""
+    path = work / "faults" / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes((work / "ledger" / name).read_bytes() + b"not json\n")
+    return str(path.relative_to(work))
 
 
 def digests(src: Path, pct: list[str], hash_seed: int, work: Path) -> dict[str, str]:
@@ -43,9 +56,17 @@ def digests(src: Path, pct: list[str], hash_seed: int, work: Path) -> dict[str, 
             ["cluster", trace, *pct, "-o", "single"],
             ["motifs", trace, "-o", "single"],
             ["gangs", trace, "-o", "single"]]
-    groups = {"stdout": b"".join(dposf(src, hash_seed, work, args) for args in runs),
-              "help": b"".join(dposf(src, hash_seed, work, [*command, "--help"])
+    groups = {"stdout": b"".join(dposf(src, hash_seed, work, args).stdout
+                                 for args in runs),
+              "help": b"".join(dposf(src, hash_seed, work, [*command, "--help"]).stdout
                                for command in [[]] + [[c] for c in COMMANDS])}
+    bad_trace = with_bad_last_line(work, "trace.jsonl")
+    bad_headers = with_bad_last_line(work, "headers.jsonl")
+    faults = [[command, t, bad_headers, "-o", "faults/out"]
+              for t in (trace, bad_trace) for command in ("metrics", "all")]
+    groups["faults"] = b"".join(
+        b"%d\n%s" % (proc.returncode, proc.stderr)
+        for proc in (dposf(src, hash_seed, work, args, code=3) for args in faults))
     for group, folder in [("generate", "ledger"), ("all", "all"), ("score", "score"),
                           ("single", "single")]:
         groups[group] = "".join(sorted(
