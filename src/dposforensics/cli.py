@@ -60,7 +60,7 @@ from .motifs import (
     motif_series,
     vote_events,
 )
-from .replay import SampleTimes, VoteLog, replay, replay_with_snapshots
+from .replay import SampleTimes, VoteLog, compact_json, replay, replay_with_snapshots
 from .scoring import instance_score, pairwise_score
 from .synth import (
     PLANT_GROUPS,
@@ -365,11 +365,11 @@ def replay_cmd(trace_path: str, out: str | None) -> None:
     """Replay a trace and write the canonical final state."""
     trace = load_trace(trace_path, lazy=True)
     state, rejected, _ = _fold_or_die(trace)
-    canonical = state.canonical_json()
+    canonical = state.canonical_state()
     payload = {
         "manifest": _manifest("replay", {"trace": trace}, {}),
-        "state_digest": hashlib.sha256(canonical.encode()).hexdigest(),
-        "state": json.loads(canonical),
+        "state_digest": _sha256(compact_json(canonical).encode()),
+        "state": canonical,
         "rejected": [{"block": r.action.block, "seq": r.action.seq,
                       "reason": r.reason} for r in rejected],
         "events": state.log,

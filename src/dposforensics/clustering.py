@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .metrics import stake_distribution
 from .replay import VotingSnapshot
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ClusteringError(Exception):
@@ -83,6 +84,8 @@ def similarity_blocks(names: Sequence[str], records: Mapping[str, VotingRecord],
     record_similarity, so each value is bit-equal to it. Row blocks keep the
     working set at block x names floats.
     """
+    import numpy as np
+
     lengths = {len(records[name].sets) for name in names}
     if len(lengths) > 1:
         raise ClusteringError(
@@ -128,7 +131,7 @@ def cluster_voters(voters: Sequence[str], records: Mapping[str, VotingRecord],
     neighbors: dict[str, list[str]] = {}
     for lo, rows in similarity_blocks(names, records):
         for i, row in enumerate(rows, lo):
-            neighbors[names[i]] = [names[j] for j in np.flatnonzero(row >= theta)
+            neighbors[names[i]] = [names[j] for j in (row >= theta).nonzero()[0]
                                    if j != i]
     visited: set[str] = set()
     clusters: list[VoterCluster] = []

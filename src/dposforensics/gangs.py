@@ -13,12 +13,13 @@ from collections import defaultdict
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .model import Action
 from .replay import VoteLog, replay
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # An undirected weighted graph as its adjacency: each node maps each
 # neighbour to the edge's weight, stored under both ends; a self-loop is
@@ -30,8 +31,13 @@ class GangError(Exception):
     pass
 
 
-def _column(dtype, shape=(0,)):
-    return field(default_factory=lambda: np.zeros(shape, dtype))
+def _column(dtype: str, shape=(0,)):
+    """An empty column of the numpy dtype named dtype; numpy is loaded when
+    the first one is made, not when the class is defined."""
+    def zeros():
+        import numpy as np
+        return np.zeros(shape, dtype)
+    return field(default_factory=zeros)
 
 
 @dataclass(eq=False)
@@ -49,14 +55,14 @@ class VotingGraph:
     that vote for k."""
 
     candidates: list[str] = field(default_factory=list)
-    src: np.ndarray = _column(np.int64)
-    dst: np.ndarray = _column(np.int64)
-    placements: np.ndarray = _column(np.int64)
-    duration: np.ndarray = _column(np.float64)
-    avg_weight: np.ndarray = _column(np.float64)
-    received_duration: np.ndarray = _column(np.float64)
-    received_weight: np.ndarray = _column(np.float64)
-    shared: np.ndarray = _column(np.int64, (0, 0))
+    src: np.ndarray = _column("int64")
+    dst: np.ndarray = _column("int64")
+    placements: np.ndarray = _column("int64")
+    duration: np.ndarray = _column("float64")
+    avg_weight: np.ndarray = _column("float64")
+    received_duration: np.ndarray = _column("float64")
+    received_weight: np.ndarray = _column("float64")
+    shared: np.ndarray = _column("int64", (0, 0))
 
 
 def voting_network(log: VoteLog, end_time: float) -> VotingGraph:
@@ -77,6 +83,8 @@ def voting_network(log: VoteLog, end_time: float) -> VotingGraph:
     The edges are derived one target at a time, and all but those among
     candidates are reduced to the graph's tables before the next.
     """
+    import numpy as np
+
     names = sorted(log.candidates)  # every backed name is one of them
     k = len(names)
     as_source = np.fromiter(map(log.sources.get, names, repeat(-1)), np.int64, k)
@@ -127,6 +135,8 @@ def _in_edges(log: VoteLog, names: list[str], as_source: np.ndarray,
     in source order: their sources, the log row of their first opening,
     and their placements, durations and average weights, as voting_network()
     defines them."""
+    import numpy as np
+
     n_rows = len(log.src)
     log_src = np.frombuffer(log.src, np.int32)
     time = np.frombuffer(log.time, np.float64)
@@ -194,6 +204,8 @@ def _in_edges(log: VoteLog, names: list[str], as_source: np.ndarray,
 def _firsts(keys: np.ndarray) -> np.ndarray:
     """Whether each entry of keys differs from the one before it; the first
     entry does."""
+    import numpy as np
+
     first = np.ones(len(keys), bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return first
@@ -236,6 +248,8 @@ def egonet_features(graph: VotingGraph) -> list[EgonetFeature]:
     A[k] and, per l in A[k], C[k][l]: the other sources voting for both ends
     of the spoke k-l.
     """
+    import numpy as np
+
     k, shared = len(graph.candidates), graph.shared
     adjacent = np.zeros((k, k), np.int64)  # A
     adjacent[graph.src, graph.dst] = adjacent[graph.dst, graph.src] = 1
@@ -252,6 +266,8 @@ def fit_edpl(features: Sequence[EgonetFeature]) -> EdplFit:
     Nodes with a single neighbor are excluded (E is forced to 1 there) but
     still receive outlierness scores downstream.
     """
+    import numpy as np
+
     points = [(f.neighbors, f.edges) for f in features if f.neighbors >= 2]
     if len(points) < 10:
         raise GangError(
@@ -300,6 +316,8 @@ def reconstruct_weighted_network(graph: VotingGraph,
     totals, which count the voters' edges too. A candidate's out-edges all
     end at candidates, so its placements are summed over the graph's edges.
     """
+    import numpy as np
+
     if not anomalies:
         raise GangError("nothing to reconstruct: empty anomaly set")
     names, n = graph.candidates, len(graph.candidates)
@@ -334,6 +352,8 @@ def reconstruct_weighted_network(graph: VotingGraph,
 
 def _share(part: np.ndarray, total: np.ndarray) -> np.ndarray:
     """part / total, and 0.0 where the total is not positive."""
+    import numpy as np
+
     return np.divide(part, total, out=np.zeros(len(part)), where=total > 0)
 
 

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .model import SECONDS_PER_DAY, TIME_MAX, BlockHeader
 from .replay import VotingSnapshot
 
@@ -78,6 +76,8 @@ def production_entropy(counts: Mapping[str, int], n: int | None = None) -> float
     renormalizes probabilities over that restriction, so the result stays
     comparable to the log2(n) bound. n=None uses every producer.
     """
+    import numpy as np
+
     if not counts:
         raise MetricsError("no production data")
     if n is not None and n < 1:
@@ -123,6 +123,8 @@ def powerlaw_exponent(values: Iterable[float]) -> tuple[float, float]:
     count / width, regressed against the geometric bin center in log-log
     space. Returns (alpha, r_squared).
     """
+    import numpy as np
+
     vals = np.asarray(list(values), dtype=float)
     if len(vals) < 10:
         raise MetricsError("need at least 10 values for a power-law fit")

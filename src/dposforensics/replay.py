@@ -283,6 +283,11 @@ class VotingState:
 
     def canonical_json(self) -> str:
         """Sorted-keys serialization used for determinism digests."""
+        return compact_json(self.canonical_state())
+
+    def canonical_state(self) -> dict:
+        """The state as JSON values: the accounts in name order, the
+        candidates' weights and the height and time it is as of."""
         accounts = {
             name: {
                 "stake": acct.stake,
@@ -294,11 +299,17 @@ class VotingState:
             }
             for name, acct in sorted(self.accounts.items())
         }
-        return json.dumps({
+        return {
             "as_of": list(self.as_of),
             "accounts": accounts,
             "candidates": self.candidates,
-        }, sort_keys=True, separators=(",", ":"))
+        }
+
+
+def compact_json(payload: dict) -> str:
+    """payload as JSON text with sorted keys and no spaces, the form a
+    determinism digest hashes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 class VoteLog:

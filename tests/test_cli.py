@@ -1254,3 +1254,33 @@ def test_cli_import_loads_every_module_but_networkx(ledger_dir, tmp_path):
                          env=env, check=True, capture_output=True, text=True)
     assert out.stdout.splitlines()[-1] == "False"
     assert json.loads((tmp_path / "gangs.json").read_text())["communities"]
+
+
+@pytest.mark.parametrize("command", [None, "replay", "motifs", "generate", "score", "all"])
+def test_numpy_loads_only_for_a_command_that_calls_it(command, ledger_dir,
+                                                      report_dir, tmp_path):
+    """Importing the CLI, and running a command that makes no numpy call,
+    leaves numpy unloaded; `all` loads it on its first call."""
+    src = str(Path(dposforensics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    trace, headers = ledger_dir / "trace.jsonl", ledger_dir / "headers.jsonl"
+    args = {None: [],
+            "replay": ["replay", trace],
+            "motifs": ["motifs", trace],
+            "generate": ["generate", "-c", ledger_dir / "config.json"],
+            "score": ["score", report_dir, ledger_dir / "truth.json"],
+            "all": ["all", trace, headers, "--top-stake-pct", "0.5"]}[command]
+    if command is not None:
+        args += ["-o", tmp_path]
+    probe = ("import sys\n"
+             "from dposforensics.cli import main\n"
+             "if sys.argv[1:]:\n"
+             "    try:\n"
+             "        main(sys.argv[1:])\n"
+             "    except SystemExit as exc:\n"
+             "        assert not exc.code, exc.code\n"
+             "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, *map(str, args)], env=env,
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == str(command == "all")

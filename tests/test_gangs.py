@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dposforensics.gangs import (
     EgonetFeature,
     GangError,
+    VotingGraph,
     _modularity,
     build_voting_network,
     detect_gangs,
@@ -193,6 +194,19 @@ class TestColumnBuilder:
             graph = build_voting_network(trace)
             assert_same_graph(graph, candidate_graph(trace_graph(trace)))
             assert len(graph.src) == 0 and graph.candidates == []
+
+    def test_default_graph_columns_keep_their_dtypes_and_shapes(self):
+        """The columns are named by dtype name; each default graph makes its
+        own empty arrays of those dtypes."""
+        graph, other = VotingGraph(), VotingGraph()
+        assert graph.candidates == []
+        for name in GRAPH_FIELDS:
+            column = getattr(graph, name)
+            assert isinstance(column, np.ndarray), name
+            want = np.int64 if name in ("src", "dst", "placements", "shared") else np.float64
+            assert column.dtype == want, name
+            assert column.shape == ((0, 0) if name == "shared" else (0,)), name
+            assert column is not getattr(other, name), name
 
     def test_from_edges_numbers_nodes_in_name_order(self):
         # neither order lists the names in name order; the sums of these
