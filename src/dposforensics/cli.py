@@ -52,6 +52,7 @@ from .model import (
     decode_text,
     load_headers,
     load_trace,
+    ordered_sum,
 )
 from .motifs import (
     detect_eight,
@@ -518,7 +519,7 @@ def _run_cluster(creators, snapshots, reports: dict[str, str], manifest: dict,
         members = sorted(cluster.members)
         sims = [record_similarity(records[a], records[b])
                 for j, a in enumerate(members) for b in members[j + 1:]]
-        mean_sim = sum(sims) / len(sims) if sims else 1.0
+        mean_sim = ordered_sum(sims) / len(sims) if sims else 1.0
         payload["clusters"].append({
             "id": i,
             "seed": cluster.seed,

@@ -81,8 +81,12 @@ def similarity_blocks(names: Sequence[str], records: Mapping[str, VotingRecord],
     intersection by a matrix product and its union from the set sizes. The
     per-time ratios are summed over the times in order and divided by the
     count of times with a nonempty union: the same float operations as
-    record_similarity, so each value is bit-equal to it. Row blocks keep the
-    working set at block x names floats.
+    record_similarity, so each value is bit-equal to it.
+
+    The 0/1 matrices, and so the intersections, take the narrowest unsigned
+    dtype that holds the largest set's size: one byte, since a vote names at
+    most MAX_VOTES candidates. A row block holds two floats and four such
+    narrow integers per pair.
     """
     import numpy as np
 
@@ -90,30 +94,46 @@ def similarity_blocks(names: Sequence[str], records: Mapping[str, VotingRecord],
     if len(lengths) > 1:
         raise ClusteringError(
             f"record lengths differ: {min(lengths)} vs {max(lengths)}")
+    times = max(lengths, default=0)
     columns = {c: j for j, c in enumerate(sorted(
         {c for name in names for s in records[name].sets for c in s}))}
+    widest = max((len(s) for name in names for s in records[name].sets), default=0)
+    ones_type = np.min_scalar_type(widest)
+    union_type = np.min_scalar_type(2 * widest)
     matrices = []
-    for t in range(max(lengths, default=0)):
-        ones = np.zeros((len(columns), len(names)), dtype=np.int32)
+    for t in range(times):
+        ones = np.zeros((len(columns), len(names)), ones_type)
         for row, name in enumerate(names):
             ones[[columns[c] for c in records[name].sets[t]], row] = 1
-        matrices.append((ones, ones.sum(axis=0)))
-    for lo in range(0, len(names), block):
-        hi = min(lo + block, len(names))
-        total = np.zeros((hi - lo, len(names)))
-        counted = np.zeros((hi - lo, len(names)), dtype=np.int64)
+        matrices.append((ones, ones.sum(axis=0, dtype=union_type)))
+    n = len(names)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        total = np.zeros((hi - lo, n))
+        counted = np.zeros((hi - lo, n), np.min_scalar_type(times))
+        inter = np.empty((hi - lo, n), ones_type)
+        union = np.empty((hi - lo, n), union_type)
+        nonempty = np.empty((hi - lo, n), bool)
+        ratio = np.empty((hi - lo, n))
         for ones, sizes in matrices:
             # einsum's own integer loops, not BLAS: BLAS's work buffers
             # would raise the command's peak memory
-            inter = np.einsum("ki,kj->ij", ones[:, lo:hi], ones)
-            union = sizes[lo:hi, None] + sizes[None, :] - inter
-            nonempty = union > 0
-            # adding 0.0 where the union is empty leaves the sum unchanged
-            total += np.divide(inter, union, out=np.zeros(inter.shape),
-                               where=nonempty)
+            np.einsum("ki,kj->ij", ones[:, lo:hi], ones, out=inter)
+            np.add(sizes[lo:hi, None], sizes[None, :], out=union)
+            union -= inter
+            np.greater(union, 0, out=nonempty)
             counted += nonempty
-        yield lo, np.divide(total, counted, out=np.zeros_like(total),
-                            where=counted > 0)
+            # an empty union's intersection is empty too: 0 / 1 adds 0.0,
+            # which leaves the sum unchanged
+            np.maximum(union, 1, out=union)
+            total += np.divide(inter, union, out=ratio)
+        # an uncounted pair's total is 0.0, and 0.0 / 1 keeps it
+        yield lo, np.divide(total, np.maximum(counted, 1, out=counted), out=total)
+
+
+# Rows per similarity block in cluster_voters: fewer rows hold less memory
+# at once, for a few more matrix products.
+_BLOCK_ROWS = 16
 
 
 def cluster_voters(voters: Sequence[str], records: Mapping[str, VotingRecord],
@@ -129,7 +149,7 @@ def cluster_voters(voters: Sequence[str], records: Mapping[str, VotingRecord],
         raise ClusteringError(f"no record for voter '{missing[0]}'")
     names = sorted(set(voters))
     neighbors: dict[str, list[str]] = {}
-    for lo, rows in similarity_blocks(names, records):
+    for lo, rows in similarity_blocks(names, records, _BLOCK_ROWS):
         for i, row in enumerate(rows, lo):
             neighbors[names[i]] = [names[j] for j in (row >= theta).nonzero()[0]
                                    if j != i]

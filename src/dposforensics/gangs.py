@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Collection, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .model import Action
+from .model import Action, ordered_sum
 from .replay import VoteLog, replay
 
 if TYPE_CHECKING:
@@ -157,20 +157,16 @@ def _in_edges(log: VoteLog, names: list[str], as_source: np.ndarray,
     changed = np.ones(n_rows, bool)
     np.not_equal(sorted_weight[1:], sorted_weight[:-1], out=changed[1:])
     del sorted_weight
-    # backs[t][v]: whether vote set v backs names[t]; and each position's
-    # vote set.
-    ids = {name: i for i, name in enumerate(names)}
-    width = np.fromiter(map(len, log.vote_sets), np.int64, len(log.vote_sets))
-    backs = np.zeros((len(names), len(width)), bool)
-    backs[np.fromiter(map(ids.__getitem__, chain.from_iterable(log.vote_sets)),
-                      np.int64, width.sum()),
-          np.repeat(np.arange(len(width)), width)] = True
-    del width, ids
+    # bit v of backs[t]: whether vote set v backs names[t]; and each
+    # position's vote set.
+    n_sets = len(log.vote_sets)
+    backs = _incidence(log.vote_sets, names)
     vote_set = np.frombuffer(log.votes, np.int32)[by_src]
 
-    for t, target in enumerate(backs):
+    for t in range(len(names)):
         # The positions that back the target, but for its own rows: each
         # in-edge's rows together, in log order.
+        target = np.unpackbits(backs[t], count=n_sets).view(bool)
         pos = np.flatnonzero(target[vote_set])
         pos = pos[src_of[pos] != as_source[t]]
         if not len(pos):
@@ -199,6 +195,32 @@ def _in_edges(log: VoteLog, names: list[str], as_source: np.ndarray,
         integral = np.bincount(seg_edge, span, len(heads))
         np.divide(integral, duration, out=avg_weight, where=duration > 0)
         yield t, src[heads], row[heads], placements, duration, avg_weight
+
+
+# Vote sets per chunk of _incidence's table; a multiple of 8, so that each
+# chunk packs into whole bytes.
+_CHUNK = 4096
+
+
+def _incidence(vote_sets: Collection[tuple[str, ...]], names: list[str]
+               ) -> np.ndarray:
+    """The names x vote sets table of whether each vote set backs each name,
+    packed along the vote sets (np.packbits). It is filled _CHUNK vote sets
+    at a time, with int32 indices, so the arrays that fill it stay small."""
+    import numpy as np
+
+    ids = {name: i for i, name in enumerate(names)}
+    packed = np.zeros((len(names), -(-len(vote_sets) // 8)), np.uint8)
+    rest = iter(vote_sets)
+    for lo in range(0, len(vote_sets), _CHUNK):
+        chunk = list(islice(rest, _CHUNK))
+        width = np.fromiter(map(len, chunk), np.int32, len(chunk))
+        table = np.zeros((len(names), len(chunk)), bool)
+        table[np.fromiter(map(ids.__getitem__, chain.from_iterable(chunk)),
+                          np.int32, width.sum()),
+              np.repeat(np.arange(len(chunk), dtype=np.int32), width)] = True
+        packed[:, lo // 8:(lo + len(chunk) + 7) // 8] = np.packbits(table, axis=1)
+    return packed
 
 
 def _firsts(keys: np.ndarray) -> np.ndarray:
@@ -370,7 +392,8 @@ class GangReport:
 # Weighted Louvain (Blondel et al., J. Stat. Mech. 2008), ported from
 # networkx 3.6.1's louvain_partitions for an undirected graph at resolution 1
 # and threshold 1e-7. Each float sum runs over the same terms in the same
-# order as there, so the partition is bit for bit networkx's.
+# order as there, left to right as sum() adds them up to Python 3.11
+# (model.ordered_sum), so the partition is bit for bit networkx's there.
 
 def louvain_communities(adjacency: Adjacency, seed: int = 0) -> list[set]:
     """The last level's partition of networkx's
@@ -385,7 +408,7 @@ def louvain_communities(adjacency: Adjacency, seed: int = 0) -> list[set]:
     graph: Adjacency = {u: {} for u in adjacency}
     for u, v, w in _edges(adjacency):
         graph[u][v] = graph[v][u] = w
-    m = sum(_degrees(graph).values()) / 2
+    m = ordered_sum(_degrees(graph).values()) / 2
     rng = random.Random(seed)  # one generator for every level
     members: dict = {u: {u} for u in adjacency}  # the input nodes of each node
     inner = _one_level(graph, m, rng)
@@ -414,17 +437,19 @@ def _edges(adjacency: Adjacency, nbunch: Optional[Iterable] = None
         seen.add(u)
 
 
-def _degrees(adjacency: Adjacency, total=sum) -> dict:
+def _degrees(adjacency: Adjacency, total=ordered_sum) -> dict:
     """Weighted degrees as networkx's G.degree sums them: in adjacency order,
     then a self-loop's weight once more."""
     return {u: total(chain(nbrs.values(), (nbrs[u],) if u in nbrs else ()))
             for u, nbrs in adjacency.items()}
 
 
-def _modularity(adjacency: Adjacency, partition: Sequence[set], total=sum) -> float:
+def _modularity(adjacency: Adjacency, partition: Sequence[set],
+                total=ordered_sum) -> float:
     """networkx's nx.community.modularity at resolution 1, with every sum a
-    `total`: sum, in networkx's order, for Louvain's comparisons; math.fsum,
-    exact before its one rounding and so free of set order, for the report."""
+    `total`: ordered_sum, in networkx's order, for Louvain's comparisons;
+    math.fsum, exact before its one rounding and so free of set order, for
+    the report."""
     degree = _degrees(adjacency, total)
     deg_sum = total(degree.values())
     m = deg_sum / 2

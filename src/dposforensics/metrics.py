@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .model import SECONDS_PER_DAY, TIME_MAX, BlockHeader
+from .model import SECONDS_PER_DAY, TIME_MAX, BlockHeader, ordered_sum
 from .replay import VotingSnapshot
 
 
@@ -172,8 +172,8 @@ def proxy_share_series(snapshots: Sequence[VotingSnapshot]) -> dict[str, list[Sh
         n_prox = sum(1 for v in voters if v.via_proxy)
         s_all = sum(v.stake for v in voters)
         s_prox = sum(v.stake for v in voters if v.via_proxy)
-        w_all = sum(v.weight for v in voters)
-        w_prox = sum(v.weight for v in voters if v.via_proxy)
+        w_all = ordered_sum(v.weight for v in voters)
+        w_prox = ordered_sum(v.weight for v in voters if v.via_proxy)
         series["count"].append(SharePoint(snap.taken_at, n_all, n_prox))
         series["stake"].append(SharePoint(snap.taken_at, s_all, s_prox))
         series["weight"].append(SharePoint(snap.taken_at, w_all, w_prox))

@@ -9,10 +9,12 @@ import hashlib
 import io
 import json
 import math
+import operator
 from datetime import datetime, timezone
 from enum import Enum
+from functools import reduce
 from sys import intern
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import orjson
 
@@ -119,6 +121,13 @@ def compute_vote_weight(stake: int, index: float) -> float:
     if not math.isfinite(weight):
         raise LedgerError(f"vote weight overflow for stake={stake}, index={index}")
     return weight
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """values added left to right from 0, as sum() adds them up to Python
+    3.11. From 3.12 on, sum() compensates float rounding (Neumaier), which
+    can move the last bit of a sum that reaches a report."""
+    return reduce(operator.add, values, 0)
 
 
 def _is_number(value: Any, kinds) -> bool:

@@ -42,8 +42,10 @@ class AccountRecord:
 @dataclass(frozen=True, slots=True)
 class VoterEntry:
     """Per-voter slice of a snapshot, proxy indirection already resolved.
-    `votes` is the state's own tuple of the candidates the voter's stake
-    backs (its proxy's, for a delegator), shared, not copied."""
+    `votes` is a tuple of the state's, shared, not copied: of the candidates
+    the voter's stake backs (its proxy's, for a delegator). A snapshot reuses
+    the entry of the snapshot before where the two are equal, so `votes` may
+    be the tuple the state had at an earlier sample, equal to its own."""
 
     votes: tuple[str, ...]
     stake: int
@@ -83,6 +85,8 @@ class VotingState:
         self.tallies: dict[str, dict[int, int]] = {}
         self._weights: dict[str, float] = {}
         self._stale: set[str] = set()  # candidates whose weight is out of date
+        # the last snapshot's entries, which the next one reuses where equal
+        self._entries: dict[str, VoterEntry] = {}
         # Set by the fold: the trace lines it read, rejected ones included,
         # and the last one's timestamp (0.0 for an empty trace).
         self.actions_read = 0
@@ -264,21 +268,26 @@ class VotingState:
         return [name for name, _ in ranked[:n]]
 
     def snapshot(self, taken_at: int) -> VotingSnapshot:
-        per_voter: dict[str, VoterEntry] = {}
+        """The voters' entries now. An entry equal to the voter's entry in
+        the last snapshot taken of this state is that entry; equal entries
+        are interchangeable, as no weight is -0.0 or NaN."""
+        last, per_voter = self._entries, {}
         for name in sorted(self.accounts):
             acct = self.accounts[name]
             if not (acct.votes or acct.proxy is not None or acct.is_proxy):
                 continue
             votes, weight = self.backing(name)
-            per_voter[name] = VoterEntry(
-                votes=votes,
-                stake=acct.stake,
-                is_proxy=acct.is_proxy,
-                proxied_stake=acct.proxied_stake,
-                weight=weight,
-                via_proxy=acct.proxy is not None,
-            )
+            # in VoterEntry's field order
+            fields = (votes, acct.stake, acct.is_proxy, acct.proxied_stake, weight,
+                      acct.proxy is not None)
+            entry = last.get(name)
+            if entry is None or fields != (entry.votes, entry.stake, entry.is_proxy,
+                                           entry.proxied_stake, entry.weight,
+                                           entry.via_proxy):
+                entry = VoterEntry(*fields)
+            per_voter[name] = entry
         self._settle()  # a weight overflow fails the fold at this sample
+        self._entries = per_voter
         return VotingSnapshot(taken_at=taken_at, per_voter=per_voter)
 
     def canonical_json(self) -> str:

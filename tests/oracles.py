@@ -7,6 +7,7 @@ the modules under test.
 from __future__ import annotations
 
 import calendar
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +34,17 @@ from dposforensics.clustering import record_similarity
 from dposforensics.gangs import EgonetFeature, GangError, VotingGraph
 from dposforensics.motifs import DEFAULT_WINDOW, EIGHT, LINEAR, TRIANGULAR, VoteEvent
 from dposforensics.replay import replay
+
+from sums import left_to_right_sum
+
+# networkx adds with the builtin sum(), which compensates float rounding from
+# Python 3.12 on. The package's Louvain port adds left to right
+# (model.ordered_sum), so networkx's degree, size and modularity sums are
+# given a left-to-right sum too: its partitions and modularity then stay the
+# port's bit-for-bit oracle on every Python.
+for _module in ("networkx.classes.graph", "networkx.classes.reportviews",
+                "networkx.algorithms.community.quality"):
+    importlib.import_module(_module).sum = left_to_right_sum
 
 
 def recompute_tallies(state) -> dict[str, dict[int, int]]:
@@ -603,8 +615,8 @@ def brute_intensity(graph, src, dst) -> float:
     if stats is None:
         return 0.0
     f_total = sum(s.placements for (a, _), s in edges.items() if a == src)
-    t_total = sum(s.duration for (_, b), s in edges.items() if b == dst)
-    p_total = sum(s.avg_weight for (_, b), s in edges.items() if b == dst)
+    t_total = left_to_right_sum(s.duration for (_, b), s in edges.items() if b == dst)
+    p_total = left_to_right_sum(s.avg_weight for (_, b), s in edges.items() if b == dst)
     f = stats.placements / f_total if f_total else 0.0
     t = stats.duration / t_total if t_total else 0.0
     p = stats.avg_weight / p_total if p_total else 0.0

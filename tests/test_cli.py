@@ -1284,3 +1284,38 @@ def test_numpy_loads_only_for_a_command_that_calls_it(command, ledger_dir,
     out = subprocess.run([sys.executable, "-c", probe, *map(str, args)], env=env,
                          check=True, capture_output=True, text=True)
     assert out.stdout.splitlines()[-1] == str(command == "all")
+
+
+def test_reports_keep_their_bytes_under_a_compensated_sum(tmp_path):
+    """From Python 3.12 on, sum() compensates float rounding (Neumaier). Each
+    float sum that reaches a report adds left to right, so every report byte
+    of `all` is the same when builtins.sum is a Neumaier sum. On this ledger
+    the Neumaier sum moves a cluster's mean similarity in its last bit, as the
+    third run, which gives the CLI's sum the Neumaier one too, shows."""
+    src = str(Path(dposforensics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))}
+    result = CliRunner().invoke(main, ["generate", "-c", str(write_config(
+        tmp_path / "config.json", seed=12)), "-o", str(tmp_path / "ledger")])
+    assert result.exit_code == 0, result.output
+    probe = ("import builtins, sys\n"
+             "from sums import neumaier_sum\n"
+             "if sys.argv[1] != 'plain':\n"
+             "    builtins.sum = neumaier_sum\n"
+             "import dposforensics.cli as cli\n"
+             "if sys.argv[1] == 'cli':\n"
+             "    cli.ordered_sum = neumaier_sum\n"
+             "cli.main(sys.argv[2:])\n")
+    reports = {}
+    for run in ("plain", "builtin", "cli"):
+        subprocess.run([sys.executable, "-c", probe, run, "all",
+                        str(tmp_path / "ledger" / "trace.jsonl"),
+                        str(tmp_path / "ledger" / "headers.jsonl"),
+                        "--top-stake-pct", "0.5", "-o", str(tmp_path / run)],
+                       env=env, check=True, capture_output=True)
+        reports[run] = {path.name: path.read_bytes()
+                        for path in (tmp_path / run).iterdir()}
+    assert len(reports["plain"]) == 14
+    assert reports["builtin"] == reports["plain"]
+    assert [name for name in reports["plain"]
+            if reports["cli"][name] != reports["plain"][name]] == ["clusters.json"]

@@ -14,6 +14,7 @@ from dposforensics.clustering import (
     similarity_blocks,
     top_stakeholders,
 )
+from dposforensics.model import MAX_VOTES
 from dposforensics.replay import replay, replay_with_snapshots
 
 from conftest import T0, DAY, TraceBuilder
@@ -190,18 +191,60 @@ class TestClusterVoters:
         assert detected == component_clusters(voters, records, theta)
 
 
+def assert_blocks_equal_record_similarity(voters, records, block=64):
+    rows = {}
+    for lo, sims in similarity_blocks(voters, records, block):
+        rows.update(enumerate(sims, lo))
+    assert sorted(rows) == list(range(len(voters)))
+    for i, a in enumerate(voters):
+        for j, b in enumerate(voters):
+            assert rows[i][j] == record_similarity(records[a], records[b])
+
+
 class TestSimilarityMatrix:
     @settings(max_examples=200, deadline=None)
     @given(table=record_tables(), block=st.integers(1, 5))
     def test_equals_record_similarity(self, table, block):
-        voters, records = table
-        rows = {}
-        for lo, sims in similarity_blocks(voters, records, block):
-            rows.update(enumerate(sims, lo))
-        assert sorted(rows) == list(range(len(voters)))
-        for i, a in enumerate(voters):
-            for j, b in enumerate(voters):
-                assert rows[i][j] == record_similarity(records[a], records[b])
+        assert_blocks_equal_record_similarity(*table, block)
+
+    def test_full_votes_over_several_blocks(self):
+        """Sets of MAX_VOTES candidates, whose intersections fill the one-byte
+        dtype furthest, over more rows than a block holds; some voters are
+        never active, and some share a record."""
+        rng = random.Random(30)
+        pool = [f"bp{i:02d}" for i in range(40)]
+        profiles = [tuple(frozenset(rng.sample(pool, MAX_VOTES)) for _ in range(5))
+                    for _ in range(3)]
+        voters = [f"v{i:03d}" for i in range(150)]
+        records = {}
+        for i, v in enumerate(voters):
+            if i % 10 == 0:
+                sets = (frozenset(),) * 5
+            elif i % 4 == 0:
+                sets = rng.choice(profiles)
+            else:
+                sets = tuple(frozenset(rng.sample(pool, MAX_VOTES)) if rng.random() < 0.8
+                             else frozenset() for _ in range(5))
+            records[v] = VotingRecord(v, sets)
+        assert {len(s) for r in records.values() for s in r.sets} == {0, MAX_VOTES}
+        assert_blocks_equal_record_similarity(voters, records)
+        assert_blocks_equal_record_similarity(voters, records, block=7)
+
+    def test_sets_past_one_byte_widen_the_dtype(self):
+        """A set of more than 255 candidates does not fit one byte, nor a
+        union of two sets of 128 or more; the matrices and the unions widen,
+        so the intersections and unions stay exact."""
+        pool = [f"c{i:03d}" for i in range(400)]
+        records = {"a": rec("a", pool[:300], pool[:10]),
+                   "b": rec("b", pool[:300], pool[5:15]),
+                   "c": rec("c", pool[100:400], ()),
+                   "d": rec("d", pool[:256], pool[:1])}
+        assert_blocks_equal_record_similarity(sorted(records), records, block=3)
+        rows = dict(similarity_blocks(["a", "b"], records))[0]
+        assert rows[0][1] == (1.0 + 5 / 15) / 2
+        records = {"e": rec("e", pool[:200]), "f": rec("f", pool[100:300])}
+        assert_blocks_equal_record_similarity(["e", "f"], records)
+        assert dict(similarity_blocks(["e", "f"], records))[0][0][1] == 100 / 300
 
 
 class TestSampling:

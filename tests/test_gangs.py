@@ -1,13 +1,18 @@
 import gc
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dposforensics import gangs
 from dposforensics.gangs import (
     EgonetFeature,
     GangError,
@@ -194,6 +199,18 @@ class TestColumnBuilder:
             graph = build_voting_network(trace)
             assert_same_graph(graph, candidate_graph(trace_graph(trace)))
             assert len(graph.src) == 0 and graph.candidates == []
+
+    @pytest.mark.parametrize("chunk", [8, 24, 4096])
+    def test_chunks_of_vote_sets_give_the_same_graph(self, chunk, monkeypatch):
+        """The incidence table is filled in chunks of vote sets: several, the
+        last one short, or one."""
+        trace = random_trace(3, n_actions=1500, n_accounts=60, n_candidates=12)
+        log = VoteLog()
+        state, _ = replay(trace, [log])
+        assert len(log.vote_sets) % 8 and len(log.vote_sets) > 10 * 24
+        monkeypatch.setattr(gangs, "_CHUNK", chunk)
+        assert_same_graph(voting_network(log, state.end_time),
+                          candidate_graph(trace_graph(trace, state.end_time)))
 
     def test_default_graph_columns_keep_their_dtypes_and_shapes(self):
         """The columns are named by dtype name; each default graph makes its
@@ -677,6 +694,27 @@ def weighted_graphs(draw):
     return g
 
 
+def random_weighted_graph(seed, rng):
+    """A random graph large enough that Louvain aggregates, with weights
+    drawn from rng over six orders of magnitude."""
+    g = nx.relabel_nodes(nx.gnp_random_graph(60, 0.08, seed=seed), lambda i: f"n{i:02d}")
+    for a, b in g.edges:
+        g[a][b]["weight"] = rng.random() * rng.choice([1e-3, 1.0, 1e3])
+    return g
+
+
+def louvain_results(seeds) -> list:
+    """Per seed, a random weighted graph's Louvain partition, as sorted
+    lists, and the repr of its plain modularity."""
+    results = []
+    for seed in seeds:
+        weighted = adjacency(random_weighted_graph(seed, random.Random(seed)))
+        partition = louvain_communities(weighted, seed)
+        results.append((sorted(map(sorted, partition)),
+                        repr(_modularity(weighted, partition))))
+    return results
+
+
 class TestLouvainPort:
     @settings(max_examples=300, deadline=None)
     @given(g=weighted_graphs(), seed=st.integers(0, 9))
@@ -701,13 +739,29 @@ class TestLouvainPort:
         # graphs large enough that Louvain aggregates at least once, so the
         # later levels' shuffles and sums are compared too
         rng = random.Random(seed)
-        g = nx.relabel_nodes(nx.gnp_random_graph(60, 0.08, seed=seed), lambda i: f"n{i:02d}")
-        for a, b in g.edges:
-            g[a][b]["weight"] = rng.random() * rng.choice([1e-3, 1.0, 1e3])
+        g = random_weighted_graph(seed, rng)
         g.add_edge("n00", "n00", weight=rng.random())
         assert len(list(nx.community.louvain_partitions(g, seed=seed))) >= 2
         assert louvain_communities(adjacency(g), seed) \
             == nx.community.louvain_communities(g, seed=seed)
+
+    def test_sums_add_left_to_right(self, tmp_path):
+        """The partitions and their plain modularity keep their bits in a
+        process whose builtins.sum is a Neumaier sum from the start, as sum()
+        is from Python 3.12 on; these graphs' modularity moves with it."""
+        src = str(Path(gangs.__file__).parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))}
+        probe = ("import builtins, sys\n"
+                 "from sums import neumaier_sum\n"
+                 "if sys.argv[1] == 'neumaier':\n"
+                 "    builtins.sum = neumaier_sum\n"
+                 "import test_gangs\n"
+                 "print(test_gangs.louvain_results(range(1, 5)))\n")
+        out = [subprocess.run([sys.executable, "-c", probe, run], env=env, cwd=tmp_path,
+                              check=True, capture_output=True, text=True).stdout
+               for run in ("plain", "neumaier")]
+        assert out[0] and out[0] == out[1]
 
     @pytest.mark.parametrize("hash_seed", ["0", "1"])
     def test_matches_networkx_under_hash_seed(self, hash_seed, tmp_path):

@@ -1,3 +1,4 @@
+import builtins
 import math
 import random
 from collections import Counter
@@ -24,6 +25,7 @@ from dposforensics.replay import replay, replay_with_snapshots
 
 from conftest import T0, DAY, TraceBuilder, random_trace
 from oracles import brute_monthly_production, brute_producer_turnover, hill_alpha
+from sums import left_to_right_sum, neumaier_sum
 
 EOS = 10_000
 
@@ -187,6 +189,21 @@ class TestDistributionsAndShares:
         for pts in proxy_share_series(snaps).values():
             for pt in pts:
                 assert pt.proxied_value <= pt.all_value + 1e-9
+
+    def test_weight_sums_add_left_to_right(self, monkeypatch):
+        """The weight sums keep their bits when sum() compensates, as it does
+        from Python 3.12 on, on snapshots where the two sums differ."""
+        trace = random_trace(21, n_actions=400)
+        times = [trace[0].timestamp + i * 7 * DAY for i in range(5)]
+        _, _, snaps = replay_with_snapshots(trace, times)
+        weights = [[v.weight for v in snap.per_voter.values() if v.votes or v.via_proxy]
+                   for snap in snaps]
+        assert any(neumaier_sum(w) != left_to_right_sum(w) for w in weights)
+        plain = proxy_share_series(snaps)["weight"]
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        compensated = proxy_share_series(snaps)["weight"]
+        assert [(p.all_value, p.proxied_value) for p in compensated] == \
+            [(p.all_value, p.proxied_value) for p in plain]
 
 
 def headers_for(months):

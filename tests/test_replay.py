@@ -283,3 +283,53 @@ class TestSnapshotsAndTop:
         # accounts never disappear from later snapshots once voting
         for a, b in zip(snaps, snaps[1:]):
             assert a.taken_at < b.taken_at
+
+
+def renewed(before, after):
+    """The voters of snapshot `after` whose entry is not the object they
+    had in snapshot `before`."""
+    return {name for name, entry in after.per_voter.items()
+            if entry is not before.per_voter.get(name)}
+
+
+def assert_fresh_replays_agree(trace, times, snaps):
+    """Each snapshot equals, field by field, the snapshot of a state replayed
+    from nothing to its time; and an entry equal to the voter's entry in the
+    snapshot before is that entry."""
+    assert len(snaps) == len(times)
+    for t, snap in zip(times, snaps):
+        state, _ = replay([a for a in trace if a.timestamp <= t])
+        assert snap.per_voter == state.snapshot(t).per_voter
+    for before, after in zip(snaps, snaps[1:]):
+        for name, entry in after.per_voter.items():
+            assert (entry is before.per_voter.get(name)) == \
+                (entry == before.per_voter.get(name)), name
+
+
+class TestSharedEntries:
+    def test_unchanged_voters_keep_their_entries(self):
+        b = base_trace()
+        b.vote("alice", ["bp.a"], ts=T0 + 100).vote("bob", ["bp.c"], ts=T0 + 100)
+        b.vote("proxyone", ["bp.a", "bp.b"], ts=T0 + 100)
+        b.vote_proxy("carol", "proxyone", ts=T0 + 100)
+        b.vote_proxy("dave", "proxyone", ts=T0 + 100)
+        b.delegate("alice", EOS, ts=T0 + DAY + 100)  # a stake
+        b.vote("proxyone", ["bp.b"], ts=T0 + 2 * DAY + 100)  # a proxy's vote
+        b.regproxy("bob", ts=T0 + 3 * DAY + 100)  # an is_proxy flag
+        trace = b.build()
+        times = [T0 + day * DAY for day in range(1, 6)]
+        _, _, snaps = replay_with_snapshots(trace, times)
+        assert [renewed(x, y) for x, y in zip(snaps, snaps[1:])] == [
+            {"alice"}, {"proxyone", "carol", "dave"}, {"bob"}, set()]
+        assert snaps[3].per_voter["bob"].is_proxy
+        assert snaps[2].per_voter["carol"].votes == ("bp.b",)
+        assert_fresh_replays_agree(trace, times, snaps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), step=st.sampled_from([DAY, 4 * DAY]))
+    def test_snapshots_equal_fresh_replays(self, seed, step):
+        trace = random_trace(seed, n_actions=150, n_accounts=16, n_candidates=4,
+                             n_proxies=3)
+        times = [trace[0].timestamp + i * step for i in range(1, 9)]
+        _, _, snaps = replay_with_snapshots(trace, times)
+        assert_fresh_replays_agree(trace, times, snaps)

@@ -8,7 +8,9 @@ PYTHONHASHSEED 0 and 1, each in a fresh directory, it runs generate, all,
 score, and replay, metrics, cluster, motifs and gangs, in subprocesses with
 relative paths so that manifests match. Per group and hash seed it prints
 the sha256 of the group's sorted `sha256sum` lines; the stdout and help
-groups digest the commands' stdout and every --help screen. The faults group
+groups digest the commands' stdout and every --help screen. The daily group
+digests the reports of metrics and cluster at --snapshot-cadence 1, where
+the most snapshots are taken. The faults group
 digests the exit code and stderr of metrics and all on a header file whose
 last line is bad, alone and with a trace whose last line is bad, each of
 which must exit 3. It exits 1 if the two seeds differ.
@@ -67,8 +69,11 @@ def digests(src: Path, pct: list[str], hash_seed: int, work: Path) -> dict[str, 
     groups["faults"] = b"".join(
         b"%d\n%s" % (proc.returncode, proc.stderr)
         for proc in (dposf(src, hash_seed, work, args, code=3) for args in faults))
+    for command in (["metrics", trace, headers], ["cluster", trace]):
+        dposf(src, hash_seed, work, [*command, *pct, "--snapshot-cadence", "1",
+                                     "-o", "daily"])
     for group, folder in [("generate", "ledger"), ("all", "all"), ("score", "score"),
-                          ("single", "single")]:
+                          ("single", "single"), ("daily", "daily")]:
         groups[group] = "".join(sorted(
             f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
             for path in (work / folder).iterdir())).encode()
