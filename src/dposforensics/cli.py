@@ -116,16 +116,20 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _write_reports(out: str | None, reports: dict[str, str]) -> Path:
-    """Write a command's reports (file name -> text) once all are made, so a
-    run that fails leaves none of them; exit 2 naming a path that cannot be
-    written, such as an output directory that is a file or lies under one."""
+def _write_reports(out: str | None, reports: dict[str, str | bytes]) -> Path:
+    """Write a command's reports (file name -> text, or bytes written as they
+    are) once all are made, so a run that fails leaves none of them; exit 2
+    naming a path that cannot be written, such as an output directory that is
+    a file or lies under one."""
     out_dir = path = Path(out or os.environ.get("DPOSF_OUT", "."))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in reports.items():
             path = out_dir / name
-            path.write_text(text, encoding="utf-8")
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text, encoding="utf-8")
     except OSError as exc:
         _fail(EXIT_USAGE, f"cannot write {path}: {exc.strerror}")
     return out_dir
@@ -346,13 +350,13 @@ def generate(config_path: str, out: str | None) -> None:
     inputs = {"config": (config_path, _sha256(data))}
     del data
     # One file at a time, so that one text is held at a time; each is
-    # digested as it is written.
+    # encoded once, and its bytes are digested and written.
     for name, lines in (("trace", map(serialize_action, trace)),
                         ("headers", map(serialize_header, headers))):
-        text = "".join(line + "\n" for line in lines)
-        out_dir = _write_reports(out, {f"{name}.jsonl": text})
-        inputs[name] = (str(out_dir / f"{name}.jsonl"), _sha256(text.encode()))
-        del text
+        data = "".join(line + "\n" for line in lines).encode()
+        out_dir = _write_reports(out, {f"{name}.jsonl": data})
+        inputs[name] = (str(out_dir / f"{name}.jsonl"), _sha256(data))
+        del data
     truth["manifest"] = _manifest("generate", inputs, {"seed": config.seed})
     _write_reports(out, {"truth.json": _json_text(truth)})
     click.echo(f"wrote {inputs['trace'][0]}, {inputs['headers'][0]}, "

@@ -267,16 +267,61 @@ def _action(record: Any, names: dict[str, str] | None) -> Action:
                        record["block"], record["seq"], record.get("payload"), names)
 
 
+# orjson writes a line more than twice as fast as json, and the bytes of
+# json.dumps(record, sort_keys=True, separators=(",", ":")) for a record of
+# str, int, bool, None, float, list, tuple and dict, except where it raises
+# (an int beyond 64 bits, a key that is not a str), for a float that is not 0
+# and not in 1e-4 <= |x| < 1e16 (it writes 1e16 for 1e+16, 0.00001 for 1e-05
+# and null for NaN), and for the characters that json escapes and it writes
+# raw: all that are not ASCII, and DEL. json writes those records, and those
+# that hold any other type.
+
+_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
+
+
+def _plain(values: Iterable) -> bool:
+    """Whether orjson writes each of `values` as json does, but for the
+    characters _json_line finds in orjson's bytes."""
+    for value in values:
+        cls = value.__class__
+        if cls in _PLAIN_TYPES:
+            continue
+        if cls is float:
+            if not (value == 0 or 1e-4 <= abs(value) < 1e16):
+                return False
+        elif cls is list or cls is tuple:
+            if not _plain(value):
+                return False
+        elif cls is dict:
+            if not _plain(value.values()):
+                return False
+        else:
+            return False
+    return True
+
+
+def _json_line(record: dict) -> str:
+    """json.dumps(record, sort_keys=True, separators=(",", ":"))."""
+    try:
+        line = orjson.dumps(record, option=orjson.OPT_SORT_KEYS)
+    except orjson.JSONEncodeError:
+        pass
+    else:
+        if line.isascii() and b"\x7f" not in line and _plain(record.values()):
+            return line.decode()
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def serialize_action(action: Action) -> str:
     """One JSON line; parse_action(serialize_action(a)) == a."""
-    return json.dumps({
+    return _json_line({
         "kind": action.kind.value,
         "actor": action.actor,
         "timestamp": action.timestamp,
         "block": action.block,
         "seq": action.seq,
         "payload": action.payload,
-    }, sort_keys=True, separators=(",", ":"))
+    })
 
 
 _HEADER_FIELDS = frozenset({"height", "producer", "timestamp"})
@@ -324,9 +369,8 @@ def _header_number(record: dict, key: str, kind: type):
 
 
 def serialize_header(header: BlockHeader) -> str:
-    return json.dumps({"height": header.height, "producer": header.producer,
-                       "timestamp": header.timestamp},
-                      sort_keys=True, separators=(",", ":"))
+    return _json_line({"height": header.height, "producer": header.producer,
+                      "timestamp": header.timestamp})
 
 
 class _Hashing(io.RawIOBase):

@@ -162,6 +162,13 @@ class GenConfig:
             raise ConfigError("stake_powerlaw_alpha must exceed 1")
         if self.rounds_per_day < 1:
             raise ConfigError("rounds_per_day must be >= 1")
+        if 86_400 / self.rounds_per_day < ROUND_SECONDS:
+            # A round's 126 blocks would outlast it, and the next round's
+            # block times would run back over them.
+            raise ConfigError(
+                f"rounds_per_day must be at most {86_400 / ROUND_SECONDS:.1f}, "
+                f"so that each {ROUND_SECONDS:g} s round ends before the next "
+                f"begins, got {self.rounds_per_day!r}")
         needed = 0
         for i, plant in enumerate(self.plants):
             label = f"plants[{i}] ({plant.kind})"

@@ -755,6 +755,25 @@ def _ref_header_number(record, key, kind):
     raise ParseError(f"header field '{key}' must be numeric, got {value!r}", key)
 
 
+def ref_serialize_action(action):
+    """serialize_action as json alone writes it."""
+    return json.dumps({
+        "kind": action.kind.value,
+        "actor": action.actor,
+        "timestamp": action.timestamp,
+        "block": action.block,
+        "seq": action.seq,
+        "payload": action.payload,
+    }, sort_keys=True, separators=(",", ":"))
+
+
+def ref_serialize_header(header):
+    """serialize_header as json alone writes it."""
+    return json.dumps({"height": header.height, "producer": header.producer,
+                       "timestamp": header.timestamp},
+                      sort_keys=True, separators=(",", ":"))
+
+
 def ref_month_windows(start_ts, end_ts):
     """[lo, hi) clamped overlap of each UTC month with [start_ts, end_ts),
     walked one month at a time from the start of start_ts's month: a month

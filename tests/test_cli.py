@@ -111,11 +111,15 @@ class TestGenerate:
         ({"duration_days": math.inf}, "duration_days"),
         ({"start_time": 253402300000}, "start_time"),
         ({"stake_powerlaw_alpha": math.nan}, "stake_powerlaw_alpha"),
+        # rounds that overlap the next, and so many that the run never ends
+        ({"rounds_per_day": 2000}, "rounds_per_day"),
+        ({"rounds_per_day": 1e9}, "rounds_per_day"),
         # in range, but the vote weights overflow a float
         ({"start_time": 253398844800}, "start_time"),
     ], ids=["plants_int", "plant_unknown_key", "n_accounts_str", "size_str",
             "months_int", "n_accounts_float", "start_zero", "start_true",
-            "duration_inf", "start_year_9999", "alpha_nan", "start_weight_overflow"])
+            "duration_inf", "start_year_9999", "alpha_nan", "rounds_overlap",
+            "rounds_endless", "start_weight_overflow"])
     def test_field_of_wrong_type_exits_2_without_traceback(self, overrides, field,
                                                           tmp_path):
         config = write_config(tmp_path / "config.json", **overrides)

@@ -1,3 +1,5 @@
+import datetime
+import enum
 import json
 import math
 import random
@@ -24,6 +26,7 @@ from dposforensics.model import (
     make_action,
     parse_action,
     serialize_action,
+    serialize_header,
     validate_name,
 )
 
@@ -355,3 +358,65 @@ class TestParsersAgreeWithReference:
             with pytest.raises(ParseError) as exc:
                 daily_production(header_fields(line, {}) for line in lines)
             assert ("ParseError", str(exc.value), exc.value.field) == rejected[0]
+
+
+# Values on which orjson, which writes each line first, and json, the
+# reference's encoder, part ways or nearly do: integers at and past the
+# 64-bit limits; floats at and beyond the ends of 1e-4 <= |x| < 1e16, NaN
+# and the infinities; DEL, a control character, a non-ASCII letter, a line
+# separator, a lone surrogate, a quote and a backslash; and values json
+# cannot write, of which orjson writes some.
+
+class Colour(enum.Enum):
+    RED = 1
+
+
+SPLIT_INTS = [2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**30]
+SPLIT_FLOATS = [0.0, -0.0, 1e-05, -1e-05, 9.99e-05, 1e-4, 9999999999999998.0,
+                1e16, 1.7976931348623157e308, 5e-324, math.nan, math.inf,
+                -math.inf, 1_600_000_000.5]
+SPLIT_CHARS = ["\x7f", "\x01", "é", "\u2028", "\ud800", '"', "\\", "\n"]
+
+_ints = st.one_of(st.integers(), st.sampled_from(SPLIT_INTS))
+_floats = st.one_of(st.floats(), st.sampled_from(SPLIT_FLOATS))
+_texts = st.one_of(
+    st.text(st.one_of(st.sampled_from(SPLIT_CHARS), st.characters()), max_size=6),
+    st.sampled_from(["bpa", "alice.bob"]))
+_scalars = st.one_of(st.none(), st.booleans(), _ints, _floats, _texts,
+                     st.sampled_from([Colour.RED, datetime.date(2021, 1, 1),
+                                      ActionKind.REG_PROXY]))
+
+
+def _dicts(values):
+    return st.one_of(*(st.dictionaries(keys, values, max_size=3)
+                       for keys in (_texts, _ints, _floats)))
+
+
+_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.tuples(inner, inner), _dicts(inner)),
+    max_leaves=4)
+
+ENCODERS_AGREE = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+def _written(serialize, item):
+    """serialize(item), or the type of the error it raises."""
+    try:
+        return serialize(item)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestSerializersAgreeWithReference:
+    @ENCODERS_AGREE
+    @given(action=st.builds(Action, st.sampled_from(ActionKind), _values,
+                            _values, _values, _values, _dicts(_values)))
+    def test_action_lines(self, action):
+        assert _written(serialize_action, action) == _written(
+            oracles.ref_serialize_action, action)
+
+    @ENCODERS_AGREE
+    @given(header=st.builds(BlockHeader, _values, _values, _values))
+    def test_header_lines(self, header):
+        assert _written(serialize_header, header) == _written(
+            oracles.ref_serialize_header, header)

@@ -5,8 +5,10 @@ import statistics
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
+from dposforensics.cli import main
 from dposforensics.clustering import cluster_voters, sample_voting_records
 from dposforensics.model import TIME_MAX, serialize_action, serialize_header
 from dposforensics.motifs import build_vote_events, detect_eight, detect_linear, \
@@ -14,6 +16,7 @@ from dposforensics.motifs import build_vote_events, detect_eight, detect_linear,
 from dposforensics.replay import replay, replay_with_snapshots
 from dposforensics.synth import (
     BLOCKS_PER_ROUND,
+    ROUND_SECONDS,
     ConfigError,
     GenConfig,
     PlantSpec,
@@ -26,6 +29,9 @@ from dposforensics.synth import (
 )
 
 from oracles import hill_alpha, ref_month_windows
+from test_report_pins import CONFIGS, PINS
+
+ROOT = Path(__file__).parents[1]
 
 PRODUCERS = [f"bp{chr(97 + i)}" for i in range(21)]
 
@@ -66,6 +72,20 @@ class TestConfig:
         GenConfig.from_dict({**config, name: 26**5})
         with pytest.raises(ConfigError, match=f"{name} must be at most 11881376"):
             GenConfig.from_dict({**config, name: 26**5 + 1})
+
+    def test_rounds_per_day_bound(self):
+        """A day holds at most 86,400 / 63 = 1371.4 rounds of 63 s."""
+        config = small_config().to_dict()
+        assert GenConfig.from_dict({**config, "rounds_per_day": 1371}).rounds_per_day == 1371
+        with pytest.raises(ConfigError, match="rounds_per_day must be at most 1371.4"):
+            GenConfig.from_dict({**config, "rounds_per_day": 1372})
+
+    @pytest.mark.parametrize("path", sorted(
+        [*(ROOT / "perfbench" / "workloads").glob("*.json"),
+         ROOT / "tools" / "ledger-l.json", ROOT / "tools" / "plants.json"]),
+        ids=lambda path: path.name)
+    def test_shipped_configs_are_valid(self, path):
+        GenConfig.from_bytes(path.read_bytes())
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
@@ -113,6 +133,27 @@ class TestDeterminism:
             "1025d43ea3ddfd18d040443b13b00742dda5cfc3fa4537e268edc2887f4a45d9",
             "ec68746cff65c2c395ea0012c91078d9c201bb58e95fae30027069f3153e5608",
             "d4bf8276ddd26b6472a2021d90661df4e3f2e40a70a4a0b8e8300f424d40e54c"]
+
+    def test_generated_lines_need_no_fallback(self, tmp_path, monkeypatch):
+        """tools/plants.json and the test_11 config give their pinned ledgers
+        with json.dumps unusable: orjson writes every generated line."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr("dposforensics.model.json.dumps", refuse)
+        for ledger, config in CONFIGS.items():
+            (tmp_path / ledger).mkdir()
+            (tmp_path / ledger / "config.json").write_text(config)
+            monkeypatch.chdir(tmp_path / ledger)
+            result = CliRunner().invoke(main, ["generate", "-c", "config.json",
+                                               "-o", "ledger"])
+            assert result.exit_code == 0, result.output
+            found = {f"ledger/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in Path("ledger").iterdir()}
+            found["ledger/stdout"] = hashlib.sha256(result.stdout_bytes).hexdigest()
+            pinned = [line.split("  ") for line in PINS[ledger].splitlines()]
+            assert found == {path: digest for digest, path in pinned
+                             if path.startswith("ledger/")}
 
     def test_different_seeds_differ(self):
         t1, _, _ = generate_ledger(small_config(seed=1))
@@ -240,6 +281,23 @@ def test_month_windows_match_the_month_walk(data):
     start = data.draw(st.integers(max(946_684_800, end - 500 * 86_400),
                                   min(end, int(TIME_MAX))))
     assert month_windows(start, end) == ref_month_windows(start, end)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(rounds_per_day=st.one_of(st.integers(1, 1371),
+                                st.floats(1, 86_400 / ROUND_SECONDS)))
+@example(rounds_per_day=1371)
+@example(rounds_per_day=86_400 / ROUND_SECONDS)
+def test_header_times_never_run_back(rounds_per_day):
+    """Up to the bound on rounds_per_day, each round's blocks end before the
+    next round's begin: the header times never decrease as heights rise."""
+    config = small_config(n_accounts=60, n_candidates=21, n_proxies=2,
+                          duration_days=2, rounds_per_day=rounds_per_day)
+    config.validate()
+    _, headers, _ = generate_ledger(config)
+    assert headers
+    assert all(a.height < b.height and a.timestamp <= b.timestamp
+               for a, b in zip(headers, headers[1:]))
 
 
 class TestBlockSchedule:
