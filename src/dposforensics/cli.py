@@ -7,6 +7,7 @@ embeds the manifest (command, input digests, parameters) that produced it.
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ from collections import Counter
 from contextlib import nullcontext
 from itertools import count, takewhile
 from pathlib import Path
-from typing import NoReturn
+from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 import click
 
@@ -50,6 +51,7 @@ from .model import (
     LineFile,
     ParseError,
     decode_text,
+    encode_json,
     load_headers,
     load_trace,
     ordered_sum,
@@ -61,7 +63,7 @@ from .motifs import (
     motif_series,
     vote_events,
 )
-from .replay import SampleTimes, VoteLog, compact_json, replay, replay_with_snapshots
+from .replay import SampleTimes, VoteLog, VotingState, replay, replay_with_snapshots
 from .scoring import instance_score, pairwise_score
 from .synth import (
     PLANT_GROUPS,
@@ -100,12 +102,8 @@ def _manifest(command: str, inputs: dict[str, LineFile | tuple[str, str]],
 
 
 def _json_text(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True) and a newline, written
-    chunk by chunk, so that no list of the chunks is held."""
-    buf = io.StringIO()
-    buf.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
-    buf.write("\n")
-    return buf.getvalue()
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline."""
+    return encode_json(payload) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -116,23 +114,73 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+class _Staging:
+    """A command's reports, each written to a temporary file in the output
+    directory and renamed to its name by commit(), once all are written and
+    none of the names is a directory, so that a run that fails leaves none of
+    them. A fault exits 2 naming the report, or the output directory where it
+    cannot be made, such as one that is a file or lies under one. On exit, no
+    temporary file is left."""
+
+    def __init__(self, out: str | None) -> None:
+        self.dir = Path(out or os.environ.get("DPOSF_OUT", "."))
+        self.staged: dict[Path, Path] = {}  # report -> its temporary file
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _fail(EXIT_USAGE, f"cannot write {self.dir}: {exc.strerror}")
+
+    def __enter__(self) -> "_Staging":
+        return self
+
+    def write(self, name: str, pieces: Iterable[str | bytes]) -> None:
+        """Stage report `name`, the concatenation of `pieces`; text is
+        written as UTF-8."""
+        path = self.dir / name
+        try:
+            with self._create(path) as fh:
+                for piece in pieces:
+                    fh.write(piece if isinstance(piece, bytes) else piece.encode())
+        except OSError as exc:
+            _fail(EXIT_USAGE, f"cannot write {path}: {exc.strerror}")
+
+    def _create(self, path: Path) -> BinaryIO:
+        """A new temporary file for `path`, opened with "xb" so that it
+        respects the umask and follows no link. Its name has a random part,
+        so that one left by a killed run blocks no later run."""
+        while True:
+            temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+            try:
+                fh = open(temp, "xb")
+            except FileExistsError:
+                continue
+            self.staged[path] = temp
+            return fh
+
+    def commit(self) -> None:
+        for path in self.staged:
+            if path.is_dir():
+                _fail(EXIT_USAGE, f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+        for path, temp in list(self.staged.items()):
+            try:
+                os.replace(temp, path)
+            except OSError as exc:
+                _fail(EXIT_USAGE, f"cannot write {path}: {exc.strerror}")
+            del self.staged[path]
+
+    def __exit__(self, *exc) -> None:
+        for temp in self.staged.values():
+            temp.unlink(missing_ok=True)
+
+
 def _write_reports(out: str | None, reports: dict[str, str | bytes]) -> Path:
     """Write a command's reports (file name -> text, or bytes written as they
-    are) once all are made, so a run that fails leaves none of them; exit 2
-    naming a path that cannot be written, such as an output directory that is
-    a file or lies under one."""
-    out_dir = path = Path(out or os.environ.get("DPOSF_OUT", "."))
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    are) through a _Staging, and return the output directory."""
+    with _Staging(out) as staging:
         for name, text in reports.items():
-            path = out_dir / name
-            if isinstance(text, bytes):
-                path.write_bytes(text)
-            else:
-                path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        _fail(EXIT_USAGE, f"cannot write {path}: {exc.strerror}")
-    return out_dir
+            staging.write(name, (text,))
+        staging.commit()
+    return staging.dir
 
 
 def _fold_or_die(trace: LineFile, observers=(), times: SampleTimes | None = None):
@@ -349,18 +397,20 @@ def generate(config_path: str, out: str | None) -> None:
     from .model import serialize_action, serialize_header
     inputs = {"config": (config_path, _sha256(data))}
     del data
-    # One file at a time, so that one text is held at a time; each is
-    # encoded once, and its bytes are digested and written.
-    for name, lines in (("trace", map(serialize_action, trace)),
-                        ("headers", map(serialize_header, headers))):
-        data = "".join(line + "\n" for line in lines).encode()
-        out_dir = _write_reports(out, {f"{name}.jsonl": data})
-        inputs[name] = (str(out_dir / f"{name}.jsonl"), _sha256(data))
-        del data
-    truth["manifest"] = _manifest("generate", inputs, {"seed": config.seed})
-    _write_reports(out, {"truth.json": _json_text(truth)})
+    with _Staging(out) as staging:
+        # One file at a time, so that one text is held at a time; each is
+        # encoded once, and its bytes are digested and written.
+        for name, lines in (("trace", map(serialize_action, trace)),
+                            ("headers", map(serialize_header, headers))):
+            data = "".join(line + "\n" for line in lines).encode()
+            staging.write(f"{name}.jsonl", (data,))
+            inputs[name] = (str(staging.dir / f"{name}.jsonl"), _sha256(data))
+            del data
+        truth["manifest"] = _manifest("generate", inputs, {"seed": config.seed})
+        staging.write("truth.json", (_json_text(truth),))
+        staging.commit()
     click.echo(f"wrote {inputs['trace'][0]}, {inputs['headers'][0]}, "
-               f"{out_dir / 'truth.json'}")
+               f"{staging.dir / 'truth.json'}")
 
 
 @main.command("replay")
@@ -370,17 +420,45 @@ def replay_cmd(trace_path: str, out: str | None) -> None:
     """Replay a trace and write the canonical final state."""
     trace = load_trace(trace_path, lazy=True)
     state, rejected, _ = _fold_or_die(trace)
-    canonical = state.canonical_state()
-    payload = {
+    head = {
         "manifest": _manifest("replay", {"trace": trace}, {}),
-        "state_digest": _sha256(compact_json(canonical).encode()),
-        "state": canonical,
         "rejected": [{"block": r.action.block, "seq": r.action.seq,
                       "reason": r.reason} for r in rejected],
         "events": state.log,
     }
-    _write_reports(out, {"state.json": _json_text(payload)})
+    with _Staging(out) as staging:
+        staging.write("state.json", _state_json(head, state))
+        staging.commit()
     click.echo(f"replayed {state.actions_read} actions, {len(rejected)} rejected")
+
+
+def _state_json(head: dict, state: VotingState) -> Iterator[str]:
+    """The text of state.json, piece by piece: _json_text of head with
+    "state", the state as JSON values (its accounts, as_of and candidates),
+    and "state_digest", the sha256 of encode_json(state, indent=False).
+
+    Each chunk of accounts is encoded both ways and dropped, so that neither
+    text of the state, nor all of its values, is held at once. The keys of
+    head sort before "state", and "state_digest" after it, so the digest is
+    known when it is written."""
+    yield "{"
+    for key in sorted(head):
+        yield f"\n  {encode_json(key)}: {encode_json(head[key], depth=1)},"
+    yield '\n  "state": {\n    "accounts": {'
+    digest = hashlib.sha256(b'{"accounts":{')
+    close = "\n    }"  # of the accounts' dict, 2 levels deep
+    comma = ""
+    for chunk in state.account_chunks():
+        # A chunk's text within its braces is its part of the accounts' text.
+        digest.update(f"{comma}{encode_json(chunk, indent=False)[1:-1]}".encode())
+        yield comma + encode_json(chunk, depth=2)[1:-len(close)]
+        comma = ","
+    yield close if comma else "}"
+    rest = {"as_of": list(state.as_of), "candidates": state.candidates}
+    for key, value in rest.items():
+        yield f',\n    "{key}": {encode_json(value, depth=2)}'
+    digest.update(f"}},{encode_json(rest, indent=False)[1:]}".encode())
+    yield f'\n  }},\n  "state_digest": "{digest.hexdigest()}"\n}}\n'
 
 
 _WRITTEN = {"metrics": "metrics", "cluster": "clusters", "motifs": "motifs",

@@ -267,21 +267,22 @@ def _action(record: Any, names: dict[str, str] | None) -> Action:
                        record["block"], record["seq"], record.get("payload"), names)
 
 
-# orjson writes a line more than twice as fast as json, and the bytes of
-# json.dumps(record, sort_keys=True, separators=(",", ":")) for a record of
-# str, int, bool, None, float, list, tuple and dict, except where it raises
-# (an int beyond 64 bits, a key that is not a str), for a float that is not 0
-# and not in 1e-4 <= |x| < 1e16 (it writes 1e16 for 1e+16, 0.00001 for 1e-05
-# and null for NaN), and for the characters that json escapes and it writes
-# raw: all that are not ASCII, and DEL. json writes those records, and those
-# that hold any other type.
+# orjson writes JSON several times as fast as json, and the bytes of
+# json.dumps(value, sort_keys=True) with separators=(",", ":"), or with
+# indent=2 (its OPT_INDENT_2), for a value of str, int, bool, None, float,
+# list, tuple and dict, except where it raises (an int beyond 64 bits, a key
+# that is not a str, nesting past 254 levels), for a float that is not 0 and
+# not in 1e-4 <= |x| < 1e16 (it writes 1e16 for 1e+16, 0.00001 for 1e-05 and
+# null for NaN), and for the characters that json escapes and it writes raw:
+# all that are not ASCII, and DEL. json writes those values, and those that
+# hold any other type.
 
 _PLAIN_TYPES = frozenset({str, int, bool, type(None)})
 
 
 def _plain(values: Iterable) -> bool:
     """Whether orjson writes each of `values` as json does, but for the
-    characters _json_line finds in orjson's bytes."""
+    characters encode_json finds in orjson's bytes."""
     for value in values:
         cls = value.__class__
         if cls in _PLAIN_TYPES:
@@ -300,16 +301,43 @@ def _plain(values: Iterable) -> bool:
     return True
 
 
-def _json_line(record: dict) -> str:
-    """json.dumps(record, sort_keys=True, separators=(",", ":"))."""
+_COMPACT = orjson.OPT_SORT_KEYS
+_INDENTED = orjson.OPT_SORT_KEYS | orjson.OPT_INDENT_2
+
+
+def encode_json(value: Any, indent: bool = True, depth: int = 0) -> str:
+    """json.dumps(value, sort_keys=True) with indent=2, or else with
+    separators=(",", ":"), as it reads `depth` levels deep in an indented
+    text: each line after the first is indented 2 * depth spaces more.
+
+    orjson writes the value where its bytes are json's, and json otherwise,
+    so errors are json's: a TypeError for a value or key it cannot write, a
+    ValueError for a circular reference."""
     try:
-        line = orjson.dumps(record, option=orjson.OPT_SORT_KEYS)
+        data = orjson.dumps(value, option=_INDENTED if indent else _COMPACT)
+    except orjson.JSONEncodeError:
+        pass
+    else:
+        if data.isascii() and b"\x7f" not in data and _plain((value,)):
+            text = data.decode()
+            return text.replace("\n", "\n" + "  " * depth) if depth else text
+    if indent:
+        text = json.dumps(value, sort_keys=True, indent=2)
+        return text.replace("\n", "\n" + "  " * depth) if depth else text
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _json_line(record: dict) -> str:
+    """encode_json(record, indent=False), in the one orjson call that a
+    plain line costs."""
+    try:
+        line = orjson.dumps(record, option=_COMPACT)
     except orjson.JSONEncodeError:
         pass
     else:
         if line.isascii() and b"\x7f" not in line and _plain(record.values()):
             return line.decode()
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return encode_json(record, indent=False)
 
 
 def serialize_action(action: Action) -> str:

@@ -7,7 +7,6 @@ Candidate weights are summed from the tallies when read.
 """
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -22,6 +21,12 @@ from .model import (
     compute_vote_weight,
     vote_week,
 )
+
+
+# Accounts to a chunk of VotingState.account_chunks: enough that encoding a
+# chunk costs far more than the call, few enough that a chunk's texts are
+# small beside the state.
+ACCOUNTS_PER_CHUNK = 4096
 
 
 class ReplayError(LedgerError):
@@ -290,35 +295,20 @@ class VotingState:
         self._entries = per_voter
         return VotingSnapshot(taken_at=taken_at, per_voter=per_voter)
 
-    def canonical_json(self) -> str:
-        """Sorted-keys serialization used for determinism digests."""
-        return compact_json(self.canonical_state())
-
-    def canonical_state(self) -> dict:
-        """The state as JSON values: the accounts in name order, the
-        candidates' weights and the height and time it is as of."""
-        accounts = {
-            name: {
-                "stake": acct.stake,
-                "last_vote_time": acct.last_vote_time,
-                "votes": list(acct.votes),
-                "proxy": acct.proxy,
-                "is_proxy": acct.is_proxy,
-                "creator": acct.creator,
-            }
-            for name, acct in sorted(self.accounts.items())
-        }
-        return {
-            "as_of": list(self.as_of),
-            "accounts": accounts,
-            "candidates": self.candidates,
-        }
-
-
-def compact_json(payload: dict) -> str:
-    """payload as JSON text with sorted keys and no spaces, the form a
-    determinism digest hashes."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    def account_chunks(self) -> Iterator[dict]:
+        """The accounts as JSON values, in name order, ACCOUNTS_PER_CHUNK to
+        a dict: each name's stake, last vote time, votes, proxy, proxy flag
+        and creator."""
+        accounts, size = self.accounts, ACCOUNTS_PER_CHUNK
+        names = sorted(accounts)
+        for start in range(0, len(names), size):
+            chunk = {}
+            for name in names[start:start + size]:
+                acct = accounts[name]
+                chunk[name] = {"stake": acct.stake, "last_vote_time": acct.last_vote_time,
+                               "votes": acct.votes, "proxy": acct.proxy,
+                               "is_proxy": acct.is_proxy, "creator": acct.creator}
+            yield chunk
 
 
 class VoteLog:

@@ -774,6 +774,40 @@ def ref_serialize_header(header):
                       sort_keys=True, separators=(",", ":"))
 
 
+def ref_encode_json(value, indent=True):
+    """model.encode_json at depth 0 as json alone writes it."""
+    if indent:
+        return json.dumps(value, indent=2, sort_keys=True)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_state(state) -> dict:
+    """The "state" of state.json: the accounts in name order, the
+    candidates' weights and the height and time the state is as of."""
+    accounts = {
+        name: {
+            "stake": acct.stake,
+            "last_vote_time": acct.last_vote_time,
+            "votes": list(acct.votes),
+            "proxy": acct.proxy,
+            "is_proxy": acct.is_proxy,
+            "creator": acct.creator,
+        }
+        for name, acct in sorted(state.accounts.items())
+    }
+    return {
+        "as_of": list(state.as_of),
+        "accounts": accounts,
+        "candidates": state.candidates,
+    }
+
+
+def canonical_json(state) -> str:
+    """json's compact text of canonical_state(state), which state.json's
+    "state_digest" hashes."""
+    return ref_encode_json(canonical_state(state), indent=False)
+
+
 def ref_month_windows(start_ts, end_ts):
     """[lo, hi) clamped overlap of each UTC month with [start_ts, end_ts),
     walked one month at a time from the start of start_ts's month: a month

@@ -57,6 +57,7 @@ from oracles import (
     brute_linear,
     brute_triangular,
     candidate_graph,
+    canonical_json,
     component_clusters,
     edge_table,
     motif_key_set,
@@ -119,9 +120,9 @@ def test_02_replay_conservation():
                 if weight == expect == 0.0:
                     continue
                 assert abs(weight - expect) <= 1e-9 * max(abs(weight), abs(expect))
-            digest = hashlib.sha256(state.canonical_json().encode()).hexdigest()
+            digest = hashlib.sha256(canonical_json(state).encode()).hexdigest()
             redo = hashlib.sha256(
-                replay(trace)[0].canonical_json().encode()).hexdigest()
+                canonical_json(replay(trace)[0]).encode()).hexdigest()
             assert digest == redo
 
 

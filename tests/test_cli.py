@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import importlib
@@ -14,7 +15,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import dposforensics
-from dposforensics.cli import _cadence_or_die, _creators, main
+import oracles
+from dposforensics.cli import _Staging, _cadence_or_die, _creators, main
 from dposforensics.clustering import (cluster_voters, sample_voting_records,
                                       top_stakeholders)
 from dposforensics.metrics import daily_production, proxy_share_series
@@ -179,6 +181,49 @@ class TestReplayCommand:
                                            str(ledger_dir / "trace.jsonl")])
         assert result.exit_code == 0
         assert (tmp_path / "envout" / "state.json").exists()
+
+    def test_state_is_json_text_where_orjson_falls_back(self, tmp_path):
+        """Candidate weights of 1e16 and more, which orjson writes as e16,
+        and a trace path that is not ASCII, which json escapes."""
+        base = tmp_path / "ledger é"
+        config = write_config(tmp_path / "config.json", n_accounts=60, n_proxies=2,
+                              duration_days=10, start_time=2_000_000_000, plants=[])
+        result = CliRunner().invoke(main, ["generate", "-c", str(config), "-o", str(base)])
+        assert result.exit_code == 0, result.output
+        weights = replay(load_trace(str(base / "trace.jsonl")))[0].candidates.values()
+        assert any(w >= 1e16 for w in weights) and any(w < 1e16 for w in weights)
+        self._assert_state_is_json_text(base / "trace.jsonl", base / "out")
+
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    def test_state_in_many_chunks_is_json_text(self, per_chunk, ledger_dir, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr("dposforensics.replay.ACCOUNTS_PER_CHUNK", per_chunk)
+        self._assert_state_is_json_text(ledger_dir / "trace.jsonl", tmp_path / "out")
+
+    def test_state_of_an_empty_trace_is_json_text(self, tmp_path):
+        (tmp_path / "trace.jsonl").write_text("")
+        self._assert_state_is_json_text(tmp_path / "trace.jsonl", tmp_path / "out")
+
+    @staticmethod
+    def _assert_state_is_json_text(trace: Path, out: Path) -> None:
+        """dposf replay's state.json is json's text of the payload built by
+        the oracle."""
+        result = CliRunner().invoke(main, ["replay", str(trace), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        state, rejected = replay(load_trace(str(trace)))
+        payload = {
+            "manifest": {"command": "replay", "inputs": {"trace": str(trace)},
+                         "digests": {"trace": digest(trace)}, "params": {},
+                         "version": dposforensics.__version__},
+            "state_digest": hashlib.sha256(
+                oracles.canonical_json(state).encode()).hexdigest(),
+            "state": oracles.canonical_state(state),
+            "rejected": [{"block": r.action.block, "seq": r.action.seq,
+                          "reason": r.reason} for r in rejected],
+            "events": state.log,
+        }
+        text = (out / "state.json").read_text(encoding="utf-8")
+        assert text == oracles.ref_encode_json(payload) + "\n"
 
 
 class TestAnalysisCommands:
@@ -1070,6 +1115,59 @@ def test_unusable_output_path_exits_2(command, blocked, ledger_dir, report_dir, 
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert str(unusable) in result.output
+
+
+@pytest.mark.parametrize("command", ["generate", "replay", "all"])
+def test_a_report_that_is_a_directory_leaves_no_report(command, ledger_dir, tmp_path):
+    """A report path that is a directory exits 2 naming it before any report
+    is renamed into place: no report and no temporary file is left."""
+    trace, headers = str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl")
+    args, blocked = {
+        "generate": (["generate", "-c", str(ledger_dir / "config.json")], "truth.json"),
+        "replay": (["replay", trace], "state.json"),
+        "all": (["all", trace, headers, "--top-stake-pct", "0.5"], "clusters.json"),
+    }[command]
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    result = CliRunner().invoke(main, [*args, "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"cannot write {out / blocked}: Is a directory" in result.output
+    assert [path.name for path in out.iterdir()] == [blocked]
+    assert not any((out / blocked).iterdir())
+
+
+def test_a_fault_while_staging_leaves_no_file(tmp_path, capsys):
+    def pieces():
+        yield "{"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with pytest.raises(SystemExit) as exc, _Staging(str(tmp_path)) as staging:
+        staging.write("a.json", ["{}"])
+        staging.write("b.json", pieces())
+    assert exc.value.code == 2
+    assert (f"cannot write {tmp_path / 'b.json'}: No space left on device"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_left_temporary_file_blocks_no_run(ledger_dir, tmp_path, monkeypatch):
+    """Temporary files that a killed run left, one under this process's id
+    and one under the first random name drawn, are passed over and kept."""
+    out = tmp_path / "out"
+    out.mkdir()
+    left = [out / f".state.json.{os.getpid()}.tmp", out / ".state.json.0000beef.tmp"]
+    for path in left:
+        path.write_text("left")
+    draws = iter([bytes.fromhex("0000beef")])
+    urandom = os.urandom
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws, None) or urandom(n))
+    result = CliRunner().invoke(main, ["replay", str(ledger_dir / "trace.jsonl"),
+                                       "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert next(draws, None) is None
+    assert json.loads((out / "state.json").read_text())["rejected"] == []
+    assert sorted(out.iterdir()) == sorted([out / "state.json", *left])
+    assert all(path.read_text() == "left" for path in left)
 
 
 @pytest.mark.parametrize("command", ["all", "cluster"])

@@ -21,6 +21,7 @@ from dposforensics.model import (
     VOTE_INDEX_EPOCH,
     compute_vote_index,
     compute_vote_weight,
+    encode_json,
     header_fields,
     load_headers,
     make_action,
@@ -420,3 +421,34 @@ class TestSerializersAgreeWithReference:
     def test_header_lines(self, header):
         assert _written(serialize_header, header) == _written(
             oracles.ref_serialize_header, header)
+
+
+# Payloads nested as reports nest them, mostly in objects keyed by text, so
+# that subtrees orjson writes as json does sit beside ones it does not.
+_payloads = st.recursive(_values, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(_texts, inner, max_size=4),
+    _dicts(inner)), max_leaves=10)
+
+
+class TestEncoderAgreesWithJson:
+    @ENCODERS_AGREE
+    @given(payload=_payloads, depth=st.integers(0, 3))
+    def test_both_modes(self, payload, depth):
+        """encode_json writes json's bytes, or raises json's error type, in
+        both modes; `depth` indents every line after the first."""
+        expected = _written(oracles.ref_encode_json, payload)
+        if isinstance(expected, str):
+            expected = expected.replace("\n", "\n" + "  " * depth)
+        assert _written(lambda p: encode_json(p, depth=depth), payload) == expected
+        assert _written(lambda p: encode_json(p, indent=False), payload) == _written(
+            lambda p: oracles.ref_encode_json(p, indent=False), payload)
+
+    @pytest.mark.parametrize("indent", [True, False])
+    def test_circular_reference(self, indent):
+        loop = [1e16, {"k": 2**64}]
+        loop[1]["loop"] = loop
+        with pytest.raises(ValueError) as ours:
+            encode_json(loop, indent)
+        with pytest.raises(ValueError) as theirs:
+            oracles.ref_encode_json(loop, indent)
+        assert str(ours.value) == str(theirs.value)

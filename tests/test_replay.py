@@ -7,7 +7,7 @@ from dposforensics.model import compute_vote_index, compute_vote_weight
 from dposforensics.replay import ReplayError, replay, replay_with_snapshots
 
 from conftest import T0, DAY, TraceBuilder, random_trace
-from oracles import recompute_candidate_weights, recompute_tallies
+from oracles import canonical_json, recompute_candidate_weights, recompute_tallies
 
 EOS = 10_000  # base units per token
 
@@ -144,18 +144,18 @@ class TestReplay:
     def test_rejections_are_noops(self):
         b = base_trace()
         b.vote("alice", ["bp.a"])
-        clean = replay(b.build())[0].canonical_json()
+        clean = canonical_json(replay(b.build())[0])
         b2 = base_trace()
         b2.vote("alice", ["bp.a"])
         b2.undelegate("bob", 10_000 * EOS)  # rejected
-        with_reject = replay(b2.build())[0].canonical_json()
+        with_reject = canonical_json(replay(b2.build())[0])
         assert clean == with_reject
 
     def test_determinism_on_random_trace(self):
         trace = random_trace(99, n_actions=1000)
         s1, r1 = replay(trace)
         s2, r2 = replay(trace)
-        assert s1.canonical_json() == s2.canonical_json()
+        assert canonical_json(s1) == canonical_json(s2)
         assert len(r1) == len(r2)
 
     @pytest.mark.parametrize("seed", range(12))

@@ -13,7 +13,9 @@ digests the reports of metrics and cluster at --snapshot-cadence 1, where
 the most snapshots are taken. The faults group
 digests the exit code and stderr of metrics and all on a header file whose
 last line is bad, alone and with a trace whose last line is bad, each of
-which must exit 3. It exits 1 if the two seeds differ.
+which must exit 3, and of replay and all into an output directory where
+state.json and clusters.json are directories, each of which must exit 2. It
+exits 1 if the two seeds differ.
 """
 import argparse
 import hashlib
@@ -64,11 +66,15 @@ def digests(src: Path, pct: list[str], hash_seed: int, work: Path) -> dict[str, 
                                for command in [[]] + [[c] for c in COMMANDS])}
     bad_trace = with_bad_last_line(work, "trace.jsonl")
     bad_headers = with_bad_last_line(work, "headers.jsonl")
-    faults = [[command, t, bad_headers, "-o", "faults/out"]
+    faults = [([command, t, bad_headers, "-o", "faults/out"], 3)
               for t in (trace, bad_trace) for command in ("metrics", "all")]
+    for report in ("state.json", "clusters.json"):
+        (work / "faults" / "blocked" / report).mkdir(parents=True)
+    faults += [(["replay", trace, "-o", "faults/blocked"], 2),
+               (["all", trace, headers, *pct, "-o", "faults/blocked"], 2)]
     groups["faults"] = b"".join(
         b"%d\n%s" % (proc.returncode, proc.stderr)
-        for proc in (dposf(src, hash_seed, work, args, code=3) for args in faults))
+        for proc in (dposf(src, hash_seed, work, args, code) for args, code in faults))
     for command in (["metrics", trace, headers], ["cluster", trace]):
         dposf(src, hash_seed, work, [*command, *pct, "--snapshot-cadence", "1",
                                      "-o", "daily"])
