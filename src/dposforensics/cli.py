@@ -18,7 +18,7 @@ import signal
 import sys
 from collections import Counter
 from contextlib import nullcontext
-from itertools import count, takewhile
+from itertools import count, islice, takewhile
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NoReturn
 
@@ -52,6 +52,7 @@ from .model import (
     ParseError,
     decode_text,
     encode_json,
+    encode_json_both,
     load_headers,
     load_trace,
     ordered_sum,
@@ -181,6 +182,20 @@ def _write_reports(out: str | None, reports: dict[str, str | bytes]) -> Path:
             staging.write(name, (text,))
         staging.commit()
     return staging.dir
+
+
+_LINES_PER_CHUNK = 4096
+
+
+def _digested_lines(lines: Iterator[str], sha) -> Iterator[bytes]:
+    """The bytes of `lines`, each ended by a newline, a chunk of lines at a
+    time, each chunk added to `sha` as it is yielded: so no whole text of a
+    file, nor its bytes, is held."""
+    while chunk := list(islice(lines, _LINES_PER_CHUNK)):
+        chunk.append("")  # the last line's newline
+        data = "\n".join(chunk).encode()
+        sha.update(data)
+        yield data
 
 
 def _fold_or_die(trace: LineFile, observers=(), times: SampleTimes | None = None):
@@ -398,14 +413,11 @@ def generate(config_path: str, out: str | None) -> None:
     inputs = {"config": (config_path, _sha256(data))}
     del data
     with _Staging(out) as staging:
-        # One file at a time, so that one text is held at a time; each is
-        # encoded once, and its bytes are digested and written.
         for name, lines in (("trace", map(serialize_action, trace)),
                             ("headers", map(serialize_header, headers))):
-            data = "".join(line + "\n" for line in lines).encode()
-            staging.write(f"{name}.jsonl", (data,))
-            inputs[name] = (str(staging.dir / f"{name}.jsonl"), _sha256(data))
-            del data
+            sha = hashlib.sha256()
+            staging.write(f"{name}.jsonl", _digested_lines(lines, sha))
+            inputs[name] = (str(staging.dir / f"{name}.jsonl"), sha.hexdigest())
         truth["manifest"] = _manifest("generate", inputs, {"seed": config.seed})
         staging.write("truth.json", (_json_text(truth),))
         staging.commit()
@@ -450,8 +462,9 @@ def _state_json(head: dict, state: VotingState) -> Iterator[str]:
     comma = ""
     for chunk in state.account_chunks():
         # A chunk's text within its braces is its part of the accounts' text.
-        digest.update(f"{comma}{encode_json(chunk, indent=False)[1:-1]}".encode())
-        yield comma + encode_json(chunk, depth=2)[1:-len(close)]
+        compact, indented = encode_json_both(chunk, depth=2)
+        digest.update(f"{comma}{compact[1:-1]}".encode())
+        yield comma + indented[1:-len(close)]
         comma = ","
     yield close if comma else "}"
     rest = {"as_of": list(state.as_of), "candidates": state.candidates}

@@ -305,6 +305,11 @@ _COMPACT = orjson.OPT_SORT_KEYS
 _INDENTED = orjson.OPT_SORT_KEYS | orjson.OPT_INDENT_2
 
 
+def _deeper(text: str, depth: int) -> str:
+    """An indented text as it reads `depth` levels deeper."""
+    return text.replace("\n", "\n" + "  " * depth) if depth else text
+
+
 def encode_json(value: Any, indent: bool = True, depth: int = 0) -> str:
     """json.dumps(value, sort_keys=True) with indent=2, or else with
     separators=(",", ":"), as it reads `depth` levels deep in an indented
@@ -319,12 +324,26 @@ def encode_json(value: Any, indent: bool = True, depth: int = 0) -> str:
         pass
     else:
         if data.isascii() and b"\x7f" not in data and _plain((value,)):
-            text = data.decode()
-            return text.replace("\n", "\n" + "  " * depth) if depth else text
+            return _deeper(data.decode(), depth)
     if indent:
-        text = json.dumps(value, sort_keys=True, indent=2)
-        return text.replace("\n", "\n" + "  " * depth) if depth else text
+        return _deeper(json.dumps(value, sort_keys=True, indent=2), depth)
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def encode_json_both(value: Any, depth: int = 0) -> tuple[str, str]:
+    """(encode_json(value, indent=False), encode_json(value, depth=depth)),
+    for one walk of `value` by _plain: both texts hold the same keys, strings
+    and numbers, so orjson writes both as json does, or neither."""
+    try:
+        compact = orjson.dumps(value, option=_COMPACT)
+    except orjson.JSONEncodeError:
+        pass
+    else:
+        if compact.isascii() and b"\x7f" not in compact and _plain((value,)):
+            indented = orjson.dumps(value, option=_INDENTED).decode()
+            return compact.decode(), _deeper(indented, depth)
+    return (json.dumps(value, sort_keys=True, separators=(",", ":")),
+            _deeper(json.dumps(value, sort_keys=True, indent=2), depth))
 
 
 def _json_line(record: dict) -> str:
@@ -397,8 +416,16 @@ def _header_number(record: dict, key: str, kind: type):
 
 
 def serialize_header(header: BlockHeader) -> str:
-    return _json_line({"height": header.height, "producer": header.producer,
-                      "timestamp": header.timestamp})
+    """One JSON line, _json_line of the header's fields. A header of an int
+    height, a name-alphabet producer and a finite float timestamp is written
+    directly: json writes that int and that float by their reprs, and that
+    producer with no escapes."""
+    height, producer, timestamp = header
+    if (height.__class__ is int and producer.__class__ is str
+            and timestamp.__class__ is float and math.isfinite(timestamp)
+            and NAME_ALPHABET.issuperset(producer)):
+        return f'{{"height":{height},"producer":"{producer}","timestamp":{timestamp!r}}}'
+    return _json_line({"height": height, "producer": producer, "timestamp": timestamp})
 
 
 class _Hashing(io.RawIOBase):

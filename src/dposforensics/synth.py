@@ -247,10 +247,16 @@ class _TraceAssembler:
         self.raw.append((ts, len(self.raw), kind, actor, payload))
 
     def build(self) -> list[Action]:
-        self.raw.sort()  # by time, then order of addition: no two tie
+        """The actions, in order. `raw` is consumed as they are made, so
+        that each raw tuple and its payload are freed once its action is."""
+        raw = self.raw
+        # By time, then order of addition: no two tie, so the reverse order,
+        # popped from the end, is the order.
+        raw.sort(reverse=True)
         actions = []
         names: dict[str, str] = {}  # checked once per name, as in a load
-        for seq, (ts, _, kind, actor, payload) in enumerate(self.raw):
+        for seq in range(len(raw)):
+            ts, _, kind, actor, payload = raw.pop()
             block = int((ts - self.start_time) * 2) + 1
             actions.append(make_action(kind, actor, int(ts), block, seq, payload,
                                        names))
@@ -394,7 +400,7 @@ def generate_ledger(config: GenConfig) -> tuple[list[Action], list[BlockHeader],
                     for plant, roles in zip(config.plants, plant_roles)]
 
     trace = asm.build()
-    headers = _headers_for_trace(trace, config, rng_sched, t_end)
+    headers = _headers_for_trace(trace, config, rng_sched)
     truth = {
         "config": config.to_dict(),
         "creators": {k: creators[k] for k in sorted(creators)},
@@ -502,8 +508,9 @@ def generate_block_schedule(rounds: Sequence[Sequence[str]], start_time: float,
     """
     if not 0.0 <= skip_rate < 1.0:
         raise ConfigError("skip_rate must be in [0, 1)")
-    rng = rng or random.Random(0)
+    draw = (rng or random.Random(0)).random
     headers = []
+    append = headers.append
     height = start_height
     for r, producers in enumerate(rounds):
         producers = list(producers)
@@ -513,17 +520,15 @@ def generate_block_schedule(rounds: Sequence[Sequence[str]], start_time: float,
                 f"got {len(producers)}")
         base = start_time + r * ROUND_SECONDS
         for slot in range(BLOCKS_PER_ROUND):
-            ts = base + slot * BLOCK_INTERVAL
-            producer = producers[slot // 6]
-            if rng.random() >= skip_rate:
-                headers.append(BlockHeader(height=height, producer=producer,
-                                           timestamp=ts))
+            if draw() >= skip_rate:
+                append(BlockHeader(height, producers[slot // 6],
+                                   base + slot * BLOCK_INTERVAL))
             height += 1
     return headers
 
 
 def _headers_for_trace(trace: Sequence[Action], config: GenConfig,
-                       rng: random.Random, t_end: int) -> list[BlockHeader]:
+                       rng: random.Random) -> list[BlockHeader]:
     """Sampled rounds across the duration, electing top-21 from the replayed
     state at each round start."""
     interval = 86_400.0 / config.rounds_per_day

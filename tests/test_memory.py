@@ -1,4 +1,5 @@
-"""Memory budgets of the two analysis stages that grow with the voters.
+"""Memory budgets of the two analysis stages that grow with the voters, and
+of the generator, which grows with the ledger.
 
 tracemalloc counts numpy's buffers, so each budget is deterministic: the
 traced peak of one call, beyond the memory its result holds, against a bound
@@ -41,12 +42,15 @@ def peak_beyond_result(make):
     return peak - held
 
 
+CONFIG = GenConfig(
+    seed=3, n_accounts=6000, n_candidates=60, n_proxies=20, duration_days=30,
+    participation_rate=0.5, plants=[PlantSpec(kind="similar_cluster", size=8)])
+
+
 @pytest.fixture(scope="module")
 def ledger():
     """A generated ledger's vote log, end time and daily snapshots."""
-    trace, _, _ = generate_ledger(GenConfig(
-        seed=3, n_accounts=6000, n_candidates=60, n_proxies=20, duration_days=30,
-        participation_rate=0.5, plants=[PlantSpec(kind="similar_cluster", size=8)]))
+    trace, _, _ = generate_ledger(CONFIG)
     log = VoteLog()
     times = [trace[0].timestamp + day * DAY for day in range(1, 31)]
     state, _, snapshots = replay_with_snapshots(trace, times, [log])
@@ -86,4 +90,17 @@ def test_cluster_voters_within_its_budget(ledger):
               + 200 * n + 8 * pairs  # the neighbour lists
               + UFUNC_BUFFERS + SLACK)
     peak = peak_beyond_result(lambda: cluster_voters(voters, records))
+    assert peak <= budget, (peak, budget)
+
+
+def test_generate_ledger_within_its_budget():
+    """generate_ledger holds one copy of the ledger: each raw action is freed
+    as its Action is built, so beyond the trace, headers and truth it returns
+    it holds little more than the fold that elects each round's producers.
+    Holding the raw actions to the end, as a list beside the trace, takes
+    about 400 bytes per action."""
+    actions = len(generate_ledger(CONFIG)[0])
+    assert actions > 10_000
+    budget = 120 * actions + SLACK
+    peak = peak_beyond_result(lambda: generate_ledger(CONFIG))
     assert peak <= budget, (peak, budget)
