@@ -52,7 +52,6 @@ from .model import (
     ParseError,
     decode_text,
     encode_json,
-    encode_json_both,
     load_headers,
     load_trace,
     ordered_sum,
@@ -184,14 +183,17 @@ def _write_reports(out: str | None, reports: dict[str, str | bytes]) -> Path:
     return staging.dir
 
 
-_LINES_PER_CHUNK = 4096
+# Lines or accounts to a chunk of a streamed file: enough that encoding a
+# chunk costs far more than the call, few enough that a chunk's texts are
+# small beside the file.
+_PER_CHUNK = 4096
 
 
 def _digested_lines(lines: Iterator[str], sha) -> Iterator[bytes]:
     """The bytes of `lines`, each ended by a newline, a chunk of lines at a
     time, each chunk added to `sha` as it is yielded: so no whole text of a
     file, nor its bytes, is held."""
-    while chunk := list(islice(lines, _LINES_PER_CHUNK)):
+    while chunk := list(islice(lines, _PER_CHUNK)):
         chunk.append("")  # the last line's newline
         data = "\n".join(chunk).encode()
         sha.update(data)
@@ -250,18 +252,15 @@ class _HeaderCount:
             self.pipe = open(read, "rb")
         return self
 
-    def _count(self) -> tuple[Counter, str] | str:
-        """(The counter, the headers' digest), or the text of their
-        ParseError."""
-        try:
-            return daily_production(self.headers), self.headers.digest
-        except ParseError as exc:
-            return str(exc)
+    def _count(self) -> tuple[Counter, str]:
+        """The counter and the headers' digest."""
+        return daily_production(self.headers), self.headers.digest
 
     def _count_and_exit(self, write: int) -> NoReturn:
         """In the child: pickle _count() into the pipe, and exit 0 once it is
         written. The child never returns into the caller, so it flushes none
-        of the parent's buffers; any other fault exits 1 without a word."""
+        of the parent's buffers; any fault, a ParseError too, exits 1 without
+        a word, and the parent counts again."""
         code = 1
         try:
             with open(write, "wb") as pipe:
@@ -284,11 +283,10 @@ class _HeaderCount:
             data = self.pipe.read()
             if self._reap() == 0:
                 found = pickle.loads(data)
-        if found is None:
-            found = self._count()
-        if isinstance(found, str):
-            _fail(EXIT_DATA, f"unreadable headers: {found}")
-        daily, digest = found
+        try:
+            daily, digest = found or self._count()
+        except ParseError as exc:
+            _fail(EXIT_DATA, f"unreadable headers: {exc}")
         return daily, (self.headers.path, digest)
 
     def __exit__(self, *exc) -> None:
@@ -446,8 +444,10 @@ def replay_cmd(trace_path: str, out: str | None) -> None:
 
 def _state_json(head: dict, state: VotingState) -> Iterator[str]:
     """The text of state.json, piece by piece: _json_text of head with
-    "state", the state as JSON values (its accounts, as_of and candidates),
-    and "state_digest", the sha256 of encode_json(state, indent=False).
+    "state", the state as JSON values (its accounts in name order, each with
+    its stake, last vote time, votes, proxy, proxy flag and creator; as_of;
+    and candidates), and "state_digest", the sha256 of encode_json(state,
+    indent=False).
 
     Each chunk of accounts is encoded both ways and dropped, so that neither
     text of the state, nor all of its values, is held at once. The keys of
@@ -460,11 +460,15 @@ def _state_json(head: dict, state: VotingState) -> Iterator[str]:
     digest = hashlib.sha256(b'{"accounts":{')
     close = "\n    }"  # of the accounts' dict, 2 levels deep
     comma = ""
-    for chunk in state.account_chunks():
+    accounts = sorted(state.accounts.items())
+    for start in range(0, len(accounts), _PER_CHUNK):
+        chunk = {name: {"stake": acct.stake, "last_vote_time": acct.last_vote_time,
+                        "votes": acct.votes, "proxy": acct.proxy,
+                        "is_proxy": acct.is_proxy, "creator": acct.creator}
+                 for name, acct in accounts[start:start + _PER_CHUNK]}
         # A chunk's text within its braces is its part of the accounts' text.
-        compact, indented = encode_json_both(chunk, depth=2)
-        digest.update(f"{comma}{compact[1:-1]}".encode())
-        yield comma + indented[1:-len(close)]
+        digest.update(f"{comma}{encode_json(chunk, indent=False)[1:-1]}".encode())
+        yield comma + encode_json(chunk, depth=2)[1:-len(close)]
         comma = ","
     yield close if comma else "}"
     rest = {"as_of": list(state.as_of), "candidates": state.candidates}

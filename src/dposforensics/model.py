@@ -301,10 +301,6 @@ def _plain(values: Iterable) -> bool:
     return True
 
 
-_COMPACT = orjson.OPT_SORT_KEYS
-_INDENTED = orjson.OPT_SORT_KEYS | orjson.OPT_INDENT_2
-
-
 def _deeper(text: str, depth: int) -> str:
     """An indented text as it reads `depth` levels deeper."""
     return text.replace("\n", "\n" + "  " * depth) if depth else text
@@ -319,7 +315,8 @@ def encode_json(value: Any, indent: bool = True, depth: int = 0) -> str:
     so errors are json's: a TypeError for a value or key it cannot write, a
     ValueError for a circular reference."""
     try:
-        data = orjson.dumps(value, option=_INDENTED if indent else _COMPACT)
+        data = orjson.dumps(value, option=orjson.OPT_SORT_KEYS
+                            | (orjson.OPT_INDENT_2 if indent else 0))
     except orjson.JSONEncodeError:
         pass
     else:
@@ -330,45 +327,16 @@ def encode_json(value: Any, indent: bool = True, depth: int = 0) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def encode_json_both(value: Any, depth: int = 0) -> tuple[str, str]:
-    """(encode_json(value, indent=False), encode_json(value, depth=depth)),
-    for one walk of `value` by _plain: both texts hold the same keys, strings
-    and numbers, so orjson writes both as json does, or neither."""
-    try:
-        compact = orjson.dumps(value, option=_COMPACT)
-    except orjson.JSONEncodeError:
-        pass
-    else:
-        if compact.isascii() and b"\x7f" not in compact and _plain((value,)):
-            indented = orjson.dumps(value, option=_INDENTED).decode()
-            return compact.decode(), _deeper(indented, depth)
-    return (json.dumps(value, sort_keys=True, separators=(",", ":")),
-            _deeper(json.dumps(value, sort_keys=True, indent=2), depth))
-
-
-def _json_line(record: dict) -> str:
-    """encode_json(record, indent=False), in the one orjson call that a
-    plain line costs."""
-    try:
-        line = orjson.dumps(record, option=_COMPACT)
-    except orjson.JSONEncodeError:
-        pass
-    else:
-        if line.isascii() and b"\x7f" not in line and _plain(record.values()):
-            return line.decode()
-    return encode_json(record, indent=False)
-
-
 def serialize_action(action: Action) -> str:
     """One JSON line; parse_action(serialize_action(a)) == a."""
-    return _json_line({
+    return encode_json({
         "kind": action.kind.value,
         "actor": action.actor,
         "timestamp": action.timestamp,
         "block": action.block,
         "seq": action.seq,
         "payload": action.payload,
-    })
+    }, indent=False)
 
 
 _HEADER_FIELDS = frozenset({"height", "producer", "timestamp"})
@@ -416,7 +384,7 @@ def _header_number(record: dict, key: str, kind: type):
 
 
 def serialize_header(header: BlockHeader) -> str:
-    """One JSON line, _json_line of the header's fields. A header of an int
+    """One JSON line, encode_json of the header's fields. A header of an int
     height, a name-alphabet producer and a finite float timestamp is written
     directly: json writes that int and that float by their reprs, and that
     producer with no escapes."""
@@ -425,7 +393,8 @@ def serialize_header(header: BlockHeader) -> str:
             and timestamp.__class__ is float and math.isfinite(timestamp)
             and NAME_ALPHABET.issuperset(producer)):
         return f'{{"height":{height},"producer":"{producer}","timestamp":{timestamp!r}}}'
-    return _json_line({"height": height, "producer": producer, "timestamp": timestamp})
+    return encode_json({"height": height, "producer": producer, "timestamp": timestamp},
+                       indent=False)
 
 
 class _Hashing(io.RawIOBase):

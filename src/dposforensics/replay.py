@@ -23,12 +23,6 @@ from .model import (
 )
 
 
-# Accounts to a chunk of VotingState.account_chunks: enough that encoding a
-# chunk costs far more than the call, few enough that a chunk's texts are
-# small beside the state.
-ACCOUNTS_PER_CHUNK = 4096
-
-
 class ReplayError(LedgerError):
     """Fatal replay failure (unsorted trace, pre-state violation)."""
 
@@ -294,21 +288,6 @@ class VotingState:
         self._settle()  # a weight overflow fails the fold at this sample
         self._entries = per_voter
         return VotingSnapshot(taken_at=taken_at, per_voter=per_voter)
-
-    def account_chunks(self) -> Iterator[dict]:
-        """The accounts as JSON values, in name order, ACCOUNTS_PER_CHUNK to
-        a dict: each name's stake, last vote time, votes, proxy, proxy flag
-        and creator."""
-        accounts, size = self.accounts, ACCOUNTS_PER_CHUNK
-        names = sorted(accounts)
-        for start in range(0, len(names), size):
-            chunk = {}
-            for name in names[start:start + size]:
-                acct = accounts[name]
-                chunk[name] = {"stake": acct.stake, "last_vote_time": acct.last_vote_time,
-                               "votes": acct.votes, "proxy": acct.proxy,
-                               "is_proxy": acct.is_proxy, "creator": acct.creator}
-            yield chunk
 
 
 class VoteLog:

@@ -197,7 +197,7 @@ class TestReplayCommand:
     @pytest.mark.parametrize("per_chunk", [1, 7])
     def test_state_in_many_chunks_is_json_text(self, per_chunk, ledger_dir, tmp_path,
                                                 monkeypatch):
-        monkeypatch.setattr("dposforensics.replay.ACCOUNTS_PER_CHUNK", per_chunk)
+        monkeypatch.setattr("dposforensics.cli._PER_CHUNK", per_chunk)
         self._assert_state_is_json_text(ledger_dir / "trace.jsonl", tmp_path / "out")
 
     def test_state_of_an_empty_trace_is_json_text(self, tmp_path):
@@ -722,8 +722,8 @@ def test_a_header_fault_shows_after_a_good_fold(command, ledger_dir, tmp_path,
 def test_a_child_without_a_result_leaves_the_count_to_the_parent(ledger_dir, tmp_path,
                                                                   monkeypatch):
     """The child counts the headers while the parent folds; a child whose
-    count raises, here anything but a ParseError, gives no result, and the
-    parent counts the headers itself, to the same reports."""
+    count raises, a ParseError or, here, anything else, gives no result, and
+    the parent counts the headers itself, to the same reports."""
     parent = os.getpid()
     counted_in_parent = []
     fail_in_child = False

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -8,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from dposforensics import synth
 from dposforensics.cli import main
 from dposforensics.clustering import cluster_voters, sample_voting_records
 from dposforensics.model import TIME_MAX, serialize_action, serialize_header
@@ -154,6 +156,33 @@ class TestDeterminism:
             pinned = [line.split("  ") for line in PINS[ledger].splitlines()]
             assert found == {path: digest for digest, path in pinned
                              if path.startswith("ledger/")}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_is_off_and_restored(self, enabled, monkeypatch):
+        """generate_ledger runs with the cyclic collector off and gives back
+        the caller's setting, after a return and after a ConfigError; the
+        ledger, dropped, leaves no cycle for a collection to find."""
+        seen = []
+        headers_for_trace = synth._headers_for_trace
+
+        def headers(*args):
+            seen.append(gc.isenabled())
+            return headers_for_trace(*args)
+
+        monkeypatch.setattr(synth, "_headers_for_trace", headers)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            gc.collect()
+            generate_ledger(small_config())
+            assert gc.isenabled() == enabled
+            assert gc.collect() == 0
+            with pytest.raises(ConfigError, match="at least 21"):
+                generate_ledger(small_config(n_candidates=20))
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
 
     def test_different_seeds_differ(self):
         t1, _, _ = generate_ledger(small_config(seed=1))

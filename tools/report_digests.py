@@ -1,9 +1,10 @@
-"""Digests of all that dposf writes for one ledger config, to show that two
-checkouts write the same bytes:
+"""Digests of all that dposf writes for each of some ledger configs, to show
+that two checkouts write the same bytes:
 
-    python3 tools/report_digests.py SRC CONFIG [--top-stake-pct PCT]
+    python3 tools/report_digests.py SRC CONFIG... [--top-stake-pct PCT]
 
-SRC is a checkout's src directory, CONFIG a generator config. Under
+SRC is a checkout's src directory, each CONFIG a generator config, whose
+digests are printed under its path. For each config, under
 PYTHONHASHSEED 0 and 1, each in a fresh directory, it runs generate, all,
 score, and replay, metrics, cluster, motifs and gangs, in subprocesses with
 relative paths so that manifests match. Per group and hash seed it prints
@@ -15,7 +16,7 @@ digests the exit code and stderr of metrics and all on a header file whose
 last line is bad, alone and with a trace whose last line is bad, each of
 which must exit 3, and of replay and all into an output directory where
 state.json and clusters.json are directories, each of which must exit 2. It
-exits 1 if the two seeds differ.
+exits 1 if the two seeds of any config differ.
 """
 import argparse
 import hashlib
@@ -89,18 +90,22 @@ def digests(src: Path, pct: list[str], hash_seed: int, work: Path) -> dict[str, 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path)
-    parser.add_argument("config", type=Path)
+    parser.add_argument("configs", type=Path, nargs="+", metavar="config")
     parser.add_argument("--top-stake-pct")
     args = parser.parse_args()
     pct = ["--top-stake-pct", args.top_stake_pct] if args.top_stake_pct else []
-    by_seed = []
-    for hash_seed in (0, 1):
-        with tempfile.TemporaryDirectory() as work:
-            shutil.copyfile(args.config, Path(work) / "config.json")
-            by_seed.append(digests(args.src.resolve(), pct, hash_seed, Path(work)))
-        for group, digest in by_seed[-1].items():
-            print(f"{group:8} PYTHONHASHSEED={hash_seed} {digest}")
-    sys.exit(by_seed[0] != by_seed[1])
+    differ = False
+    for config in args.configs:
+        print(f"{config}:")
+        by_seed = []
+        for hash_seed in (0, 1):
+            with tempfile.TemporaryDirectory() as work:
+                shutil.copyfile(config, Path(work) / "config.json")
+                by_seed.append(digests(args.src.resolve(), pct, hash_seed, Path(work)))
+            for group, digest in by_seed[-1].items():
+                print(f"  {group:8} PYTHONHASHSEED={hash_seed} {digest}")
+        differ |= by_seed[0] != by_seed[1]
+    sys.exit(differ)
 
 
 if __name__ == "__main__":
