@@ -147,55 +147,69 @@ def _name(value: Any, field_name: str, names: dict[str, str]) -> str:
         return name
 
 
-_KINDS = {kind.value: kind for kind in ActionKind}
+# The payload checks, one per kind, of make_action's actor, payload dict and
+# names: each returns the payload the Action keeps.
+
+def _newaccount(actor: str, payload: dict, names: dict[str, str]) -> dict:
+    created = _name(payload.get("created"), "payload.created", names)
+    creator = _name(payload.get("creator", actor), "payload.creator", names)
+    if creator != actor:
+        raise ParseError("creator must equal the acting account", "payload.creator")
+    return {"created": created, "creator": creator}
 
 
-def _validate_payload(kind: ActionKind, actor: str, payload: Any,
-                      names: dict[str, str]) -> dict:
-    if not isinstance(payload, dict):
-        raise ParseError("payload must be an object", "payload")
-    if kind is ActionKind.NEW_ACCOUNT:
-        created = _name(payload.get("created"), "payload.created", names)
-        creator = _name(payload.get("creator", actor), "payload.creator", names)
-        if creator != actor:
-            raise ParseError("creator must equal the acting account", "payload.creator")
-        return {"created": created, "creator": creator}
-    if kind is ActionKind.DELEGATE_BW or kind is ActionKind.UNDELEGATE_BW:
-        amount = payload.get("amount")
-        if not (amount.__class__ is int or _is_number(amount, int)):
-            raise ParseError("amount must be an integer of base units", "payload.amount")
-        if amount < 0:
-            raise ParseError("amount must be non-negative", "payload.amount")
-        return {"amount": amount}
-    if kind is ActionKind.REG_PRODUCER:
-        return {}
-    if kind is ActionKind.REG_PROXY:
-        isproxy = payload.get("isproxy")
-        if not isinstance(isproxy, bool):
-            raise ParseError("isproxy must be a boolean", "payload.isproxy")
-        return {"isproxy": isproxy}
-    if kind is ActionKind.VOTE_PRODUCER:
-        proxy = payload.get("proxy") or ""
-        producers = payload.get("producers") or []
-        if not isinstance(producers, list):
-            raise ParseError("producers must be a list", "payload.producers")
-        if proxy:
-            proxy = _name(proxy, "payload.proxy", names)
-            if producers:
-                raise ParseError("ambiguous vote: both proxy and producers set", "payload")
-            return {"proxy": proxy, "producers": []}
-        if len(producers) > MAX_VOTES:
-            raise ParseError(f"producers list exceeds {MAX_VOTES}", "payload.producers")
-        try:
-            producers = [names[p] for p in producers]
-        except (KeyError, TypeError):
-            producers = [_name(p, "payload.producers", names) for p in producers]
-        if len(set(producers)) != len(producers):
-            raise ParseError("producers list has duplicates", "payload.producers")
-        if producers != sorted(producers):
-            raise ParseError("producers list must be sorted ascending", "payload.producers")
-        return {"proxy": "", "producers": producers}
-    raise ParseError(f"unknown action kind '{kind}'", "kind")
+def _amount(actor: str, payload: dict, names: dict[str, str]) -> dict:
+    amount = payload.get("amount")
+    if not (amount.__class__ is int or _is_number(amount, int)):
+        raise ParseError("amount must be an integer of base units", "payload.amount")
+    if amount < 0:
+        raise ParseError("amount must be non-negative", "payload.amount")
+    return {"amount": amount}
+
+
+def _regproducer(actor: str, payload: dict, names: dict[str, str]) -> dict:
+    return {}
+
+
+def _regproxy(actor: str, payload: dict, names: dict[str, str]) -> dict:
+    isproxy = payload.get("isproxy")
+    if not isinstance(isproxy, bool):
+        raise ParseError("isproxy must be a boolean", "payload.isproxy")
+    return {"isproxy": isproxy}
+
+
+def _voteproducer(actor: str, payload: dict, names: dict[str, str]) -> dict:
+    proxy = payload.get("proxy") or ""
+    producers = payload.get("producers") or []
+    if not isinstance(producers, list):
+        raise ParseError("producers must be a list", "payload.producers")
+    if proxy:
+        proxy = _name(proxy, "payload.proxy", names)
+        if producers:
+            raise ParseError("ambiguous vote: both proxy and producers set", "payload")
+        return {"proxy": proxy, "producers": []}
+    if len(producers) > MAX_VOTES:
+        raise ParseError(f"producers list exceeds {MAX_VOTES}", "payload.producers")
+    try:
+        producers = [names[p] for p in producers]
+    except (KeyError, TypeError):
+        producers = [_name(p, "payload.producers", names) for p in producers]
+    if len(set(producers)) != len(producers):
+        raise ParseError("producers list has duplicates", "payload.producers")
+    if producers != sorted(producers):
+        raise ParseError("producers list must be sorted ascending", "payload.producers")
+    return {"proxy": "", "producers": producers}
+
+
+# kind value -> (kind, payload check); a member, a str, finds its own entry
+_KINDS = {kind.value: (kind, check) for kind, check in (
+    (ActionKind.NEW_ACCOUNT, _newaccount),
+    (ActionKind.DELEGATE_BW, _amount),
+    (ActionKind.UNDELEGATE_BW, _amount),
+    (ActionKind.REG_PRODUCER, _regproducer),
+    (ActionKind.REG_PROXY, _regproxy),
+    (ActionKind.VOTE_PRODUCER, _voteproducer),
+)}
 
 
 def make_action(kind: ActionKind | str, actor: str, timestamp: int, block: int,
@@ -208,7 +222,7 @@ def make_action(kind: ActionKind | str, actor: str, timestamp: int, block: int,
     this action adds are put in it.
     """
     try:
-        kind = _KINDS[kind]
+        kind, check = _KINDS[kind]
     except (KeyError, TypeError):
         raise ParseError(f"unknown action kind '{kind}'", "kind") from None
     if names is None:
@@ -224,8 +238,10 @@ def make_action(kind: ActionKind | str, actor: str, timestamp: int, block: int,
         raise ParseError("block must be a non-negative integer", "block")
     if not (seq.__class__ is int or _is_number(seq, int)):
         raise ParseError("seq must be an integer", "seq")
-    payload = _validate_payload(kind, actor, payload or {}, names)
-    return Action(kind, actor, int(timestamp), block, seq, payload)
+    payload = payload or {}
+    if not isinstance(payload, dict):
+        raise ParseError("payload must be an object", "payload")
+    return Action(kind, actor, int(timestamp), block, seq, check(actor, payload, names))
 
 
 def _json_value(line: str) -> Any:
@@ -245,7 +261,8 @@ def _json_value(line: str) -> Any:
 # range. A header's height, the one number converted with int(), goes back
 # to json whenever orjson does not read it as an int.
 
-_ACTION_FIELDS = frozenset({"kind", "actor", "timestamp", "block", "seq"})
+_ACTION_FIELDS = ("kind", "actor", "timestamp", "block", "seq")  # make_action's order
+_action_fields = operator.itemgetter(*_ACTION_FIELDS)
 
 
 def parse_action(line: str, names: dict[str, str] | None = None) -> Action:
@@ -260,11 +277,12 @@ def parse_action(line: str, names: dict[str, str] | None = None) -> Action:
 def _action(record: Any, names: dict[str, str] | None) -> Action:
     if not isinstance(record, dict):
         raise ParseError("trace line must be a JSON object", "line")
-    if not _ACTION_FIELDS <= record.keys():
-        missing = sorted(_ACTION_FIELDS - record.keys())
-        raise ParseError(f"missing fields: {missing}", ",".join(missing))
-    return make_action(record["kind"], record["actor"], record["timestamp"],
-                       record["block"], record["seq"], record.get("payload"), names)
+    try:
+        fields = _action_fields(record)
+    except KeyError:
+        missing = sorted(set(_ACTION_FIELDS) - record.keys())
+        raise ParseError(f"missing fields: {missing}", ",".join(missing)) from None
+    return make_action(*fields, record.get("payload"), names)
 
 
 # orjson writes JSON several times as fast as json, and the bytes of

@@ -1,3 +1,4 @@
+import copy
 import datetime
 import enum
 import json
@@ -32,7 +33,7 @@ from dposforensics.model import (
     validate_name,
 )
 
-from conftest import FUZZ_HEADERS, FUZZ_TRACE, T0, one_field_changed
+from conftest import FUZZ_HEADERS, FUZZ_TRACE, T0, json_values, one_field_changed
 
 DAY = 86_400
 WEEK = 7 * DAY
@@ -318,10 +319,37 @@ def split_lines(draw, records):
     return lines
 
 
+@st.composite
+def two_fields_changed(draw, records):
+    """A deep copy of the records in which one record has two of its fields,
+    top-level or in its payload, each replaced by any JSON value or, one
+    time in five, deleted: a line that may break two checks at once."""
+    records = copy.deepcopy(records)
+    record = draw(st.sampled_from(records))
+    payload = record["payload"]
+    fields = [(record, key) for key in record] + [(payload, key) for key in payload]
+    for i in draw(st.lists(st.integers(0, len(fields) - 1), min_size=2, max_size=2,
+                           unique=True)):
+        parent, key = fields[i]
+        if draw(st.integers(0, 4)) == 0:
+            del parent[key]
+        else:
+            parent[key] = draw(json_values)
+    return records
+
+
 class TestParsersAgreeWithReference:
     @PARSERS_AGREE
     @given(records=one_field_changed(FUZZ_TRACE))
     def test_trace_lines(self, records):
+        _assert_parsers_agree([json.dumps(r) for r in records], parse_action,
+                              oracles.ref_parse_action)
+
+    @PARSERS_AGREE
+    @given(records=two_fields_changed(FUZZ_TRACE))
+    def test_trace_lines_with_two_faults(self, records):
+        """Where a line breaks two checks, the one whose message wins is the
+        reference's."""
         _assert_parsers_agree([json.dumps(r) for r in records], parse_action,
                               oracles.ref_parse_action)
 
