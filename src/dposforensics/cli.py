@@ -16,11 +16,10 @@ import os
 import pickle
 import signal
 import sys
-from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager
 from itertools import count, islice, takewhile
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NoReturn
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import click
 
@@ -226,73 +225,55 @@ def _fold_or_die(trace: LineFile, observers=(), times: SampleTimes | None = None
         _fail(EXIT_DATA, f"unreplayable trace: {exc}")
 
 
-class _HeaderCount:
-    """The daily_production of a header file, read beside the fold of the
-    trace. Where both inputs are regular files, not one file given twice,
-    and os.fork exists, a child forked on entry counts the headers while the
-    parent folds; otherwise, or when the child ends without a result, the
-    parent counts them in result(). On exit, a child whose result was not
-    read is killed and reaped."""
-
-    def __init__(self, headers_path: str, trace_path: str) -> None:
-        self.headers = load_headers(headers_path, lazy=True)
-        self.pid: int | None = None
-        self.apart = (hasattr(os, "fork") and os.path.isfile(trace_path)
-                      and os.path.isfile(headers_path)
-                      and not os.path.samefile(trace_path, headers_path))
-
-    def __enter__(self) -> "_HeaderCount":
-        if self.apart:
-            read, write = os.pipe()
-            self.pid = os.fork()
-            if self.pid == 0:
-                os.close(read)
-                self._count_and_exit(write)
-            os.close(write)
-            self.pipe = open(read, "rb")
-        return self
-
-    def _count(self) -> tuple[Counter, str]:
-        """The counter and the headers' digest."""
-        return daily_production(self.headers), self.headers.digest
-
-    def _count_and_exit(self, write: int) -> NoReturn:
-        """In the child: pickle _count() into the pipe, and exit 0 once it is
-        written. The child never returns into the caller, so it flushes none
-        of the parent's buffers; any fault, a ParseError too, exits 1 without
-        a word, and the parent counts again."""
-        code = 1
+@contextmanager
+def _forked(work: Callable, fork: bool) -> Iterator[Callable]:
+    """A function that returns work(). Where fork is set and os.fork exists,
+    a child forked on entry runs work() while the caller goes on, and the
+    function returns the child's pickled result; it runs work() in-process
+    where the fork fails or the child ends without a result. On exit, a
+    child whose result was not read is killed and reaped."""
+    pid = None
+    if fork and hasattr(os, "fork"):
+        read, write = os.pipe()
         try:
-            with open(write, "wb") as pipe:
-                pickle.dump(self._count(), pipe)
-            code = 0
-        finally:
-            os._exit(code)
+            pid = os.fork()
+        except OSError:  # no process to spare, say
+            os.close(read)
+            os.close(write)
+        else:
+            if pid == 0:
+                # The child never returns into the caller, so it flushes none
+                # of the parent's buffers; any fault exits 1 without a word.
+                try:
+                    os.close(read)
+                    with open(write, "wb") as to_parent:
+                        pickle.dump(work(), to_parent)
+                    os._exit(0)
+                finally:  # reached only by a fault: os._exit does not return
+                    os._exit(1)
+            os.close(write)
+            pipe = open(read, "rb")
 
-    def _reap(self) -> int:
-        self.pipe.close()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
+    def reap() -> int:
+        nonlocal pid
+        pipe.close()
+        _, status = os.waitpid(pid, 0)
+        pid = None
         return status
 
-    def result(self) -> tuple[Counter, tuple[str, str]]:
-        """The counter and the headers' (path, digest); exit 3 naming the
-        line of a fault in the headers."""
-        found = None
-        if self.pid is not None:
-            data = self.pipe.read()
-            if self._reap() == 0:
-                found = pickle.loads(data)
-        try:
-            daily, digest = found or self._count()
-        except ParseError as exc:
-            _fail(EXIT_DATA, f"unreadable headers: {exc}")
-        return daily, (self.headers.path, digest)
+    def result():
+        if pid is not None:
+            data = pipe.read()
+            if reap() == 0:
+                return pickle.loads(data)
+        return work()
 
-    def __exit__(self, *exc) -> None:
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            self._reap()
+    try:
+        yield result
+    finally:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            reap()
 
 
 def _creators(state, rejected) -> dict[str, str]:
@@ -493,8 +474,15 @@ def _analyze(command: str, analyses: set[str], options: dict, trace_path: str,
                for p in click.get_current_context().command.params if p.name in options}
     log = VoteLog() if analyses & {"motifs", "gangs"} else None
     inputs = {"trace": load_trace(trace_path, lazy=True)}
-    with (_HeaderCount(headers_path, trace_path) if "metrics" in analyses
-          else nullcontext()) as header_count:
+    headers = load_headers(headers_path, lazy=True) if "metrics" in analyses else None
+    # The headers are counted in a child while the parent folds only where
+    # both inputs are regular files, not one file given twice: the parent
+    # reads them again where the child gives no result.
+    apart = (headers is not None and os.path.isfile(trace_path)
+             and os.path.isfile(headers_path)
+             and not os.path.samefile(trace_path, headers_path))
+    with _forked(lambda: (daily_production(headers), headers.digest),
+                 apart) as header_count:
         state, rejected, snapshots = _fold_or_die(
             inputs["trace"], [] if log is None else [log],
             checked.get("snapshot_cadence"))
@@ -507,8 +495,12 @@ def _analyze(command: str, analyses: set[str], options: dict, trace_path: str,
         candidates, end_time = set(state.tallies), state.end_time
         del state, rejected
         # Only after a good fold, so that a trace fault wins over a header one.
-        if header_count is not None:
-            daily, inputs["headers"] = header_count.result()
+        if headers is not None:
+            try:
+                daily, digest = header_count()
+            except ParseError as exc:
+                _fail(EXIT_DATA, f"unreadable headers: {exc}")
+            inputs["headers"] = (headers_path, digest)
     manifest = _manifest(command, inputs, options)
     reports: dict[str, str] = {}
     if "metrics" in analyses:
@@ -769,9 +761,11 @@ def _fit_or_die(value, shape, path, where: str = ""):
 def _read_json_or_die(path, shape) -> tuple[dict, str]:
     """The payload of a JSON file, checked against shape, and the digest of
     the bytes it was read from: the file is read once, as a pipe can be."""
-    data = Path(path).read_bytes()
     try:
+        data = Path(path).read_bytes()
         payload = json.loads(decode_text(data))
+    except OSError as exc:  # a directory, say
+        _fail(EXIT_DATA, f"unreadable {path}: {exc.strerror}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         _fail(EXIT_DATA, f"unreadable {path}: {exc}")
     return _fit_or_die(payload, shape, path), _sha256(data)
@@ -818,6 +812,8 @@ def score(report_dir, truth_path, out) -> None:
         try:
             lines = [(n, json.loads(l)) for n, l in enumerate(
                 motif_path.read_text(encoding="utf-8").splitlines(), 1) if l]
+        except OSError as exc:
+            _fail(EXIT_DATA, f"unreadable {motif_path}: {exc.strerror}")
         except (ValueError, RecursionError) as exc:
             _fail(EXIT_DATA, f"unreadable {motif_path}: {exc}")
         motif_lines = [_fit_or_die(line, MOTIF_LINE, motif_path, f"line {n}")

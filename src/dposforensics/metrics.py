@@ -125,7 +125,10 @@ def powerlaw_exponent(values: Iterable[float]) -> tuple[float, float]:
     """
     import numpy as np
 
-    vals = np.asarray(list(values), dtype=float)
+    try:
+        vals = np.asarray(list(values), dtype=float)
+    except OverflowError:  # an int of 2**1024 or more
+        raise MetricsError("a value is too large for a float") from None
     if len(vals) < 10:
         raise MetricsError("need at least 10 values for a power-law fit")
     if np.any(vals <= 0):

@@ -248,7 +248,7 @@ def _json_value(line: str) -> Any:
     """json.loads(line), its errors ParseErrors."""
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of 4,301+ digits
         raise ParseError(f"invalid JSON: {exc}", "line") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", "line") from None

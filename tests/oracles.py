@@ -714,7 +714,7 @@ def ref_make_action(kind, actor, timestamp, block, seq, payload=None):
 def ref_parse_action(line):
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of 4,301+ digits
         raise ParseError(f"invalid JSON: {exc}", "line") from None
     if not isinstance(record, dict):
         raise ParseError("trace line must be a JSON object", "line")
@@ -728,7 +728,7 @@ def ref_parse_action(line):
 def ref_parse_header(line):
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of 4,301+ digits
         raise ParseError(f"invalid JSON: {exc}", "line") from None
     if not isinstance(record, dict):
         raise ParseError("header line must be a JSON object", "line")

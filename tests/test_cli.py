@@ -438,6 +438,16 @@ def test_every_traced_target_exists():
         if owner is not None:
             target = getattr(target, owner)
         assert callable(getattr(target, attr, None)), (module, owner, attr)
+    # The tracer patches only the modules loaded once it has imported the
+    # CLI, so the CLI's import must load every module it wraps.
+    src = str(Path(dposforensics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, dposforensics.cli; print(*sys.modules)"],
+        env=env, check=True, capture_output=True, text=True).stdout.split()
+    missing = {f"dposforensics.{module}" for module, *_ in targets} - set(loaded)
+    assert not missing
 
 
 def test_benchmark_crosschecks_pass(ledger_dir, tmp_path, monkeypatch):
@@ -590,6 +600,22 @@ def test_voters_without_stake_have_a_top_share_of_0(ledger_dir, tmp_path):
     assert "error" in summary["stake_powerlaw"]
 
 
+def test_a_stake_too_large_for_a_float_fits_no_power_law(ledger_dir, tmp_path):
+    """A stake of 10**400 gives no vote weight where it votes through a proxy
+    that never votes, so replay and cluster take it; metrics reports its
+    power-law fit as an error, as for any fit that fails."""
+    trace = (TraceBuilder().newaccount("eosio", "alice").delegate("alice", 10**400)
+             .regproxy("genesis").vote_proxy("alice", "genesis").build())
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(serialize_action(a) + "\n" for a in trace))
+    for args in (["replay", str(path)], ["cluster", str(path)],
+                 ["metrics", str(path), str(ledger_dir / "headers.jsonl")]):
+        result = CliRunner().invoke(main, args + ["-o", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert summary["stake_powerlaw"] == {"error": "a value is too large for a float"}
+
+
 def test_timestamps_that_run_back_in_a_pipe_exit_3(ledger_dir, tmp_path):
     """Such a trace is folded twice, which a pipe cannot be: the command
     fails rather than write reports without the snapshots."""
@@ -719,11 +745,18 @@ def test_a_header_fault_shows_after_a_good_fold(command, ledger_dir, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def _open_fds() -> int | None:
+    """The number of this process's open file descriptors, where /proc
+    lists them."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 def test_a_child_without_a_result_leaves_the_count_to_the_parent(ledger_dir, tmp_path,
                                                                   monkeypatch):
-    """The child counts the headers while the parent folds; a child whose
-    count raises, a ParseError or, here, anything else, gives no result, and
-    the parent counts the headers itself, to the same reports."""
+    """The child counts the headers while the parent folds. Where the fork
+    fails, or the child gives no result, as it does when its count raises (a
+    ParseError or, here, anything else), the parent counts the headers
+    itself, to the same reports, and leaves no child and no open file."""
     parent = os.getpid()
     counted_in_parent = []
     fail_in_child = False
@@ -735,21 +768,33 @@ def test_a_child_without_a_result_leaves_the_count_to_the_parent(ledger_dir, tmp
             raise RuntimeError("no count in the child")
         return daily_production(headers)
 
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
     monkeypatch.setattr("dposforensics.cli.daily_production", count)
-    args = ["metrics", str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl")]
-    outs = [tmp_path / "forked", tmp_path / "in_process"]
-    for out in outs:
-        result = CliRunner().invoke(main, [*args, "-o", str(out)])
-        _assert_no_child_left()
-        assert result.exit_code == 0, result.output
-        assert result.output == f"metrics written to {out}\n"
-        assert len(counted_in_parent) == fail_in_child
-        fail_in_child = True
-    assert counted_in_parent == [str(ledger_dir / "headers.jsonl")]
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert names == sorted(p.name for p in outs[1].iterdir())
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    written = {"metrics": "metrics", "all": "full report"}
+    for command, done in written.items():
+        args = [command, str(ledger_dir / "trace.jsonl"), str(ledger_dir / "headers.jsonl")]
+        outs = [tmp_path / command / way for way in ("forked", "no_result", "no_fork")]
+        for out in outs:
+            counted_in_parent.clear()
+            fail_in_child = out.name == "no_result"
+            fds = _open_fds()
+            with monkeypatch.context() as patch:
+                if out.name == "no_fork":
+                    patch.setattr(os, "fork", no_fork)
+                result = CliRunner().invoke(main, [*args, "-o", str(out)])
+            _assert_no_child_left()
+            assert _open_fds() == fds
+            assert result.exit_code == 0, result.output
+            assert result.output == f"{done} written to {out}\n"
+            assert counted_in_parent == ([] if out.name == "forked"
+                                         else [str(ledger_dir / "headers.jsonl")])
+        names = sorted(p.name for p in outs[0].iterdir())
+        for out in outs[1:]:
+            assert names == sorted(p.name for p in out.iterdir())
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_an_interrupted_fold_kills_the_child(ledger_dir, tmp_path, monkeypatch):
@@ -929,6 +974,13 @@ BAD_INPUTS = {
     "trace_seq_bool": ("trace.jsonl",
                        _action_line("regproducer", "bpa", str(T0), "{}").replace(
                            '"seq": 0', '"seq": false'), "line 1"),
+    # An int of more than 4,300 digits, which json will not convert.
+    "trace_huge_int": ("trace.jsonl",
+                       _action_line("delegatebw", "alice", str(T0),
+                                    f'{{"amount": {"9" * 5000}}}'), "line 1"),
+    "header_huge_int": ("headers.jsonl",
+                        f'{{"height": {"9" * 5000}, "producer": "bpa", "timestamp": 1}}',
+                        "line 1"),
     "header_height": ("headers.jsonl",
                       '{"height": "x", "producer": "bpa", "timestamp": 1}', "line 1"),
     "header_height_bool": ("headers.jsonl",
@@ -1036,6 +1088,21 @@ def test_bad_input_exits_3_without_traceback(case, ledger_dir, report_dir,
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert named in result.output
+
+
+@pytest.mark.parametrize("name", ["clusters.json", "gangs.json", "motifs.json",
+                                  "motifs.jsonl"])
+def test_a_report_that_is_a_directory_exits_3(name, ledger_dir, report_dir, tmp_path):
+    reports = tmp_path / "reports"
+    shutil.copytree(report_dir, reports, ignore=shutil.ignore_patterns("score.json"))
+    (reports / name).unlink()
+    (reports / name).mkdir()
+    result = CliRunner().invoke(main, ["score", str(reports),
+                                       str(ledger_dir / "truth.json")])
+    assert result.exit_code == 3, result.output
+    assert result.output == (f"error: unreadable {reports / name}: "
+                             f"{os.strerror(errno.EISDIR)}\n")
+    assert not (reports / "score.json").exists()
 
 
 # Numeric options that are out of range or not numbers: (arguments after

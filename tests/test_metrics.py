@@ -122,6 +122,11 @@ class TestPowerlaw:
         with pytest.raises(MetricsError):
             powerlaw_exponent([1.0] * 20 + [-1.0])
 
+    def test_value_too_large_for_a_float_rejected(self):
+        """An int of 2**1024 or more has no float."""
+        with pytest.raises(MetricsError, match="too large for a float"):
+            powerlaw_exponent([1] * 20 + [2**1024])
+
 
 def proxy_trace():
     b = TraceBuilder()

@@ -286,13 +286,14 @@ def _slots(node):
 # JSON texts on which orjson and json part ways, or nearly do: integers at
 # and past the 64-bit limits (orjson reads one above 2^64 - 1 or below -2^63
 # as a float); NaN, the infinities and 1e400, and lone surrogates, which
-# orjson refuses; floats where an integer is read; and a surrogate pair and
-# a plain name, on which they agree.
+# orjson refuses; an integer of more than 4,300 digits, which orjson refuses
+# and json will not convert; floats where an integer is read; and a surrogate
+# pair and a plain name, on which they agree.
 SPLIT_TEXTS = [Raw(t) for t in (
     str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1), str(2**64 - 1),
-    str(2**64), str(-2**64), str(10**30), str(T0 * 2**40), "NaN", "Infinity",
-    "-Infinity", "1e400", "-1e400", "1.0", "-0.0", "3e0", f"{T0}.0", f"{T0}e0",
-    '"\\ud800"', '"bp\\udfff"', '"\\ud800\\udc00"', '"bpa"')]
+    str(2**64), str(-2**64), str(10**30), str(T0 * 2**40), "9" * 5000, "NaN",
+    "Infinity", "-Infinity", "1e400", "-1e400", "1.0", "-0.0", "3e0", f"{T0}.0",
+    f"{T0}e0", '"\\ud800"', '"bp\\udfff"', '"\\ud800\\udc00"', '"bpa"')]
 
 
 @st.composite
