@@ -16,8 +16,10 @@ import os
 import pickle
 import signal
 import sys
+from collections import defaultdict
 from contextlib import contextmanager
 from itertools import count, islice, takewhile
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -51,6 +53,7 @@ from .model import (
     ParseError,
     decode_text,
     encode_json,
+    json_value,
     load_headers,
     load_trace,
     ordered_sum,
@@ -728,7 +731,7 @@ def _misfit(value, shape, where: str = "") -> str | None:
     """Where and how `value` first departs from `shape`; None if it fits."""
     if isinstance(shape, dict):
         if not isinstance(value, dict):
-            return f"{where or 'the file'} is not an object"
+            return f"{where} is not an object" if where else "not an object"
         for key, inner in shape.items():
             name = key.rstrip("?")
             if name in value:
@@ -737,11 +740,11 @@ def _misfit(value, shape, where: str = "") -> str | None:
                 if problem:
                     return problem
             elif name == key:
-                return f"{where or 'the file'} has no '{name}'"
+                return f"{where} has no '{name}'" if where else f"no '{name}'"
         return None
     if isinstance(shape, list):
         if not isinstance(value, list):
-            return f"{where} is not a list"
+            return f"{where} is not a list" if where else "not a list"
         for i, item in enumerate(value):
             problem = _misfit(item, shape[0], f"{where}[{i}]")
             if problem:
@@ -775,6 +778,27 @@ def _trace_digest(payload: dict):
     return payload.get("manifest", {}).get("digests", {}).get("trace")
 
 
+def _motif_line(line: str, names: dict[str, str]) -> dict:
+    """A line of motifs.jsonl, checked against MOTIF_LINE: a LineFile parse."""
+    value = json_value(line)
+    problem = _misfit(value, MOTIF_LINE)
+    if problem:
+        raise ParseError(problem, "line")
+    return value
+
+
+# Each scored plant kind: the report that detects it, the groups it detects
+# there (motifs.jsonl's are its participants by shape), and its scorer.
+SCORED = {
+    "similar_cluster": ("clusters.json", lambda r: [c["members"] for c in r["clusters"]],
+                        pairwise_score),
+    "near_clique": ("gangs.json", itemgetter("communities"), pairwise_score),
+    "linear_gang": ("motifs.jsonl", itemgetter("linear"), instance_score),
+    "triangular_gang": ("motifs.jsonl", itemgetter("triangular"), instance_score),
+    "eight_gang": ("motifs.jsonl", itemgetter("eight"), instance_score),
+}
+
+
 @main.command()
 @click.argument("report_dir", type=click.Path(exists=True, file_okay=False))
 @click.argument("truth_path", type=click.Path(exists=True, dir_okay=False))
@@ -783,13 +807,15 @@ def score(report_dir, truth_path, out) -> None:
     """Score detection reports in REPORT_DIR against a truth file."""
     report_dir = Path(report_dir)
     truth, truth_sha = _read_json_or_die(truth_path, TRUTH)
-    by_kind: dict[str, list[dict]] = {}
+    # A plant's members are one planted group, and its motif instances each one.
+    planted: dict[str, list[list[str]]] = {}
     for i, plant in enumerate(truth.get("plants", [])):
         field = PLANT_GROUPS.get(plant["kind"])
         if field is not None:  # a scored kind
-            _fit_or_die(plant, {field: NAMES if field == "members" else [NAMES]},
-                        truth_path, f"plants[{i}]")
-            by_kind.setdefault(plant["kind"], []).append(plant)
+            groups = _fit_or_die(plant, {field: NAMES if field == "members" else [NAMES]},
+                                 truth_path, f"plants[{i}]")[field]
+            planted.setdefault(plant["kind"], []).extend(
+                [groups] if field == "members" else groups)
     truth_digest = _trace_digest(truth)
 
     def load_report(name: str) -> dict | None:
@@ -803,44 +829,26 @@ def score(report_dir, truth_path, out) -> None:
                   f"{name} was produced from a different trace than the truth file")
         return payload
 
-    clusters = load_report("clusters.json")
-    gangs_report = load_report("gangs.json")
-    motif_lines = []
+    reports = {name: load_report(name) for name in ("clusters.json", "gangs.json")}
     motif_path = report_dir / "motifs.jsonl"
+    motifs = defaultdict(list)
     if motif_path.exists():
         load_report("motifs.json")
         try:
-            lines = [(n, json.loads(l)) for n, l in enumerate(
-                motif_path.read_text(encoding="utf-8").splitlines(), 1) if l]
-        except OSError as exc:
+            for motif in LineFile(str(motif_path), _motif_line):
+                motifs[motif["shape"]].append(motif["participants"])
+        except OSError as exc:  # a directory, say
             _fail(EXIT_DATA, f"unreadable {motif_path}: {exc.strerror}")
-        except (ValueError, RecursionError) as exc:
-            _fail(EXIT_DATA, f"unreadable {motif_path}: {exc}")
-        motif_lines = [_fit_or_die(line, MOTIF_LINE, motif_path, f"line {n}")
-                       for n, line in lines]
+        except ParseError as exc:
+            _fail(EXIT_DATA, f"malformed {motif_path}: {exc}")
+    # A missing or empty motifs.jsonl leaves the motif kinds unscored.
+    reports["motifs.jsonl"] = motifs or None
 
     results: dict[str, dict] = {}
-    if "similar_cluster" in by_kind and clusters is not None:
-        truth_groups = [p["members"] for p in by_kind["similar_cluster"]]
-        detected = [c["members"] for c in clusters["clusters"]]
-        s = pairwise_score(truth_groups, detected)
-        results["similar_cluster"] = {"precision": s.precision, "recall": s.recall,
-                                      "f1": s.f1}
-    if "near_clique" in by_kind and gangs_report is not None:
-        truth_groups = [p["members"] for p in by_kind["near_clique"]]
-        s = pairwise_score(truth_groups, gangs_report["communities"])
-        results["near_clique"] = {"precision": s.precision, "recall": s.recall,
-                                  "f1": s.f1}
-    motif_shapes = {"linear_gang": "linear", "triangular_gang": "triangular",
-                    "eight_gang": "eight"}
-    for kind, shape in motif_shapes.items():
-        if kind not in by_kind or not motif_lines:
-            continue
-        truth_instances = [inst for p in by_kind[kind]
-                           for inst in p[PLANT_GROUPS[kind]]]
-        detected = [m["participants"] for m in motif_lines if m["shape"] == shape]
-        s = instance_score(truth_instances, detected)
-        results[kind] = {"precision": s.precision, "recall": s.recall, "f1": s.f1}
+    for kind, (name, detected, scorer) in SCORED.items():
+        if kind in planted and reports[name] is not None:
+            s = scorer(planted[kind], detected(reports[name]))
+            results[kind] = {"precision": s.precision, "recall": s.recall, "f1": s.f1}
 
     payload = {"manifest": _manifest("score", {"truth": (truth_path, truth_sha)}, {}),
                "scores": results}

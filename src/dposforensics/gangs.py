@@ -300,8 +300,7 @@ def fit_edpl(features: Sequence[EgonetFeature]) -> EdplFit:
     return EdplFit(coefficient=float(math.exp(intercept)), alpha=float(slope))
 
 
-def outlierness(features: Sequence[EgonetFeature], fit: EdplFit,
-                log_base: float = math.e) -> dict[str, float]:
+def outlierness(features: Sequence[EgonetFeature], fit: EdplFit) -> dict[str, float]:
     """Near-clique outlierness: deviation ratio from the fit line times the
     log distance. Zero exactly on the line."""
     scores = {}
@@ -309,7 +308,7 @@ def outlierness(features: Sequence[EgonetFeature], fit: EdplFit,
         expected = fit.expected_edges(f.neighbors)
         hi, lo = max(f.edges, expected), min(f.edges, expected)
         ratio = hi / lo if lo > 0 else float("inf")
-        scores[f.node] = ratio * math.log(abs(f.edges - expected) + 1.0, log_base)
+        scores[f.node] = ratio * math.log(abs(f.edges - expected) + 1.0)
     return scores
 
 

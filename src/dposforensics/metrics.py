@@ -134,17 +134,22 @@ def powerlaw_exponent(values: Iterable[float]) -> tuple[float, float]:
     if np.any(vals <= 0):
         raise MetricsError("power-law fit requires positive values")
     lo, hi = vals.min(), vals.max()
-    edges = [lo]
-    while edges[-1] <= hi:
-        edges.append(edges[-1] * 2.0)
-    counts, _ = np.histogram(vals, bins=edges)
-    widths = np.diff(edges)
-    centers = np.sqrt(np.array(edges[:-1]) * np.array(edges[1:]))
-    mask = counts > 0
-    if mask.sum() < 2:
-        raise MetricsError("degenerate input: fewer than 2 occupied bins")
-    x = np.log(centers[mask])
-    y = np.log(counts[mask] / widths[mask])
+    # Past about 1e154 the product of two edges overflows, and past about
+    # 9e307 an edge does: such a bin has no finite centre or density.
+    with np.errstate(over="ignore", divide="ignore"):
+        edges = [lo]
+        while edges[-1] <= hi:
+            edges.append(edges[-1] * 2.0)
+        counts, _ = np.histogram(vals, bins=edges)
+        widths = np.diff(edges)
+        centers = np.sqrt(np.array(edges[:-1]) * np.array(edges[1:]))
+        mask = counts > 0
+        if mask.sum() < 2:
+            raise MetricsError("degenerate input: fewer than 2 occupied bins")
+        x = np.log(centers[mask])
+        y = np.log(counts[mask] / widths[mask])
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise MetricsError("a bin's centre or density is not a finite float")
     slope, intercept = np.polyfit(x, y, 1)
     predicted = slope * x + intercept
     ss_res = float(((y - predicted) ** 2).sum())

@@ -13,6 +13,7 @@ import operator
 from datetime import datetime, timezone
 from enum import Enum
 from functools import reduce
+from itertools import chain
 from sys import intern
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -244,7 +245,7 @@ def make_action(kind: ActionKind | str, actor: str, timestamp: int, block: int,
     return Action(kind, actor, int(timestamp), block, seq, check(actor, payload, names))
 
 
-def _json_value(line: str) -> Any:
+def json_value(line: str) -> Any:
     """json.loads(line), its errors ParseErrors."""
     try:
         return json.loads(line)
@@ -271,7 +272,7 @@ def parse_action(line: str, names: dict[str, str] | None = None) -> Action:
     try:
         return _action(orjson.loads(line), names)
     except (orjson.JSONDecodeError, ParseError):
-        return _action(_json_value(line), names)
+        return _action(json_value(line), names)
 
 
 def _action(record: Any, names: dict[str, str] | None) -> Action:
@@ -369,7 +370,7 @@ def header_fields(line: str, names: dict[str, str]) -> tuple[int, str, float]:
             return _header(record, names)
     except (orjson.JSONDecodeError, ParseError):
         pass
-    return _header(_json_value(line), names)
+    return _header(json_value(line), names)
 
 
 def _header(record: Any, names: dict[str, str]) -> tuple[int, str, float]:
@@ -415,49 +416,40 @@ def serialize_header(header: BlockHeader) -> str:
                        indent=False)
 
 
-class _Hashing(io.RawIOBase):
-    """A raw binary reader that adds every byte it reads from `raw` to the
-    hashlib object `sha`."""
-
-    def __init__(self, raw: io.RawIOBase, sha) -> None:
-        self.raw = raw
-        self.sha = sha
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self.raw.readinto(buffer)
-        if n:
-            self.sha.update(memoryview(buffer)[:n])
-        return n
-
-
-def _check_utf8(line: str) -> None:
-    """Reject a line read with errors="surrogateescape" that holds a byte
-    that is not UTF-8, which that handler decodes to a lone surrogate."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        byte = ord(line[exc.start]) - 0xDC00
-        raise ParseError(f"invalid UTF-8: byte 0x{byte:02x}", "line") from None
-
-
 def decode_text(data: bytes) -> str:
     """A file's bytes as open(path, encoding="utf-8") reads them: decoded as
     UTF-8, with universal newlines, so that a CRLF reads as one newline."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
+_CHUNK = 1 << 16  # bytes read at a time
+
+
+def _split(fh, sha=None) -> Iterator[list[bytes]]:
+    """The lines of the binary file `fh`, with their ends, a list per chunk
+    read: a line ends at \\n, \\r or \\r\\n, the universal newlines of open().
+    Each chunk is added to the hashlib object `sha`, if given. The last line
+    of a chunk, unless it ends at a \\n, is read again with the next chunk,
+    which is longer than it, so that a long line is joined in linear time."""
+    rest = b""
+    while chunk := fh.read(_CHUNK + len(rest)):
+        if sha is not None:
+            sha.update(chunk)
+        lines = (rest + chunk).splitlines(keepends=True)
+        rest = b"" if chunk.endswith(b"\n") else lines.pop()
+        yield lines
+    yield rest.splitlines(keepends=True)
+
+
 class LineFile:
     """The parsed lines of a file, read anew, one at a time, by each
     iteration; len() counts its non-blank lines.
 
-    An iteration yields parse() of each non-blank line, sharing one table of
-    accepted account names; a ParseError, or a byte that is not UTF-8, names
-    its line number. Once it reaches the end, `digest` is the sha256 of the
-    bytes it read, so that a pipe, which reads only once, has the digest of
-    what was parsed.
+    An iteration yields parse() of each non-blank line, stripped, sharing one
+    table of accepted account names; a ParseError, or a byte that is not
+    UTF-8, names its line number. Once it reaches the end, `digest` is the
+    sha256 of the bytes it read, so that a pipe, which reads only once, has
+    the digest of what was parsed.
     """
 
     def __init__(self, path: str, parse: Callable[[str, dict[str, str]], Any]):
@@ -468,27 +460,25 @@ class LineFile:
     def __iter__(self) -> Iterator:
         names: dict[str, str] = {}
         sha = hashlib.sha256()
-        # Bytes that are not UTF-8 decode to lone surrogates, so that each is
-        # found in its own line, not in the 8 KB chunk the wrapper decodes.
-        with open(self.path, "rb", buffering=0) as raw, io.TextIOWrapper(
-                io.BufferedReader(_Hashing(raw, sha)), encoding="utf-8",
-                errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
+        with open(self.path, "rb") as fh:
+            for lineno, line in enumerate(chain.from_iterable(_split(fh, sha)), 1):
                 try:
-                    if not line.isascii():
-                        _check_utf8(line)
+                    line = line.decode().strip()
+                    if not line:
+                        continue
                     item = self.parse(line, names)
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"line {lineno}: invalid UTF-8: byte "
+                                     f"0x{exc.object[exc.start]:02x}", "line") from None
                 except ParseError as exc:
                     raise ParseError(f"line {lineno}: {exc}", exc.field) from None
                 yield item
         self.digest = sha.hexdigest()
 
     def __len__(self) -> int:
-        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            return sum(1 for line in fh if line.strip())
+        with open(self.path, "rb") as fh:
+            return sum(1 for line in chain.from_iterable(_split(fh))
+                       if line.decode("utf-8", "surrogateescape").strip())
 
 
 def load_trace(path: str, lazy: bool = False) -> list[Action] | LineFile:

@@ -7,7 +7,9 @@ the modules under test.
 from __future__ import annotations
 
 import calendar
+import hashlib
 import importlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -753,6 +755,70 @@ def _ref_header_number(record, key, kind):
     except (TypeError, ValueError, OverflowError):
         pass
     raise ParseError(f"header field '{key}' must be numeric, got {value!r}", key)
+
+
+class _Hashing(io.RawIOBase):
+    """A raw binary reader that adds every byte it reads from `raw` to the
+    hashlib object `sha`."""
+
+    def __init__(self, raw, sha) -> None:
+        self.raw = raw
+        self.sha = sha
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(buffer)
+        if n:
+            self.sha.update(memoryview(buffer)[:n])
+        return n
+
+
+def _check_utf8(line: str) -> None:
+    """Reject a line read with errors="surrogateescape" that holds a byte
+    that is not UTF-8, which that handler decodes to a lone surrogate."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ParseError(f"invalid UTF-8: byte 0x{byte:02x}", "line") from None
+
+
+class RefLineFile:
+    """model.LineFile as open()'s text stack reads the file: a hashing raw
+    reader under a buffer under a UTF-8 TextIOWrapper, whose universal
+    newlines split the lines."""
+
+    def __init__(self, path, parse):
+        self.path = path
+        self.parse = parse
+        self.digest = None
+
+    def __iter__(self):
+        names = {}
+        sha = hashlib.sha256()
+        # Bytes that are not UTF-8 decode to lone surrogates, so that each is
+        # found in its own line, not in the 8 KB chunk the wrapper decodes.
+        with open(self.path, "rb", buffering=0) as raw, io.TextIOWrapper(
+                io.BufferedReader(_Hashing(raw, sha)), encoding="utf-8",
+                errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    if not line.isascii():
+                        _check_utf8(line)
+                    item = self.parse(line, names)
+                except ParseError as exc:
+                    raise ParseError(f"line {lineno}: {exc}", exc.field) from None
+                yield item
+        self.digest = sha.hexdigest()
+
+    def __len__(self):
+        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            return sum(1 for line in fh if line.strip())
 
 
 def ref_serialize_action(action):

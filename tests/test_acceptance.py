@@ -247,9 +247,6 @@ def test_07_egonet_outliers():
         line_fit = fit_edpl(on_line)
         assert all(abs(s) < 1e-9
                    for s in outlierness(on_line, line_fit).values())
-        # Top set is identical regardless of the log base
-        ten = outlierness(feats, fit, log_base=10.0)
-        assert set(select_anomalies(feats, fit, ten, pct=0.10)) == set(anomalies)
 
 
 def test_08_intensity_normalization():

@@ -616,6 +616,28 @@ def test_a_stake_too_large_for_a_float_fits_no_power_law(ledger_dir, tmp_path):
     assert summary["stake_powerlaw"] == {"error": "a value is too large for a float"}
 
 
+def test_a_stake_past_1e154_fits_no_power_law_and_prints_nothing(ledger_dir, tmp_path):
+    """Nine voters stake 1 and a tenth 10**200, all voting directly: the top
+    bin's centre overflows, so metrics reports the fit as an error, with
+    nothing on stderr (numpy's overflow warning, or LAPACK's lines)."""
+    builder = TraceBuilder().regproducer("bpa")
+    for voter, stake in zip("abcdefghij", [1] * 9 + [10**200]):
+        builder.delegate(f"voter{voter}", stake).vote(f"voter{voter}", ["bpa"])
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(serialize_action(a) + "\n" for a in builder.build()))
+    src = str(Path(dposforensics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "dposforensics.cli", "metrics", str(path),
+         str(ledger_dir / "headers.jsonl"), "-o", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    summary = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert summary["stake_powerlaw"] == {
+        "error": "a bin's centre or density is not a finite float"}
+
+
 def test_timestamps_that_run_back_in_a_pipe_exit_3(ledger_dir, tmp_path):
     """Such a trace is folded twice, which a pipe cannot be: the command
     fails rather than write reports without the snapshots."""
@@ -1103,6 +1125,43 @@ def test_a_report_that_is_a_directory_exits_3(name, ledger_dir, report_dir, tmp_
     assert result.output == (f"error: unreadable {reports / name}: "
                              f"{os.strerror(errno.EISDIR)}\n")
     assert not (reports / "score.json").exists()
+
+
+def _score_with_motif_lines(report_dir, ledger_dir, reports, edit):
+    """score over a copy, at `reports`, of report_dir whose motifs.jsonl
+    lines, with their ends, are edit(lines); the copy's motifs.jsonl and the
+    result."""
+    shutil.copytree(report_dir, reports, ignore=shutil.ignore_patterns("score.json"))
+    path = reports / "motifs.jsonl"
+    path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+    return path, CliRunner().invoke(main, ["score", str(reports),
+                                           str(ledger_dir / "truth.json")])
+
+
+def test_score_names_the_line_of_motifs_jsonl_that_is_not_json(ledger_dir, report_dir,
+                                                               tmp_path):
+    def edit(lines):
+        assert len(lines) > 3
+        return lines[:2] + [b'{"shape": oops}\n'] + lines[3:]
+    path, result = _score_with_motif_lines(report_dir, ledger_dir, tmp_path / "reports",
+                                           edit)
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith(
+        f"error: malformed {path}: line 3: invalid JSON: Expecting value: ")
+
+
+def test_score_reads_motifs_jsonl_lines_as_trace_lines(ledger_dir, report_dir, tmp_path):
+    """CR and CRLF end a motifs.jsonl line, and a line of only whitespace is
+    skipped, as in a trace; the scores are those of the file as written."""
+    def edit(lines):
+        return [b" \t\xc2\xa0\r\n", *(line.rstrip(b"\n") + b"\r" for line in lines),
+                b"\x0c\n"]
+    scores = []
+    for reports, how in [(tmp_path / "as_written", list), (tmp_path / "edited", edit)]:
+        path, result = _score_with_motif_lines(report_dir, ledger_dir, reports, how)
+        assert result.exit_code == 0, result.output
+        scores.append(json.loads((reports / "score.json").read_text())["scores"])
+    assert scores[0] == scores[1] and "linear_gang" in scores[0]
 
 
 # Numeric options that are out of range or not numbers: (arguments after

@@ -539,15 +539,6 @@ class TestFitAndScores:
         score = outlierness([outlier], fit)["deviant"]
         assert score == pytest.approx(2.0 * math.log(11.0), rel=1e-9)
 
-    def test_log_base_is_rank_invariant(self):
-        graph, _ = star_clique_graph()
-        feats = egonet_features(graph)
-        fit = fit_edpl(feats)
-        nat = outlierness(feats, fit, log_base=math.e)
-        ten = outlierness(feats, fit, log_base=10.0)
-        order = lambda scores: sorted(scores, key=lambda n: (-scores[n], n))
-        assert order(nat) == order(ten)
-
     def test_select_top_above_line(self):
         graph, clique = star_clique_graph(n_stars=60, clique_size=8)
         feats = egonet_features(graph)

@@ -1,6 +1,7 @@
 import builtins
 import math
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -126,6 +127,19 @@ class TestPowerlaw:
         """An int of 2**1024 or more has no float."""
         with pytest.raises(MetricsError, match="too large for a float"):
             powerlaw_exponent([1] * 20 + [2**1024])
+
+    @pytest.mark.parametrize("big", [10**200, 1e308], ids=["1e200", "1e308"])
+    def test_bins_past_the_float_range_rejected(self, big):
+        """Past about 1e154 a bin's geometric centre overflows, and past
+        about 9e307 its upper edge does, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricsError, match="not a finite float"):
+                powerlaw_exponent([1] * 9 + [big])
+
+    def test_bins_short_of_overflow_are_fitted(self):
+        alpha, r2 = powerlaw_exponent([1] * 9 + [10**150])
+        assert math.isfinite(alpha) and r2 == pytest.approx(1.0)
 
 
 def proxy_trace():

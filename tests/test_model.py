@@ -6,18 +6,21 @@ import math
 import random
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dposforensics import model
 from dposforensics.metrics import daily_production, utc_day
 from dposforensics.model import (
     Action,
     ActionKind,
     BlockHeader,
     LedgerError,
+    LineFile,
     NAME_ALPHABET,
     ParseError,
     VOTE_INDEX_EPOCH,
@@ -219,6 +222,51 @@ def test_line_count_reads_bytes_that_are_not_utf8(tmp_path):
     assert len(headers) == 2
     with pytest.raises(ParseError, match="^line 3: invalid UTF-8: byte 0xff$"):
         list(headers)
+
+
+# Pieces of a line file: the three line ends; whitespace, ASCII and UTF-8
+# (NO-BREAK SPACE, NEXT LINE, LINE SEPARATOR), which strip() removes; \x0b,
+# \x0c and \x1c, at which str.splitlines would split a line; bytes that are
+# not UTF-8, alone or a character cut short; and text, whose "x" the parse
+# rejects.
+LINE_PIECES = [b"\n", b"\r", b"\r\n", b" ", b"\t", b"\xc2\xa0", b"\xc2\x85",
+               b"\xe2\x80\xa8", b"\x0b", b"\x0c", b"\x1c", b"\xff", b"\xfe", b"\xe2\x82",
+               b"\xc3\xa9", b"ab", b"{}", b"x"]
+
+
+def _piece_parse(line, names):
+    """The line and the size of the shared name table once it is added."""
+    if "x" in line:
+        raise ParseError(f"bad line {line!r}", "line")
+    names[line] = line
+    return line, len(names)
+
+
+def _read_through(lines):
+    """What an iteration of a line file yields, the message and field of its
+    fault, if any, its digest once the iteration ends, and its len()."""
+    items, fault = [], None
+    try:
+        for item in lines:
+            items.append(item)
+    except ParseError as exc:
+        fault = (str(exc), exc.field)
+    return items, fault, lines.digest, len(lines)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pieces=st.lists(st.sampled_from(LINE_PIECES), max_size=30),
+       chunk=st.one_of(st.integers(1, 9), st.just(model._CHUNK)))
+def test_line_file_reads_as_the_text_stack(pieces, chunk, tmp_path):
+    """LineFile, reading `chunk` bytes at a time, splits, decodes, strips,
+    numbers, digests and counts the lines of any file as open()'s text stack
+    does, the oracle's reader."""
+    path = tmp_path / "lines"
+    path.write_bytes(b"".join(pieces))
+    with mock.patch.object(model, "_CHUNK", chunk):
+        read = _read_through(LineFile(str(path), _piece_parse))
+    assert read == _read_through(oracles.RefLineFile(str(path), _piece_parse))
 
 
 def _outcome(parse, line):

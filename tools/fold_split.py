@@ -1,11 +1,14 @@
-"""In-process times of the parse and the fold of a generated ledger's trace:
+"""In-process times of the read, the parse and the fold of a generated ledger:
 
     PYTHONPATH=src python3 tools/fold_split.py CONFIG
 
 It generates CONFIG's ledger with `dposf generate` into a temporary
 directory, then prints the best of 5 runs, in seconds, of:
 
+- read: a LineFile over the trace file whose parse returns the line, so
+  that the reader's split, decode, strip and hash show apart from the parse;
 - parse: load_trace of the trace file, into a list of actions;
+- headers: load_headers of the header file, into a list of headers;
 - fold: replay over the parsed actions, with no observer;
 - fold+log: the same with a VoteLog;
 - fold+log+monthly: replay_with_snapshots over the parsed actions, with a
@@ -25,7 +28,7 @@ import time
 from pathlib import Path
 
 from dposforensics.metrics import month_ends
-from dposforensics.model import load_trace
+from dposforensics.model import LineFile, load_headers, load_trace
 from dposforensics.replay import VoteLog, replay, replay_with_snapshots
 
 REPEATS = 5
@@ -55,10 +58,13 @@ def main() -> None:
                         "-c", str(args.config), "-o", work],
                        check=True, stdout=subprocess.DEVNULL)
         path = os.path.join(work, "trace.jsonl")
+        headers = os.path.join(work, "headers.jsonl")
         actions = load_trace(path)
         print(f"{args.config}: {len(actions)} actions, best of {REPEATS}")
         rows = [
+            ("read", lambda: list(LineFile(path, lambda line, names: line))),
             ("parse", lambda: load_trace(path)),
+            ("headers", lambda: load_headers(headers)),
             ("fold", lambda: replay(actions)),
             ("fold+log", lambda: replay(actions, [VoteLog()])),
             ("fold+log+monthly",
